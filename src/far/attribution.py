@@ -34,7 +34,7 @@ def _far_inputs_at_layer(model: FarModel, image, layer):
     """Run the model up to ``layer``; return its input tokens as a leaf."""
     x = model.teacher.patch_embed(image)
     for i in range(layer):
-        y = far_block_forward(x, model.blocks[i], masks=model.layer_masks(i))
+        y = far_block_forward(x, model.blocks[i])
         x = model.teacher.mlp_block(y, model.teacher.layers[i])
     leaf = Tensor(x.data.copy(), requires_grad=True)
     return leaf
@@ -59,22 +59,18 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
         raise ValueError(f"unknown scalarization {scalarize!r}")
     leaf = _far_inputs_at_layer(model, image, layer)
     blk = model.blocks[layer]
-    dh = model.cfg.head_dim
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.matmul(h, blk.in_w) + blk.in_b
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
     from .far_block import bilstm_head
-    masks = model.layer_masks(layer)
-    hh = bilstm_head(sub, blk.heads[head],
-                     masks=None if masks is None else masks.get(head),
-                     directions=directions)
+    hh = bilstm_head(sub, blk.heads[head], directions=directions)
     cls_vec = hh[:, 0, :]
     if scalarize == "norm":
         target = T.sqrt(T.tsum(T.square(cls_vec)))
     elif scalarize == "sum":
         target = T.tsum(cls_vec)
     else:  # logit: push the head state through out_proj and max logit
-        full = far_block_forward(leaf, blk, masks=masks, directions=directions)
+        full = far_block_forward(leaf, blk, directions=directions)
         logits = model.teacher.classify(
             model.teacher.mlp_block(full, model.teacher.layers[layer]))
         target = logits[0, int(logits.data[0].argmax())]
@@ -94,11 +90,10 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
 
     t = model.cfg.tokens
     dep = np.zeros((t, t))
-    masks = model.layer_masks(layer)
     blk = model.blocks[layer]
     for q in range(t):
         leaf = _far_inputs_at_layer(model, image, layer)
-        out = far_block_forward(leaf, blk, masks=masks, directions=directions)
+        out = far_block_forward(leaf, blk, directions=directions)
         vec = out[:, q, :]
         target = T.sqrt(T.tsum(T.square(vec)))
         target.backward()

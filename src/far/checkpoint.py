@@ -9,12 +9,18 @@ Layout (all integers little-endian):
     per tensor:
         u32 name byte length, UTF-8 name
         u32 rank, rank x u64 dims
-        u8  dtype tag (0=f32, 1=f64, 2=u8 mask)
+        u8  dtype tag (0=f32, 1=f64, 2=u8)
         raw little-endian payload
     crc     u32 CRC-32 of all preceding bytes
 
 Loading verifies magic, rejects versions newer than FORMAT_VERSION, and
 fails hard on CRC mismatch or truncation.
+
+Version 2 lets each LSTM scan of a FAR model be narrower than head_dim:
+a pruned model is stored physically shrunk, and ``load_model`` builds each
+scan at the hidden size of its ``w_hh`` tensor. Version 1 files stay
+readable; their ``mask.*`` tensors are skipped, which is exact because a
+v1 pruned file already holds its pruned units as all-zero weight groups.
 """
 
 import os
@@ -24,12 +30,12 @@ import zlib
 
 import numpy as np
 
-from .far_block import DIRECTIONS, FarModel, replace_attention
+from .far_block import DIRECTIONS, FarModel, replace_attention, shrink_block
 from .tensor import Tensor
 from .vit import ModelConfig, TeacherModel
 
 MAGIC = b"FARC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
            np.dtype(np.uint8): 2}
@@ -138,48 +144,54 @@ def load_checkpoint(path):
 
 
 def save_model(model, path):
-    """Serialize a TeacherModel or FarModel, including prune masks."""
-    tensors = dict(model.named_parameters())
+    """Serialize a TeacherModel or FarModel at its current scan widths."""
     kind = "far" if isinstance(model, FarModel) else "teacher"
-    if kind == "far" and model.masks is not None:
-        for l, layer_masks in enumerate(model.masks):
-            for h, head_masks in layer_masks.items():
-                for d in DIRECTIONS:
-                    tensors[f"mask.{l}.{h}.{d}"] = head_masks[d].astype(np.uint8)
-    save_checkpoint(path, model.cfg, tensors, kind=kind)
+    save_checkpoint(path, model.cfg, model.named_parameters(), kind=kind)
+
+
+def _file_widths(path, cfg, tensors, layer):
+    """keep[head][direction] selecting the first w_hh-width units."""
+    keep = {}
+    for h in range(cfg.heads):
+        keep[h] = {}
+        for d in DIRECTIONS:
+            name = f"far.{layer}.{h}.{d}.w_hh"
+            shape = tensors[name].shape
+            width = shape[1] if len(shape) == 2 else 0
+            if not 1 <= width <= cfg.head_dim:
+                raise CheckpointError(
+                    f"{path}: tensor {name} has shape {shape}; its hidden "
+                    f"size must be 1..{cfg.head_dim}")
+            keep[h][d] = np.arange(cfg.head_dim) < width
+    return keep
 
 
 def load_model(path):
     """Rebuild a model shell from a checkpoint; returns the model."""
     cfg, kind, tensors = load_checkpoint(path)
+    tensors = {n: a for n, a in tensors.items() if not n.startswith("mask.")}
     teacher = TeacherModel(cfg, seed=0)
     if kind == "teacher":
         model = teacher
     else:
         model = replace_attention(teacher, cfg, seed=0)
     named = model.named_parameters()
-    for name, arr in tensors.items():
-        if name.startswith("mask."):
-            continue
+    for name in named:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name}")
+    for name in tensors:
         if name not in named:
             raise CheckpointError(f"{path}: unexpected tensor {name}")
+    if kind == "far":
+        for l, blk in enumerate(model.blocks):
+            keep = _file_widths(path, cfg, tensors, l)
+            if not all(k.all() for head in keep.values() for k in head.values()):
+                model.blocks[l] = shrink_block(blk, keep)
+        named = model.named_parameters()
+    for name, arr in tensors.items():
         if named[name].data.shape != arr.shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {arr.shape}, expected "
                 f"{named[name].data.shape}")
         named[name].data = arr.astype(named[name].data.dtype, copy=True)
-    if kind == "far":
-        masks = [
-            {h: {d: None for d in DIRECTIONS} for h in range(cfg.heads)}
-            for _ in range(cfg.layers)
-        ]
-        found = False
-        for name, arr in tensors.items():
-            if not name.startswith("mask."):
-                continue
-            _, l, h, d = name.split(".")
-            masks[int(l)][int(h)][d] = arr.astype(bool)
-            found = True
-        if found:
-            model.masks = masks
     return model

@@ -17,7 +17,7 @@ from .attribution import cls_saliency, export_heatmaps, token_dependency
 from .config import ConfigError, load_config, model_config
 from .data import synth_dataset
 from .distill import TrainConfig, accuracy, metrics_to_csv, run_phase, train_teacher
-from .far_block import replace_attention
+from .far_block import FarModel, replace_attention
 from .vit import TeacherModel
 
 
@@ -136,20 +136,25 @@ def cmd_flops(args, cfg):
 
 
 def cmd_bench(args, cfg):
-    mcfg = model_config(cfg)
+    """Latency and cost of one model; with --checkpoint, the checkpoint's
+    own config, kind and scan widths describe what is measured."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
     else:
-        teacher = TeacherModel(mcfg, seed=cfg["train"]["seed"])
+        teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
         model = (replace_attention(teacher) if args.variant == "far"
                  else teacher)
+    mcfg = model.cfg
     rng = np.random.default_rng(args.seed or 0)
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)
     stats = profiler.bench_latency(lambda: model.forward(image),
                                    warmups=cfg["bench"]["warmups"],
                                    runs=cfg["bench"]["runs"])
-    report = profiler.cost_report(mcfg, args.variant)
+    if isinstance(model, FarModel):
+        report = profiler.cost_report(mcfg, "far", masks=model.masks)
+    else:
+        report = profiler.cost_report(mcfg, "attention")
     report.latency_ms = {k: stats[k] for k in ("median", "mean", "p10", "p90")}
     report.runs, report.warmups = stats["runs"], stats["warmups"]
     report.threads = stats["threads"]

@@ -3,8 +3,6 @@
 has a documented default.
 """
 
-from dataclasses import dataclass, field, fields
-
 # section -> key -> (type, default)
 SCHEMA = {
     "model": {

@@ -7,7 +7,7 @@ parameter unfrozen and pure classification loss.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class TrainConfig:
     weight_decay: float = 0.05
     seed: int = 0
     phase: str = "distill"
-    # pruning-stage knobs
-    reg_coeff: float = 1e-4
-    threshold: float = 1e-4
-    threshold_mode: str = "absolute"  # or "relative"
     cosine_flat: bool = False  # whole-tensor cosine instead of per-token
 
     def __post_init__(self):
@@ -56,8 +52,6 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # optional per-parameter 0/1 masks pinning pruned weights at zero
-        self.freeze_masks = {}
 
     def zero_grad(self):
         for p in self.params:
@@ -75,9 +69,6 @@ class AdamW:
             self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * (g * g)
             update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
             p.data = p.data - self.lr * (update + self.wd * p.data)
-            mask = self.freeze_masks.get(id(p))
-            if mask is not None:
-                p.data *= mask
 
 
 def cosine_lr(epoch, cfg: TrainConfig):
@@ -210,8 +201,6 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     trainable = freeze_plan(far_model, cfg.phase)
     opt = AdamW(trainable.values(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    if far_model.masks is not None:
-        attach_mask_freeze(opt, far_model)
     images, labels = dataset.split("train")
     n_layers = len(far_model.blocks)
     # the pruning stages train with classification + Hoyer terms only
@@ -267,13 +256,6 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
             if not np.array_equal(before, now):
                 raise RuntimeError(f"frozen tensor {name} changed during distill")
     return rows
-
-
-def attach_mask_freeze(opt, far_model):
-    """Pin every pruned coordinate to zero across optimizer steps."""
-    from .pruner import weight_zero_masks
-    for p, mask in weight_zero_masks(far_model):
-        opt.freeze_masks[id(p)] = mask
 
 
 def metrics_to_csv(rows, path):

@@ -5,9 +5,14 @@ subspaces of width D_h -> per-head BiLSTM -> concat (T x 2D) -> output
 projection (2D->D) -> residual add. Gate stacking order is (input,
 forget, cell, output) throughout, so row j of gate g lives at index
 g*hidden + j in the stacked weight matrices.
+
+A pruned hidden unit is one whose coupled weights (see ``coupled``) are
+all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
+zero initial state its h and c stay exactly zero and its gradients are
+zero. No separate mask is kept.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,9 +103,9 @@ def init_far_block(cfg, rng, ln_init=None):
     )
 
 
-def lstm_step(x_t, h, c, p: LstmDirParams, w_ih_t=None, w_hh_t=None, keep=None):
+def lstm_step(x_t, h, c, p: LstmDirParams, w_ih_t=None, w_hh_t=None):
     """One LSTM cell update. Transposed weights may be passed to avoid
-    re-transposing inside a scan; ``keep`` is a 0/1 retention vector."""
+    re-transposing inside a scan."""
     if w_ih_t is None:
         w_ih_t = T.transpose(p.w_ih)
     if w_hh_t is None:
@@ -111,13 +116,10 @@ def lstm_step(x_t, h, c, p: LstmDirParams, w_ih_t=None, w_hh_t=None, keep=None):
     g = T.tanh(gg)
     c_new = f * c + i * g
     h_new = o * T.tanh(c_new)
-    if keep is not None:
-        c_new = c_new * keep
-        h_new = h_new * keep
     return h_new, c_new
 
 
-def _scan(seq_steps, p, keep):
+def _scan(seq_steps, p):
     """Run an LSTM over a list of (B, input) tensors; returns hidden list."""
     w_ih_t = T.transpose(p.w_ih)
     w_hh_t = T.transpose(p.w_hh)
@@ -129,12 +131,12 @@ def _scan(seq_steps, p, keep):
     c = T.zeros(shape, dtype)
     outs = []
     for x_t in seq_steps:
-        h, c = lstm_step(x_t, h, c, p, w_ih_t, w_hh_t, keep)
+        h, c = lstm_step(x_t, h, c, p, w_ih_t, w_hh_t)
         outs.append(h)
     return outs
 
 
-def bilstm_head(x, head, masks=None, directions=DIRECTIONS):
+def bilstm_head(x, head, directions=DIRECTIONS):
     """(B,T,D_h) or (T,D_h) -> concat of forward and reverse scans.
 
     The reverse half is re-aligned to original token positions. Output
@@ -148,15 +150,12 @@ def bilstm_head(x, head, masks=None, directions=DIRECTIONS):
     halves = []
     for d in DIRECTIONS:
         p = head[d]
-        keep = None
-        if masks is not None and masks.get(d) is not None:
-            keep = Tensor(masks[d].astype(p.w_ih.data.dtype))
         if d not in directions:
             shape = ((x.shape[0], t, p.hidden) if batched else (t, p.hidden))
             halves.append(T.zeros(shape, "f64" if p.w_ih.data.dtype == np.float64 else "f32"))
             continue
         seq = steps if d == "fwd" else steps[::-1]
-        outs = _scan(seq, p, keep)
+        outs = _scan(seq, p)
         if d == "rev":
             outs = outs[::-1]
         outs = [T.reshape(o, (o.shape[0], 1, p.hidden) if batched
@@ -165,23 +164,73 @@ def bilstm_head(x, head, masks=None, directions=DIRECTIONS):
     return T.concat(halves, axis=-1)
 
 
-def far_block_forward(x, p: FarBlockParams, masks=None, directions=DIRECTIONS):
+def far_block_forward(x, p: FarBlockParams, directions=DIRECTIONS):
     """y = x + out_proj(concat_heads(BiLSTM_n(split_n(in_proj(LN(x))))))."""
     n = len(p.heads)
-    dh = p.heads[0]["fwd"].input_size
     h = T.layer_norm(x, p.ln_g, p.ln_b)
     u = T.matmul(h, p.in_w) + p.in_b
     subs = T.split(u, n, axis=-1)
-    outs = [bilstm_head(subs[i], p.heads[i],
-                        masks=None if masks is None else masks.get(i),
-                        directions=directions)
+    outs = [bilstm_head(subs[i], p.heads[i], directions=directions)
             for i in range(n)]
     cat = T.concat(outs, axis=-1)
     if cat.shape[-1] != p.out_w.shape[0]:
         raise ShapeError(
             f"head outputs ({cat.shape[-1]}) do not match out_proj rows "
-            f"({p.out_w.shape[0]}); mask/parameter mismatch")
+            f"({p.out_w.shape[0]})")
     return x + (T.matmul(cat, p.out_w) + p.out_b)
+
+
+def coupled(blk: FarBlockParams, head, direction, units):
+    """Indices of every weight coupled to hidden ``units`` of one scan.
+
+    Returns ``(gate_rows, cols, out_rows)``: the rows of the gate-stacked
+    w_ih, w_hh, b_ih and b_hh; the w_hh columns; and the out_w rows. The
+    offsets come from the hidden sizes of the block's scans, so they hold
+    for a shrunk block too.
+    """
+    units = np.asarray(units, dtype=np.intp)
+    hid = blk.heads[head][direction].hidden
+    gate_rows = (np.arange(4)[:, None] * hid + units).ravel()
+    start = sum(blk.heads[h][d].hidden for h in range(head) for d in DIRECTIONS)
+    if direction == "rev":
+        start += blk.heads[head]["fwd"].hidden
+    return gate_rows, units, start + units
+
+
+def live_units(blk: FarBlockParams, head, direction):
+    """Bool per hidden unit: False where all its coupled weights are zero."""
+    p = blk.heads[head][direction]
+    n = p.hidden
+    rows, cols, out_rows = coupled(blk, head, direction, np.arange(n))
+    live = p.w_hh.data[:, cols].any(axis=0) | blk.out_w.data[out_rows].any(axis=1)
+    for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+        live |= t.data[rows].reshape(4, n, -1).any(axis=(0, 2))
+    return live
+
+
+def shrink_block(blk: FarBlockParams, keep):
+    """A copy of ``blk`` holding only the units where ``keep[head][direction]``
+    is True; every coupled matrix is re-packed."""
+    def param(a):
+        return Tensor(np.array(a), requires_grad=True)
+
+    heads, out_rows = [], []
+    for h, head in enumerate(blk.heads):
+        new = {}
+        for d in DIRECTIONS:
+            p = head[d]
+            rows, cols, out = coupled(blk, h, d, np.flatnonzero(keep[h][d]))
+            new[d] = LstmDirParams(
+                w_ih=param(p.w_ih.data[rows]),
+                w_hh=param(p.w_hh.data[np.ix_(rows, cols)]),
+                b_ih=param(p.b_ih.data[rows]), b_hh=param(p.b_hh.data[rows]))
+            out_rows.append(out)
+        heads.append(new)
+    return FarBlockParams(
+        ln_g=param(blk.ln_g.data), ln_b=param(blk.ln_b.data),
+        in_w=param(blk.in_w.data), in_b=param(blk.in_b.data), heads=heads,
+        out_w=param(blk.out_w.data[np.concatenate(out_rows)]),
+        out_b=param(blk.out_b.data))
 
 
 class FarModel:
@@ -203,8 +252,6 @@ class FarModel:
                            ln_init=(layer.ln1_g, layer.ln1_b))
             for layer in teacher.layers
         ]
-        # masks[layer][head][direction] -> bool keep vector, or None
-        self.masks = None
         self.forward_count = 0
 
     def named_parameters(self):
@@ -227,10 +274,13 @@ class FarModel:
             out.update(blk.named(f"far.{i}"))
         return out
 
-    def layer_masks(self, i):
-        if self.masks is None:
-            return None
-        return self.masks[i]
+    @property
+    def masks(self):
+        """masks[layer][head][direction]: bool vector over the scan's
+        current units, False where the unit is pruned. Derived from the
+        weights on every call, never stored."""
+        return [{h: {d: live_units(blk, h, d) for d in DIRECTIONS}
+                 for h in range(len(blk.heads))} for blk in self.blocks]
 
     def forward(self, image, directions=DIRECTIONS):
         """Returns (logits, block_outputs)."""
@@ -238,9 +288,7 @@ class FarModel:
         x = self.teacher.patch_embed(image)
         blocks = []
         for i, layer in enumerate(self.teacher.layers):
-            y = far_block_forward(x, self.blocks[i],
-                                  masks=self.layer_masks(i),
-                                  directions=directions)
+            y = far_block_forward(x, self.blocks[i], directions=directions)
             x = self.teacher.mlp_block(y, layer)
             blocks.append(x)
         logits = self.teacher.classify(x)
@@ -251,7 +299,3 @@ def replace_attention(teacher, cfg=None, seed=0):
     """Substitute every attention sublayer at once; everything else shared."""
     return FarModel(teacher, cfg=cfg, seed=seed)
 
-
-def far_block_param_count(d, n, dh):
-    """Closed-form parameter count of one unpruned FAR block (incl. LN)."""
-    return (d * d + d) + n * 2 * (8 * dh * dh + 8 * dh) + (2 * d * d + d) + 2 * d

@@ -63,13 +63,13 @@ def _attn_layer_params(cfg):
     return 2 * d + 3 * d * d + 3 * d + d * d + d + _mlp_params(cfg)
 
 
-def _far_layer_params(cfg, layer_masks=None):
+def _far_layer_params(cfg, live=None):
     d, dh = cfg.dim, cfg.head_dim
     total = 2 * d + d * d + d  # LN + in_proj
     retained_sum = 0
     for h in range(cfg.heads):
         for dirn in ("fwd", "rev"):
-            k = dh if layer_masks is None else int(layer_masks[h][dirn].sum())
+            k = dh if live is None else int(live[h][dirn].sum())
             total += 4 * k * dh + 4 * k * k + 8 * k  # W_ih, W_hh, biases
             retained_sum += k
     total += retained_sum * d + d  # out_proj
@@ -101,13 +101,13 @@ def _attn_layer_flops(cfg, t, verbose=False):
     return macs
 
 
-def _far_layer_flops(cfg, t, layer_masks=None, verbose=False):
+def _far_layer_flops(cfg, t, live=None, verbose=False):
     d, dh = cfg.dim, cfg.head_dim
     macs = t * d * d  # in_proj
     retained_sum = 0
     for h in range(cfg.heads):
         for dirn in ("fwd", "rev"):
-            k = dh if layer_masks is None else int(layer_masks[h][dirn].sum())
+            k = dh if live is None else int(live[h][dirn].sum())
             macs += t * (4 * k * dh + 4 * k * k)
             retained_sum += k
     macs += t * retained_sum * d            # out_proj

@@ -1,41 +1,24 @@
 """Group Hoyer-square regularization and gate-coordinated pruning.
 
 The penalty sees the mandatory composite rows (W_ih rows + W_hh rows per
-gate); pruning application additionally zeroes the coupled W_hh columns,
-bias entries and output-projection rows, so a removed hidden unit is
-structurally gone from the forward pass.
+gate). Thresholding zeroes every weight coupled to a removed hidden unit
+(its gate rows, W_hh columns, bias entries and output-projection rows),
+and that all-zero group is the only record that the unit was pruned: it
+outputs exactly zero and receives zero gradient, so it stays zero through
+further training. ``shrink_model`` then drops such units physically.
 """
 
+import copy
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import DIRECTIONS, FarModel, init_lstm_dir, LstmDirParams, FarBlockParams
+from .far_block import (DIRECTIONS, FarBlockParams, FarModel, LstmDirParams,
+                        coupled, shrink_block)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class PruneMask:
-    layer: int
-    head: int
-    direction: str
-    keep: np.ndarray  # bool, length D_h
-
-    @property
-    def retained(self):
-        return int(self.keep.sum())
-
-    @property
-    def total(self):
-        return len(self.keep)
-
-    @property
-    def ratio(self):
-        return self.retained / self.total
 
 
 def group_hs(w, groups):
@@ -102,19 +85,18 @@ def hoyer_penalty(wl):
     return num / den
 
 
-def _out_proj_slice(block: FarBlockParams, head, direction, dh):
-    start = head * 2 * dh + (0 if direction == "fwd" else dh)
-    return block.out_w[start:start + dh, :]
+def _out_proj_slice(block: FarBlockParams, head, direction):
+    hid = block.heads[head][direction].hidden
+    return block.out_w[coupled(block, head, direction, np.arange(hid))[2]]
 
 
 def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     """Sum (or mean) of per-(layer, head, direction) Hoyer penalties."""
-    dh = far_model.cfg.head_dim
     terms = []
     for blk in far_model.blocks:
         for h, head in enumerate(blk.heads):
             for d in DIRECTIONS:
-                opr = _out_proj_slice(blk, h, d, dh) if extension else None
+                opr = _out_proj_slice(blk, h, d) if extension else None
                 terms.append(hoyer_penalty(
                     composite_matrix(head[d], opr, extension=extension)))
     total = terms[0]
@@ -125,150 +107,63 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     return total
 
 
-def unit_importance(block: FarBlockParams, head, direction, dh, extension=True):
+def unit_importance(block: FarBlockParams, head, direction, extension=True):
     """Composite row L2 norms used for threshold selection."""
     p = block.heads[head][direction]
-    opr = _out_proj_slice(block, head, direction, dh) if extension else None
+    opr = _out_proj_slice(block, head, direction) if extension else None
     wl = composite_matrix(p, opr, extension=extension)
     return np.sqrt((wl.data * wl.data).sum(axis=1))
 
 
 def prune_by_threshold(far_model: FarModel, tau, mode="absolute",
                        extension=True):
-    """Threshold composite row norms into retention masks and apply them.
+    """Zero, in place, every unit whose composite row norm is at most tau.
 
-    ``mode='relative'`` interprets tau as a fraction of the block's max
-    row norm. The max-norm unit is always kept (floor rule). Application
-    zeroes the coupled rows, W_hh columns, biases and out_proj rows.
+    ``mode='relative'`` interprets tau as a fraction of the scan's max
+    row norm. The max-norm unit is always kept (floor rule). A pruned
+    unit loses its gate rows, W_hh columns, biases and out_proj rows.
     """
     if tau < 0:
         raise ValueError("pruning threshold must be non-negative")
-    cfg = far_model.cfg
-    dh = cfg.head_dim
-    masks = []
-    far_model.masks = []
-    for l, blk in enumerate(far_model.blocks):
-        layer_masks = {}
-        for h in range(cfg.heads):
-            head_masks = {}
+    for blk in far_model.blocks:
+        for h, head in enumerate(blk.heads):
             for d in DIRECTIONS:
-                norms = unit_importance(blk, h, d, dh, extension=extension)
+                norms = unit_importance(blk, h, d, extension=extension)
                 cut = tau * norms.max() if mode == "relative" else tau
-                keep = norms > cut
-                if not keep.any():
-                    keep[int(norms.argmax())] = True
-                head_masks[d] = keep
-                masks.append(PruneMask(l, h, d, keep))
-            layer_masks[h] = head_masks
-        far_model.masks.append(layer_masks)
-    apply_masks(far_model)
-    return masks
-
-
-def apply_masks(far_model: FarModel):
-    """Zero every weight coupled to a pruned hidden unit."""
-    if far_model.masks is None:
-        return
-    dh = far_model.cfg.head_dim
-    for blk, layer_masks in zip(far_model.blocks, far_model.masks):
-        for h, head_masks in layer_masks.items():
-            for d in DIRECTIONS:
-                keep = head_masks[d]
-                p = blk.heads[h][d]
-                drop = ~keep
-                for g in range(4):
-                    p.w_ih.data[g * dh:(g + 1) * dh][drop] = 0.0
-                    p.w_hh.data[g * dh:(g + 1) * dh][drop] = 0.0
-                    p.w_hh.data[g * dh:(g + 1) * dh][:, drop] = 0.0
-                    p.b_ih.data[g * dh:(g + 1) * dh][drop] = 0.0
-                    p.b_hh.data[g * dh:(g + 1) * dh][drop] = 0.0
-                start = h * 2 * dh + (0 if d == "fwd" else dh)
-                blk.out_w.data[start:start + dh][drop] = 0.0
-
-
-def weight_zero_masks(far_model: FarModel):
-    """(tensor, 0/1 mask) pairs pinning pruned coordinates at zero."""
-    out = []
-    if far_model.masks is None:
-        return out
-    dh = far_model.cfg.head_dim
-    for blk, layer_masks in zip(far_model.blocks, far_model.masks):
-        out_mask = np.ones_like(blk.out_w.data)
-        for h, head_masks in layer_masks.items():
-            for d in DIRECTIONS:
-                keep = head_masks[d]
-                drop = ~keep
-                p = blk.heads[h][d]
-                for name in ("w_ih", "w_hh", "b_ih", "b_hh"):
-                    tnsr = getattr(p, name)
-                    m = np.ones_like(tnsr.data)
-                    for g in range(4):
-                        m[g * dh:(g + 1) * dh][drop] = 0.0
-                        if name == "w_hh":
-                            m[g * dh:(g + 1) * dh][:, drop] = 0.0
-                    out.append((tnsr, m))
-                start = h * 2 * dh + (0 if d == "fwd" else dh)
-                out_mask[start:start + dh][drop] = 0.0
-        out.append((blk.out_w, out_mask))
-    return out
+                drop = ~(norms > cut)
+                drop[int(norms.argmax())] = False
+                rows, cols, out_rows = coupled(blk, h, d, np.flatnonzero(drop))
+                p = head[d]
+                for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+                    t.data[rows] = 0.0
+                p.w_hh.data[:, cols] = 0.0
+                blk.out_w.data[out_rows] = 0.0
 
 
 def shrink_model(far_model: FarModel):
     """Physically remove pruned units, re-packing every coupled matrix.
 
-    Returns a new FarModel sharing the teacher; its block parameters have
-    per-direction hidden sizes equal to the mask popcounts.
+    Returns a new FarModel sharing the teacher; each scan keeps only its
+    live units, so its hidden size equals the retained count.
     """
-    shrunk = FarModel(far_model.teacher, cfg=far_model.cfg, seed=0)
-    shrunk.masks = None
-    dh = far_model.cfg.head_dim
-    for li, blk in enumerate(far_model.blocks):
-        new_blk = shrunk.blocks[li]
-        new_blk.ln_g = Tensor(blk.ln_g.data.copy(), requires_grad=True)
-        new_blk.ln_b = Tensor(blk.ln_b.data.copy(), requires_grad=True)
-        new_blk.in_w = Tensor(blk.in_w.data.copy(), requires_grad=True)
-        new_blk.in_b = Tensor(blk.in_b.data.copy(), requires_grad=True)
-        keep_rows = []
-        new_heads = []
-        for h in range(far_model.cfg.heads):
-            head = {}
-            for d in DIRECTIONS:
-                p = blk.heads[h][d]
-                keep = (far_model.masks[li][h][d] if far_model.masks is not None
-                        else np.ones(dh, dtype=bool))
-                idx = np.flatnonzero(keep)
-                gate_rows = np.concatenate(
-                    [g * dh + idx for g in range(4)])
-                head[d] = LstmDirParams(
-                    w_ih=Tensor(p.w_ih.data[gate_rows].copy(), requires_grad=True),
-                    w_hh=Tensor(p.w_hh.data[gate_rows][:, idx].copy(),
-                                requires_grad=True),
-                    b_ih=Tensor(p.b_ih.data[gate_rows].copy(), requires_grad=True),
-                    b_hh=Tensor(p.b_hh.data[gate_rows].copy(), requires_grad=True),
-                )
-                start = h * 2 * dh + (0 if d == "fwd" else dh)
-                keep_rows.append(start + idx)
-            new_heads.append(head)
-        new_blk.heads = new_heads
-        rows = np.concatenate(keep_rows)
-        new_blk.out_w = Tensor(blk.out_w.data[rows].copy(), requires_grad=True)
-        new_blk.out_b = Tensor(blk.out_b.data.copy(), requires_grad=True)
+    shrunk = copy.copy(far_model)
+    shrunk.blocks = [shrink_block(blk, keep) for blk, keep in
+                     zip(far_model.blocks, far_model.masks)]
     return shrunk
 
 
 def retention_report(far_model: FarModel):
-    """Rows of (layer, head, direction, retained, total, ratio)."""
-    cfg = far_model.cfg
+    """Rows of (layer, head, direction, retained, total, ratio): live units
+    against ``cfg.head_dim``, for zeroed and shrunk models alike."""
+    total = far_model.cfg.head_dim
     rows = []
-    for l in range(cfg.layers):
-        for h in range(cfg.heads):
+    for l, layer in enumerate(far_model.masks):
+        for h, head in layer.items():
             for d in DIRECTIONS:
-                keep = (far_model.masks[l][h][d] if far_model.masks is not None
-                        else np.ones(cfg.head_dim, dtype=bool))
+                kept = int(head[d].sum())
                 rows.append({"layer": l, "head": h, "direction": d,
-                             "retained": int(keep.sum()),
-                             "total": int(len(keep)),
-                             "ratio": float(keep.sum() / len(keep))})
+                             "retained": kept, "total": total,
+                             "ratio": kept / total})
     return rows
 
 
@@ -283,7 +178,10 @@ def report_to_csv(rows, path):
 def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                          tau=1e-4, mode="absolute", reg_coeff=1e-4,
                          extension=True, penalty_reduce="sum", log_rows=None):
-    """Regularize -> threshold-prune -> finetune with masks pinned at zero."""
+    """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
+
+    ``far_model`` is shrunk in place: its blocks are replaced.
+    """
     from .distill import run_phase
 
     reg_cfg.phase = "prune-regularize"
@@ -297,8 +195,8 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
               extra_loss=extra, log_rows=log_rows)
 
     prune_by_threshold(far_model, tau, mode=mode, extension=extension)
+    far_model.blocks = shrink_model(far_model).blocks
 
     tune_cfg.phase = "prune-finetune"
     run_phase(far_model, teacher, dataset, tune_cfg, log_rows=log_rows)
-    apply_masks(far_model)  # guard against numerical drift
     return retention_report(far_model)

@@ -5,7 +5,7 @@ The forward pass records every block output so substitute blocks can be
 supervised against them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

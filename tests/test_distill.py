@@ -236,15 +236,3 @@ def test_adamw_moves_toward_minimum():
     assert abs(w.data[0]) < 0.05
 
 
-def test_adamw_freeze_mask_pins_zeros():
-    w = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    opt = AdamW([w], lr=0.1, weight_decay=0.0)
-    opt.freeze_masks[id(w)] = np.array([1.0, 0.0])
-    w.data[1] = 0.0
-    for _ in range(10):
-        loss = T.tsum(T.square(w - Tensor([3.0, 3.0])))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    assert w.data[1] == 0.0
-    assert w.data[0] != 1.0

@@ -10,7 +10,7 @@ from far.config import (ConfigError, default_config, load_config,
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
-from far.pruner import prune_by_threshold
+from far.pruner import prune_by_threshold, shrink_model
 from far.vit import TeacherModel
 
 from conftest import desk_config
@@ -101,26 +101,75 @@ def test_checkpoint_empty_tensor_table(tmp_path):
     assert tensors == {}
 
 
-def test_model_round_trip_with_masks(tmp_path):
-    cfg = desk_config()
-    teacher = TeacherModel(cfg, seed=34)
-    far = replace_attention(teacher, seed=34)
+def _pruned_far(seed):
+    far = replace_attention(TeacherModel(desk_config(), seed=seed), seed=seed)
     prune_by_threshold(far, 0.9, mode="relative")
-    path = tmp_path / "far.farc"
-    save_model(far, path)
-    back = load_model(path)
-    for name, p in far.named_parameters().items():
+    return far
+
+
+def _same_logits(a, b, seed):
+    img = np.random.default_rng(seed).normal(size=(2, 3, 32, 32))
+    return np.array_equal(a.forward(img)[0].data, b.forward(img)[0].data)
+
+
+def test_shrunk_model_round_trip(tmp_path):
+    far = _pruned_far(34)
+    shrunk = shrink_model(far)
+    save_model(far, tmp_path / "zeroed.farc")
+    save_model(shrunk, tmp_path / "shrunk.farc")
+    back = load_model(tmp_path / "shrunk.farc")
+    for name, p in shrunk.named_parameters().items():
         assert np.array_equal(back.named_parameters()[name].data, p.data), name
-    for li in range(cfg.layers):
-        for h in range(cfg.heads):
-            for d in ("fwd", "rev"):
-                np.testing.assert_array_equal(back.masks[li][h][d],
-                                              far.masks[li][h][d])
-    rng = np.random.default_rng(34)
-    img = rng.normal(size=(1, 3, 32, 32)).astype(np.float32)
-    a, _ = far.forward(img)
-    b, _ = back.forward(img)
-    assert np.array_equal(a.data, b.data)
+    assert _same_logits(shrunk, back, 34)
+    assert ((tmp_path / "shrunk.farc").stat().st_size
+            < (tmp_path / "zeroed.farc").stat().st_size)
+
+
+def test_load_model_reads_v1_file_with_masks(tmp_path, monkeypatch):
+    far = _pruned_far(36)
+    tensors = dict(far.named_parameters())
+    for l, layer in enumerate(far.masks):
+        for h, head in layer.items():
+            for d, keep in head.items():
+                tensors[f"mask.{l}.{h}.{d}"] = keep.astype(np.uint8)
+    monkeypatch.setattr(ckpt, "FORMAT_VERSION", 1)
+    save_checkpoint(tmp_path / "v1.farc", far.cfg, tensors, kind="far")
+    monkeypatch.undo()
+    back = load_model(tmp_path / "v1.farc")
+    assert _same_logits(far, back, 36)
+
+
+def _far_tensors(seed=37):
+    far = replace_attention(TeacherModel(desk_config(), seed=seed), seed=seed)
+    return {n: t.data for n, t in far.named_parameters().items()}
+
+
+def _save_far(tmp_path, tensors):
+    path = tmp_path / "x.farc"
+    save_checkpoint(path, desk_config(), tensors, kind="far")
+    return path
+
+
+def test_load_model_rejects_missing_tensor(tmp_path):
+    tensors = _far_tensors()
+    del tensors["far.0.0.fwd.w_ih"]
+    with pytest.raises(CheckpointError, match="missing tensor far.0.0.fwd.w_ih"):
+        load_model(_save_far(tmp_path, tensors))
+
+
+@pytest.mark.parametrize("width", [0, 17])
+def test_load_model_rejects_out_of_range_width(tmp_path, width):
+    tensors = _far_tensors()
+    tensors["far.1.0.rev.w_hh"] = np.zeros((4 * width, width), np.float32)
+    with pytest.raises(CheckpointError, match="far.1.0.rev.w_hh"):
+        load_model(_save_far(tmp_path, tensors))
+
+
+def test_load_model_rejects_disagreeing_widths(tmp_path):
+    tensors = _far_tensors()
+    tensors["far.1.0.rev.w_hh"] = tensors["far.1.0.rev.w_hh"][:, :5]
+    with pytest.raises(CheckpointError, match=r"far\.1\.0\.rev\.b_hh has shape"):
+        load_model(_save_far(tmp_path, tensors))
 
 
 def test_load_model_rejects_unexpected_tensor(tmp_path):
@@ -271,6 +320,32 @@ def test_cli_dataset_gen_and_bench(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "latency_median_ms" in text
     assert "runs,3" in text
+
+
+def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        "[train]\nteacher_epochs = 1\n[distill]\nepochs = 1\n"
+        "[prune]\nthreshold = 0.9\nthreshold_mode = relative\n"
+        "reg_epochs = 1\nfinetune_epochs = 1\n"
+        "[bench]\nruns = 1\nwarmups = 0\n[data]\nn = 20\n")
+    cfg = ["--config", str(cfgfile)]
+    teacher, distilled, pruned = (tmp_path / f"{k}.farc"
+                                  for k in ("teacher", "far", "pruned"))
+    assert main(["train-teacher", *cfg, "--out", str(teacher)]) == 0
+    assert main(["distill", *cfg, "--checkpoint", str(teacher),
+                 "--out", str(distilled)]) == 0
+    assert main(["prune", *cfg, "--checkpoint", str(distilled),
+                 "--out", str(pruned),
+                 "--report", str(tmp_path / "retention.csv")]) == 0
+    capsys.readouterr()
+    assert main(["params", *cfg]) == 0
+    far_params = int(capsys.readouterr().out.split("far,")[1])
+    assert main(["bench", *cfg, "--checkpoint", str(pruned)]) == 0
+    report = dict(l.split(",") for l in capsys.readouterr().out.splitlines())
+    assert report["variant"] == "far"
+    assert int(report["params"]) < far_params
+    assert pruned.stat().st_size < distilled.stat().st_size
 
 
 def test_full_pipeline_determinism(tmp_path):

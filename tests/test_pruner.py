@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from far import tensor as T
 from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import DIRECTIONS, init_lstm_dir, replace_attention
+from far.far_block import DIRECTIONS, coupled, init_lstm_dir, replace_attention
 from far.data import synth_dataset
 from far.distill import TrainConfig, accuracy
-from far.pruner import (apply_masks, composite_matrix, group_hs,
-                        hoyer_penalty, hoyer_penalty_total,
-                        prune_by_threshold, report_to_csv, retention_report,
-                        shrink_model, three_stage_pipeline, unit_importance,
-                        weight_zero_masks)
+from far.pruner import (composite_matrix, group_hs, hoyer_penalty,
+                        hoyer_penalty_total, prune_by_threshold,
+                        report_to_csv, retention_report, shrink_model,
+                        three_stage_pipeline, unit_importance)
 
 from conftest import desk_config
 
@@ -176,11 +175,11 @@ def test_hoyer_penalty_total_bounds(far_f64):
     np.testing.assert_allclose(mean_val, val / n_terms, rtol=1e-12)
 
 
-# -- thresholding and mask application -------------------------------------------
+# -- thresholding, zeroing and shrinking ------------------------------------------
 
 def test_tau_zero_retains_everything(far_f64):
-    masks = prune_by_threshold(far_f64, 0.0)
-    assert all(m.retained == m.total for m in masks)
+    prune_by_threshold(far_f64, 0.0)
+    assert all(r["retained"] == r["total"] for r in retention_report(far_f64))
 
 
 def test_threshold_keeps_clearly_large_units():
@@ -214,9 +213,8 @@ def test_floor_rule_keeps_max_norm_unit(far_f64):
 def test_relative_mode_uses_max_norm():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=14), seed=14)
-    dh = cfg.head_dim
     blk = far.blocks[0]
-    norms = unit_importance(blk, 0, "fwd", dh)
+    norms = unit_importance(blk, 0, "fwd")
     tau = 0.5
     expect = norms > tau * norms.max()
     prune_by_threshold(far, tau, mode="relative")
@@ -228,28 +226,32 @@ def test_negative_threshold_rejected(far_f64):
         prune_by_threshold(far_f64, -1e-6)
 
 
-def test_apply_masks_zeroes_full_coupled_set():
+def test_prune_zeroes_exactly_the_coupled_set():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=15), seed=15)
     dh = cfg.head_dim
-    keep = np.ones(dh, dtype=bool)
-    keep[3] = False
-    far.masks = [{h: {d: (keep.copy() if (li, h, d) == (0, 0, "fwd")
-                          else np.ones(dh, dtype=bool))
-                      for d in DIRECTIONS} for h in range(cfg.heads)}
-                 for li in range(cfg.layers)]
-    apply_masks(far)
-    p = far.blocks[0].heads[0]["fwd"]
-    for g in range(4):
-        assert np.all(p.w_ih.data[g * dh + 3] == 0)
-        assert np.all(p.w_hh.data[g * dh + 3] == 0)
-        assert np.all(p.w_hh.data[g * dh:(g + 1) * dh, 3] == 0)
-        assert p.b_ih.data[g * dh + 3] == 0
-        assert p.b_hh.data[g * dh + 3] == 0
-    assert np.all(far.blocks[0].out_w.data[3] == 0)
-    # untouched sibling direction stays dense
-    assert np.abs(far.blocks[0].heads[0]["rev"].w_ih.data).min() >= 0
-    assert np.abs(far.blocks[0].heads[0]["rev"].w_ih.data).max() > 0
+    rows, cols, out_rows = coupled(far.blocks[0], 1, "rev", [3])
+    assert rows.tolist() == [g * dh + 3 for g in range(4)]
+    assert cols.tolist() == [3]
+    assert out_rows.tolist() == [3 * dh + 3]
+
+    expect = {n: t.data.copy() for n, t in far.named_parameters().items()}
+    dropped = 0
+    for l, blk in enumerate(far.blocks):
+        for h in range(cfg.heads):
+            for d in DIRECTIONS:
+                norms = unit_importance(blk, h, d)
+                drop = np.flatnonzero(norms <= 0.9 * norms.max())
+                dropped += len(drop)
+                rows, cols, out_rows = coupled(blk, h, d, drop)
+                for name in ("w_ih", "w_hh", "b_ih", "b_hh"):
+                    expect[f"far.{l}.{h}.{d}.{name}"][rows] = 0.0
+                expect[f"far.{l}.{h}.{d}.w_hh"][:, cols] = 0.0
+                expect[f"far.{l}.out_w"][out_rows] = 0.0
+    prune_by_threshold(far, 0.9, mode="relative")
+    assert dropped > 0
+    for name, t in far.named_parameters().items():
+        np.testing.assert_array_equal(t.data, expect[name], err_msg=name)
 
 
 def test_masked_forward_matches_shrunk_model():
@@ -267,16 +269,22 @@ def test_masked_forward_matches_shrunk_model():
     assert np.abs(a.data - b.data).max() <= 1e-12
 
 
-def test_weight_zero_masks_cover_pruned_entries():
+def test_shrunk_importance_and_penalty_match_zeroed_live_units():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
     prune_by_threshold(far, 0.9, mode="relative")
-    pairs = weight_zero_masks(far)
-    assert pairs
-    for tnsr, mask in pairs:
-        assert mask.shape == tnsr.data.shape
-        # every pinned coordinate is currently zero
-        assert np.all(tnsr.data[mask == 0.0] == 0.0)
+    shrunk = shrink_model(far)
+    assert any(p.hidden < cfg.head_dim for blk in shrunk.blocks
+               for head in blk.heads for p in head.values())
+    for blk, small, live in zip(far.blocks, shrunk.blocks, far.masks):
+        for h in range(cfg.heads):
+            for d in DIRECTIONS:
+                np.testing.assert_allclose(
+                    unit_importance(small, h, d),
+                    unit_importance(blk, h, d)[live[h][d]], rtol=1e-12)
+    np.testing.assert_allclose(
+        hoyer_penalty_total(shrunk, extension=True).item(),
+        hoyer_penalty_total(far, extension=True).item(), rtol=1e-12)
 
 
 def test_regularization_drives_group_sparsity():
@@ -351,7 +359,10 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
     rows = three_stage_pipeline(far, teacher, ds, reg, tune,
                                 tau=0.9, mode="relative", reg_coeff=1e-3)
     assert any(r["ratio"] < 1.0 for r in rows)
-    # stage-3 finetuning must not resurrect pruned weights
-    for tnsr, mask in weight_zero_masks(far):
-        assert np.all(tnsr.data[mask == 0.0] == 0.0)
+    # the finetuned model is shrunk: no all-zero unit, widths = retained
+    widths = [p.hidden for blk in far.blocks for head in blk.heads
+              for p in (head["fwd"], head["rev"])]
+    assert widths == [r["retained"] for r in rows]
+    assert all(keep.all() for layer in far.masks for head in layer.values()
+               for keep in head.values())
     assert 0.0 <= accuracy(far, ds, "val") <= 1.0
