@@ -287,6 +287,31 @@ def test_shrunk_importance_and_penalty_match_zeroed_live_units():
         hoyer_penalty_total(far, extension=True).item(), rtol=1e-12)
 
 
+def test_weight_zero_masks_cover_pruned_entries():
+    """The masks read back from the weights mark exactly the pruned units,
+    and every weight coupled to a masked unit is zero."""
+    cfg = desk_config("f64")
+    far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
+    drops = [{h: {d: np.flatnonzero(unit_importance(blk, h, d)
+                                    <= 0.9 * unit_importance(blk, h, d).max())
+                  for d in DIRECTIONS} for h in range(cfg.heads)}
+             for blk in far.blocks]
+    prune_by_threshold(far, 0.9, mode="relative")
+    assert any(len(units) for layer in drops for head in layer.values()
+               for units in head.values())
+    for blk, keep, drop in zip(far.blocks, far.masks, drops):
+        for h in range(cfg.heads):
+            for d in DIRECTIONS:
+                assert keep[h][d].shape == (blk.heads[h][d].hidden,)
+                assert np.flatnonzero(~keep[h][d]).tolist() == drop[h][d].tolist()
+                p = blk.heads[h][d]
+                rows, cols, out_rows = coupled(blk, h, d, drop[h][d])
+                for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+                    assert np.all(t.data[rows] == 0.0)
+                assert np.all(p.w_hh.data[:, cols] == 0.0)
+                assert np.all(blk.out_w.data[out_rows] == 0.0)
+
+
 def test_regularization_drives_group_sparsity():
     """Hoyer gradient steps shrink small units faster than large ones."""
     rng = np.random.default_rng(18)
