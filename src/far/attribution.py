@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import DIRECTIONS, FarModel, far_block_forward
+from .far_block import DIRECTIONS, FarModel, bilstm_head, far_block_forward
 from .vit import TeacherModel
 
 SCALARIZATIONS = ("norm", "sum", "logit")
@@ -31,13 +31,14 @@ def _minmax(arr):
 
 
 def _far_inputs_at_layer(model: FarModel, image, layer):
-    """Run the model up to ``layer``; return its input tokens as a leaf."""
+    """Run the model up to ``layer``; return its input tokens as a leaf.
+    On a model that no phase has marked trainable, the leaf is the only
+    tensor that requires grad, so the parameters collect no gradient."""
     x = model.teacher.patch_embed(image)
     for i in range(layer):
         y = far_block_forward(x, model.blocks[i])
         x = model.teacher.mlp_block(y, model.teacher.layers[i])
-    leaf = Tensor(x.data.copy(), requires_grad=True)
-    return leaf
+    return Tensor(x.data, requires_grad=True)
 
 
 def cls_saliency(model, image, layer, head, scalarize="norm",
@@ -62,7 +63,6 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.matmul(h, blk.in_w) + blk.in_b
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
-    from .far_block import bilstm_head
     hh = bilstm_head(sub, blk.heads[head], directions=directions)
     cls_vec = hh[:, 0, :]
     if scalarize == "norm":
@@ -91,8 +91,9 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     t = model.cfg.tokens
     dep = np.zeros((t, t))
     blk = model.blocks[layer]
+    x = _far_inputs_at_layer(model, image, layer).data
     for q in range(t):
-        leaf = _far_inputs_at_layer(model, image, layer)
+        leaf = Tensor(x, requires_grad=True)
         out = far_block_forward(leaf, blk, directions=directions)
         vec = out[:, q, :]
         target = T.sqrt(T.tsum(T.square(vec)))

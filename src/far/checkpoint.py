@@ -27,6 +27,7 @@ import os
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .vit import ModelConfig, TeacherModel
 
 MAGIC = b"FARC"
 FORMAT_VERSION = 2
+KINDS = ("teacher", "far")
 DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
            np.dtype(np.uint8): 2}
@@ -46,24 +48,35 @@ class CheckpointError(IOError):
 
 
 def _config_blob(cfg: ModelConfig, kind: str) -> bytes:
-    fields = {"kind": kind, "layers": cfg.layers, "dim": cfg.dim,
-              "heads": cfg.heads, "head_dim": cfg.head_dim,
-              "mlp_ratio": cfg.mlp_ratio, "patch_size": cfg.patch_size,
-              "image_size": cfg.image_size, "num_classes": cfg.num_classes,
-              "channels": cfg.channels, "precision": cfg.precision}
-    return "\n".join(f"{k}={v}" for k, v in fields.items()).encode()
+    items = [("kind", kind)] + [(f.name, getattr(cfg, f.name))
+                                for f in fields(ModelConfig)]
+    return "\n".join(f"{k}={v}" for k, v in items).encode()
 
 
-def _parse_config_blob(blob: bytes):
-    kv = dict(line.split("=", 1) for line in blob.decode().splitlines() if line)
-    kind = kv.pop("kind", "teacher")
-    cfg = ModelConfig(
-        layers=int(kv["layers"]), dim=int(kv["dim"]), heads=int(kv["heads"]),
-        head_dim=int(kv["head_dim"]), mlp_ratio=int(kv["mlp_ratio"]),
-        patch_size=int(kv["patch_size"]), image_size=int(kv["image_size"]),
-        num_classes=int(kv["num_classes"]), channels=int(kv["channels"]),
-        precision=kv["precision"])
-    return cfg, kind
+def _parse_config_blob(path, blob: bytes):
+    """(ModelConfig, kind) from a config block; any fault is a
+    CheckpointError naming ``path``."""
+    try:
+        lines = [line for line in blob.decode().splitlines() if line]
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: config block is not UTF-8") from exc
+    for line in lines:
+        if "=" not in line:
+            raise CheckpointError(f"{path}: config line {line!r} has no '='")
+    kv = dict(line.split("=", 1) for line in lines)
+    keys = {"kind"} | {f.name for f in fields(ModelConfig)}
+    if kv.keys() != keys:
+        raise CheckpointError(
+            f"{path}: config keys {sorted(kv)} differ from {sorted(keys)}")
+    kind = kv.pop("kind")
+    if kind not in KINDS:
+        raise CheckpointError(
+            f"{path}: model kind {kind!r} is not one of {KINDS}")
+    try:
+        return ModelConfig(**{f.name: f.type(kv[f.name])
+                              for f in fields(ModelConfig)}), kind
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad config value: {exc}") from exc
 
 
 def save_checkpoint(path, cfg, tensors, kind="teacher"):
@@ -116,7 +129,7 @@ def load_checkpoint(path):
             f"{path}: format version {version} is newer than supported "
             f"{FORMAT_VERSION}")
     (clen,) = struct.unpack_from("<I", raw, off); off += 4
-    cfg, kind = _parse_config_blob(raw[off:off + clen]); off += clen
+    cfg, kind = _parse_config_blob(path, raw[off:off + clen]); off += clen
     (count,) = struct.unpack_from("<Q", raw, off); off += 8
     tensors = {}
     for _ in range(count):

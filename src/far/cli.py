@@ -1,12 +1,11 @@
 """Subcommand CLI driving the full pipeline.
 
-Subcommands: dataset-gen, train-teacher, distill, finetune, prune,
-params, flops, bench, attribute. Exit codes: 0 success, 1 pipeline
-failure, 2 usage error.
+Subcommands: train-teacher, distill, finetune, prune, params, flops,
+bench, attribute. Exit codes: 0 success, 1 pipeline failure, 2 usage
+error.
 """
 
 import argparse
-import pickle
 import sys
 
 import numpy as np
@@ -26,14 +25,6 @@ def _dataset_from_cfg(cfg, seed=None):
     return synth_dataset(seed if seed is not None else cfg["train"]["seed"],
                          d["n"], m["num_classes"], m["image_size"],
                          channels=m["channels"], noise=d["noise"])
-
-
-def cmd_dataset_gen(args, cfg):
-    ds = _dataset_from_cfg(cfg, args.seed)
-    with open(args.out, "wb") as fh:
-        pickle.dump(ds, fh)
-    print(f"wrote {len(ds)} samples ({ds.classes} classes) to {args.out}")
-    return 0
 
 
 def cmd_train_teacher(args, cfg):
@@ -193,9 +184,6 @@ def build_parser():
             p.add_argument("--out", required=True)
         p.add_argument("--log", default=None, help="metrics CSV path")
 
-    p = sub.add_parser("dataset-gen", help="generate the synthetic dataset")
-    common(p, out=True)
-
     p = sub.add_parser("train-teacher", help="train the attention teacher")
     common(p, out=True)
 
@@ -232,7 +220,6 @@ def build_parser():
 
 
 COMMANDS = {
-    "dataset-gen": cmd_dataset_gen,
     "train-teacher": cmd_train_teacher,
     "distill": cmd_distill,
     "finetune": cmd_finetune,

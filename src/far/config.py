@@ -31,7 +31,7 @@ SCHEMA = {
         "finetune_epochs": (int, 20), "finetune_lr": (float, 5e-5),
     },
     "bench": {
-        "runs": (int, 100), "warmups": (int, 30), "threads": (int, 1),
+        "runs": (int, 100), "warmups": (int, 30),
     },
     "data": {
         "n": (int, 200), "noise": (float, 0.25),
@@ -105,9 +105,4 @@ def load_config(path=None):
 
 def model_config(cfg):
     from .vit import ModelConfig
-    m = cfg["model"]
-    return ModelConfig(layers=m["layers"], dim=m["dim"], heads=m["heads"],
-                       head_dim=m["head_dim"], mlp_ratio=m["mlp_ratio"],
-                       patch_size=m["patch_size"], image_size=m["image_size"],
-                       num_classes=m["num_classes"], channels=m["channels"],
-                       precision=m["precision"])
+    return ModelConfig(**cfg["model"])

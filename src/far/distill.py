@@ -2,7 +2,13 @@
 
 Two-phase schedule: a distillation phase where only the substitute
 blocks are trainable, followed by a finetuning phase with every
-parameter unfrozen and pure classification loss.
+parameter unfrozen and pure classification loss. The teacher and the
+pruning stages train through the same loop, ``run_phase``.
+
+Parameters are created frozen; ``freeze_plan`` is the only code that
+marks a parameter trainable, per phase. A model that no phase has
+trained, such as one returned by ``checkpoint.load_model``, builds no
+autodiff graph in its forward pass.
 """
 
 import logging
@@ -134,13 +140,9 @@ def freeze_plan(far_model, phase):
     """Set requires_grad per phase; returns the trainable tensor dict."""
     if phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}")
-    all_named = far_model.named_parameters()
-    far_named = far_model.far_parameters()
-    if phase == "distill":
-        trainable = far_named
-    else:
-        trainable = all_named
-    for p in all_named.values():
+    named = far_model.named_parameters()
+    trainable = far_model.far_parameters() if phase == "distill" else named
+    for p in named.values():
         p.requires_grad = False
     for p in trainable.values():
         p.requires_grad = True
@@ -166,43 +168,27 @@ def accuracy(model, dataset, split="train"):
 
 def train_teacher(teacher, dataset, cfg: TrainConfig, log_rows=None):
     """Plain cross-entropy training of the attention teacher."""
-    rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(teacher.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    for p in teacher.parameters():
-        p.requires_grad = True
-    images, labels = dataset.split("train")
-    for epoch in range(cfg.epochs):
-        opt.lr = cosine_lr(epoch, cfg)
-        losses = []
-        for batch in _batches(np.arange(len(labels)), cfg.batch_size, rng):
-            logits, _ = teacher.forward(images[batch])
-            loss = T.cross_entropy(logits, labels[batch])
-            if not np.isfinite(loss.item()):
-                raise RuntimeError(f"teacher loss diverged at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-        if log_rows is not None:
-            log_rows.append({"epoch": epoch, "phase": "teacher",
-                             "loss": float(np.mean(losses)), "sim_mean": 0.0,
-                             "acc": accuracy(teacher, dataset)})
+    cfg.phase = "teacher"
+    run_phase(teacher, None, dataset, cfg, log_rows=log_rows)
     return teacher
 
 
 def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
               extra_loss=None, log_rows=None):
-    """One training phase over the desk dataset.
+    """One training phase of ``far_model`` (a TeacherModel for the teacher
+    phase) over the desk dataset.
 
-    ``extra_loss`` is an optional callable returning an additional scalar
-    Tensor (used by the pruning regularization stage). Emits one metrics
-    row per epoch: loss, per-block similarity, train accuracy.
+    ``teacher`` supplies the similarity targets of the distill phase and
+    is not read otherwise. ``extra_loss`` is an optional callable
+    returning an additional scalar Tensor (used by the pruning
+    regularization stage). Emits one metrics row per epoch: loss,
+    per-block similarity (nan where none is computed), train accuracy.
     """
     rng = np.random.default_rng(cfg.seed)
     trainable = freeze_plan(far_model, cfg.phase)
     opt = AdamW(trainable.values(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     images, labels = dataset.split("train")
-    n_layers = len(far_model.blocks)
+    n_layers = far_model.cfg.layers
     # the pruning stages train with classification + Hoyer terms only
     use_sim = cfg.lam > 0 and cfg.phase == "distill"
     rows = log_rows if log_rows is not None else []

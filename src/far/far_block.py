@@ -50,16 +50,15 @@ def init_lstm_dir(rng, input_size, hidden, precision="f32"):
     dt = T.DTYPES[precision]
 
     def u(shape):
-        return Tensor(rng.uniform(-bound, bound, size=shape).astype(dt),
-                      requires_grad=True)
+        return Tensor(rng.uniform(-bound, bound, size=shape).astype(dt))
 
     b_ih = np.zeros(4 * hidden, dtype=dt)
     b_ih[hidden:2 * hidden] = 1.0  # forget gate
     return LstmDirParams(
         w_ih=u((4 * hidden, input_size)),
         w_hh=u((4 * hidden, hidden)),
-        b_ih=Tensor(b_ih, requires_grad=True),
-        b_hh=Tensor(np.zeros(4 * hidden, dtype=dt), requires_grad=True),
+        b_ih=Tensor(b_ih),
+        b_hh=Tensor(np.zeros(4 * hidden, dtype=dt)),
     )
 
 
@@ -89,17 +88,17 @@ def init_far_block(cfg, rng, ln_init=None):
     if d != n * dh:
         raise ShapeError(f"dim {d} must equal heads*head_dim {n}*{dh}")
     ln_g = Tensor(np.ones(d, T.DTYPES[p]) if ln_init is None
-                  else ln_init[0].data.copy(), requires_grad=True)
+                  else ln_init[0].data.copy())
     ln_b = Tensor(np.zeros(d, T.DTYPES[p]) if ln_init is None
-                  else ln_init[1].data.copy(), requires_grad=True)
+                  else ln_init[1].data.copy())
     return FarBlockParams(
         ln_g=ln_g, ln_b=ln_b,
         in_w=T.trunc_normal(rng, (d, d), dtype=p),
-        in_b=T.zeros(d, p, True),
+        in_b=T.zeros(d, p),
         heads=[{dd: init_lstm_dir(rng, dh, dh, p) for dd in DIRECTIONS}
                for _ in range(n)],
         out_w=T.trunc_normal(rng, (2 * d, d), dtype=p),
-        out_b=T.zeros(d, p, True),
+        out_b=T.zeros(d, p),
     )
 
 
@@ -212,7 +211,7 @@ def shrink_block(blk: FarBlockParams, keep):
     """A copy of ``blk`` holding only the units where ``keep[head][direction]``
     is True; every coupled matrix is re-packed."""
     def param(a):
-        return Tensor(np.array(a), requires_grad=True)
+        return Tensor(np.array(a))
 
     heads, out_rows = [], []
     for h, head in enumerate(blk.heads):

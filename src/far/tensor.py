@@ -1,8 +1,13 @@
 """Minimal dense tensor with reverse-mode automatic differentiation.
 
-The graph is rebuilt on every forward pass (define-by-run). Reductions
-delegate to numpy's fixed left-to-right accumulation, so repeated runs
-with identical inputs are bit-identical.
+The graph is rebuilt on every forward pass (define-by-run), and only
+where some input has ``requires_grad`` set: a node records its parents
+only then, and so itself requires grad. Every tensor, parameters
+included, is created with ``requires_grad=False``; the training phases
+mark what they train (``distill.freeze_plan``), so a forward through a
+frozen model builds no graph. Reductions delegate to numpy's fixed
+left-to-right accumulation, so repeated runs with identical inputs are
+bit-identical.
 """
 
 import math
@@ -169,7 +174,7 @@ def as_tensor(x, dtype=None):
 def _make(data, parents, backward_fn):
     """Build a graph node; records the edge only if some parent needs grad."""
     out = Tensor(data)
-    if any(p.requires_grad or p._backward_fn is not None for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -196,9 +201,9 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._backward_fn:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._backward_fn:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
@@ -209,9 +214,9 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._backward_fn:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad or b._backward_fn:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), backward)
@@ -222,9 +227,9 @@ def div(a, b):
     out_data = a.data / b.data
 
     def backward(g):
-        if a.requires_grad or a._backward_fn:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad or b._backward_fn:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
 
     return _make(out_data, (a, b), backward)
@@ -278,13 +283,13 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._backward_fn:
+        if a.requires_grad:
             if b.data.ndim == 1:
                 ga = np.multiply.outer(g, b.data)
             else:
                 ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad or b._backward_fn:
+        if b.requires_grad:
             if a.data.ndim == 1:
                 gb = np.multiply.outer(a.data, g)
             else:
@@ -339,7 +344,7 @@ def concat(tensors, axis=0):
         for t, s in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + s)
-            if t.requires_grad or t._backward_fn:
+            if t.requires_grad:
                 t._accumulate(g[tuple(sl)])
             offset += s
 
@@ -451,11 +456,11 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     out_data = xhat * gamma.data + beta.data
 
     def backward(g):
-        if gamma.requires_grad or gamma._backward_fn:
+        if gamma.requires_grad:
             gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad or beta._backward_fn:
+        if beta.requires_grad:
             beta._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad or x._backward_fn:
+        if x.requires_grad:
             gx = g * gamma.data
             gxhat_mean = gx.mean(axis=-1, keepdims=True)
             gxhat_x_mean = (gx * xhat).mean(axis=-1, keepdims=True)
@@ -486,12 +491,12 @@ def cross_entropy(logits, labels):
 
 # -- parameter helpers --------------------------------------------------------
 
-def zeros(shape, dtype="f32", requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=DTYPES[dtype]), requires_grad=requires_grad)
+def zeros(shape, dtype="f32"):
+    return Tensor(np.zeros(shape, dtype=DTYPES[dtype]))
 
 
-def ones(shape, dtype="f32", requires_grad=False):
-    return Tensor(np.ones(shape, dtype=DTYPES[dtype]), requires_grad=requires_grad)
+def ones(shape, dtype="f32"):
+    return Tensor(np.ones(shape, dtype=DTYPES[dtype]))
 
 
 def trunc_normal(rng, shape, std=0.02, dtype="f32"):
@@ -501,4 +506,4 @@ def trunc_normal(rng, shape, std=0.02, dtype="f32"):
     while bad.any():
         vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(vals) > 2 * std
-    return Tensor(vals.astype(DTYPES[dtype]), requires_grad=True)
+    return Tensor(vals.astype(DTYPES[dtype]))

@@ -73,16 +73,16 @@ def _init_layer(cfg, rng):
     d, r = cfg.dim, cfg.mlp_ratio
     p = cfg.precision
     return AttentionLayerParams(
-        ln1_g=T.ones(d, p, True), ln1_b=T.zeros(d, p, True),
+        ln1_g=T.ones(d, p), ln1_b=T.zeros(d, p),
         qkv_w=T.trunc_normal(rng, (d, 3 * d), dtype=p),
-        qkv_b=T.zeros(3 * d, p, True),
+        qkv_b=T.zeros(3 * d, p),
         proj_w=T.trunc_normal(rng, (d, d), dtype=p),
-        proj_b=T.zeros(d, p, True),
-        ln2_g=T.ones(d, p, True), ln2_b=T.zeros(d, p, True),
+        proj_b=T.zeros(d, p),
+        ln2_g=T.ones(d, p), ln2_b=T.zeros(d, p),
         fc1_w=T.trunc_normal(rng, (d, r * d), dtype=p),
-        fc1_b=T.zeros(r * d, p, True),
+        fc1_b=T.zeros(r * d, p),
         fc2_w=T.trunc_normal(rng, (r * d, d), dtype=p),
-        fc2_b=T.zeros(d, p, True),
+        fc2_b=T.zeros(d, p),
     )
 
 
@@ -96,14 +96,14 @@ class TeacherModel:
         d, p = cfg.dim, cfg.precision
         in_dim = cfg.channels * cfg.patch_size ** 2
         self.patch_w = T.trunc_normal(rng, (in_dim, d), dtype=p)
-        self.patch_b = T.zeros(d, p, True)
+        self.patch_b = T.zeros(d, p)
         self.cls = T.trunc_normal(rng, (d,), dtype=p)
         self.pos = T.trunc_normal(rng, (cfg.tokens, d), dtype=p)
         self.layers = [_init_layer(cfg, rng) for _ in range(cfg.layers)]
-        self.ln_f_g = T.ones(d, p, True)
-        self.ln_f_b = T.zeros(d, p, True)
+        self.ln_f_g = T.ones(d, p)
+        self.ln_f_b = T.zeros(d, p)
         self.head_w = T.trunc_normal(rng, (d, cfg.num_classes), dtype=p)
-        self.head_b = T.zeros(cfg.num_classes, p, True)
+        self.head_b = T.zeros(cfg.num_classes, p)
         self.forward_count = 0
 
     # -- parameter registry ---------------------------------------------------
@@ -186,8 +186,3 @@ class TeacherModel:
         if collect_attn:
             return logits, blocks, attns
         return logits, blocks
-
-
-def teacher_forward(model, image):
-    """Convenience wrapper matching the (logits, block_outputs) contract."""
-    return model.forward(image)

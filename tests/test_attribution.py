@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from far import attribution
+from far.checkpoint import load_model, save_model
 from far.vit import TeacherModel
 from far.far_block import replace_attention
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
@@ -164,3 +166,30 @@ def test_export_pgm_and_csv_round_trip(tmp_path, models):
     # CSV stores exact repr round trip
     back = read_heatmap_csv(tmp_path / "run_dep.csv")
     assert np.array_equal(back, dep)
+
+
+def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
+    cfg, _, far, img = models
+    calls = []
+    block_forward = attribution.far_block_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block_forward(*args, **kwargs)
+
+    monkeypatch.setattr(attribution, "far_block_forward", counting)
+    layer = cfg.layers - 1
+    token_dependency(far, img, layer)
+    assert len(calls) == layer + cfg.tokens
+
+
+def test_attribution_of_loaded_model_leaves_no_parameter_grads(tmp_path):
+    cfg = desk_config()
+    save_model(replace_attention(TeacherModel(cfg, seed=25), seed=25),
+               tmp_path / "far.farc")
+    far = load_model(tmp_path / "far.farc")
+    img = np.random.default_rng(25).normal(size=(3, 32, 32))
+    for head in range(cfg.heads):
+        cls_saliency(far, img, cfg.layers - 1, head)
+    token_dependency(far, img, cfg.layers - 1)
+    assert all(p.grad is None for p in far.parameters())

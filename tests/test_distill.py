@@ -7,7 +7,8 @@ from far.vit import TeacherModel
 from far.far_block import replace_attention
 from far.data import synth_dataset
 from far.distill import (AdamW, TrainConfig, combined_loss, cosine_lr,
-                         freeze_plan, run_phase, similarity_loss)
+                         freeze_plan, run_phase, similarity_loss,
+                         train_teacher)
 
 from conftest import desk_config
 
@@ -223,6 +224,23 @@ def test_run_phase_distill_freezes_shared_weights(desk_cfg):
     run_phase(far, teacher, ds, cfg)
     for n, before in frozen.items():
         assert np.array_equal(before, teacher.named_parameters()[n].data), n
+
+
+def test_train_teacher_logs_run_phase_columns(desk_cfg):
+    ds = synth_dataset(8, 40, 10, 32)
+    teacher = TeacherModel(desk_cfg, seed=8)
+    rows = []
+    # no phase given: the teacher phase is train_teacher's own
+    assert train_teacher(teacher, ds, TrainConfig(
+        lr=1e-3, epochs=1, batch_size=20, seed=8, warmup_epochs=0),
+        log_rows=rows) is teacher
+    far_rows = run_phase(replace_attention(teacher, seed=8), teacher, ds,
+                         TrainConfig(phase="finetune", lr=1e-4, epochs=1,
+                                     batch_size=20, seed=8, warmup_epochs=0))
+    assert len(rows) == 1 and rows[0].keys() == far_rows[0].keys()
+    assert rows[0]["phase"] == "teacher"
+    assert np.isnan([rows[0]["sim_mean"]] + [
+        rows[0][f"sim_block_{i}"] for i in range(desk_cfg.layers)]).all()
 
 
 def test_adamw_moves_toward_minimum():

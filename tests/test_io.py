@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,51 @@ def test_checkpoint_empty_tensor_table(tmp_path):
     save_checkpoint(path, cfg, {})
     _, _, tensors = load_checkpoint(path)
     assert tensors == {}
+
+
+def _with_config_blob(path, blob):
+    """Swap the file's config block for ``blob``; the CRC stays valid."""
+    raw = path.read_bytes()
+    (clen,) = struct.unpack_from("<I", raw, 8)
+    body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + clen:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("fault", ["missing key", "non-int value",
+                                   "line without =", "non-UTF-8",
+                                   "unknown kind"])
+def test_bad_config_block_is_checkpoint_error(tmp_path, capsys, fault):
+    path = tmp_path / "bad.farc"
+    save_checkpoint(path, desk_config(), {}, kind="far")
+    lines = ckpt._config_blob(desk_config(), "far").decode().splitlines()
+    if fault == "missing key":
+        lines.remove("dim=32")
+    elif fault == "non-int value":
+        lines[lines.index("layers=4")] = "layers=four"
+    elif fault == "line without =":
+        lines.append("junk")
+    elif fault == "unknown kind":
+        lines[lines.index("kind=far")] = "kind=student"
+    blob = "\n".join(lines).encode()
+    _with_config_blob(path, b"\xff" + blob if fault == "non-UTF-8" else blob)
+    with pytest.raises(CheckpointError, match="bad.farc"):
+        load_checkpoint(path)
+    assert main(["bench", "--checkpoint", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_models_are_born_frozen_and_build_no_graph(tmp_path):
+    teacher = TeacherModel(desk_config(), seed=37)
+    far = replace_attention(teacher, seed=37)
+    save_model(teacher, tmp_path / "teacher.farc")
+    save_model(far, tmp_path / "far.farc")
+    img = np.random.default_rng(37).normal(size=(2, 3, 32, 32))
+    for model in (teacher, far, load_model(tmp_path / "teacher.farc"),
+                  load_model(tmp_path / "far.farc")):
+        assert not any(p.requires_grad for p in model.parameters())
+        logits, blocks = model.forward(img)
+        assert logits._parents == () and not logits.requires_grad
+        assert all(b._parents == () for b in blocks)
 
 
 def _pruned_far(seed):
@@ -211,6 +259,8 @@ def test_config_unknown_key_and_section():
         parse_config("[optimizer]\nlr = 1\n")
     with pytest.raises(ConfigError):
         parse_config("dim = 3\n")  # key outside a section
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[bench]\nthreads = 1\n")  # removed: nothing read it
 
 
 def test_config_comments_and_types():
@@ -307,14 +357,9 @@ def test_cli_bad_config_is_pipeline_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_dataset_gen_and_bench(tmp_path, capsys):
+def test_cli_bench(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[data]\nn = 20\n[bench]\nruns = 3\nwarmups = 1\n")
-    out = tmp_path / "ds.pkl"
-    assert main(["dataset-gen", "--config", str(cfgfile),
-                 "--out", str(out)]) == 0
-    assert out.exists()
-    capsys.readouterr()
     assert main(["bench", "--config", str(cfgfile),
                  "--variant", "far"]) == 0
     text = capsys.readouterr().out

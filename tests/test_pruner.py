@@ -316,6 +316,7 @@ def test_regularization_drives_group_sparsity():
     """Hoyer gradient steps shrink small units faster than large ones."""
     rng = np.random.default_rng(18)
     p = init_lstm_dir(rng, 8, 8, "f64")
+    p.w_ih.requires_grad = p.w_hh.requires_grad = True  # born frozen
     # make unit 0 dominant
     for g in range(4):
         p.w_ih.data[g * 8] *= 10.0

@@ -3,7 +3,7 @@ import pytest
 
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
-from far.vit import ModelConfig, TeacherModel, teacher_forward
+from far.vit import ModelConfig, TeacherModel
 
 from conftest import desk_config
 
@@ -114,7 +114,7 @@ def test_teacher_forward_contract(desk_cfg):
     model = TeacherModel(desk_cfg, seed=5)
     rng = np.random.default_rng(5)
     img = rng.normal(size=(3, 32, 32)).astype(np.float32)
-    logits, blocks = teacher_forward(model, img)
+    logits, blocks = model.forward(img)
     assert len(blocks) == desk_cfg.layers
     assert logits.shape == (1, desk_cfg.num_classes)
 
