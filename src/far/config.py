@@ -1,6 +1,7 @@
 """Line-oriented run configuration: ``key = value`` pairs under
 ``[section]`` headers. Unknown sections or keys are errors; every key
-has a documented default.
+has a documented default, and a string key listed in ``CHOICES`` takes
+only the values listed there.
 """
 
 # section -> key -> (type, default)
@@ -39,6 +40,14 @@ SCHEMA = {
 }
 
 
+# (section, key) -> the only values a string key may take
+CHOICES = {
+    ("model", "precision"): ("f32", "f64"),
+    ("prune", "threshold_mode"): ("absolute", "relative"),
+    ("prune", "penalty_reduce"): ("sum", "mean"),
+}
+
+
 class ConfigError(ValueError):
     """Malformed run configuration."""
 
@@ -51,6 +60,10 @@ def _coerce(section, key, raw):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"[{section}] {key}: expected boolean, got {raw!r}")
+    choices = CHOICES.get((section, key))
+    if choices is not None and raw not in choices:
+        raise ConfigError(f"[{section}] {key}: expected one of "
+                          f"{', '.join(choices)}, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as exc:

@@ -6,9 +6,11 @@ parameter unfrozen and pure classification loss. The teacher and the
 pruning stages train through the same loop, ``run_phase``.
 
 Parameters are created frozen; ``freeze_plan`` is the only code that
-marks a parameter trainable, per phase. A model that no phase has
-trained, such as one returned by ``checkpoint.load_model``, builds no
-autodiff graph in its forward pass.
+marks a parameter trainable, per phase, and ``run_phase`` keeps them
+marked only while its batch loop runs. Its per-epoch evaluation, a model
+that no phase has trained (such as one returned by
+``checkpoint.load_model``) and a model after training therefore build no
+autodiff graph in their forward pass.
 """
 
 import logging
@@ -149,6 +151,11 @@ def freeze_plan(far_model, phase):
     return trainable
 
 
+def _set_trainable(params, flag):
+    for p in params.values():
+        p.requires_grad = flag
+
+
 def _batches(indices, batch_size, rng):
     idx = indices.copy()
     rng.shuffle(idx)
@@ -199,42 +206,49 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                          for name, p in far_model.named_parameters().items()
                          if name not in trainable}
 
-    for epoch in range(cfg.epochs):
-        opt.lr = cosine_lr(epoch, cfg)
-        epoch_loss, epoch_sims = [], []
-        for batch in _batches(np.arange(len(labels)), cfg.batch_size, rng):
-            imgs, labs = images[batch], labels[batch]
-            sims = []
-            if use_sim:
-                t_logits, t_blocks = teacher.forward(imgs)
-                s_logits, s_blocks = far_model.forward(imgs)
-                for tb, sb in zip(t_blocks, s_blocks):
-                    sims.append(similarity_loss(tb.detach(), sb,
-                                                flat=cfg.cosine_flat))
-            else:
-                s_logits, _ = far_model.forward(imgs)
-            loss = combined_loss(sims, s_logits, labs, cfg.lam if use_sim else 0.0)
-            if extra_loss is not None:
-                loss = loss + extra_loss()
-            if not np.isfinite(loss.item()):
-                raise RuntimeError(
-                    f"non-finite loss in phase {cfg.phase} epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_loss.append(loss.item())
-            if sims:
-                epoch_sims.append([s.item() for s in sims])
-        sim_per_block = (np.mean(epoch_sims, axis=0).tolist()
-                         if epoch_sims else [float("nan")] * n_layers)
-        row = {"epoch": epoch, "phase": cfg.phase,
-               "loss": float(np.mean(epoch_loss)),
-               "sim_mean": (float(np.mean(sim_per_block))
-                            if epoch_sims else float("nan")),
-               "acc": accuracy(far_model, dataset)}
-        for i, sv in enumerate(sim_per_block):
-            row[f"sim_block_{i}"] = sv
-        rows.append(row)
+    try:
+        for epoch in range(cfg.epochs):
+            opt.lr = cosine_lr(epoch, cfg)
+            _set_trainable(trainable, True)
+            epoch_loss, epoch_sims = [], []
+            for batch in _batches(np.arange(len(labels)), cfg.batch_size, rng):
+                imgs, labs = images[batch], labels[batch]
+                sims = []
+                if use_sim:
+                    t_logits, t_blocks = teacher.forward(imgs)
+                    s_logits, s_blocks = far_model.forward(imgs)
+                    for tb, sb in zip(t_blocks, s_blocks):
+                        sims.append(similarity_loss(tb.detach(), sb,
+                                                    flat=cfg.cosine_flat))
+                else:
+                    s_logits, _ = far_model.forward(imgs)
+                loss = combined_loss(sims, s_logits, labs,
+                                     cfg.lam if use_sim else 0.0)
+                if extra_loss is not None:
+                    loss = loss + extra_loss()
+                if not np.isfinite(loss.item()):
+                    raise RuntimeError(
+                        f"non-finite loss in phase {cfg.phase} epoch {epoch}")
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                epoch_loss.append(loss.item())
+                if sims:
+                    epoch_sims.append([s.item() for s in sims])
+            # evaluation runs frozen, so it builds no autodiff graph
+            _set_trainable(trainable, False)
+            sim_per_block = (np.mean(epoch_sims, axis=0).tolist()
+                             if epoch_sims else [float("nan")] * n_layers)
+            row = {"epoch": epoch, "phase": cfg.phase,
+                   "loss": float(np.mean(epoch_loss)),
+                   "sim_mean": (float(np.mean(sim_per_block))
+                                if epoch_sims else float("nan")),
+                   "acc": accuracy(far_model, dataset)}
+            for i, sv in enumerate(sim_per_block):
+                row[f"sim_block_{i}"] = sv
+            rows.append(row)
+    finally:
+        _set_trainable(trainable, False)
 
     if frozen_before is not None:
         for name, before in frozen_before.items():

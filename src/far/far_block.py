@@ -1,10 +1,21 @@
 """Multi-head bidirectional LSTM attention substitute.
 
-Block structure: LN -> input projection (D->D) -> split into N head
-subspaces of width D_h -> per-head BiLSTM -> concat (T x 2D) -> output
-projection (2D->D) -> residual add. Gate stacking order is (input,
-forget, cell, output) throughout, so row j of gate g lives at index
-g*hidden + j in the stacked weight matrices.
+Block structure: LN -> input projection (D->D) -> N heads of width D_h,
+each scanned forward and in reverse -> the 2N hidden sequences side by
+side (T x 2D) -> output projection (2D->D) -> residual add. Gate
+stacking order is (input, forget, cell, output) throughout, so row j of
+gate g lives at index g*hidden + j in the stacked weight matrices.
+
+All 2N scans of a block run as one graph node (``scan_heads``): the
+head inputs are stacked to (2N, B, T, D_h), reverse scans flipped in
+time; one batched GEMM computes every step's input gates; each time step
+is one batched ``h @ w_hh^T`` over the 2N scans; and the node's backward
+is a hand-written BPTT that returns the gradients of the input and of
+every scan's four tensors. Activations are kept only when the input or
+some scan tensor requires grad. Scans of unequal width (a shrunk block)
+are zero-padded to the widest: by the rule below a padded unit's h, c
+and gradients stay exactly zero. ``lstm_step`` is the single-cell
+reference the fused scan is tested against.
 
 A pruned hidden unit is one whose coupled weights (see ``coupled``) are
 all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
@@ -118,21 +129,141 @@ def lstm_step(x_t, h, c, p: LstmDirParams, w_ih_t=None, w_hh_t=None):
     return h_new, c_new
 
 
-def _scan(seq_steps, p):
-    """Run an LSTM over a list of (B, input) tensors; returns hidden list."""
-    w_ih_t = T.transpose(p.w_ih)
-    w_hh_t = T.transpose(p.w_hh)
-    b = seq_steps[0].shape[0] if seq_steps[0].ndim > 1 else None
-    hid = p.hidden
-    shape = (b, hid) if b is not None else (hid,)
-    dtype = "f64" if p.w_ih.data.dtype == np.float64 else "f32"
-    h = T.zeros(shape, dtype)
-    c = T.zeros(shape, dtype)
-    outs = []
-    for x_t in seq_steps:
-        h, c = lstm_step(x_t, h, c, p, w_ih_t, w_hh_t)
-        outs.append(h)
-    return outs
+def _stacked_weights(scans, hid, dtype):
+    """Gate-stacked weights of ``scans``, each zero-padded to ``hid`` units:
+    w_ih^T (S, D_h, 4*hid), w_hh^T (S, hid, 4*hid) and b_ih + b_hh
+    (S, 1, 4*hid)."""
+    s, d = len(scans), scans[0].input_size
+    w_ih = np.zeros((s, 4, hid, d), dtype)
+    w_hh = np.zeros((s, 4, hid, hid), dtype)
+    bias = np.zeros((s, 4, hid), dtype)
+    for k, p in enumerate(scans):
+        n = p.hidden
+        w_ih[k, :, :n] = p.w_ih.data.reshape(4, n, d)
+        w_hh[k, :, :n, :n] = p.w_hh.data.reshape(4, n, n)
+        bias[k, :, :n] = (p.b_ih.data + p.b_hh.data).reshape(4, n)
+    return (w_ih.reshape(s, 4 * hid, d).transpose(0, 2, 1),
+            w_hh.reshape(s, 4 * hid, hid).transpose(0, 2, 1),
+            bias.reshape(s, 1, 4 * hid))
+
+
+def scan_heads(u, heads, directions=DIRECTIONS):
+    """Every (head, direction) LSTM scan of ``heads`` over ``u``, as one
+    graph node.
+
+    ``u`` is (B, T, N*D_h) or (T, N*D_h); head n reads columns
+    n*D_h:(n+1)*D_h. Returns the hidden states of all scans side by side
+    in ``coupled`` order (head 0 fwd, head 0 rev, head 1 fwd, ...), the
+    reverse scans re-aligned to token positions. A scan whose direction
+    is not in ``directions`` outputs zeros and receives no gradient.
+    """
+    u = T.as_tensor(u)
+    batched = u.ndim == 3
+    x = u.data if batched else u.data[None]
+    b, t, width = x.shape
+    n_heads = len(heads)
+    d_in = width // n_heads
+    if d_in * n_heads != width or any(
+            head[d].input_size != d_in for head in heads for d in DIRECTIONS):
+        raise ShapeError(f"input width {width} does not split into "
+                         f"{n_heads} heads of the scans' input size")
+    order = [(n, d) for n in range(n_heads) for d in DIRECTIONS]
+    live = [(n, d) for n, d in order if d in directions]
+    scans = [heads[n][d] for n, d in live]
+    dtype = np.result_type(x, *(p.w_ih.data for p in scans))
+    if not scans:
+        shape = (b, t, sum(heads[n][d].hidden for n, d in order))
+        return Tensor(np.zeros(shape if batched else shape[1:], dtype))
+
+    s, hid = len(scans), max(p.hidden for p in scans)
+    wih_t, whh_t, bias = _stacked_weights(scans, hid, dtype)
+    rev = np.array([d == "rev" for _, d in live])
+    xs = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)[
+        [n for n, _ in live]].astype(dtype, copy=False)  # (S, B, T, D_h)
+    xs[rev] = xs[rev, :, ::-1]
+    gx = (xs.reshape(s, b * t, d_in) @ wih_t + bias).reshape(s, b, t, 4 * hid)
+
+    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    save = u.requires_grad or any(tn.requires_grad for tn in params)
+    hs = np.empty((s, b, t, hid), dtype)
+    if save:
+        acts = np.empty((s, b, t, 4 * hid), dtype)
+        cs = np.empty((s, b, t, hid), dtype)
+        tcs = np.empty((s, b, t, hid), dtype)
+    h = np.zeros((s, b, hid), dtype)
+    c = np.zeros((s, b, hid), dtype)
+    for j in range(t):
+        z = gx[:, :, j] + h @ whh_t
+        a = 1.0 / (1.0 + np.exp(-z))
+        a[..., 2 * hid:3 * hid] = np.tanh(z[..., 2 * hid:3 * hid])
+        c = a[..., hid:2 * hid] * c + a[..., :hid] * a[..., 2 * hid:3 * hid]
+        tc = np.tanh(c)
+        h = a[..., 3 * hid:] * tc
+        hs[:, :, j] = h
+        if save:
+            acts[:, :, j], cs[:, :, j], tcs[:, :, j] = a, c, tc
+
+    # (scan index or None, column offset, width, reversed) in coupled order
+    pieces, off = [], 0
+    for n, d in order:
+        w = heads[n][d].hidden
+        k = live.index((n, d)) if d in directions else None
+        pieces.append((k, off, w, d == "rev"))
+        off += w
+    out = np.concatenate(
+        [np.zeros((b, t, w), dtype) if k is None
+         else (hs[k, :, ::-1] if r else hs[k])[..., :w]
+         for k, _, w, r in pieces], axis=-1)
+
+    def backward(grad):
+        gy = grad if batched else grad[None]
+        dhs = np.zeros((s, b, t, hid), dtype)
+        for k, off, w, r in pieces:
+            if k is not None:
+                piece = gy[..., off:off + w]
+                dhs[k, :, :, :w] = piece[:, ::-1] if r else piece
+        whh = whh_t.transpose(0, 2, 1)
+        da = np.empty((s, b, t, 4 * hid), dtype)
+        dh_next = np.zeros((s, b, hid), dtype)
+        dc_next = np.zeros((s, b, hid), dtype)
+        for j in reversed(range(t)):
+            a, tc = acts[:, :, j], tcs[:, :, j]
+            i, f = a[..., :hid], a[..., hid:2 * hid]
+            g, o = a[..., 2 * hid:3 * hid], a[..., 3 * hid:]
+            dh = dhs[:, :, j] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dz = da[:, :, j]
+            dz[..., :hid] = dc * g * i * (1.0 - i)
+            dz[..., hid:2 * hid] = (dc * cs[:, :, j - 1] * f * (1.0 - f)
+                                    if j else 0.0)
+            dz[..., 2 * hid:3 * hid] = dc * i * (1.0 - g * g)
+            dz[..., 3 * hid:] = dh * tc * o * (1.0 - o)
+            dh_next = dz @ whh
+            dc_next = dc * f
+
+        flat = da.reshape(s, b * t, 4 * hid)
+        if u.requires_grad:
+            dx = (flat @ wih_t.transpose(0, 2, 1)).reshape(s, b, t, d_in)
+            dx[rev] = dx[rev, :, ::-1]
+            du = np.zeros((b, t, n_heads, d_in), dtype)
+            for k, (n, _) in enumerate(live):
+                du[:, :, n] += dx[k]
+            u._accumulate(du.reshape(u.data.shape))
+        hprev = np.zeros_like(hs)
+        hprev[:, :, 1:] = hs[:, :, :-1]
+        flat_t = flat.transpose(0, 2, 1)
+        g_ih = flat_t @ xs.reshape(s, b * t, d_in)
+        g_hh = flat_t @ hprev.reshape(s, b * t, hid)
+        g_b = flat.sum(axis=1)
+        for k, p in enumerate(scans):
+            n = p.hidden
+            rows = (np.arange(4)[:, None] * hid + np.arange(n)).ravel()
+            for tn, g in ((p.w_ih, g_ih[k, rows]), (p.w_hh, g_hh[k, rows, :n]),
+                          (p.b_ih, g_b[k, rows]), (p.b_hh, g_b[k, rows])):
+                if tn.requires_grad:
+                    tn._accumulate(g)
+
+    return T._make(out if batched else out[0], (u, *params), backward)
 
 
 def bilstm_head(x, head, directions=DIRECTIONS):
@@ -141,37 +272,14 @@ def bilstm_head(x, head, directions=DIRECTIONS):
     The reverse half is re-aligned to original token positions. Output
     width is fwd_hidden + rev_hidden (equal to 2*D_h when unpruned).
     """
-    batched = x.ndim == 3
-    t = x.shape[1] if batched else x.shape[0]
-    axis = 1 if batched else 0
-    steps = [x[:, j, :] if batched else x[j, :] for j in range(t)]
-
-    halves = []
-    for d in DIRECTIONS:
-        p = head[d]
-        if d not in directions:
-            shape = ((x.shape[0], t, p.hidden) if batched else (t, p.hidden))
-            halves.append(T.zeros(shape, "f64" if p.w_ih.data.dtype == np.float64 else "f32"))
-            continue
-        seq = steps if d == "fwd" else steps[::-1]
-        outs = _scan(seq, p)
-        if d == "rev":
-            outs = outs[::-1]
-        outs = [T.reshape(o, (o.shape[0], 1, p.hidden) if batched
-                          else (1, p.hidden)) for o in outs]
-        halves.append(T.concat(outs, axis=axis))
-    return T.concat(halves, axis=-1)
+    return scan_heads(x, [head], directions)
 
 
 def far_block_forward(x, p: FarBlockParams, directions=DIRECTIONS):
-    """y = x + out_proj(concat_heads(BiLSTM_n(split_n(in_proj(LN(x))))))."""
-    n = len(p.heads)
+    """y = x + out_proj(BiLSTM scans of the N heads of in_proj(LN(x)))."""
     h = T.layer_norm(x, p.ln_g, p.ln_b)
     u = T.matmul(h, p.in_w) + p.in_b
-    subs = T.split(u, n, axis=-1)
-    outs = [bilstm_head(subs[i], p.heads[i], directions=directions)
-            for i in range(n)]
-    cat = T.concat(outs, axis=-1)
+    cat = scan_heads(u, p.heads, directions)
     if cat.shape[-1] != p.out_w.shape[0]:
         raise ShapeError(
             f"head outputs ({cat.shape[-1]}) do not match out_proj rows "

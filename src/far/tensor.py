@@ -91,6 +91,11 @@ class Tensor:
         if self.data.size != 1:
             raise GradientError(
                 f"backward() requires a scalar loss, got shape {self.shape}")
+        if not self.requires_grad:
+            raise GradientError(
+                "backward() on a tensor with no graph: no input it was "
+                "computed from requires grad (parameters are created frozen; "
+                "mark the trained ones, e.g. with distill.freeze_plan)")
         if self._backward_done:
             raise GradientError(
                 "backward() already called on this tensor; rebuild the graph "

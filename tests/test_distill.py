@@ -226,6 +226,53 @@ def test_run_phase_distill_freezes_shared_weights(desk_cfg):
         assert np.array_equal(before, teacher.named_parameters()[n].data), n
 
 
+def test_run_phase_evaluates_frozen_and_leaves_nothing_trainable(
+        desk_cfg, monkeypatch):
+    from far import distill
+    ds = synth_dataset(9, 40, 10, 32)
+    teacher = TeacherModel(desk_cfg, seed=9)
+    far = replace_attention(teacher, seed=9)
+    nodes, in_accuracy, counts = [0], [False], []
+    make, evaluate = T._make, distill.accuracy
+
+    def counting_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        nodes[0] += in_accuracy[0] and out._backward_fn is not None
+        return out
+
+    def counting_accuracy(model, dataset, split="train"):
+        in_accuracy[0], nodes[0] = True, 0
+        try:
+            return evaluate(model, dataset, split)
+        finally:
+            in_accuracy[0] = False
+            counts.append(nodes[0])
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    monkeypatch.setattr(distill, "accuracy", counting_accuracy)
+    run_phase(far, teacher, ds, TrainConfig(
+        phase="finetune", lr=1e-4, epochs=2, batch_size=20, seed=9,
+        warmup_epochs=0))
+    assert counts == [0, 0]
+    assert not any(p.requires_grad for p in far.parameters())
+    assert not any(p.requires_grad for p in teacher.parameters())
+
+
+def test_run_phase_leaves_nothing_trainable_when_it_raises(desk_cfg):
+    ds = synth_dataset(10, 40, 10, 32)
+    teacher = TeacherModel(desk_cfg, seed=10)
+    far = replace_attention(teacher, seed=10)
+
+    def diverge():
+        return T.Tensor(np.inf)
+
+    with pytest.raises(RuntimeError, match="non-finite loss"):
+        run_phase(far, teacher, ds, TrainConfig(
+            phase="finetune", lr=1e-4, epochs=1, batch_size=20, seed=10,
+            warmup_epochs=0), extra_loss=diverge)
+    assert not any(p.requires_grad for p in far.parameters())
+
+
 def test_train_teacher_logs_run_phase_columns(desk_cfg):
     ds = synth_dataset(8, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=8)

@@ -6,7 +6,8 @@ from far.tensor import ShapeError, Tensor
 from far.vit import ModelConfig, TeacherModel
 from far.far_block import (DIRECTIONS, FarModel, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
-                           lstm_step, replace_attention)
+                           lstm_step, replace_attention, scan_heads,
+                           shrink_block)
 from far.profiler import _attn_layer_params, _far_layer_params, _mlp_params
 
 from conftest import desk_config
@@ -118,6 +119,126 @@ def test_bilstm_reversal_symmetry():
     out_rev = bilstm_head(Tensor(x[::-1].copy()), head).data
     np.testing.assert_allclose(out_rev[::-1, dh:], out[:, :dh], atol=1e-14)
     np.testing.assert_allclose(out_rev[::-1, :dh], out[:, dh:], atol=1e-14)
+
+
+def _reference_scans(u, heads, directions):
+    """Every (head, direction) scan run token by token with ``lstm_step``,
+    side by side in ``coupled`` order."""
+    batched = u.ndim == 3
+    t = u.shape[-2]
+    lead = u.shape[:-2]
+    d_in = u.shape[-1] // len(heads)
+    cols = []
+    for n, head in enumerate(heads):
+        sl = slice(n * d_in, (n + 1) * d_in)
+        for d in DIRECTIONS:
+            p = head[d]
+            if d not in directions:
+                cols.append(T.zeros(lead + (t, p.hidden), "f64"))
+                continue
+            h = c = T.zeros(lead + (p.hidden,), "f64")
+            steps = [None] * t
+            for j in (range(t) if d == "fwd" else reversed(range(t))):
+                h, c = lstm_step(u[:, j, sl] if batched else u[j, sl], h, c, p)
+                steps[j] = T.reshape(h, lead + (1, p.hidden))
+            cols.append(T.concat(steps, axis=-2))
+    return T.concat(cols, axis=-1)
+
+
+def _reference_block(x, blk, directions):
+    u = T.matmul(T.layer_norm(x, blk.ln_g, blk.ln_b), blk.in_w) + blk.in_b
+    return x + (T.matmul(_reference_scans(u, blk.heads, directions), blk.out_w)
+                + blk.out_b)
+
+
+def _block_grads(forward, blk, x, directions):
+    params = blk.named("b")
+    for p in params.values():
+        p.requires_grad, p.grad = True, None
+    leaf = Tensor(x.copy(), requires_grad=True)
+    out = forward(leaf, blk, directions=directions)
+    weight = np.random.default_rng(31).normal(size=out.shape)
+    T.tsum(out * Tensor(weight)).backward()
+    grads = {n: p.grad for n, p in params.items()}
+    for p in params.values():
+        p.requires_grad, p.grad = False, None
+    return out.data, leaf.grad, grads
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 32), (7, 32)])
+@pytest.mark.parametrize("directions", [DIRECTIONS, ("fwd",), ("rev",)])
+@pytest.mark.parametrize("widths", ["full", "unequal"])
+def test_fused_scan_matches_per_step_reference(widths, directions, shape):
+    """One fused node per block == the per-step lstm_step scans, in the
+    output and in the gradients of the input and of every scan tensor."""
+    cfg = desk_config("f64")
+    rng = np.random.default_rng(30)
+    blk = init_far_block(cfg, rng)
+    for head in blk.heads:  # init leaves b_hh zero
+        for p in head.values():
+            p.b_hh.data[:] = rng.normal(size=p.b_hh.shape)
+    if widths == "unequal":
+        keep = [{d: rng.random(cfg.head_dim) < 0.6 for d in DIRECTIONS}
+                for _ in range(cfg.heads)]
+        keep[0]["rev"][:] = False
+        keep[0]["rev"][:3] = True
+        blk = shrink_block(blk, keep)
+        assert len({p.hidden for head in blk.heads for p in head.values()}) > 1
+    x = rng.normal(size=shape)
+    out, gx, grads = _block_grads(far_block_forward, blk, x, directions)
+    ref_out, ref_gx, ref_grads = _block_grads(_reference_block, blk, x,
+                                              directions)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+    for name, ref in ref_grads.items():
+        if ref is None:  # a skipped direction's scan receives no gradient
+            assert grads[name] is None, name
+        else:
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+def test_fused_scan_finite_differences():
+    rng = np.random.default_rng(32)
+    heads = [{"fwd": init_lstm_dir(rng, 3, 3, "f64"),
+              "rev": init_lstm_dir(rng, 3, 2, "f64")},
+             {"fwd": init_lstm_dir(rng, 3, 1, "f64"),
+              "rev": init_lstm_dir(rng, 3, 3, "f64")}]
+    u = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+    params = [t for head in heads for p in head.values()
+              for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    for t in params:
+        t.requires_grad = True
+        t.data[:] += rng.normal(scale=0.1, size=t.shape)  # init leaves b_hh zero
+    weight = Tensor(rng.normal(size=(2, 4, 9)))
+
+    def loss():
+        return T.tsum(T.square(scan_heads(u, heads) * weight))
+
+    loss().backward()
+    step = 1e-6
+    for t in [u] + params:
+        flat = t.data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss().item()
+            flat[i] = orig - step
+            down = loss().item()
+            flat[i] = orig
+            fd = (up - down) / (2 * step)
+            assert abs(t.grad.ravel()[i] - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
+    far = replace_attention(TeacherModel(desk_cfg, seed=33), seed=33)
+    blk = far.blocks[0]
+    u = Tensor(np.random.default_rng(33).normal(
+        size=(2, desk_cfg.tokens, desk_cfg.dim)).astype(np.float32))
+    out = scan_heads(u, blk.heads)
+    assert out.shape == (2, desk_cfg.tokens, 2 * desk_cfg.dim)
+    assert out._parents == () and out._backward_fn is None
+    assert not out.requires_grad
 
 
 def test_far_block_zero_out_proj_is_identity():

@@ -263,6 +263,22 @@ def test_config_unknown_key_and_section():
         parse_config("[bench]\nthreads = 1\n")  # removed: nothing read it
 
 
+@pytest.mark.parametrize("section,key,bad,allowed", [
+    ("model", "precision", "f16", "f32, f64"),
+    ("prune", "threshold_mode", "percentile", "absolute, relative"),
+    ("prune", "penalty_reduce", "max", "sum, mean"),
+])
+def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
+                                              bad, allowed):
+    text = f"[{section}]\n{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=f"{key}: expected one of {allowed}"):
+        parse_config(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["params", "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_config_comments_and_types():
     cfg = parse_config("[train]\nseed = 7  # reproducibility\n"
                        "[prune]\nextension = false\n")

@@ -211,6 +211,15 @@ def test_backward_requires_scalar():
         (x * 2).backward()
 
 
+def test_backward_without_graph_errors():
+    from far.far_block import init_lstm_dir
+    p = init_lstm_dir(np.random.default_rng(0), 4, 4)
+    loss = T.tsum(T.square(p.w_ih))  # parameters are born frozen
+    with pytest.raises(GradientError, match="no graph"):
+        loss.backward()
+    assert p.w_ih.grad is None
+
+
 def test_frozen_leaf_receives_no_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     frozen = Tensor(np.ones(3), requires_grad=False)
