@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import DIRECTIONS, FarModel, bilstm_head, far_block_forward
+from .far_block import DIRECTIONS, bilstm_head, far_block_forward
 from .vit import TeacherModel
 
 SCALARIZATIONS = ("norm", "sum", "logit")
@@ -30,17 +30,6 @@ def _minmax(arr):
     return (arr - lo) / (hi - lo)
 
 
-def _far_inputs_at_layer(model: FarModel, image, layer):
-    """Run the model up to ``layer``; return its input tokens as a leaf.
-    On a model that no phase has marked trainable, the leaf is the only
-    tensor that requires grad, so the parameters collect no gradient."""
-    x = model.teacher.patch_embed(image)
-    for i in range(layer):
-        y = far_block_forward(x, model.blocks[i])
-        x = model.teacher.mlp_block(y, model.teacher.layers[i])
-    return Tensor(x.data, requires_grad=True)
-
-
 def cls_saliency(model, image, layer, head, scalarize="norm",
                  directions=DIRECTIONS):
     """(grid x grid) min-max normalized importance of patches to the CLS.
@@ -58,7 +47,8 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
 
     if scalarize not in SCALARIZATIONS:
         raise ValueError(f"unknown scalarization {scalarize!r}")
-    leaf = _far_inputs_at_layer(model, image, layer)
+    # the layer's input as a leaf: on a frozen model, the only grad tensor
+    leaf = Tensor(model.tokens(image, stop=layer)[-1].data, requires_grad=True)
     blk = model.blocks[layer]
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.matmul(h, blk.in_w) + blk.in_b
@@ -71,8 +61,7 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
         target = T.tsum(cls_vec)
     else:  # logit: push the head state through out_proj and max logit
         full = far_block_forward(leaf, blk, directions=directions)
-        logits = model.teacher.classify(
-            model.teacher.mlp_block(full, model.teacher.layers[layer]))
+        logits = model.classify(model.mlp_block(full, model.mlps[layer]))
         target = logits[0, int(logits.data[0].argmax())]
     target.backward()
     grad = leaf.grad[0, 1:, :]  # patch tokens
@@ -91,7 +80,7 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     t = model.cfg.tokens
     dep = np.zeros((t, t))
     blk = model.blocks[layer]
-    x = _far_inputs_at_layer(model, image, layer).data
+    x = model.tokens(image, stop=layer)[-1].data
     for q in range(t):
         leaf = Tensor(x, requires_grad=True)
         out = far_block_forward(leaf, blk, directions=directions)

@@ -53,8 +53,7 @@ def _train_cfg(cfg, phase, lr, epochs):
                        batch_size=tr["batch_size"], seed=tr["seed"],
                        weight_decay=tr["weight_decay"],
                        warmup_epochs=tr["warmup_epochs"],
-                       warmup_lr=tr["warmup_lr"],
-                       cosine_flat=di["cosine_flat"])
+                       warmup_lr=tr["warmup_lr"])
 
 
 def cmd_distill(args, cfg):
@@ -75,7 +74,7 @@ def cmd_finetune(args, cfg):
     far = ckpt.load_model(args.checkpoint)
     ds = _dataset_from_cfg(cfg, args.seed)
     di = cfg["distill"]
-    rows = run_phase(far, far.teacher, ds,
+    rows = run_phase(far, None, ds,
                      _train_cfg(cfg, "finetune", di["finetune_lr"],
                                 di["finetune_epochs"]))
     ckpt.save_model(far, args.out)
@@ -97,7 +96,7 @@ def cmd_prune(args, cfg):
                           pr["finetune_epochs"])
     rows = []
     report = pruner.three_stage_pipeline(
-        far, far.teacher, ds, reg_cfg, tune_cfg, tau=threshold,
+        far, None, ds, reg_cfg, tune_cfg, tau=threshold,
         mode=pr["threshold_mode"], reg_coeff=reg_coeff,
         extension=pr["extension"], penalty_reduce=pr["penalty_reduce"],
         log_rows=rows)
@@ -148,7 +147,6 @@ def cmd_bench(args, cfg):
         report = profiler.cost_report(mcfg, "attention")
     report.latency_ms = {k: stats[k] for k in ("median", "mean", "p10", "p90")}
     report.runs, report.warmups = stats["runs"], stats["warmups"]
-    report.threads = stats["threads"]
     print(report.csv(), end="")
     return 0
 

@@ -21,7 +21,6 @@ SCHEMA = {
     "distill": {
         "lam": (float, 1.0), "lr": (float, 5e-4), "epochs": (int, 50),
         "finetune_lr": (float, 5e-5), "finetune_epochs": (int, 20),
-        "cosine_flat": (bool, False),
     },
     "prune": {
         "reg_coeff": (float, 1e-4), "threshold": (float, 1e-4),

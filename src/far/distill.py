@@ -38,7 +38,6 @@ class TrainConfig:
     weight_decay: float = 0.05
     seed: int = 0
     phase: str = "distill"
-    cosine_flat: bool = False  # whole-tensor cosine instead of per-token
 
     def __post_init__(self):
         if self.lam < 0:
@@ -89,29 +88,23 @@ def cosine_lr(epoch, cfg: TrainConfig):
     return 0.5 * cfg.lr * (1.0 + math.cos(math.pi * prog))
 
 
-def similarity_loss(x_teacher, x_student, flat=False):
+def similarity_loss(x_teacher, x_student):
     """1 - cosine between teacher and student block outputs.
 
     Computed as half the squared distance of the unit-normalized
     vectors, which is algebraically identical but returns an exact zero
     when student and teacher coincide bitwise. Per-token over the
-    feature axis, averaged over tokens and batch; ``flat=True`` instead
-    flattens each sample to one vector. Zero-norm tokens contribute a
-    fixed loss of 1 and are excluded from the gradient.
+    feature axis, averaged over tokens and batch. Zero-norm tokens
+    contribute a fixed loss of 1 and are excluded from the gradient.
     """
     t_data = x_teacher.data if isinstance(x_teacher, Tensor) else np.asarray(x_teacher)
     if t_data.shape != x_student.shape:
         raise T.ShapeError(
             f"similarity_loss shape mismatch: {t_data.shape} vs {x_student.shape}")
-    if flat:
-        t_data = t_data.reshape(t_data.shape[0], -1) if t_data.ndim == 3 else t_data.reshape(1, -1)
-        s = T.reshape(x_student, t_data.shape)
-    else:
-        s = x_student
 
     tiny = 1e-30
     t_sq = (t_data * t_data).sum(axis=-1)
-    s_sq = T.tsum(T.square(s), axis=-1)
+    s_sq = T.tsum(T.square(x_student), axis=-1)
     valid = (t_sq > tiny) & (s_sq.data > tiny)
     if not valid.all():
         log.warning("similarity_loss: %d zero-norm token(s) contribute loss 1",
@@ -120,7 +113,7 @@ def similarity_loss(x_teacher, x_student, flat=False):
     # normalize both sides with the same reciprocal-multiply sequence so
     # that identical inputs cancel exactly
     s_inv = Tensor(1.0) / T.sqrt(s_sq * Tensor(v) + Tensor(1.0 - v))
-    s_hat = s * T.reshape(s_inv * Tensor(v), s_sq.shape + (1,))
+    s_hat = x_student * T.reshape(s_inv * Tensor(v), s_sq.shape + (1,))
     t_inv = 1.0 / np.sqrt(np.where(valid, t_sq, 1.0))
     t_hat = t_data * (t_inv * v)[..., None]
     per_token = T.tsum(T.square(s_hat - Tensor(t_hat)), axis=-1) * Tensor(0.5)
@@ -218,8 +211,7 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                     t_logits, t_blocks = teacher.forward(imgs)
                     s_logits, s_blocks = far_model.forward(imgs)
                     for tb, sb in zip(t_blocks, s_blocks):
-                        sims.append(similarity_loss(tb.detach(), sb,
-                                                    flat=cfg.cosine_flat))
+                        sims.append(similarity_loss(tb.detach(), sb))
                 else:
                     s_logits, _ = far_model.forward(imgs)
                 loss = combined_loss(sims, s_logits, labs,

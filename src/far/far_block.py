@@ -1,4 +1,6 @@
-"""Multi-head bidirectional LSTM attention substitute.
+"""Multi-head bidirectional LSTM attention substitute. ``FarModel`` is a
+``vit.Backbone`` with one such block per layer as its token mixer, built,
+like every block, from a tensor table (``FarBlockParams.from_tensors``).
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ShapeError
+from .vit import Backbone, take
 
-GATE_ORDER = ("i", "f", "g", "o")
 DIRECTIONS = ("fwd", "rev")
 
 
@@ -93,17 +95,49 @@ class FarBlockParams:
                 out.update(head[d].named(f"{prefix}.{n}.{d}"))
         return out
 
+    @classmethod
+    def from_tensors(cls, tensors, prefix, n_heads, head_dim, dtype):
+        """The block of ``n_heads`` heads of width ``head_dim`` read from
+        ``tensors`` under the names that ``named(prefix)`` uses. Each
+        scan's hidden size is read from its ``w_hh`` and must be 1..head_dim;
+        its other tensors and the rows of ``out_w`` (one per unit of every
+        scan) must agree. Any other table is a ShapeError naming the tensor.
+        """
+        d = n_heads * head_dim
 
-def init_far_block(cfg, rng, ln_init=None):
+        def get(name, shape):
+            return take(tensors, f"{prefix}.{name}", shape, dtype)
+
+        heads, width = [{} for _ in range(n_heads)], 0
+        for n, head in enumerate(heads):
+            for dirn in DIRECTIONS:
+                q = f"{n}.{dirn}."
+                name = f"{prefix}.{q}w_hh"
+                if name not in tensors:
+                    raise ShapeError(f"missing tensor {name}")
+                shape = np.shape(tensors[name])
+                w = shape[1] if len(shape) == 2 else 0
+                if not 1 <= w <= head_dim:
+                    raise ShapeError(
+                        f"tensor {name} has shape {shape}; its hidden size "
+                        f"must be 1..{head_dim}")
+                head[dirn] = LstmDirParams(  # checked in name order
+                    b_hh=get(q + "b_hh", (4 * w,)),
+                    b_ih=get(q + "b_ih", (4 * w,)),
+                    w_hh=get(q + "w_hh", (4 * w, w)),
+                    w_ih=get(q + "w_ih", (4 * w, head_dim)))
+                width += w
+        return cls(ln_g=get("ln_g", (d,)), ln_b=get("ln_b", (d,)),
+                   in_w=get("in_w", (d, d)), in_b=get("in_b", (d,)),
+                   heads=heads, out_w=get("out_w", (width, d)),
+                   out_b=get("out_b", (d,)))
+
+
+def init_far_block(cfg, rng):
+    cfg.check_heads()
     d, n, dh, p = cfg.dim, cfg.heads, cfg.head_dim, cfg.precision
-    if d != n * dh:
-        raise ShapeError(f"dim {d} must equal heads*head_dim {n}*{dh}")
-    ln_g = Tensor(np.ones(d, T.DTYPES[p]) if ln_init is None
-                  else ln_init[0].data.copy())
-    ln_b = Tensor(np.zeros(d, T.DTYPES[p]) if ln_init is None
-                  else ln_init[1].data.copy())
     return FarBlockParams(
-        ln_g=ln_g, ln_b=ln_b,
+        ln_g=T.ones(d, p), ln_b=T.zeros(d, p),
         in_w=T.trunc_normal(rng, (d, d), dtype=p),
         in_b=T.zeros(d, p),
         heads=[{dd: init_lstm_dir(rng, dh, dh, p) for dd in DIRECTIONS}
@@ -318,68 +352,38 @@ def live_units(blk: FarBlockParams, head, direction):
 def shrink_block(blk: FarBlockParams, keep):
     """A copy of ``blk`` holding only the units where ``keep[head][direction]``
     is True; every coupled matrix is re-packed."""
-    def param(a):
-        return Tensor(np.array(a))
-
-    heads, out_rows = [], []
-    for h, head in enumerate(blk.heads):
-        new = {}
+    tensors = {n: t.data for n, t in blk.named("blk").items()}
+    out_rows = []
+    for h in range(len(blk.heads)):
         for d in DIRECTIONS:
-            p = head[d]
             rows, cols, out = coupled(blk, h, d, np.flatnonzero(keep[h][d]))
-            new[d] = LstmDirParams(
-                w_ih=param(p.w_ih.data[rows]),
-                w_hh=param(p.w_hh.data[np.ix_(rows, cols)]),
-                b_ih=param(p.b_ih.data[rows]), b_hh=param(p.b_hh.data[rows]))
+            q = f"blk.{h}.{d}."
+            for k in ("w_ih", "b_ih", "b_hh"):
+                tensors[q + k] = tensors[q + k][rows]
+            tensors[q + "w_hh"] = tensors[q + "w_hh"][np.ix_(rows, cols)]
             out_rows.append(out)
-        heads.append(new)
-    return FarBlockParams(
-        ln_g=param(blk.ln_g.data), ln_b=param(blk.ln_b.data),
-        in_w=param(blk.in_w.data), in_b=param(blk.in_b.data), heads=heads,
-        out_w=param(blk.out_w.data[np.concatenate(out_rows)]),
-        out_b=param(blk.out_b.data))
+    tensors["blk.out_w"] = blk.out_w.data[np.concatenate(out_rows)]
+    return FarBlockParams.from_tensors(tensors, "blk", len(blk.heads),
+                                       blk.heads[0]["fwd"].input_size,
+                                       blk.in_w.dtype)
 
 
-class FarModel:
-    """Teacher with every attention sublayer replaced by a FAR block.
+class FarModel(Backbone):
+    """A backbone with a FAR block (tensors ``far.<layer>.*``) as every token
+    mixer; ``replace_attention`` shares the teacher's backbone Tensors."""
 
-    MLP sublayers, embeddings, final norm and head are shared with the
-    teacher (same Tensor objects); the FAR blocks own fresh parameters.
-    """
-
-    def __init__(self, teacher, cfg=None, seed=0):
-        self.teacher = teacher
-        self.cfg = cfg or teacher.cfg
-        if self.cfg.dim % self.cfg.heads != 0:
-            raise ShapeError(
-                f"dim {self.cfg.dim} not divisible by heads {self.cfg.heads}")
-        rng = np.random.default_rng(seed + 1)
-        self.blocks = [
-            init_far_block(self.cfg, rng,
-                           ln_init=(layer.ln1_g, layer.ln1_b))
-            for layer in teacher.layers
-        ]
-        self.forward_count = 0
+    def __init__(self, cfg, tensors):
+        super().__init__(cfg, tensors)
+        self.blocks = [FarBlockParams.from_tensors(
+            tensors, f"far.{i}", cfg.heads, cfg.head_dim, cfg.precision)
+            for i in range(cfg.layers)]
 
     def named_parameters(self):
-        out = {}
-        shared = self.teacher.named_parameters()
-        for name, tnsr in shared.items():
-            if ".qkv_" in name or ".proj_" in name or ".ln1_" in name:
-                continue  # replaced by the FAR blocks
-            out[name] = tnsr
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named(f"far.{i}"))
-        return out
-
-    def parameters(self):
-        return list(self.named_parameters().values())
+        return {**self.backbone, **self.far_parameters()}
 
     def far_parameters(self):
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named(f"far.{i}"))
-        return out
+        return {n: t for i, blk in enumerate(self.blocks)
+                for n, t in blk.named(f"far.{i}").items()}
 
     @property
     def masks(self):
@@ -389,20 +393,30 @@ class FarModel:
         return [{h: {d: live_units(blk, h, d) for d in DIRECTIONS}
                  for h in range(len(blk.heads))} for blk in self.blocks]
 
+    def tokens(self, image, stop=None, directions=DIRECTIONS):
+        """Patch embedding of ``image``, then the output of each layer below
+        ``stop`` (of every layer by default)."""
+        xs = [self.patch_embed(image)]
+        for blk, mlp in zip(self.blocks[:stop], self.mlps):
+            y = far_block_forward(xs[-1], blk, directions=directions)
+            xs.append(self.mlp_block(y, mlp))
+        return xs
+
     def forward(self, image, directions=DIRECTIONS):
         """Returns (logits, block_outputs)."""
-        self.forward_count += 1
-        x = self.teacher.patch_embed(image)
-        blocks = []
-        for i, layer in enumerate(self.teacher.layers):
-            y = far_block_forward(x, self.blocks[i], directions=directions)
-            x = self.teacher.mlp_block(y, layer)
-            blocks.append(x)
-        logits = self.teacher.classify(x)
-        return logits, blocks
+        xs = self.tokens(image, directions=directions)
+        return self.classify(xs[-1]), xs[1:]
 
 
-def replace_attention(teacher, cfg=None, seed=0):
-    """Substitute every attention sublayer at once; everything else shared."""
-    return FarModel(teacher, cfg=cfg, seed=seed)
-
+def replace_attention(teacher, seed=0):
+    """A FarModel sharing ``teacher``'s backbone, with a FAR block drawn from
+    ``seed`` in place of every attention sublayer. Each block's LN starts
+    as a copy of the attention sublayer's LN."""
+    rng = np.random.default_rng(seed + 1)
+    tensors = dict(teacher.backbone)
+    for i, layer in enumerate(teacher.layers):
+        tensors.update(init_far_block(teacher.cfg, rng).named(f"far.{i}"))
+        # arrays, so the block's LN starts as a copy of the attention LN
+        tensors[f"far.{i}.ln_g"] = layer.ln1_g.data
+        tensors[f"far.{i}.ln_b"] = layer.ln1_b.data
+    return FarModel(teacher.cfg, tensors)

@@ -3,11 +3,10 @@
 Compute counts follow the MAC-dominant convention used for the DeiT
 family (one multiply-accumulate counted once; normalization, softmax and
 activation costs only included in verbose mode). Latency follows the
-warmup-then-median protocol and is contractually single-threaded.
+warmup-then-median protocol. The harness sets no thread count: numpy's
+BLAS runs with whatever its environment sets.
 """
 
-import os
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +24,6 @@ class CostReport:
     latency_ms: dict = field(default_factory=dict)
     runs: int = 0
     warmups: int = 0
-    threads: int = 1
 
     def csv(self):
         lines = ["metric,value",
@@ -37,8 +35,7 @@ class CostReport:
         for k, v in self.latency_ms.items():
             lines.append(f"latency_{k}_ms,{v:.6f}")
         if self.runs:
-            lines += [f"runs,{self.runs}", f"warmups,{self.warmups}",
-                      f"threads,{self.threads}"]
+            lines += [f"runs,{self.runs}", f"warmups,{self.warmups}"]
         return "\n".join(lines) + "\n"
 
 
@@ -145,10 +142,10 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
     return total
 
 
-def bench_latency(run_fn, warmups=30, runs=100, seed=0):
+def bench_latency(run_fn, warmups=30, runs=100):
     """Warmup-then-timed median latency of ``run_fn()``.
 
-    Returns stats in milliseconds plus environment metadata. The caller
+    Returns stats in milliseconds plus the run and warmup counts. The caller
     must pass a closure over an immutable model and fixed input.
     """
     if runs <= 0:
@@ -170,7 +167,6 @@ def bench_latency(run_fn, warmups=30, runs=100, seed=0):
         "p90": float(np.percentile(arr, 90)),
         "runs": runs,
         "warmups": warmups,
-        "threads": int(os.environ.get("FAR_THREADS", "1")),
     }
 
 

@@ -143,7 +143,7 @@ def prune_by_threshold(far_model: FarModel, tau, mode="absolute",
 def shrink_model(far_model: FarModel):
     """Physically remove pruned units, re-packing every coupled matrix.
 
-    Returns a new FarModel sharing the teacher; each scan keeps only its
+    Returns a new FarModel sharing the backbone; each scan keeps only its
     live units, so its hidden size equals the retained count.
     """
     shrunk = copy.copy(far_model)

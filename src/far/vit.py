@@ -1,16 +1,24 @@
-"""DeiT-style vision transformer teacher.
+"""DeiT-style vision transformer teacher and the backbone it shares with
+its FAR substitute.
 
-Pre-norm residual wiring: y = x + Attn(LN1(x)); x_next = y + MLP(LN2(y)).
-The forward pass records every block output so substitute blocks can be
-supervised against them.
+A model is a backbone (patch embedding, CLS token and positions, the
+per-layer MLP sublayers, the final norm and the head) plus a token mixer
+per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). The teacher's mixer
+is pre-norm self-attention, and its forward pass records every block
+output so substitute blocks can be supervised against them. Every model is
+built from a table mapping tensor names to arrays or Tensors (``take``).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ShapeError
+
+ATTENTION = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b")
+MLP = ("ln2_g", "ln2_b", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 
 
 @dataclass
@@ -41,86 +49,74 @@ class ModelConfig:
     def tokens(self):
         return self.grid * self.grid + 1
 
-    def validate_teacher(self):
+    def check_heads(self):
         if self.dim != self.heads * self.head_dim:
             raise ShapeError(
-                f"teacher requires dim == heads * head_dim, got "
+                f"a model requires dim == heads * head_dim, got "
                 f"{self.dim} != {self.heads} * {self.head_dim}")
 
 
-@dataclass
-class AttentionLayerParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    qkv_w: Tensor  # (D, 3D)
-    qkv_b: Tensor
-    proj_w: Tensor  # (D, D)
-    proj_b: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-    fc1_w: Tensor  # (D, mlp_ratio*D)
-    fc1_b: Tensor
-    fc2_w: Tensor  # (mlp_ratio*D, D)
-    fc2_b: Tensor
-
-    def named(self, prefix):
-        return {f"{prefix}.{k}": getattr(self, k) for k in
-                ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b",
-                 "ln2_g", "ln2_b", "fc1_w", "fc1_b", "fc2_w", "fc2_b")}
-
-
-def _init_layer(cfg, rng):
+def tensor_shapes(cfg, attention=True):
+    """name -> shape of every teacher tensor, in the order the teacher's
+    random init draws them; without ``attention``, of the backbone only."""
     d, r = cfg.dim, cfg.mlp_ratio
-    p = cfg.precision
-    return AttentionLayerParams(
-        ln1_g=T.ones(d, p), ln1_b=T.zeros(d, p),
-        qkv_w=T.trunc_normal(rng, (d, 3 * d), dtype=p),
-        qkv_b=T.zeros(3 * d, p),
-        proj_w=T.trunc_normal(rng, (d, d), dtype=p),
-        proj_b=T.zeros(d, p),
-        ln2_g=T.ones(d, p), ln2_b=T.zeros(d, p),
-        fc1_w=T.trunc_normal(rng, (d, r * d), dtype=p),
-        fc1_b=T.zeros(r * d, p),
-        fc2_w=T.trunc_normal(rng, (r * d, d), dtype=p),
-        fc2_b=T.zeros(d, p),
-    )
+    layer = {"ln1_g": (d,), "ln1_b": (d,), "qkv_w": (d, 3 * d),
+             "qkv_b": (3 * d,), "proj_w": (d, d), "proj_b": (d,),
+             "ln2_g": (d,), "ln2_b": (d,), "fc1_w": (d, r * d),
+             "fc1_b": (r * d,), "fc2_w": (r * d, d), "fc2_b": (d,)}
+    keys = ATTENTION + MLP if attention else MLP
+    shapes = {"embed.patch_w": (cfg.channels * cfg.patch_size ** 2, d),
+              "embed.patch_b": (d,), "embed.cls": (d,),
+              "embed.pos": (cfg.tokens, d)}
+    for i in range(cfg.layers):
+        shapes.update({f"layer.{i}.{k}": layer[k] for k in keys})
+    shapes.update({"final.ln_g": (d,), "final.ln_b": (d,),
+                   "final.head_w": (d, cfg.num_classes),
+                   "final.head_b": (cfg.num_classes,)})
+    return shapes
 
 
-class TeacherModel:
-    """Patch embedding + CLS token + L pre-norm attention layers + head."""
+def take(tensors, name, shape, dtype):
+    """``tensors[name]`` as a Tensor of ``shape``. A Tensor is shared as it
+    is; an array is copied at ``dtype``. A missing tensor or one of another
+    shape is a ShapeError naming it."""
+    if name not in tensors:
+        raise ShapeError(f"missing tensor {name}")
+    t = tensors[name]
+    if not isinstance(t, Tensor):
+        t = Tensor(np.array(t), dtype=dtype)
+    if t.shape != tuple(shape):
+        raise ShapeError(
+            f"tensor {name} has shape {t.shape}, expected {tuple(shape)}")
+    return t
 
-    def __init__(self, cfg: ModelConfig, seed=0):
-        cfg.validate_teacher()
+
+def _draw(rng, name, shape, precision):
+    """Truncated-normal weights, CLS and positions; unit gains; zero biases."""
+    if name.endswith(("_w", ".cls", ".pos")):
+        return T.trunc_normal(rng, shape, dtype=precision)
+    return (T.ones if name.endswith("_g") else T.zeros)(shape, precision)
+
+
+class Backbone:
+    """A model less its token mixers; ``backbone`` maps its tensor names to
+    the Tensors taken from the table, which a FAR model shares."""
+
+    def __init__(self, cfg: ModelConfig, tensors):
+        cfg.check_heads()
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        d, p = cfg.dim, cfg.precision
-        in_dim = cfg.channels * cfg.patch_size ** 2
-        self.patch_w = T.trunc_normal(rng, (in_dim, d), dtype=p)
-        self.patch_b = T.zeros(d, p)
-        self.cls = T.trunc_normal(rng, (d,), dtype=p)
-        self.pos = T.trunc_normal(rng, (cfg.tokens, d), dtype=p)
-        self.layers = [_init_layer(cfg, rng) for _ in range(cfg.layers)]
-        self.ln_f_g = T.ones(d, p)
-        self.ln_f_b = T.zeros(d, p)
-        self.head_w = T.trunc_normal(rng, (d, cfg.num_classes), dtype=p)
-        self.head_b = T.zeros(cfg.num_classes, p)
-        self.forward_count = 0
-
-    # -- parameter registry ---------------------------------------------------
-
-    def named_parameters(self):
-        out = {"embed.patch_w": self.patch_w, "embed.patch_b": self.patch_b,
-               "embed.cls": self.cls, "embed.pos": self.pos}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"layer.{i}"))
-        out.update({"final.ln_g": self.ln_f_g, "final.ln_b": self.ln_f_b,
-                    "final.head_w": self.head_w, "final.head_b": self.head_b})
-        return out
+        self.backbone = b = {
+            n: take(tensors, n, s, cfg.precision)
+            for n, s in tensor_shapes(cfg, attention=False).items()}
+        self.patch_w, self.patch_b, self.cls, self.pos = (
+            b[f"embed.{k}"] for k in ("patch_w", "patch_b", "cls", "pos"))
+        self.ln_f_g, self.ln_f_b, self.head_w, self.head_b = (
+            b[f"final.{k}"] for k in ("ln_g", "ln_b", "head_w", "head_b"))
+        self.mlps = [SimpleNamespace(**{k: b[f"layer.{i}.{k}"] for k in MLP})
+                     for i in range(cfg.layers)]
 
     def parameters(self):
         return list(self.named_parameters().values())
-
-    # -- forward pieces ---------------------------------------------------------
 
     def patch_embed(self, image):
         """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings."""
@@ -143,6 +139,45 @@ class TeacherModel:
         x = T.concat([cls, tok], axis=1)
         return x + self.pos
 
+    def mlp_block(self, y, layer):
+        h = T.layer_norm(y, layer.ln2_g, layer.ln2_b)
+        h = T.gelu(T.matmul(h, layer.fc1_w) + layer.fc1_b)
+        return y + (T.matmul(h, layer.fc2_w) + layer.fc2_b)
+
+    def classify(self, x):
+        h = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
+        cls = h[:, 0, :]
+        return T.matmul(cls, self.head_w) + self.head_b
+
+
+class TeacherModel(Backbone):
+    """The backbone with multi-head self-attention as every token mixer;
+    ``layers[i]`` holds layer i's tensors by short name (``qkv_w``, ...)."""
+
+    def __init__(self, cfg: ModelConfig, seed=0):
+        rng = np.random.default_rng(seed)
+        self._build(cfg, {n: _draw(rng, n, s, cfg.precision)
+                          for n, s in tensor_shapes(cfg).items()})
+
+    @classmethod
+    def from_tensors(cls, cfg, tensors):
+        """The teacher holding ``tensors`` (name -> array or Tensor)."""
+        model = cls.__new__(cls)
+        model._build(cfg, tensors)
+        return model
+
+    def _build(self, cfg, tensors):
+        super().__init__(cfg, tensors)
+        self.attention = {n: take(tensors, n, s, cfg.precision)
+                          for n, s in tensor_shapes(cfg).items()
+                          if n not in self.backbone}
+        self.layers = [SimpleNamespace(**vars(mlp), **{
+            k: self.attention[f"layer.{i}.{k}"] for k in ATTENTION})
+            for i, mlp in enumerate(self.mlps)]
+
+    def named_parameters(self):
+        return {**self.backbone, **self.attention}
+
     def attention_block(self, x, layer):
         """Residual multi-head self-attention; also returns attn weights."""
         cfg = self.cfg
@@ -161,19 +196,8 @@ class TeacherModel:
         y = x + (T.matmul(out, layer.proj_w) + layer.proj_b)
         return y, attn
 
-    def mlp_block(self, y, layer):
-        h = T.layer_norm(y, layer.ln2_g, layer.ln2_b)
-        h = T.gelu(T.matmul(h, layer.fc1_w) + layer.fc1_b)
-        return y + (T.matmul(h, layer.fc2_w) + layer.fc2_b)
-
-    def classify(self, x):
-        h = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
-        cls = h[:, 0, :]
-        return T.matmul(cls, self.head_w) + self.head_b
-
     def forward(self, image, collect_attn=False):
         """Returns (logits, block_outputs[, attn_maps])."""
-        self.forward_count += 1
         x = self.patch_embed(image)
         blocks, attns = [], []
         for layer in self.layers:

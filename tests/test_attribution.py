@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from far import attribution
+from far import attribution, far_block
 from far.checkpoint import load_model, save_model
 from far.vit import TeacherModel
 from far.far_block import replace_attention
@@ -73,7 +73,6 @@ def test_far_saliency_tracks_true_sensitivity(models):
     layer, head = 0, 0
     sal = cls_saliency(far, img, layer, head, scalarize="norm").ravel()
 
-    from far.attribution import _far_inputs_at_layer
     from far import tensor as T
     from far.far_block import bilstm_head
 
@@ -86,7 +85,7 @@ def test_far_saliency_tracks_true_sensitivity(models):
         v = hh.data[:, 0, :]
         return float(np.sqrt((v * v).sum()))
 
-    leaf = _far_inputs_at_layer(far, img, layer)
+    leaf = far.tokens(img, stop=layer)[-1]  # the layer's input tokens
     base = readout(leaf)
     effects = np.zeros(cfg.tokens - 1)
     rng = np.random.default_rng(23)
@@ -177,7 +176,9 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
         calls.append(1)
         return block_forward(*args, **kwargs)
 
+    # the layer prefix runs in far_block (FarModel.tokens), the maps here
     monkeypatch.setattr(attribution, "far_block_forward", counting)
+    monkeypatch.setattr(far_block, "far_block_forward", counting)
     layer = cfg.layers - 1
     token_dependency(far, img, layer)
     assert len(calls) == layer + cfg.tokens

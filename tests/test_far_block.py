@@ -300,13 +300,10 @@ def test_replace_attention_shares_and_freezes_structure(desk_cfg):
 def test_replace_attention_rejects_bad_heads():
     cfg = ModelConfig(layers=1, dim=33, heads=2, head_dim=16,
                       patch_size=8, image_size=32)
-    teacher = None
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="dim == heads"):
         # dim != heads*head_dim fails at teacher construction already;
         # go through FarModel directly to exercise its check
-        t = TeacherModel.__new__(TeacherModel)
-        t.cfg = cfg
-        FarModel(t)
+        FarModel(cfg, {})
 
 
 def test_param_count_closed_form_matches_enumeration(desk_cfg):

@@ -4,7 +4,8 @@ import zlib
 import numpy as np
 import pytest
 
-from far import checkpoint as ckpt
+from far import checkpoint as ckpt, far_block
+from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
 from far.cli import main
@@ -14,6 +15,7 @@ from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
 from far.pruner import prune_by_threshold, shrink_model
+from far.tensor import Tensor
 from far.vit import TeacherModel
 
 from conftest import desk_config
@@ -135,6 +137,33 @@ def test_bad_config_block_is_checkpoint_error(tmp_path, capsys, fault):
     assert "error:" in capsys.readouterr().err
 
 
+def _patch_bytes(path, offset, data):
+    """Overwrite the bytes at ``offset``; the CRC stays valid."""
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(data)] = data
+    body = bytes(raw[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("fault", ["tensor count", "rank", "non-UTF-8 name",
+                                   "duplicate name"])
+def test_bad_tensor_table_is_checkpoint_error(tmp_path, capsys, fault):
+    path = tmp_path / "bad.farc"
+    one = np.zeros(1, np.float32)
+    save_checkpoint(path, desk_config(), {"a": one, "b": one})
+    (clen,) = struct.unpack_from("<I", path.read_bytes(), 8)
+    first = 20 + clen  # name length of tensor "a"; its record is 22 bytes
+    offset, data = {"tensor count": (12 + clen, struct.pack("<Q", 2 ** 32)),
+                    "rank": (first + 5, struct.pack("<I", 2 ** 30)),
+                    "non-UTF-8 name": (first + 4, b"\xff"),
+                    "duplicate name": (first + 22 + 4, b"a")}[fault]
+    _patch_bytes(path, offset, data)
+    with pytest.raises(CheckpointError, match="bad.farc"):
+        load_checkpoint(path)
+    assert main(["bench", "--checkpoint", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_models_are_born_frozen_and_build_no_graph(tmp_path):
     teacher = TeacherModel(desk_config(), seed=37)
     far = replace_attention(teacher, seed=37)
@@ -187,6 +216,70 @@ def test_load_model_reads_v1_file_with_masks(tmp_path, monkeypatch):
     assert _same_logits(far, back, 36)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("load_model must build the model from the file")
+
+
+@pytest.mark.parametrize("kind", ["teacher", "far", "shrunk"])
+def test_load_model_builds_from_the_table_and_resaves_same_bytes(
+        tmp_path, monkeypatch, kind):
+    teacher = TeacherModel(desk_config(), seed=38)
+    model = {"teacher": teacher, "far": replace_attention(teacher, seed=38),
+             "shrunk": shrink_model(_pruned_far(38))}[kind]
+    path, again = tmp_path / "a.farc", tmp_path / "b.farc"
+    save_model(model, path)
+    # a FAR file still gets a seed-0 random teacher (see load_model)
+    forbidden = ([(T, "trunc_normal")] if kind == "teacher" else
+                 [(m, n) for m in (far_block, ckpt)
+                  for n in ("init_far_block", "shrink_block")])
+    for module, name in forbidden:
+        monkeypatch.setattr(module, name, _forbidden, raising=False)
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _held_tensors(obj):
+    """Every Tensor reachable from ``obj`` through attributes and
+    containers, by id."""
+    found, seen, stack = {}, set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, Tensor):
+            found[id(o)] = o
+        elif isinstance(o, dict):
+            stack += o.values()
+        elif isinstance(o, (list, tuple)):
+            stack += o
+        elif hasattr(o, "__dict__"):
+            stack += vars(o).values()
+    return found
+
+
+def test_far_model_holds_its_parameters_and_no_attention_tensor():
+    teacher = TeacherModel(desk_config(), seed=39)
+    attention = {id(getattr(layer, k)) for layer in teacher.layers
+                 for k in ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w",
+                           "proj_b")}
+    far = replace_attention(teacher, seed=39)
+    shrunk = shrink_model(far)
+    for model in (far, shrunk):
+        named = {id(t) for t in model.named_parameters().values()}
+        assert set(_held_tensors(model)) == named
+        assert not named & attention
+    # the blocks own their arrays: LN copied from the teacher, shrunk copied
+    for a, b in zip(far.far_parameters().values(),
+                    shrunk.far_parameters().values()):
+        assert not np.shares_memory(a.data, b.data)
+    assert not any(np.shares_memory(blk.ln_g.data, layer.ln1_g.data)
+                   for blk, layer in zip(far.blocks, teacher.layers))
+    shared = set(teacher.named_parameters()) & set(far.named_parameters())
+    assert shared and all(teacher.named_parameters()[n]
+                          is far.named_parameters()[n] for n in shared)
+
+
 def _far_tensors(seed=37):
     far = replace_attention(TeacherModel(desk_config(), seed=seed), seed=seed)
     return {n: t.data for n, t in far.named_parameters().items()}
@@ -217,6 +310,10 @@ def test_load_model_rejects_disagreeing_widths(tmp_path):
     tensors = _far_tensors()
     tensors["far.1.0.rev.w_hh"] = tensors["far.1.0.rev.w_hh"][:, :5]
     with pytest.raises(CheckpointError, match=r"far\.1\.0\.rev\.b_hh has shape"):
+        load_model(_save_far(tmp_path, tensors))
+    tensors = _far_tensors()  # out_w needs one row per unit of every scan
+    tensors["far.2.out_w"] = tensors["far.2.out_w"][:-1]
+    with pytest.raises(CheckpointError, match=r"far\.2\.out_w has shape"):
         load_model(_save_far(tmp_path, tensors))
 
 
@@ -261,6 +358,8 @@ def test_config_unknown_key_and_section():
         parse_config("dim = 3\n")  # key outside a section
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[bench]\nthreads = 1\n")  # removed: nothing read it
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[distill]\ncosine_flat = true\n")  # removed: never on
 
 
 @pytest.mark.parametrize("section,key,bad,allowed", [
@@ -381,6 +480,7 @@ def test_cli_bench(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "latency_median_ms" in text
     assert "runs,3" in text
+    assert "threads" not in text  # the harness sets no thread count
 
 
 def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
