@@ -13,7 +13,18 @@ from .tensor import Tensor
 from .far_block import DIRECTIONS, bilstm_head, far_block_forward
 from .vit import TeacherModel
 
-SCALARIZATIONS = ("norm", "sum", "logit")
+SCALARIZATIONS = ("norm", "sum")
+
+# Batch x token rows per batched pass of ``token_dependency``: a pass takes
+# at most ROWS // T queries (at least 1). 65 * 65 runs every desk map
+# (T=17, T=65) in one pass. For backward, each of a FAR block's 2N scans
+# saves 8*H floats per row (4 gate activations, c, tanh(c), h and its
+# input); at DeiT-S size (T=197, N=6 heads of H=64) that is 24.6 KB per
+# f32 row, so one pass of all 197 queries (38,809 rows) would hold about
+# 0.95 GB, and a pass of ROWS // 197 = 21 queries (4,137 rows) 0.10 GB.
+# With the block's other graph nodes and the backward's temporaries, that
+# DeiT-S map (10 passes) peaks at 0.42 GB (tracemalloc, f32).
+ROWS = 65 * 65
 
 
 def _check_range(model, layer, head=None):
@@ -57,12 +68,8 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
     cls_vec = hh[:, 0, :]
     if scalarize == "norm":
         target = T.sqrt(T.tsum(T.square(cls_vec)))
-    elif scalarize == "sum":
+    else:
         target = T.tsum(cls_vec)
-    else:  # logit: push the head state through out_proj and max logit
-        full = far_block_forward(leaf, blk, directions=directions)
-        logits = model.classify(model.mlp_block(full, model.mlps[layer]))
-        target = logits[0, int(logits.data[0].argmax())]
     target.backward()
     grad = leaf.grad[0, 1:, :]  # patch tokens
     sal = np.sqrt((grad * grad).sum(axis=-1))
@@ -70,7 +77,16 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
 
 
 def token_dependency(model, image, layer, directions=DIRECTIONS):
-    """Row-normalized (T x T) dependency of output tokens on input tokens."""
+    """Row-normalized (T x T) dependency of output tokens on input tokens.
+
+    FAR: row q holds the per-token L2 norms of the gradient of output
+    token q's L2 norm with respect to the layer's input tokens. The layer
+    prefix runs once; the input is then repeated along the batch axis, one
+    batch row per query, so one block forward and one backward give the
+    rows of every query in a pass (batch rows do not interact). A pass
+    takes at most ``ROWS // T`` queries (at least 1), which bounds the
+    saved activations; a desk map is one pass.
+    """
     _check_range(model, layer)
     if isinstance(model, TeacherModel):
         _, _, attns = model.forward(image, collect_attn=True)
@@ -78,17 +94,18 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
         return dep
 
     t = model.cfg.tokens
-    dep = np.zeros((t, t))
+    dep = np.empty((t, t))
     blk = model.blocks[layer]
-    x = model.tokens(image, stop=layer)[-1].data
-    for q in range(t):
-        leaf = Tensor(x, requires_grad=True)
+    x = model.tokens(image, stop=layer)[-1].data[0]
+    step = max(1, ROWS // t)
+    for start in range(0, t, step):
+        queries = np.arange(start, min(start + step, t))
+        n = len(queries)
+        leaf = Tensor(np.repeat(x[None], n, axis=0), requires_grad=True)
         out = far_block_forward(leaf, blk, directions=directions)
-        vec = out[:, q, :]
-        target = T.sqrt(T.tsum(T.square(vec)))
-        target.backward()
-        grad = leaf.grad[0]
-        dep[q] = np.sqrt((grad * grad).sum(axis=-1))
+        vecs = out[np.arange(n), queries]  # batch row k reads its query
+        T.tsum(T.sqrt(T.tsum(T.square(vecs), axis=-1))).backward()
+        dep[queries] = np.sqrt((leaf.grad * leaf.grad).sum(axis=-1))
     row_sums = dep.sum(axis=1, keepdims=True)
     row_sums[row_sums == 0] = 1.0
     return dep / row_sums

@@ -170,10 +170,15 @@ def load_checkpoint(path):
 # -- model <-> tensor-table bridging -------------------------------------------
 
 
+def model_kind(model):
+    """The checkpoint kind of a TeacherModel or FarModel."""
+    return "far" if isinstance(model, FarModel) else "teacher"
+
+
 def save_model(model, path):
     """Serialize a TeacherModel or FarModel at its current scan widths."""
-    kind = "far" if isinstance(model, FarModel) else "teacher"
-    save_checkpoint(path, model.cfg, model.named_parameters(), kind=kind)
+    save_checkpoint(path, model.cfg, model.named_parameters(),
+                    kind=model_kind(model))
 
 
 def load_model(path):

@@ -20,11 +20,25 @@ from .far_block import FarModel, replace_attention
 from .vit import TeacherModel
 
 
-def _dataset_from_cfg(cfg, seed=None):
-    m, d = cfg["model"], cfg["data"]
+def _dataset_from_cfg(cfg, seed=None, mcfg=None):
+    """The run config's dataset, at the geometry of model config ``mcfg``
+    (a loaded model's own) when given, else of the run config."""
+    m = vars(mcfg) if mcfg else cfg["model"]
+    d = cfg["data"]
     return synth_dataset(seed if seed is not None else cfg["train"]["seed"],
                          d["n"], m["num_classes"], m["image_size"],
                          channels=m["channels"], noise=d["noise"])
+
+
+def _load_kind(path, kind):
+    """The model in checkpoint ``path``; a CheckpointError naming the file
+    unless it holds a ``kind`` model."""
+    model = ckpt.load_model(path)
+    found = ckpt.model_kind(model)
+    if found != kind:
+        raise ckpt.CheckpointError(
+            f"{path}: holds a {found} model; expected a {kind} checkpoint")
+    return model
 
 
 def cmd_train_teacher(args, cfg):
@@ -57,7 +71,7 @@ def _train_cfg(cfg, phase, lr, epochs):
 
 
 def cmd_distill(args, cfg):
-    teacher = ckpt.load_model(args.checkpoint)
+    teacher = _load_kind(args.checkpoint, "teacher")
     ds = _dataset_from_cfg(cfg, args.seed)
     far = replace_attention(teacher, seed=cfg["train"]["seed"])
     di = cfg["distill"]
@@ -71,7 +85,7 @@ def cmd_distill(args, cfg):
 
 
 def cmd_finetune(args, cfg):
-    far = ckpt.load_model(args.checkpoint)
+    far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed)
     di = cfg["distill"]
     rows = run_phase(far, None, ds,
@@ -85,7 +99,7 @@ def cmd_finetune(args, cfg):
 
 
 def cmd_prune(args, cfg):
-    far = ckpt.load_model(args.checkpoint)
+    far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed)
     pr = cfg["prune"]
     threshold = args.threshold if args.threshold is not None else pr["threshold"]
@@ -152,9 +166,12 @@ def cmd_bench(args, cfg):
 
 
 def cmd_attribute(args, cfg):
+    """Maps of the checkpoint's model, on an image of its own geometry."""
     model = ckpt.load_model(args.checkpoint)
-    ds = _dataset_from_cfg(cfg, args.seed)
-    image = ds.images[0]
+    if not 0 <= args.layer < model.cfg.layers:
+        raise ValueError(
+            f"layer {args.layer} out of range [0, {model.cfg.layers})")
+    image = _dataset_from_cfg(cfg, args.seed, model.cfg).images[0]
     mats = {}
     for head in range(model.cfg.heads):
         mats[f"saliency_l{args.layer}_h{head}"] = cls_saliency(

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from far import attribution, far_block
+from far import tensor as T
 from far.checkpoint import load_model, save_model
+from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import replace_attention
+from far.far_block import DIRECTIONS, replace_attention, shrink_block
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
                              read_heatmap_csv, token_dependency,
                              uniform_band_mass)
@@ -112,6 +114,59 @@ def test_forward_only_dependency_is_causal(models):
     assert np.abs(lower).max() <= 1e-10
 
 
+def _per_query_dependency(model, image, layer, directions):
+    """Reference map: one block forward and backward per query token."""
+    x = model.tokens(image, stop=layer)[-1].data
+    dep = np.zeros((model.cfg.tokens, model.cfg.tokens))
+    for q in range(model.cfg.tokens):
+        leaf = Tensor(x, requires_grad=True)
+        out = far_block.far_block_forward(leaf, model.blocks[layer],
+                                          directions=directions)
+        T.sqrt(T.tsum(T.square(out[:, q, :]))).backward()
+        dep[q] = np.sqrt((leaf.grad[0] ** 2).sum(axis=-1))
+    return dep / dep.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("directions", [DIRECTIONS, ("fwd",), ("rev",)])
+@pytest.mark.parametrize("widths", ["full", "shrunk"])
+def test_batched_dependency_matches_per_query_reference(directions, widths):
+    cfg = desk_config("f64")
+    far = replace_attention(TeacherModel(cfg, seed=26), seed=26)
+    if widths == "shrunk":
+        rng = np.random.default_rng(26)
+        first = np.arange(cfg.head_dim) == 0  # every scan keeps a unit
+        keep = [{d: first | (rng.random(cfg.head_dim) < 0.5)
+                 for d in DIRECTIONS} for _ in range(cfg.heads)]
+        far.blocks = [shrink_block(blk, keep) for blk in far.blocks]
+    img = np.random.default_rng(26).normal(size=(3, 32, 32))
+    for layer in (0, cfg.layers - 1):
+        np.testing.assert_allclose(
+            token_dependency(far, img, layer, directions),
+            _per_query_dependency(far, img, layer, directions),
+            rtol=0, atol=1e-12)
+
+
+# T=17: 85 rows -> passes of 5, 5, 5, 2 queries; 1 row -> 1 query a pass
+@pytest.mark.parametrize("rows,passes", [(85, 4), (1, 17)])
+def test_dependency_in_passes_matches_one_pass(models, monkeypatch, rows,
+                                               passes):
+    cfg, _, far, img = models
+    layer = cfg.layers - 1
+    one = token_dependency(far, img, layer)
+    calls = []
+    block_forward = attribution.far_block_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block_forward(*args, **kwargs)
+
+    monkeypatch.setattr(attribution, "far_block_forward", counting)
+    monkeypatch.setattr(attribution, "ROWS", rows)
+    split = token_dependency(far, img, layer)
+    assert len(calls) == passes
+    np.testing.assert_allclose(split, one, rtol=0, atol=1e-12)
+
+
 def test_band_mass_definition():
     dep = np.eye(5)
     assert band_mass(dep, width=1) == 1.0
@@ -133,8 +188,9 @@ def test_scalarization_scale_invariance_of_ranking(models):
     a = cls_saliency(far, img, 0, 0, scalarize="norm")
     b = cls_saliency(far, np.asarray(img) * 1.0, 0, 0, scalarize="norm")
     np.testing.assert_allclose(a, b, atol=1e-12)
-    with pytest.raises(ValueError):
-        cls_saliency(far, img, 0, 0, scalarize="grad-cam")
+    for bad in ("grad-cam", "logit"):
+        with pytest.raises(ValueError):
+            cls_saliency(far, img, 0, 0, scalarize=bad)
 
 
 def test_range_checks(models):
@@ -181,7 +237,7 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
     monkeypatch.setattr(far_block, "far_block_forward", counting)
     layer = cfg.layers - 1
     token_dependency(far, img, layer)
-    assert len(calls) == layer + cfg.tokens
+    assert len(calls) == layer + 1
 
 
 def test_attribution_of_loaded_model_leaves_no_parameter_grads(tmp_path):

@@ -16,7 +16,8 @@ from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import Tensor
-from far.vit import TeacherModel
+from far.attribution import read_heatmap_csv
+from far.vit import ModelConfig, TeacherModel
 
 from conftest import desk_config
 
@@ -463,6 +464,48 @@ def test_cli_missing_checkpoint_is_pipeline_error(capsys):
     assert main(["distill", "--checkpoint", "/no/such.farc",
                  "--out", "/tmp/x.farc"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,given,expected", [
+    ("distill", "far", "teacher"),
+    ("finetune", "teacher", "far"),
+    ("prune", "teacher", "far"),
+])
+def test_cli_wrong_kind_checkpoint_is_named_error(tmp_path, capsys, command,
+                                                  given, expected):
+    teacher = TeacherModel(desk_config(), seed=38)
+    model = replace_attention(teacher, seed=38) if given == "far" else teacher
+    path, out = tmp_path / f"{given}.farc", tmp_path / "out.farc"
+    save_model(model, path)
+    assert main([command, "--checkpoint", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"expected a {expected} checkpoint" in err
+    assert not out.exists()
+
+
+def test_cli_attribute_uses_the_checkpoint_image_size(tmp_path, capsys):
+    cfg = ModelConfig(layers=2, dim=32, heads=2, head_dim=16, mlp_ratio=4,
+                      patch_size=8, image_size=64, num_classes=10)
+    path = tmp_path / "far64.farc"
+    save_model(replace_attention(TeacherModel(cfg, seed=39), seed=39), path)
+    prefix = str(tmp_path / "attr_")
+    assert main(["attribute", "--checkpoint", str(path), "--layer", "1",
+                 "--out-prefix", prefix]) == 0
+    files = capsys.readouterr().out.split()
+    assert len(files) == 2 * (cfg.heads + 1)
+    dep = read_heatmap_csv(prefix + "dependency_l1.csv")
+    assert dep.shape == (cfg.tokens, cfg.tokens) == (65, 65)
+
+
+def test_cli_attribute_layer_out_of_range_is_named_error(tmp_path, capsys):
+    cfg = desk_config()
+    cfg.layers = 2
+    path = tmp_path / "far.farc"
+    save_model(replace_attention(TeacherModel(cfg, seed=40), seed=40), path)
+    assert main(["attribute", "--checkpoint", str(path), "--layer", "9",
+                 "--out-prefix", str(tmp_path / "attr_")]) == 1
+    assert "error: layer 9 out of range [0, 2)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("attr_*"))
 
 
 def test_cli_bad_config_is_pipeline_error(tmp_path, capsys):
