@@ -94,9 +94,9 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
         return dep
 
     t = model.cfg.tokens
-    dep = np.empty((t, t))
     blk = model.blocks[layer]
     x = model.tokens(image, stop=layer)[-1].data[0]
+    dep = np.empty((t, t), x.dtype)
     step = max(1, ROWS // t)
     for start in range(0, t, step):
         queries = np.arange(start, min(start + step, t))

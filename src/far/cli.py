@@ -72,7 +72,7 @@ def _train_cfg(cfg, phase, lr, epochs):
 
 def cmd_distill(args, cfg):
     teacher = _load_kind(args.checkpoint, "teacher")
-    ds = _dataset_from_cfg(cfg, args.seed)
+    ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
     far = replace_attention(teacher, seed=cfg["train"]["seed"])
     di = cfg["distill"]
     rows = run_phase(far, teacher, ds,
@@ -86,7 +86,7 @@ def cmd_distill(args, cfg):
 
 def cmd_finetune(args, cfg):
     far = _load_kind(args.checkpoint, "far")
-    ds = _dataset_from_cfg(cfg, args.seed)
+    ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
     di = cfg["distill"]
     rows = run_phase(far, None, ds,
                      _train_cfg(cfg, "finetune", di["finetune_lr"],
@@ -100,7 +100,7 @@ def cmd_finetune(args, cfg):
 
 def cmd_prune(args, cfg):
     far = _load_kind(args.checkpoint, "far")
-    ds = _dataset_from_cfg(cfg, args.seed)
+    ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
     pr = cfg["prune"]
     threshold = args.threshold if args.threshold is not None else pr["threshold"]
     reg_coeff = args.reg_coeff if args.reg_coeff is not None else pr["reg_coeff"]
@@ -141,7 +141,9 @@ def cmd_flops(args, cfg):
 
 def cmd_bench(args, cfg):
     """Latency and cost of one model; with --checkpoint, the checkpoint's
-    own config, kind and scan widths describe what is measured."""
+    own config, kind and scan widths describe what is measured. The
+    report gives the config's precision and the dtype of the logits the
+    measured forward produced."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
     else:
@@ -152,8 +154,12 @@ def cmd_bench(args, cfg):
     rng = np.random.default_rng(args.seed or 0)
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)
-    stats = profiler.bench_latency(lambda: model.forward(image),
-                                   warmups=cfg["bench"]["warmups"],
+    logits = {}
+
+    def forward():
+        logits["last"] = model.forward(image)[0]
+
+    stats = profiler.bench_latency(forward, warmups=cfg["bench"]["warmups"],
                                    runs=cfg["bench"]["runs"])
     if isinstance(model, FarModel):
         report = profiler.cost_report(mcfg, "far", masks=model.masks)
@@ -161,6 +167,8 @@ def cmd_bench(args, cfg):
         report = profiler.cost_report(mcfg, "attention")
     report.latency_ms = {k: stats[k] for k in ("median", "mean", "p10", "p90")}
     report.runs, report.warmups = stats["runs"], stats["warmups"]
+    report.precision = mcfg.precision
+    report.dtype = str(logits["last"].dtype)
     print(report.csv(), end="")
     return 0
 

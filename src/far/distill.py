@@ -95,9 +95,11 @@ def similarity_loss(x_teacher, x_student):
     vectors, which is algebraically identical but returns an exact zero
     when student and teacher coincide bitwise. Per-token over the
     feature axis, averaged over tokens and batch. Zero-norm tokens
-    contribute a fixed loss of 1 and are excluded from the gradient.
+    contribute a fixed loss of 1 and are excluded from the gradient. The
+    target and every constant are taken at the student's dtype.
     """
-    t_data = x_teacher.data if isinstance(x_teacher, Tensor) else np.asarray(x_teacher)
+    t_data = np.asarray(x_teacher.data if isinstance(x_teacher, Tensor)
+                        else x_teacher, x_student.dtype)
     if t_data.shape != x_student.shape:
         raise T.ShapeError(
             f"similarity_loss shape mismatch: {t_data.shape} vs {x_student.shape}")
@@ -112,12 +114,12 @@ def similarity_loss(x_teacher, x_student):
     v = valid.astype(t_data.dtype)
     # normalize both sides with the same reciprocal-multiply sequence so
     # that identical inputs cancel exactly
-    s_inv = Tensor(1.0) / T.sqrt(s_sq * Tensor(v) + Tensor(1.0 - v))
-    s_hat = x_student * T.reshape(s_inv * Tensor(v), s_sq.shape + (1,))
+    s_inv = 1.0 / T.sqrt(s_sq * v + (1.0 - v))
+    s_hat = x_student * T.reshape(s_inv * v, s_sq.shape + (1,))
     t_inv = 1.0 / np.sqrt(np.where(valid, t_sq, 1.0))
     t_hat = t_data * (t_inv * v)[..., None]
-    per_token = T.tsum(T.square(s_hat - Tensor(t_hat)), axis=-1) * Tensor(0.5)
-    return T.mean(per_token + Tensor(1.0 - v))
+    per_token = T.tsum(T.square(s_hat - t_hat), axis=-1) * 0.5
+    return T.mean(per_token + (1.0 - v))
 
 
 def combined_loss(sims, logits, labels, lam):

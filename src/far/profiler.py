@@ -24,6 +24,8 @@ class CostReport:
     latency_ms: dict = field(default_factory=dict)
     runs: int = 0
     warmups: int = 0
+    precision: str = ""  # the model config's
+    dtype: str = ""      # of the measured forward's logits
 
     def csv(self):
         lines = ["metric,value",
@@ -36,6 +38,8 @@ class CostReport:
             lines.append(f"latency_{k}_ms,{v:.6f}")
         if self.runs:
             lines += [f"runs,{self.runs}", f"warmups,{self.warmups}"]
+        if self.dtype:
+            lines += [f"precision,{self.precision}", f"dtype,{self.dtype}"]
         return "\n".join(lines) + "\n"
 
 

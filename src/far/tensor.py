@@ -7,7 +7,10 @@ included, is created with ``requires_grad=False``; the training phases
 mark what they train (``distill.freeze_plan``), so a forward through a
 frozen model builds no graph. Reductions delegate to numpy's fixed
 left-to-right accumulation, so repeated runs with identical inputs are
-bit-identical.
+bit-identical. A graph computes at its inputs' dtype: a constant operand
+of ``add``, ``mul`` or ``div`` takes the Tensor operand's dtype
+(``_operands``), so a float32 model's activations, gradients and
+optimizer state stay float32.
 """
 
 import math
@@ -146,6 +149,9 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
+    def __rtruediv__(self, other):
+        return div(other, self)
+
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -201,8 +207,22 @@ def _unbroadcast(g, shape):
 
 # -- arithmetic primitives ----------------------------------------------------
 
+def _operands(a, b):
+    """``a`` and ``b`` as Tensors. A constant operand that is not a Tensor
+    (a Python or numpy scalar, or a 0-d array) takes the dtype of the other
+    operand, so a float32 graph stays float32: numpy >= 2 would otherwise
+    promote it to the constant's float64 (NEP 50)."""
+    if not isinstance(b, Tensor) and np.ndim(b) == 0:
+        a = as_tensor(a)
+        return a, Tensor(np.asarray(b, a.dtype))
+    if not isinstance(a, Tensor) and np.ndim(a) == 0:
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, b.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -215,7 +235,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -228,7 +248,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def backward(g):

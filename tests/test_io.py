@@ -1,8 +1,12 @@
+import contextlib
+import io
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from far import checkpoint as ckpt, far_block
 from far import tensor as T
@@ -526,6 +530,20 @@ def test_cli_bench(tmp_path, capsys):
     assert "threads" not in text  # the harness sets no thread count
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant", ["attention", "far"])
+def test_cli_bench_reports_the_dtype_it_measured(tmp_path, capsys, variant,
+                                                 precision):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[model]\nprecision = {precision}\n"
+                       "[bench]\nruns = 1\nwarmups = 0\n")
+    assert main(["bench", "--config", str(cfgfile),
+                 "--variant", variant]) == 0
+    report = dict(l.split(",") for l in capsys.readouterr().out.splitlines())
+    assert report["precision"] == precision
+    assert report["dtype"] == {"f32": "float32", "f64": "float64"}[precision]
+
+
 def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -570,3 +588,60 @@ def test_full_pipeline_determinism(tmp_path):
         return path.read_bytes()
 
     assert run("one") == run("two")
+
+
+def test_cli_training_commands_use_checkpoint_geometry(tmp_path, capsys):
+    cfg = desk_config()
+    cfg.image_size = 64
+    path = tmp_path / "far64.farc"
+    save_model(replace_attention(TeacherModel(cfg, seed=45), seed=45), path)
+    cfgfile = tmp_path / "run.cfg"  # [model] keeps the 32-px default
+    cfgfile.write_text("[distill]\nfinetune_epochs = 1\n[data]\nn = 20\n")
+    out = tmp_path / "ft.farc"
+    assert main(["finetune", "--config", str(cfgfile), "--checkpoint",
+                 str(path), "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert load_model(out).cfg.image_size == 64
+
+
+# -- any damaged byte is a named error ------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_far_file(tmp_path_factory):
+    cfg = desk_config()
+    cfg.layers = 1
+    path = tmp_path_factory.mktemp("ckpt") / "far.farc"
+    save_model(replace_attention(TeacherModel(cfg, seed=46), seed=46), path)
+    return path, path.read_bytes()
+
+
+def _assert_named_failure(path):
+    with pytest.raises(CheckpointError, match=path.name):
+        load_model(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["bench", "--checkpoint", str(path)]) == 1
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_any_truncation_is_checkpoint_error(small_far_file, data):
+    path, raw = small_far_file
+    keep = data.draw(st.integers(0, len(raw) - 1))
+    bad = path.with_name("truncated.farc")
+    bad.write_bytes(raw[:keep])
+    _assert_named_failure(bad)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_any_bit_flip_is_checkpoint_error(small_far_file, data):
+    path, raw = small_far_file
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    bad = path.with_name("flipped.farc")
+    bad.write_bytes(bytes(flipped))
+    _assert_named_failure(bad)

@@ -296,3 +296,20 @@ def test_primitive_gradient_property_sweep():
     x0 = rng.normal(size=(10, 5))
     idx = rng.choice(50, size=50, replace=False)
     fd_check(composite, x0, rel=1e-5, samples=idx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("const", [0.3, np.float64(0.3), np.array(0.3), 3])
+@pytest.mark.parametrize("op", ["add", "rsub", "mul", "rdiv", "div"])
+def test_scalar_constant_takes_the_tensor_dtype(dtype, const, op):
+    x = Tensor(np.array([1.5, -2.0, 4.0], dtype), requires_grad=True)
+    y = {"add": lambda: x + const, "rsub": lambda: const - x,
+         "mul": lambda: x * const, "rdiv": lambda: const / x,
+         "div": lambda: x / const}[op]()
+    assert y.dtype == dtype
+    want = {"add": lambda a, c: a + c, "rsub": lambda a, c: c - a,
+            "mul": lambda a, c: a * c, "rdiv": lambda a, c: c / a,
+            "div": lambda a, c: a / c}[op](x.data, dtype(const))
+    assert np.array_equal(y.data, want)
+    T.tsum(y).backward()
+    assert x.grad.dtype == dtype
