@@ -1,9 +1,11 @@
 """Gradient-based interpretability: CLS-to-patch saliency and full
 token-to-token dependency matrices.
 
-Teacher maps come straight from softmax attention weights; FAR maps are
-gradient attributions obtained by backpropagating a scalar readout of a
-block's output tokens to the block's input tokens.
+Teacher maps come straight from the layer's softmax attention weights;
+FAR maps are gradient attributions obtained by backpropagating a scalar
+readout of a block's output tokens to the block's input tokens. Both
+start from the layer's input, the prefix of the model's one layer loop
+(``Backbone.tokens``).
 """
 
 import numpy as np
@@ -12,8 +14,6 @@ from . import tensor as T
 from .tensor import Tensor
 from .far_block import DIRECTIONS, bilstm_head, far_block_forward
 from .vit import TeacherModel
-
-SCALARIZATIONS = ("norm", "sum")
 
 # Batch x token rows per batched pass of ``token_dependency``: a pass takes
 # at most ROWS // T queries (at least 1). 65 * 65 runs every desk map
@@ -41,36 +41,29 @@ def _minmax(arr):
     return (arr - lo) / (hi - lo)
 
 
-def cls_saliency(model, image, layer, head, scalarize="norm",
-                 directions=DIRECTIONS):
+def cls_saliency(model, image, layer, head, directions=DIRECTIONS):
     """(grid x grid) min-max normalized importance of patches to the CLS.
 
     Teacher: the CLS row of the layer/head softmax attention. FAR: the
-    magnitude of the gradient of a scalar readout of the head's CLS
-    hidden state with respect to the layer's input tokens.
+    magnitude of the gradient of the L2 norm of the head's CLS hidden
+    state with respect to the layer's input tokens. Either runs the
+    layer prefix once, then the one layer.
     """
     _check_range(model, layer, head)
     g = model.cfg.grid
+    x = model.tokens(image, stop=layer)[-1]
     if isinstance(model, TeacherModel):
-        _, _, attns = model.forward(image, collect_attn=True)
-        row = attns[layer].data[0, head, 0, 1:]  # CLS row, patch columns
-        return _minmax(row.reshape(g, g))
+        attn = model.attention_block(x, model.layers[layer])[1]
+        return _minmax(attn.data[0, head, 0, 1:].reshape(g, g))
 
-    if scalarize not in SCALARIZATIONS:
-        raise ValueError(f"unknown scalarization {scalarize!r}")
     # the layer's input as a leaf: on a frozen model, the only grad tensor
-    leaf = Tensor(model.tokens(image, stop=layer)[-1].data, requires_grad=True)
+    leaf = Tensor(x.data, requires_grad=True)
     blk = model.blocks[layer]
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.matmul(h, blk.in_w) + blk.in_b
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
     hh = bilstm_head(sub, blk.heads[head], directions=directions)
-    cls_vec = hh[:, 0, :]
-    if scalarize == "norm":
-        target = T.sqrt(T.tsum(T.square(cls_vec)))
-    else:
-        target = T.tsum(cls_vec)
-    target.backward()
+    T.sqrt(T.tsum(T.square(hh[:, 0, :]))).backward()
     grad = leaf.grad[0, 1:, :]  # patch tokens
     sal = np.sqrt((grad * grad).sum(axis=-1))
     return _minmax(sal.reshape(g, g))
@@ -79,23 +72,24 @@ def cls_saliency(model, image, layer, head, scalarize="norm",
 def token_dependency(model, image, layer, directions=DIRECTIONS):
     """Row-normalized (T x T) dependency of output tokens on input tokens.
 
-    FAR: row q holds the per-token L2 norms of the gradient of output
-    token q's L2 norm with respect to the layer's input tokens. The layer
-    prefix runs once; the input is then repeated along the batch axis, one
-    batch row per query, so one block forward and one backward give the
-    rows of every query in a pass (batch rows do not interact). A pass
-    takes at most ``ROWS // T`` queries (at least 1), which bounds the
-    saved activations; a desk map is one pass.
+    Teacher: the layer's head-averaged softmax attention, whose rows sum
+    to 1. FAR: row q holds the per-token L2 norms of the gradient of
+    output token q's L2 norm with respect to the layer's input tokens.
+    Either runs the layer prefix once. For FAR the input is then repeated
+    along the batch axis, one batch row per query, so one block forward
+    and one backward give the rows of every query in a pass (batch rows
+    do not interact). A pass takes at most ``ROWS // T`` queries (at
+    least 1), which bounds the saved activations; a desk map is one pass.
     """
     _check_range(model, layer)
+    x = model.tokens(image, stop=layer)[-1]
     if isinstance(model, TeacherModel):
-        _, _, attns = model.forward(image, collect_attn=True)
-        dep = attns[layer].data[0].mean(axis=0)  # head-averaged, rows sum to 1
-        return dep
+        attn = model.attention_block(x, model.layers[layer])[1]
+        return attn.data[0].mean(axis=0)
 
     t = model.cfg.tokens
     blk = model.blocks[layer]
-    x = model.tokens(image, stop=layer)[-1].data[0]
+    x = x.data[0]
     dep = np.empty((t, t), x.dtype)
     step = max(1, ROWS // t)
     for start in range(0, t, step):

@@ -80,7 +80,8 @@ def cmd_distill(args, cfg):
     ckpt.save_model(far, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
-    print(f"distilled; final sim_mean {rows[-1]['sim_mean']:.4f}; saved {args.out}")
+    sim = rows[-1]["sim_mean"] if rows else float("nan")
+    print(f"distilled; final sim_mean {sim:.4f}; saved {args.out}")
     return 0
 
 
@@ -94,7 +95,7 @@ def cmd_finetune(args, cfg):
     ckpt.save_model(far, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
-    print(f"finetuned; train acc {rows[-1]['acc']:.3f}; saved {args.out}")
+    print(f"finetuned; train acc {accuracy(far, ds):.3f}; saved {args.out}")
     return 0
 
 
@@ -111,9 +112,7 @@ def cmd_prune(args, cfg):
     rows = []
     report = pruner.three_stage_pipeline(
         far, None, ds, reg_cfg, tune_cfg, tau=threshold,
-        mode=pr["threshold_mode"], reg_coeff=reg_coeff,
-        extension=pr["extension"], penalty_reduce=pr["penalty_reduce"],
-        log_rows=rows)
+        mode=pr["threshold_mode"], reg_coeff=reg_coeff, log_rows=rows)
     ckpt.save_model(far, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
@@ -140,16 +139,17 @@ def cmd_flops(args, cfg):
 
 
 def cmd_bench(args, cfg):
-    """Latency and cost of one model; with --checkpoint, the checkpoint's
-    own config, kind and scan widths describe what is measured. The
-    report gives the config's precision and the dtype of the logits the
-    measured forward produced."""
+    """Latency and cost of one model: a random model of the run config
+    (--variant), or with --checkpoint the checkpoint's, whose own config,
+    kind and scan widths describe what is measured. The report gives the
+    config's precision and the dtype of the logits the measured forward
+    produced."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
     else:
         teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
-        model = (replace_attention(teacher) if args.variant == "far"
-                 else teacher)
+        model = (teacher if args.variant == "attention"
+                 else replace_attention(teacher))
     mcfg = model.cfg
     rng = np.random.default_rng(args.seed or 0)
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
@@ -198,45 +198,43 @@ def build_parser():
                     "prune, profile, attribute.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, out=False):
+    def command(name, about, seed=True):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", default=None, help="run config file")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        return p
+
+    def training(name, about, checkpoint=True):
+        p = command(name, about)
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
-        if out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
         p.add_argument("--log", default=None, help="metrics CSV path")
+        return p
 
-    p = sub.add_parser("train-teacher", help="train the attention teacher")
-    common(p, out=True)
-
-    p = sub.add_parser("distill", help="replace attention and distill")
-    common(p, checkpoint=True, out=True)
-
-    p = sub.add_parser("finetune", help="unfreeze everything, task loss only")
-    common(p, checkpoint=True, out=True)
-
-    p = sub.add_parser("prune", help="three-stage Group-HS pruning")
-    common(p, checkpoint=True, out=True)
+    training("train-teacher", "train the attention teacher", checkpoint=False)
+    training("distill", "replace attention and distill")
+    training("finetune", "unfreeze everything, task loss only")
+    p = training("prune", "three-stage Group-HS pruning")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--reg-coeff", type=float, default=None)
     p.add_argument("--report", default="retention.csv")
 
-    p = sub.add_parser("params", help="closed-form parameter counts")
-    common(p)
+    command("params", "closed-form parameter counts", seed=False)
 
-    p = sub.add_parser("flops", help="closed-form compute counts")
-    common(p)
+    p = command("flops", "closed-form compute counts", seed=False)
     p.add_argument("--variant", choices=("attention", "far"), default="far")
     p.add_argument("--image-size", type=int, default=None)
 
-    p = sub.add_parser("bench", help="wall-clock latency harness")
-    common(p)
-    p.add_argument("--variant", choices=("attention", "far"), default="far")
-    p.add_argument("--checkpoint", default=None)
+    p = command("bench", "wall-clock latency harness")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--variant", choices=("attention", "far"),
+                       help="a random model of the run config (default far)")
+    model.add_argument("--checkpoint", default=None)
 
-    p = sub.add_parser("attribute", help="saliency and dependency heatmaps")
-    common(p, checkpoint=True)
+    p = command("attribute", "saliency and dependency heatmaps")
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--out-prefix", default="attr_")
     return ap

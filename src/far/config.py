@@ -1,7 +1,7 @@
 """Line-oriented run configuration: ``key = value`` pairs under
 ``[section]`` headers. Unknown sections or keys are errors; every key
-has a documented default, and a string key listed in ``CHOICES`` takes
-only the values listed there.
+has a documented default, a string key listed in ``CHOICES`` takes only
+the values listed there, and a key listed in ``MINIMUM`` no smaller value.
 """
 
 # section -> key -> (type, default)
@@ -24,8 +24,7 @@ SCHEMA = {
     },
     "prune": {
         "reg_coeff": (float, 1e-4), "threshold": (float, 1e-4),
-        "threshold_mode": (str, "absolute"), "extension": (bool, True),
-        "penalty_reduce": (str, "sum"),
+        "threshold_mode": (str, "absolute"),
         "reg_epochs": (int, 20), "reg_lr": (float, 5e-5),
         "reg_weight_decay": (float, 0.0),
         "finetune_epochs": (int, 20), "finetune_lr": (float, 5e-5),
@@ -43,8 +42,11 @@ SCHEMA = {
 CHOICES = {
     ("model", "precision"): ("f32", "f64"),
     ("prune", "threshold_mode"): ("absolute", "relative"),
-    ("prune", "penalty_reduce"): ("sum", "mean"),
 }
+
+# (section, key) -> the least value a numeric key may take. ``[model]``
+# sizes are checked by ``ModelConfig``; an epoch count of 0 trains nothing.
+MINIMUM = {("train", "batch_size"): 1, ("data", "noise"): 0.0}
 
 
 class ConfigError(ValueError):
@@ -53,20 +55,19 @@ class ConfigError(ValueError):
 
 def _coerce(section, key, raw):
     typ, _ = SCHEMA[section][key]
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected boolean, got {raw!r}")
     choices = CHOICES.get((section, key))
     if choices is not None and raw not in choices:
         raise ConfigError(f"[{section}] {key}: expected one of "
                           f"{', '.join(choices)}, got {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    least = MINIMUM.get((section, key))
+    if least is not None and value < least:
+        raise ConfigError(
+            f"[{section}] {key}: expected at least {least}, got {raw!r}")
+    return value
 
 
 def default_config():

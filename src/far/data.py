@@ -16,8 +16,6 @@ class Dataset:
     labels: np.ndarray  # (n,) int64
     train_idx: np.ndarray
     val_idx: np.ndarray
-    seed: int
-    classes: int
 
     def split(self, which="train"):
         idx = self.train_idx if which == "train" else self.val_idx
@@ -60,5 +58,4 @@ def synth_dataset(seed, n, classes, image_size, channels=3, noise=0.25):
     return Dataset(images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
                    train_idx=np.array(train_idx, dtype=np.int64),
-                   val_idx=np.array(val_idx, dtype=np.int64),
-                   seed=seed, classes=classes)
+                   val_idx=np.array(val_idx, dtype=np.int64))

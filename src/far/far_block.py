@@ -393,19 +393,8 @@ class FarModel(Backbone):
         return [{h: {d: live_units(blk, h, d) for d in DIRECTIONS}
                  for h in range(len(blk.heads))} for blk in self.blocks]
 
-    def tokens(self, image, stop=None, directions=DIRECTIONS):
-        """Patch embedding of ``image``, then the output of each layer below
-        ``stop`` (of every layer by default)."""
-        xs = [self.patch_embed(image)]
-        for blk, mlp in zip(self.blocks[:stop], self.mlps):
-            y = far_block_forward(xs[-1], blk, directions=directions)
-            xs.append(self.mlp_block(y, mlp))
-        return xs
-
-    def forward(self, image, directions=DIRECTIONS):
-        """Returns (logits, block_outputs)."""
-        xs = self.tokens(image, directions=directions)
-        return self.classify(xs[-1]), xs[1:]
+    def mix(self, x, i):
+        return far_block_forward(x, self.blocks[i])
 
 
 def replace_attention(teacher, seed=0):

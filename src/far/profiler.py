@@ -2,7 +2,7 @@
 
 Compute counts follow the MAC-dominant convention used for the DeiT
 family (one multiply-accumulate counted once; normalization, softmax and
-activation costs only included in verbose mode). Latency follows the
+activation costs are not counted). Latency follows the
 warmup-then-median protocol. The harness sets no thread count: numpy's
 BLAS runs with whatever its environment sets.
 """
@@ -91,18 +91,15 @@ def count_params(cfg, variant, masks=None):
     return total
 
 
-def _attn_layer_flops(cfg, t, verbose=False):
+def _attn_layer_flops(cfg, t):
     d, n, dh = cfg.dim, cfg.heads, cfg.head_dim
-    macs = (t * d * 3 * d          # QKV projection
+    return (t * d * 3 * d          # QKV projection
             + 2 * n * t * t * dh   # scores + attention-weighted values
             + t * d * d            # output projection
             + 2 * t * d * cfg.mlp_ratio * d)  # MLP
-    if verbose:
-        macs += 2 * t * d + n * t * t + t * cfg.mlp_ratio * d  # LN/softmax/act
-    return macs
 
 
-def _far_layer_flops(cfg, t, live=None, verbose=False):
+def _far_layer_flops(cfg, t, live=None):
     d, dh = cfg.dim, cfg.head_dim
     macs = t * d * d  # in_proj
     retained_sum = 0
@@ -113,8 +110,6 @@ def _far_layer_flops(cfg, t, live=None, verbose=False):
             retained_sum += k
     macs += t * retained_sum * d            # out_proj
     macs += 2 * t * d * cfg.mlp_ratio * d   # MLP
-    if verbose:
-        macs += 2 * t * d + t * cfg.mlp_ratio * d
     return macs
 
 
@@ -124,7 +119,7 @@ def tokens_for_image(cfg, image_size):
 
 
 def count_flops(cfg, variant, t=None, image_size=None, masks=None,
-                verbose=False, breakdown=False):
+                breakdown=False):
     """MAC count of one forward pass at sequence length ``t``."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -136,10 +131,10 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
     per_layer = []
     for l in range(cfg.layers):
         if variant == "attention":
-            per_layer.append(_attn_layer_flops(cfg, t, verbose))
+            per_layer.append(_attn_layer_flops(cfg, t))
         else:
             per_layer.append(_far_layer_flops(
-                cfg, t, None if masks is None else masks[l], verbose))
+                cfg, t, None if masks is None else masks[l]))
     total = embed + head + sum(per_layer)
     if breakdown:
         return total, per_layer

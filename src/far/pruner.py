@@ -107,16 +107,16 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     return total
 
 
-def unit_importance(block: FarBlockParams, head, direction, extension=True):
-    """Composite row L2 norms used for threshold selection."""
-    p = block.heads[head][direction]
-    opr = _out_proj_slice(block, head, direction) if extension else None
-    wl = composite_matrix(p, opr, extension=extension)
+def unit_importance(block: FarBlockParams, head, direction):
+    """Row L2 norms of the extended composite (every weight coupled to a
+    unit), used for threshold selection."""
+    wl = composite_matrix(block.heads[head][direction],
+                          _out_proj_slice(block, head, direction),
+                          extension=True)
     return np.sqrt((wl.data * wl.data).sum(axis=1))
 
 
-def prune_by_threshold(far_model: FarModel, tau, mode="absolute",
-                       extension=True):
+def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
     """Zero, in place, every unit whose composite row norm is at most tau.
 
     ``mode='relative'`` interprets tau as a fraction of the scan's max
@@ -128,7 +128,7 @@ def prune_by_threshold(far_model: FarModel, tau, mode="absolute",
     for blk in far_model.blocks:
         for h, head in enumerate(blk.heads):
             for d in DIRECTIONS:
-                norms = unit_importance(blk, h, d, extension=extension)
+                norms = unit_importance(blk, h, d)
                 cut = tau * norms.max() if mode == "relative" else tau
                 drop = ~(norms > cut)
                 drop[int(norms.argmax())] = False
@@ -177,7 +177,7 @@ def report_to_csv(rows, path):
 
 def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                          tau=1e-4, mode="absolute", reg_coeff=1e-4,
-                         extension=True, penalty_reduce="sum", log_rows=None):
+                         log_rows=None):
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
     ``far_model`` is shrunk in place: its blocks are replaced.
@@ -187,14 +187,13 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
     reg_cfg.phase = "prune-regularize"
     if reg_coeff > 0:
         def extra():
-            return hoyer_penalty_total(
-                far_model, extension=False, reduce=penalty_reduce) * reg_coeff
+            return hoyer_penalty_total(far_model) * reg_coeff
     else:
         extra = None
     run_phase(far_model, teacher, dataset, reg_cfg,
               extra_loss=extra, log_rows=log_rows)
 
-    prune_by_threshold(far_model, tau, mode=mode, extension=extension)
+    prune_by_threshold(far_model, tau, mode=mode)
     far_model.blocks = shrink_model(far_model).blocks
 
     tune_cfg.phase = "prune-finetune"

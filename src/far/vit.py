@@ -3,13 +3,15 @@ its FAR substitute.
 
 A model is a backbone (patch embedding, CLS token and positions, the
 per-layer MLP sublayers, the final norm and the head) plus a token mixer
-per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). The teacher's mixer
-is pre-norm self-attention, and its forward pass records every block
-output so substitute blocks can be supervised against them. Every model is
-built from a table mapping tensor names to arrays or Tensors (``take``).
+per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). ``Backbone`` runs
+that layer loop for every model, which supplies only ``mix``; the forward
+pass records every block output so substitute blocks can be supervised
+against the teacher's. The teacher's mixer is pre-norm self-attention.
+Every model is built from a table mapping tensor names to arrays or
+Tensors (``take``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,10 @@ class ModelConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and value <= 0:
+                raise ShapeError(f"{f.name} must be positive, got {value}")
         if self.image_size % self.patch_size != 0:
             raise ShapeError(
                 f"patch size {self.patch_size} does not divide image size "
@@ -100,7 +106,9 @@ def _draw(rng, name, shape, precision):
 
 class Backbone:
     """A model less its token mixers; ``backbone`` maps its tensor names to
-    the Tensors taken from the table, which a FAR model shares."""
+    the Tensors taken from the table, which a FAR model shares. A subclass
+    supplies ``mix(x, i)``: layer i's token mixer with its residual,
+    x + Mixer_i(x)."""
 
     def __init__(self, cfg: ModelConfig, tensors):
         cfg.check_heads()
@@ -149,6 +157,19 @@ class Backbone:
         cls = h[:, 0, :]
         return T.matmul(cls, self.head_w) + self.head_b
 
+    def tokens(self, image, stop=None):
+        """Patch embedding of ``image``, then the output of each layer below
+        ``stop`` (of every layer by default)."""
+        xs = [self.patch_embed(image)]
+        for i, mlp in enumerate(self.mlps[:stop]):
+            xs.append(self.mlp_block(self.mix(xs[-1], i), mlp))
+        return xs
+
+    def forward(self, image):
+        """Returns (logits, block_outputs)."""
+        xs = self.tokens(image)
+        return self.classify(xs[-1]), xs[1:]
+
 
 class TeacherModel(Backbone):
     """The backbone with multi-head self-attention as every token mixer;
@@ -196,17 +217,5 @@ class TeacherModel(Backbone):
         y = x + (T.matmul(out, layer.proj_w) + layer.proj_b)
         return y, attn
 
-    def forward(self, image, collect_attn=False):
-        """Returns (logits, block_outputs[, attn_maps])."""
-        x = self.patch_embed(image)
-        blocks, attns = [], []
-        for layer in self.layers:
-            y, attn = self.attention_block(x, layer)
-            x = self.mlp_block(y, layer)
-            blocks.append(x)
-            if collect_attn:
-                attns.append(attn)
-        logits = self.classify(x)
-        if collect_attn:
-            return logits, blocks, attns
-        return logits, blocks
+    def mix(self, x, i):
+        return self.attention_block(x, self.layers[i])[0]

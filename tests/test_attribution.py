@@ -32,6 +32,37 @@ def test_teacher_dependency_rows_are_probabilities(models):
     assert (dep >= 0).all()
 
 
+def _full_forward_attention(teacher, image):
+    """Reference: every layer's attention weights from one full forward,
+    whose logits must equal the model's own forward bit for bit."""
+    x = teacher.patch_embed(image)
+    attns = []
+    for layer in teacher.layers:
+        y, attn = teacher.attention_block(x, layer)
+        x = teacher.mlp_block(y, layer)
+        attns.append(attn.data[0])
+    np.testing.assert_array_equal(teacher.classify(x).data,
+                                  teacher.forward(image)[0].data)
+    return attns
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_teacher_maps_equal_full_forward_attention(precision):
+    cfg = desk_config(precision)
+    teacher = TeacherModel(cfg, seed=26)
+    img = np.random.default_rng(26).normal(size=(3, 32, 32))
+    attns = _full_forward_attention(teacher, img)
+    for layer, attn in enumerate(attns):
+        dep = token_dependency(teacher, img, layer)
+        assert dep.dtype == attn.dtype
+        assert np.array_equal(dep, attn.mean(axis=0))
+        for head in range(cfg.heads):
+            row = attn[head, 0, 1:]  # CLS row, patch columns
+            want = (row - row.min()) / (row.max() - row.min())
+            sal = cls_saliency(teacher, img, layer, head)
+            assert np.array_equal(sal, want.reshape(cfg.grid, cfg.grid))
+
+
 def test_far_dependency_rows_normalized(models):
     cfg, _, far, img = models
     dep = token_dependency(far, img, layer=0)
@@ -73,7 +104,7 @@ def test_far_saliency_tracks_true_sensitivity(models):
     from scipy.stats import spearmanr
     cfg, _, far, img = models
     layer, head = 0, 0
-    sal = cls_saliency(far, img, layer, head, scalarize="norm").ravel()
+    sal = cls_saliency(far, img, layer, head).ravel()
 
     from far import tensor as T
     from far.far_block import bilstm_head
@@ -185,12 +216,9 @@ def test_far_dependency_is_diagonally_concentrated(models):
 
 def test_scalarization_scale_invariance_of_ranking(models):
     cfg, _, far, img = models
-    a = cls_saliency(far, img, 0, 0, scalarize="norm")
-    b = cls_saliency(far, np.asarray(img) * 1.0, 0, 0, scalarize="norm")
+    a = cls_saliency(far, img, 0, 0)
+    b = cls_saliency(far, np.asarray(img) * 1.0, 0, 0)
     np.testing.assert_allclose(a, b, atol=1e-12)
-    for bad in ("grad-cam", "logit"):
-        with pytest.raises(ValueError):
-            cls_saliency(far, img, 0, 0, scalarize=bad)
 
 
 def test_range_checks(models):
@@ -232,7 +260,7 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
         calls.append(1)
         return block_forward(*args, **kwargs)
 
-    # the layer prefix runs in far_block (FarModel.tokens), the maps here
+    # the layer prefix runs in far_block (FarModel.mix), the maps here
     monkeypatch.setattr(attribution, "far_block_forward", counting)
     monkeypatch.setattr(far_block, "far_block_forward", counting)
     layer = cfg.layers - 1

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import struct
 import zlib
@@ -12,14 +14,14 @@ from far import checkpoint as ckpt, far_block
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
-from far.cli import main
+from far.cli import build_parser, main
 from far.config import (ConfigError, default_config, load_config,
                         parse_config, render_config)
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
 from far.pruner import prune_by_threshold, shrink_model
-from far.tensor import Tensor
+from far.tensor import ShapeError, Tensor
 from far.attribution import read_heatmap_csv
 from far.vit import ModelConfig, TeacherModel
 
@@ -350,7 +352,7 @@ def test_config_parse_render_round_trip():
     cfg = default_config()
     cfg["model"]["dim"] = 64
     cfg["distill"]["lam"] = 0.5
-    cfg["prune"]["extension"] = False
+    cfg["prune"]["threshold_mode"] = "relative"
     assert parse_config(render_config(cfg)) == cfg
 
 
@@ -365,12 +367,14 @@ def test_config_unknown_key_and_section():
         parse_config("[bench]\nthreads = 1\n")  # removed: nothing read it
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[distill]\ncosine_flat = true\n")  # removed: never on
+    for removed in ("extension = true", "penalty_reduce = sum"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"[prune]\n{removed}\n")  # removed: one value used
 
 
 @pytest.mark.parametrize("section,key,bad,allowed", [
     ("model", "precision", "f16", "f32, f64"),
     ("prune", "threshold_mode", "percentile", "absolute, relative"),
-    ("prune", "penalty_reduce", "max", "sum, mean"),
 ])
 def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
                                               bad, allowed):
@@ -383,11 +387,27 @@ def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,bad,least", [
+    ("train", "batch_size", "0", "1"),
+    ("data", "noise", "-0.5", "0.0"),
+])
+def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
+                                            bad, least):
+    text = f"[{section}]\n{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=f"{key}: expected at least {least}"):
+        parse_config(text)
+    path, out = tmp_path / "run.cfg", tmp_path / "t.farc"
+    path.write_text(text)
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_comments_and_types():
     cfg = parse_config("[train]\nseed = 7  # reproducibility\n"
-                       "[prune]\nextension = false\n")
+                       "[prune]\nthreshold = 0.5\n")
     assert cfg["train"]["seed"] == 7
-    assert cfg["prune"]["extension"] is False
+    assert cfg["prune"]["threshold"] == 0.5
 
 
 def test_config_load_from_file(tmp_path):
@@ -570,6 +590,56 @@ def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
     assert pruned.stat().st_size < distilled.stat().st_size
 
 
+@pytest.mark.parametrize("command,kind,key", [
+    ("distill", "teacher", "epochs"),
+    ("finetune", "far", "finetune_epochs"),
+])
+def test_cli_zero_epochs_saves_the_model(tmp_path, capsys, command, kind,
+                                         key):
+    teacher = TeacherModel(desk_config(), seed=47)
+    model = replace_attention(teacher, seed=47) if kind == "far" else teacher
+    path, out = tmp_path / f"{kind}.farc", tmp_path / "out.farc"
+    save_model(model, path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[distill]\n{key} = 0\n[data]\nn = 20\n")
+    assert main([command, "--config", str(cfgfile), "--checkpoint", str(path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert ckpt.model_kind(load_model(out)) == "far"
+
+
+# subcommand -> every option it takes: a flag that nothing reads stays out
+CLI_OPTIONS = {
+    "train-teacher": {"--config", "--seed", "--out", "--log"},
+    "distill": {"--config", "--seed", "--checkpoint", "--out", "--log"},
+    "finetune": {"--config", "--seed", "--checkpoint", "--out", "--log"},
+    "prune": {"--config", "--seed", "--checkpoint", "--out", "--log",
+              "--threshold", "--reg-coeff", "--report"},
+    "params": {"--config"},
+    "flops": {"--config", "--variant", "--image-size"},
+    "bench": {"--config", "--seed", "--variant", "--checkpoint"},
+    "attribute": {"--config", "--seed", "--checkpoint", "--layer",
+                  "--out-prefix"},
+}
+
+
+def test_cli_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--variant", "far", "--checkpoint", "m.farc"],
+    ["bench", "--checkpoint", "m.farc", "--variant", "attention"],
+])
+def test_cli_bench_variant_and_checkpoint_exclude_each_other(capsys, argv):
+    assert main(argv) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_full_pipeline_determinism(tmp_path):
     """Same seeds and epochs -> bit-identical checkpoint files."""
     def run(tag):
@@ -615,9 +685,10 @@ def small_far_file(tmp_path_factory):
     return path, path.read_bytes()
 
 
-def _assert_named_failure(path):
-    with pytest.raises(CheckpointError, match=path.name):
+def _assert_named_failure(path, match=None):
+    with pytest.raises(CheckpointError, match=path.name) as info:
         load_model(path)
+    assert match is None or match in str(info.value)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert main(["bench", "--checkpoint", str(path)]) == 1
@@ -645,3 +716,28 @@ def test_any_bit_flip_is_checkpoint_error(small_far_file, data):
     bad = path.with_name("flipped.farc")
     bad.write_bytes(bytes(flipped))
     _assert_named_failure(bad)
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(ModelConfig) if f.type is int]
+
+
+@settings(max_examples=30, deadline=2000)
+@given(field=st.sampled_from(INT_FIELDS), value=st.integers(-2 ** 31, 0))
+def test_nonpositive_model_size_is_named_error(small_far_file, field, value):
+    """A size <= 0 is a ShapeError naming the field, from the constructor,
+    the run config (exit 1) and a CRC-valid checkpoint alike."""
+    with pytest.raises(ShapeError, match=f"{field} must be positive"):
+        ModelConfig(**{field: value})
+    path, _ = small_far_file
+    cfg = ModelConfig(**{**vars(desk_config()), "layers": 1})
+    setattr(cfg, field, value)  # attribute writes are not validated
+    _, kind, tensors = load_checkpoint(path)
+    bad = path.with_name("bad_dims.farc")
+    save_checkpoint(bad, cfg, tensors, kind=kind)
+    _assert_named_failure(bad, match=f"{field} must be positive")
+    run_cfg = path.with_name("bad_dims.cfg")
+    run_cfg.write_text(f"[model]\n{field} = {value}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["params", "--config", str(run_cfg)]) == 1
+    assert err.getvalue() == f"error: {field} must be positive, got {value}\n"
