@@ -27,11 +27,19 @@ from .vit import TeacherModel
 ROWS = 65 * 65
 
 
-def _check_range(model, layer, head=None):
+def _layer_input(model, image, layer, head=None):
+    """The input of ``layer`` for one image, (1, T, D). A layer or head
+    outside the model is an IndexError; a batch of more than one image is a
+    ShapeError."""
     if not 0 <= layer < model.cfg.layers:
         raise IndexError(f"layer {layer} out of range [0, {model.cfg.layers})")
     if head is not None and not 0 <= head < model.cfg.heads:
         raise IndexError(f"head {head} out of range [0, {model.cfg.heads})")
+    x = model.tokens(image, stop=layer)[-1]
+    if x.shape[0] != 1:
+        raise T.ShapeError(
+            f"a map is of one image; got a batch of {x.shape[0]}")
+    return x
 
 
 def _minmax(arr):
@@ -49,9 +57,8 @@ def cls_saliency(model, image, layer, head, directions=DIRECTIONS):
     state with respect to the layer's input tokens. Either runs the
     layer prefix once, then the one layer.
     """
-    _check_range(model, layer, head)
     g = model.cfg.grid
-    x = model.tokens(image, stop=layer)[-1]
+    x = _layer_input(model, image, layer, head)
     if isinstance(model, TeacherModel):
         attn = model.attention_block(x, model.layers[layer])[1]
         return _minmax(attn.data[0, head, 0, 1:].reshape(g, g))
@@ -81,8 +88,7 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     do not interact). A pass takes at most ``ROWS // T`` queries (at
     least 1), which bounds the saved activations; a desk map is one pass.
     """
-    _check_range(model, layer)
-    x = model.tokens(image, stop=layer)[-1]
+    x = _layer_input(model, image, layer)
     if isinstance(model, TeacherModel):
         attn = model.attention_block(x, model.layers[layer])[1]
         return attn.data[0].mean(axis=0)

@@ -13,7 +13,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pruner, profiler
 from .attribution import cls_saliency, export_heatmaps, token_dependency
-from .config import ConfigError, load_config, model_config
+from .config import MINIMUM, ConfigError, load_config, model_config
 from .data import synth_dataset
 from .distill import TrainConfig, accuracy, metrics_to_csv, run_phase, train_teacher
 from .far_block import FarModel, replace_attention
@@ -100,19 +100,24 @@ def cmd_finetune(args, cfg):
 
 
 def cmd_prune(args, cfg):
+    pr = cfg["prune"]
+    for key in ("threshold", "reg_coeff"):  # a flag overrides its key
+        value, least = getattr(args, key), MINIMUM[("prune", key)]
+        if value is not None:
+            if value < least:
+                raise ValueError(f"--{key.replace('_', '-')}: expected at "
+                                 f"least {least}, got {value}")
+            pr[key] = value
     far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
-    pr = cfg["prune"]
-    threshold = args.threshold if args.threshold is not None else pr["threshold"]
-    reg_coeff = args.reg_coeff if args.reg_coeff is not None else pr["reg_coeff"]
     reg_cfg = _train_cfg(cfg, "prune-regularize", pr["reg_lr"], pr["reg_epochs"])
     reg_cfg.weight_decay = pr["reg_weight_decay"]
     tune_cfg = _train_cfg(cfg, "prune-finetune", pr["finetune_lr"],
                           pr["finetune_epochs"])
     rows = []
     report = pruner.three_stage_pipeline(
-        far, None, ds, reg_cfg, tune_cfg, tau=threshold,
-        mode=pr["threshold_mode"], reg_coeff=reg_coeff, log_rows=rows)
+        far, None, ds, reg_cfg, tune_cfg, tau=pr["threshold"],
+        mode=pr["threshold_mode"], reg_coeff=pr["reg_coeff"], log_rows=rows)
     ckpt.save_model(far, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)

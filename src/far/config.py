@@ -46,7 +46,8 @@ CHOICES = {
 
 # (section, key) -> the least value a numeric key may take. ``[model]``
 # sizes are checked by ``ModelConfig``; an epoch count of 0 trains nothing.
-MINIMUM = {("train", "batch_size"): 1, ("data", "noise"): 0.0}
+MINIMUM = {("train", "batch_size"): 1, ("data", "noise"): 0.0,
+           ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0}
 
 
 class ConfigError(ValueError):

@@ -49,12 +49,11 @@ class TrainConfig:
 class AdamW:
     """Adaptive moments with decoupled weight decay."""
 
-    def __init__(self, params, lr=5e-4, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.05):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=5e-4, weight_decay=0.05):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.wd = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -253,10 +252,11 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
 
 
 def metrics_to_csv(rows, path):
-    if not rows:
-        return
-    keys = sorted({k for r in rows for k in r},
-                  key=lambda k: (k not in ("epoch", "phase", "loss", "sim_mean", "acc"), k))
+    """One line per epoch row under a header; the header alone when no
+    epoch ran."""
+    base = ("acc", "epoch", "loss", "phase", "sim_mean")
+    keys = sorted({k for r in rows for k in r} | set(base),
+                  key=lambda k: (k not in base, k))
     with open(path, "w") as fh:
         fh.write(",".join(keys) + "\n")
         for r in rows:

@@ -147,14 +147,10 @@ def init_far_block(cfg, rng):
     )
 
 
-def lstm_step(x_t, h, c, p: LstmDirParams, w_ih_t=None, w_hh_t=None):
-    """One LSTM cell update. Transposed weights may be passed to avoid
-    re-transposing inside a scan."""
-    if w_ih_t is None:
-        w_ih_t = T.transpose(p.w_ih)
-    if w_hh_t is None:
-        w_hh_t = T.transpose(p.w_hh)
-    gates = T.matmul(x_t, w_ih_t) + T.matmul(h, w_hh_t) + p.b_ih + p.b_hh
+def lstm_step(x_t, h, c, p: LstmDirParams):
+    """One LSTM cell update."""
+    gates = (T.matmul(x_t, T.transpose(p.w_ih))
+             + T.matmul(h, T.transpose(p.w_hh)) + p.b_ih + p.b_hh)
     gi, gf, gg, go = T.split(gates, 4, axis=-1)
     i, f, o = T.sigmoid(gi), T.sigmoid(gf), T.sigmoid(go)
     g = T.tanh(gg)
@@ -325,7 +321,8 @@ def coupled(blk: FarBlockParams, head, direction, units):
     """Indices of every weight coupled to hidden ``units`` of one scan.
 
     Returns ``(gate_rows, cols, out_rows)``: the rows of the gate-stacked
-    w_ih, w_hh, b_ih and b_hh; the w_hh columns; and the out_w rows. The
+    w_ih, w_hh, b_ih and b_hh, gate-major (gate 0's row of every unit, then
+    gate 1's, ...); the w_hh columns; and the out_w rows. The
     offsets come from the hidden sizes of the block's scans, so they hold
     for a shrunk block too.
     """

@@ -1,11 +1,14 @@
 """Group Hoyer-square regularization and gate-coordinated pruning.
 
-The penalty sees the mandatory composite rows (W_ih rows + W_hh rows per
-gate). Thresholding zeroes every weight coupled to a removed hidden unit
-(its gate rows, W_hh columns, bias entries and output-projection rows),
-and that all-zero group is the only record that the unit was pruned: it
-outputs exactly zero and receives zero gradient, so it stays zero through
-further training. ``shrink_model`` then drops such units physically.
+A group is one hidden unit, and its norm runs over the unit's weights as
+``far_block.coupled`` indexes them (``unit_sq_norms``). The penalty sees
+the mandatory set, the unit's gate rows of W_ih and W_hh; the importance
+that thresholding ranks by sees the whole coupled set. Thresholding zeroes
+every weight coupled to a removed unit (its gate rows, W_hh column, bias
+entries and output-projection row), and that all-zero group is the only
+record that the unit was pruned: it outputs exactly zero and receives zero
+gradient, so it stays zero through further training. ``shrink_model``
+then drops such units physically.
 """
 
 import copy
@@ -15,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import (DIRECTIONS, FarBlockParams, FarModel, LstmDirParams,
-                        coupled, shrink_block)
+from .far_block import (DIRECTIONS, FarBlockParams, FarModel, coupled,
+                        shrink_block)
 
 log = logging.getLogger(__name__)
 
@@ -36,92 +39,70 @@ def group_hs(w, groups):
     return float(norms.sum() ** 2 / denom)
 
 
-def composite_matrix(p: LstmDirParams, out_proj_rows=None, extension=False):
-    """Row j concatenates every weight slice coupled to hidden unit j.
+def unit_sq_norms(block: FarBlockParams, head, direction, extension=False):
+    """(hidden,) Tensor: per hidden unit, the sum of squares of its coupled
+    weights, wired into the autodiff graph.
 
-    Mandatory slices: row j of each of the four gate blocks of W_ih and
-    W_hh. With ``extension``, also the W_hh columns, both bias entries
-    and the matching output-projection rows. Returns a (hidden, G)
-    Tensor wired into the autodiff graph.
+    The mandatory set is the unit's four gate rows of w_ih and w_hh. With
+    ``extension`` it adds the unit's w_hh column, both bias entries and its
+    out_w row; the w_hh diagonal entry then counts in the row and the column.
     """
+    p = block.heads[head][direction]
     hid = p.hidden
-    din = p.input_size
-    ih_rows = T.reshape(T.transpose(T.reshape(p.w_ih, (4, hid, din)),
-                                    (1, 0, 2)), (hid, 4 * din))
-    hh_rows = T.reshape(T.transpose(T.reshape(p.w_hh, (4, hid, hid)),
-                                    (1, 0, 2)), (hid, 4 * hid))
-    parts = [ih_rows, hh_rows]
+    rows, cols, out_rows = coupled(block, head, direction, np.arange(hid))
+    hh_sq = T.square(p.w_hh)
+    gate_sq = T.tsum(T.square(p.w_ih), axis=1) + T.tsum(hh_sq, axis=1)
     if extension:
-        hh_cols = T.reshape(T.transpose(T.reshape(p.w_hh, (4, hid, hid)),
-                                        (2, 0, 1)), (hid, 4 * hid))
-        b_ih = T.transpose(T.reshape(p.b_ih, (4, hid)))
-        b_hh = T.transpose(T.reshape(p.b_hh, (4, hid)))
-        parts += [hh_cols, b_ih, b_hh]
-        if out_proj_rows is not None:
-            if out_proj_rows.shape[0] != hid:
-                raise T.ShapeError(
-                    f"out_proj slice has {out_proj_rows.shape[0]} rows, "
-                    f"expected {hid}")
-            parts.append(out_proj_rows)
-    return T.concat(parts, axis=1)
+        gate_sq = gate_sq + T.square(p.b_ih) + T.square(p.b_hh)
+    sq = T.tsum(gate_sq[rows.reshape(4, hid)], axis=0)
+    if extension:
+        sq = (sq + T.tsum(hh_sq, axis=0)[cols]
+              + T.tsum(T.square(block.out_w[out_rows]), axis=1))
+    return sq
 
 
-def hoyer_penalty(wl):
-    """Differentiable row-group Hoyer-square of a composite matrix.
+def hoyer_penalty(sq):
+    """Differentiable group Hoyer-square of groups with squared L2 norms
+    ``sq``: (sum of norms)^2 / sum of squared norms.
 
-    Exactly-zero rows contribute nothing and receive zero gradient
-    (subgradient convention); an all-zero matrix scores 0.
+    Exactly-zero groups contribute nothing and receive zero gradient
+    (subgradient convention); all-zero input scores 0.
     """
-    wl = wl if isinstance(wl, Tensor) else Tensor(wl)
-    row_sq = T.tsum(T.square(wl), axis=1)
-    alive = row_sq.data > 0.0
+    sq = T.as_tensor(sq)
+    alive = sq.data > 0.0
     if not alive.any():
-        log.warning("hoyer_penalty of all-zero matrix; returning 0")
-        return Tensor(np.zeros((), dtype=wl.data.dtype))
-    m = alive.astype(wl.data.dtype)
-    norms = T.sqrt(row_sq * Tensor(m) + Tensor(1.0 - m)) * Tensor(m)
+        log.warning("hoyer_penalty of all-zero groups; returning 0")
+        return Tensor(np.zeros((), dtype=sq.data.dtype))
+    m = alive.astype(sq.data.dtype)
+    norms = T.sqrt(sq * Tensor(m) + Tensor(1.0 - m)) * Tensor(m)
     num = T.square(T.tsum(norms))
     den = T.tsum(T.square(norms))
     return num / den
 
 
-def _out_proj_slice(block: FarBlockParams, head, direction):
-    hid = block.heads[head][direction].hidden
-    return block.out_w[coupled(block, head, direction, np.arange(hid))[2]]
-
-
 def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     """Sum (or mean) of per-(layer, head, direction) Hoyer penalties."""
-    terms = []
-    for blk in far_model.blocks:
-        for h, head in enumerate(blk.heads):
-            for d in DIRECTIONS:
-                opr = _out_proj_slice(blk, h, d) if extension else None
-                terms.append(hoyer_penalty(
-                    composite_matrix(head[d], opr, extension=extension)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
+    terms = [hoyer_penalty(unit_sq_norms(blk, h, d, extension=extension))
+             for blk in far_model.blocks
+             for h in range(len(blk.heads)) for d in DIRECTIONS]
+    total = sum(terms[1:], terms[0])
     if reduce == "mean":
         total = total * (1.0 / len(terms))
     return total
 
 
 def unit_importance(block: FarBlockParams, head, direction):
-    """Row L2 norms of the extended composite (every weight coupled to a
-    unit), used for threshold selection."""
-    wl = composite_matrix(block.heads[head][direction],
-                          _out_proj_slice(block, head, direction),
-                          extension=True)
-    return np.sqrt((wl.data * wl.data).sum(axis=1))
+    """L2 norm of every weight coupled to each unit (the extended set),
+    used for threshold selection."""
+    return np.sqrt(unit_sq_norms(block, head, direction, extension=True).data)
 
 
 def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
-    """Zero, in place, every unit whose composite row norm is at most tau.
+    """Zero, in place, every unit whose importance is at most tau.
 
     ``mode='relative'`` interprets tau as a fraction of the scan's max
-    row norm. The max-norm unit is always kept (floor rule). A pruned
-    unit loses its gate rows, W_hh columns, biases and out_proj rows.
+    importance. The max-importance unit is always kept (floor rule). A
+    pruned unit loses its gate rows, W_hh column, biases and out_w row.
     """
     if tau < 0:
         raise ValueError("pruning threshold must be non-negative")
@@ -180,10 +161,14 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                          log_rows=None):
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
-    ``far_model`` is shrunk in place: its blocks are replaced.
+    ``far_model`` is shrunk in place: its blocks are replaced. A negative
+    ``tau`` or ``reg_coeff`` is a ValueError before any training.
     """
     from .distill import run_phase
 
+    for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     reg_cfg.phase = "prune-regularize"
     if reg_coeff > 0:
         def extra():

@@ -70,14 +70,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def detach(self):
         return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.grad is not None})"
@@ -160,22 +154,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    @property
-    def T(self):
-        return transpose(self, None)
 
 
 def as_tensor(x, dtype=None):
@@ -524,8 +502,9 @@ def ones(shape, dtype="f32"):
     return Tensor(np.ones(shape, dtype=DTYPES[dtype]))
 
 
-def trunc_normal(rng, shape, std=0.02, dtype="f32"):
+def trunc_normal(rng, shape, dtype="f32"):
     """Truncated normal at 2 sigma via resampling."""
+    std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2 * std
     while bad.any():

@@ -127,8 +127,12 @@ class Backbone:
         return list(self.named_parameters().values())
 
     def patch_embed(self, image):
-        """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings."""
+        """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings; an
+        image of another rank is a ShapeError naming its shape."""
         img = np.asarray(image.data if isinstance(image, Tensor) else image)
+        if img.ndim not in (3, 4):
+            raise ShapeError(f"image shape {img.shape}: expected (C,H,W) "
+                             f"or (B,C,H,W)")
         if img.ndim == 3:
             img = img[None]
         cfg = self.cfg

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,34 @@ def test_range_checks(models):
         cls_saliency(teacher, img, layer=0, head=cfg.heads)
     with pytest.raises(IndexError):
         token_dependency(far, img, layer=-1)
+
+
+ENTRY_POINTS = {
+    "forward": lambda m, img: m.forward(img),
+    "cls_saliency": lambda m, img: cls_saliency(m, img, 1, 0),
+    "token_dependency": lambda m, img: token_dependency(m, img, 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (1, 1, 3, 32, 32)])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_wrong_image_rank_is_named_error(models, kind, entry, shape):
+    _, teacher, far, _ = models
+    model = {"teacher": teacher, "far": far}[kind]
+    with pytest.raises(T.ShapeError, match=re.escape(f"image shape {shape}")):
+        ENTRY_POINTS[entry](model, np.zeros(shape))
+
+
+@pytest.mark.parametrize("entry", ["cls_saliency", "token_dependency"])
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_maps_reject_a_batch_of_images(models, kind, entry):
+    _, teacher, far, img = models
+    model = {"teacher": teacher, "far": far}[kind]
+    batch = np.stack([img, img[:, ::-1]])
+    with pytest.raises(T.ShapeError, match="batch of 2"):
+        ENTRY_POINTS[entry](model, batch)
+    ENTRY_POINTS[entry](model, batch[:1])  # a batch of one is one image
 
 
 def test_export_pgm_and_csv_round_trip(tmp_path, models):

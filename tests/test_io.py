@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import checkpoint as ckpt, far_block
+from far import checkpoint as ckpt, distill, far_block
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
@@ -591,21 +591,52 @@ def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,kind,key", [
+    ("train-teacher", None, "teacher_epochs"),
     ("distill", "teacher", "epochs"),
     ("finetune", "far", "finetune_epochs"),
 ])
 def test_cli_zero_epochs_saves_the_model(tmp_path, capsys, command, kind,
                                          key):
-    teacher = TeacherModel(desk_config(), seed=47)
-    model = replace_attention(teacher, seed=47) if kind == "far" else teacher
-    path, out = tmp_path / f"{kind}.farc", tmp_path / "out.farc"
-    save_model(model, path)
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"[distill]\n{key} = 0\n[data]\nn = 20\n")
-    assert main([command, "--config", str(cfgfile), "--checkpoint", str(path),
-                 "--out", str(out)]) == 0
+    section = "train" if command == "train-teacher" else "distill"
+    cfgfile, out, log = (tmp_path / n for n in ("run.cfg", "out.farc", "z.csv"))
+    cfgfile.write_text(f"[{section}]\n{key} = 0\n[data]\nn = 20\n")
+    argv = [command, "--config", str(cfgfile), "--out", str(out),
+            "--log", str(log)]
+    if kind is not None:
+        teacher = TeacherModel(desk_config(), seed=47)
+        path = tmp_path / f"{kind}.farc"
+        save_model(replace_attention(teacher, seed=47) if kind == "far"
+                   else teacher, path)
+        argv += ["--checkpoint", str(path)]
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert ckpt.model_kind(load_model(out)) == "far"
+    assert ckpt.model_kind(load_model(out)) == (
+        "teacher" if command == "train-teacher" else "far")
+    assert log.read_text() == "acc,epoch,loss,phase,sim_mean\n"
+
+
+@pytest.mark.parametrize("setting,flags,named", [
+    ("threshold = -0.5", [], "[prune] threshold"),
+    ("reg_coeff = -5", [], "[prune] reg_coeff"),
+    ("", ["--threshold", "-1"], "--threshold"),
+    ("", ["--reg-coeff", "-3"], "--reg-coeff"),
+], ids=["threshold-key", "reg_coeff-key", "threshold-flag", "reg-coeff-flag"])
+def test_cli_prune_rejects_negative_values_before_training(
+        tmp_path, capsys, monkeypatch, setting, flags, named):
+    calls = []
+    monkeypatch.setattr(distill, "run_phase",
+                        lambda *args, **kwargs: calls.append(args) or [])
+    path, out = tmp_path / "far.farc", tmp_path / "pruned.farc"
+    save_model(replace_attention(TeacherModel(desk_config(), seed=48),
+                                 seed=48), path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[prune]\n{setting}\n[data]\nn = 20\n")
+    assert main(["prune", "--config", str(cfgfile), "--checkpoint", str(path),
+                 "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"{named}: expected at least 0.0" in err
+    assert calls == []
+    assert not out.exists()
 
 
 # subcommand -> every option it takes: a flag that nothing reads stays out

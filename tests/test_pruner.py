@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from far import distill
 from far import tensor as T
 from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import DIRECTIONS, coupled, init_lstm_dir, replace_attention
+from far.far_block import DIRECTIONS, coupled, replace_attention
 from far.data import synth_dataset
 from far.distill import TrainConfig, accuracy
-from far.pruner import (composite_matrix, group_hs, hoyer_penalty,
-                        hoyer_penalty_total, prune_by_threshold,
-                        report_to_csv, retention_report, shrink_model,
-                        three_stage_pipeline, unit_importance)
+from far.pruner import (group_hs, hoyer_penalty, hoyer_penalty_total,
+                        prune_by_threshold, report_to_csv, retention_report,
+                        shrink_model, three_stage_pipeline, unit_importance,
+                        unit_sq_norms)
 
 from conftest import desk_config
 
@@ -74,52 +75,124 @@ def test_group_hs_all_zero_warns(caplog):
     assert any("all-zero" in r.message for r in caplog.records)
 
 
-# -- composite matrix -----------------------------------------------------------
+# -- per-unit squared norms ---------------------------------------------------
 
-def test_composite_mandatory_width():
-    dh, d = 64, 192
-    p = init_lstm_dir(np.random.default_rng(4), dh, dh, "f64")
-    wl = composite_matrix(p)
-    assert wl.shape == (dh, 4 * dh + 4 * dh)  # 512 at D_h = 64
-    assert wl.shape[1] == 512
-
-
-def test_composite_extension_width():
-    dh, d = 64, 192
-    p = init_lstm_dir(np.random.default_rng(5), dh, dh, "f64")
-    out_rows = Tensor(np.random.default_rng(5).normal(size=(dh, d)))
-    wl = composite_matrix(p, out_rows, extension=True)
-    # 4*64 + 4*64 (rows) + 4*64 (cols) + 4 + 4 (biases) + 192 = 968
-    assert wl.shape == (dh, 968)
-
-
-def test_composite_row_collects_unit_slices():
-    dh = 3
-    p = init_lstm_dir(np.random.default_rng(6), dh, dh, "f64")
-    j = 1
-    row = composite_matrix(p).data[j]
-    expect = np.concatenate(
-        [p.w_ih.data[g * dh + j] for g in range(4)] +
-        [p.w_hh.data[g * dh + j] for g in range(4)])
-    np.testing.assert_array_equal(row, expect)
+def _hand_sq_norms(blk, h, d, extension):
+    """Per unit, a plain float loop over the indices ``coupled`` gives."""
+    p = blk.heads[h][d]
+    out = []
+    for j in range(p.hidden):
+        rows, cols, out_rows = coupled(blk, h, d, [j])
+        vals = [v for r in rows for t in (p.w_ih, p.w_hh)
+                for v in t.data[r]]
+        if extension:
+            vals += [t.data[r] for r in rows for t in (p.b_ih, p.b_hh)]
+            vals += list(p.w_hh.data[:, cols[0]])  # diagonal counted again
+            vals += list(blk.out_w.data[out_rows[0]])
+        total = 0.0
+        for v in vals:
+            total += float(v) * float(v)
+        out.append(total)
+    return np.array(out)
 
 
-def test_composite_zero_unit_zero_row():
-    dh = 4
-    p = init_lstm_dir(np.random.default_rng(7), dh, dh, "f64")
-    j = 2
-    for g in range(4):
-        p.w_ih.data[g * dh + j] = 0.0
-        p.w_hh.data[g * dh + j] = 0.0
-    wl = composite_matrix(p).data
-    assert np.all(wl[j] == 0.0)
-    assert np.all(np.linalg.norm(wl[[0, 1, 3]], axis=1) > 0)
+def _old_composite(blk, h, d, extension):
+    """The (hidden, G) composite matrix whose row norms the group norms
+    once were: gate-major reshapes and transposes, then one concatenation.
+    The out_w offset is counted here, independently of ``coupled``."""
+    p = blk.heads[h][d]
+    hid, din = p.hidden, p.input_size
+    w_hh = p.w_hh.data.reshape(4, hid, hid)
+    parts = [p.w_ih.data.reshape(4, hid, din).transpose(1, 0, 2),
+             w_hh.transpose(1, 0, 2)]
+    if extension:
+        order = [(hh, dd) for hh in range(len(blk.heads)) for dd in DIRECTIONS]
+        start = sum(blk.heads[hh][dd].hidden
+                    for hh, dd in order[:order.index((h, d))])
+        parts += [w_hh.transpose(2, 0, 1), p.b_ih.data.reshape(4, hid).T,
+                  p.b_hh.data.reshape(4, hid).T,
+                  blk.out_w.data[start:start + hid]]
+    return np.concatenate([x.reshape(hid, -1) for x in parts], axis=1)
 
 
-def test_composite_out_proj_row_mismatch():
-    p = init_lstm_dir(np.random.default_rng(8), 4, 4, "f64")
-    with pytest.raises(T.ShapeError):
-        composite_matrix(p, Tensor(np.zeros((5, 8))), extension=True)
+def _scans(model):
+    return [(blk, h, d) for blk in model.blocks
+            for h in range(len(blk.heads)) for d in DIRECTIONS]
+
+
+@pytest.fixture(params=["full", "shrunk"])
+def widths_f64(request):
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=4), seed=4)
+    if request.param == "full":
+        return far
+    prune_by_threshold(far, 0.9, mode="relative")
+    shrunk = shrink_model(far)
+    assert any(p.hidden < far.cfg.head_dim for blk in shrunk.blocks
+               for head in blk.heads for p in head.values())
+    return shrunk
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_unit_sq_norms_sum_the_coupled_set(widths_f64, extension):
+    for blk, h, d in _scans(widths_f64):
+        sq = unit_sq_norms(blk, h, d, extension=extension)
+        assert sq.shape == (blk.heads[h][d].hidden,)
+        np.testing.assert_allclose(
+            sq.data, _hand_sq_norms(blk, h, d, extension), rtol=1e-12)
+
+
+def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=5), seed=5)
+    blk = far.blocks[0]
+    p = blk.heads[1]["rev"]
+    for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+        t.data[:] = 0.0
+    blk.out_w.data[:] = 0.0
+    j, dh = 2, p.hidden
+    p.w_hh.data[2 * dh + j, j] = 3.0  # cell-gate row of unit j, column j
+    np.testing.assert_array_equal(
+        unit_sq_norms(blk, 1, "rev").data, np.eye(dh)[j] * 9.0)
+    np.testing.assert_array_equal(
+        unit_sq_norms(blk, 1, "rev", extension=True).data,
+        np.eye(dh)[j] * 18.0)
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_unit_sq_norms_zero_unit_is_zero(extension):
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=7), seed=7)
+    blk, j = far.blocks[1], 2
+    p = blk.heads[0]["rev"]
+    rows, cols, out_rows = coupled(blk, 0, "rev", [j])
+    for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+        t.data[rows] = 0.0
+    p.w_hh.data[:, cols] = 0.0
+    blk.out_w.data[out_rows] = 0.0
+    sq = unit_sq_norms(blk, 0, "rev", extension=extension).data
+    assert sq[j] == 0.0
+    assert np.all(np.delete(sq, j) > 0.0)
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_norms_and_penalty_match_the_old_composite(widths_f64, extension):
+    comps = [_old_composite(blk, h, d, extension)
+             for blk, h, d in _scans(widths_f64)]
+    for (blk, h, d), comp in zip(_scans(widths_f64), comps):
+        np.testing.assert_allclose(
+            unit_sq_norms(blk, h, d, extension=extension).data,
+            (comp * comp).sum(axis=1), rtol=1e-12)
+        if extension:
+            np.testing.assert_allclose(unit_importance(blk, h, d),
+                                       np.linalg.norm(comp, axis=1),
+                                       rtol=1e-12)
+    hs = [group_hs(comp, [np.arange(r * comp.shape[1], (r + 1) * comp.shape[1])
+                          for r in range(comp.shape[0])]) for comp in comps]
+    np.testing.assert_allclose(
+        hoyer_penalty_total(widths_f64, extension=extension).item(),
+        sum(hs), rtol=1e-12)
+    np.testing.assert_allclose(
+        hoyer_penalty_total(widths_f64, extension=extension,
+                            reduce="mean").item(),
+        sum(hs) / len(hs), rtol=1e-12)
 
 
 # -- differentiable penalty -------------------------------------------------------
@@ -128,32 +201,26 @@ def test_hoyer_penalty_matches_group_hs():
     rng = np.random.default_rng(9)
     wl = rng.normal(size=(6, 10))
     groups = [np.arange(r * 10, (r + 1) * 10) for r in range(6)]
-    np.testing.assert_allclose(hoyer_penalty(wl).item(),
+    np.testing.assert_allclose(hoyer_penalty((wl * wl).sum(axis=1)).item(),
                                group_hs(wl, groups), atol=1e-12)
 
 
 def test_hoyer_penalty_single_alive_row_is_one():
-    wl = np.zeros((5, 8))
-    wl[3] = np.random.default_rng(10).normal(size=8)
-    assert abs(hoyer_penalty(wl).item() - 1.0) <= 1e-12
+    sq = np.zeros(5)
+    sq[3] = 2.7
+    assert abs(hoyer_penalty(sq).item() - 1.0) <= 1e-12
 
 
 def test_hoyer_penalty_gradient_fd():
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    x = Tensor(rng.uniform(0.1, 2.0, size=8), requires_grad=True)
     hoyer_penalty(x).backward()
-    flat = x.data.ravel()
-    an = x.grad.ravel()
-    for i in rng.choice(30, size=10, replace=False):
+    for i in range(8):
         h = 1e-6
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = hoyer_penalty(Tensor(x.data)).item()
-        flat[i] = orig - h
-        lm = hoyer_penalty(Tensor(x.data)).item()
-        flat[i] = orig
+        lp = hoyer_penalty(x.data + h * np.eye(8)[i]).item()
+        lm = hoyer_penalty(x.data - h * np.eye(8)[i]).item()
         fd = (lp - lm) / (2 * h)
-        assert abs(an[i] - fd) / max(1.0, abs(an[i])) <= 1e-5
+        assert abs(x.grad[i] - fd) / max(1.0, abs(x.grad[i])) <= 1e-5
 
 
 def test_hoyer_penalty_zero_rows_get_zero_grad():
@@ -161,7 +228,7 @@ def test_hoyer_penalty_zero_rows_get_zero_grad():
     data = rng.normal(size=(4, 6))
     data[1] = 0.0
     x = Tensor(data, requires_grad=True)
-    hoyer_penalty(x).backward()
+    hoyer_penalty(T.tsum(T.square(x), axis=1)).backward()
     np.testing.assert_array_equal(x.grad[1], np.zeros(6))
     assert np.abs(x.grad[[0, 2, 3]]).max() > 0
 
@@ -314,25 +381,26 @@ def test_weight_zero_masks_cover_pruned_entries():
 
 def test_regularization_drives_group_sparsity():
     """Hoyer gradient steps shrink small units faster than large ones."""
-    rng = np.random.default_rng(18)
-    p = init_lstm_dir(rng, 8, 8, "f64")
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=18), seed=18)
+    blk = far.blocks[0]
+    p = blk.heads[0]["fwd"]
     p.w_ih.requires_grad = p.w_hh.requires_grad = True  # born frozen
     # make unit 0 dominant
-    for g in range(4):
-        p.w_ih.data[g * 8] *= 10.0
-    before = np.linalg.norm(composite_matrix(p).data, axis=1)
+    rows = coupled(blk, 0, "fwd", [0])[0]
+    p.w_ih.data[rows] *= 10.0
+    before = np.sqrt(unit_sq_norms(blk, 0, "fwd").data)
+    start = hoyer_penalty(before * before).item()
     for _ in range(200):
-        wl = composite_matrix(p)
-        loss = hoyer_penalty(wl)
+        loss = hoyer_penalty(unit_sq_norms(blk, 0, "fwd"))
         for t in (p.w_ih, p.w_hh):
             t.grad = None
         loss.backward()
         for t in (p.w_ih, p.w_hh):
             t.data -= 0.05 * t.grad
-    after = np.linalg.norm(composite_matrix(p).data, axis=1)
+    after = np.sqrt(unit_sq_norms(blk, 0, "fwd").data)
     # dominant unit survives, tail shrinks relative to it
     assert after[0] / after[1:].max() > before[0] / before[1:].max()
-    assert hoyer_penalty(composite_matrix(p)).item() < 8.0
+    assert hoyer_penalty(unit_sq_norms(blk, 0, "fwd")).item() < start
 
 
 def test_retention_report_row_count(far_f64):
@@ -392,3 +460,20 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
     assert all(keep.all() for layer in far.masks for head in layer.values()
                for keep in head.values())
     assert 0.0 <= accuracy(far, ds, "val") <= 1.0
+
+
+@pytest.mark.parametrize("kwargs,name", [({"tau": -1e-6}, "tau"),
+                                         ({"reg_coeff": -1.0}, "reg_coeff")])
+def test_pipeline_rejects_negative_values_before_training(monkeypatch, kwargs,
+                                                          name):
+    calls = []
+    monkeypatch.setattr(distill, "run_phase",
+                        lambda *args, **kw: calls.append(args) or [])
+    cfg = desk_config()
+    far = replace_attention(TeacherModel(cfg, seed=21), seed=21)
+    ds = synth_dataset(21, 20, 10, 32)
+    reg = TrainConfig(phase="prune-regularize", epochs=1, batch_size=20)
+    tune = TrainConfig(phase="prune-finetune", epochs=1, batch_size=20)
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        three_stage_pipeline(far, None, ds, reg, tune, **kwargs)
+    assert calls == []
