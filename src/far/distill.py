@@ -157,6 +157,14 @@ def _batches(indices, batch_size, rng):
         yield idx[start:start + batch_size]
 
 
+def _first_nonfinite(blocks):
+    """Which of a forward's block outputs first holds a nan or inf."""
+    for i, b in enumerate(blocks):
+        if not np.isfinite(b.data).all():
+            return f"block {i} is the first with a non-finite output"
+    return "every block output is finite"
+
+
 def accuracy(model, dataset, split="train"):
     images, labels = dataset.split(split)
     correct = 0
@@ -214,14 +222,15 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                     for tb, sb in zip(t_blocks, s_blocks):
                         sims.append(similarity_loss(tb.detach(), sb))
                 else:
-                    s_logits, _ = far_model.forward(imgs)
+                    s_logits, s_blocks = far_model.forward(imgs)
                 loss = combined_loss(sims, s_logits, labs,
                                      cfg.lam if use_sim else 0.0)
                 if extra_loss is not None:
                     loss = loss + extra_loss()
                 if not np.isfinite(loss.item()):
                     raise RuntimeError(
-                        f"non-finite loss in phase {cfg.phase} epoch {epoch}")
+                        f"non-finite loss in phase {cfg.phase} epoch {epoch}"
+                        f": {_first_nonfinite(s_blocks)}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

@@ -325,13 +325,26 @@ def transpose(a, axes=None):
     return _make(out_data, (a,), backward)
 
 
+def _basic_index(key):
+    """True if ``key`` holds only slices, integers, ``Ellipsis`` and
+    ``None``: such a key never selects one element twice."""
+    keys = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice) or
+               (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in keys)
+
+
 def getitem(a, key):
     a = as_tensor(a)
     out_data = a.data[key]
+    basic = _basic_index(key)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:  # an index array may repeat an element: accumulate
+            np.add.at(full, key, g)
         a._accumulate(full)
 
     return _make(out_data, (a,), backward)
@@ -413,10 +426,56 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _f32(*values):
+    """Float32 constants as 0-d arrays: numpy dispatches an operation on one
+    of them faster than on a Python float, which matters for small arrays."""
+    return [np.array(v, np.float32) for v in values]
+
+
+# Eigen's float32 erf: x * P(x^2) / Q(x^2) on x clamped to [-4, 4], beyond
+# which erf rounds to +-1 in float32. Coefficients from the highest power.
+_ERF_P = _f32(-2.72614225801306e-10, 2.77068142495902e-08,
+              -2.10102402082508e-06, -5.69250639462346e-05,
+              -7.34990630326855e-04, -2.95459980854025e-03,
+              -1.60960333262415e-02)
+_ERF_Q = _f32(-1.45660718464996e-05, -2.13374055278905e-04,
+              -1.68282697438203e-03, -7.37332916720468e-03,
+              -1.42647390514189e-02)
+_ERF_LO, _ERF_HI, _MINUS_HALF, _HALF, _ONE = _f32(-4, 4, -0.5, 0.5, 1)
+_INV_SQRT2_F32, _INV_SQRT2PI_F32 = _f32(_INV_SQRT2, _INV_SQRT2PI)
+
+
+def _horner(x2, coeffs, out):
+    """The polynomial ``coeffs`` at ``x2``, evaluated into ``out``."""
+    np.multiply(x2, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x2
+    out += coeffs[-1]
+    return out
+
+
+def erf_f32(x):
+    """erf of a float32 array, computed in float32: at most 7.5 ulp from
+    the float64 value. Zero keeps its sign, nan stays nan, and erf is
+    exactly +-1 for |x| >= 4."""
+    z = np.minimum(x, _ERF_HI, out=np.empty_like(x))
+    np.maximum(z, _ERF_LO, out=z)
+    x2 = z * z
+    p = _horner(x2, _ERF_P, np.empty_like(z))
+    p *= z
+    p /= _horner(x2, _ERF_Q, out=z)
+    return p
+
+
 def gelu(a):
-    """Exact (erf-based) GELU."""
-    from scipy.special import erf  # local import keeps numpy-only fallback easy
+    """Exact (erf-based) GELU. A float32 input computes in float32 with
+    ``erf_f32``; any other dtype uses ``scipy.special.erf``, the float64
+    reference, and is the only use of scipy."""
     a = as_tensor(a)
+    if a.dtype == np.float32:
+        return _gelu_f32(a)
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out_data = a.data * cdf
 
@@ -425,6 +484,26 @@ def gelu(a):
         a._accumulate(g * (cdf + a.data * pdf))
 
     return _make(out_data, (a,), backward)
+
+
+def _gelu_f32(a):
+    x = a.data
+    cdf = erf_f32(x * _INV_SQRT2_F32)
+    cdf += _ONE
+    cdf *= _HALF
+
+    def backward(g):
+        # g * (cdf + x * pdf(x)), one buffer
+        t = np.multiply(x, x, out=np.empty_like(x))
+        t *= _MINUS_HALF
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI_F32
+        t *= x
+        t += cdf
+        t *= g
+        a._accumulate(t)
+
+    return _make(x * cdf, (a,), backward)
 
 
 def softmax(a, axis=-1):

@@ -280,6 +280,22 @@ def test_run_phase_leaves_nothing_trainable_when_it_raises(desk_cfg):
     assert not any(p.requires_grad for p in far.parameters())
 
 
+@pytest.mark.parametrize("phase", ["distill", "finetune"])
+def test_non_finite_loss_names_the_first_non_finite_block(desk_cfg, phase):
+    ds = synth_dataset(11, 40, 10, 32)
+    teacher = TeacherModel(desk_cfg, seed=11)
+    far = replace_attention(teacher, seed=11)
+    far.blocks[2].in_w.data[0, 0] = np.nan
+    cfg = TrainConfig(phase=phase, lr=1e-4, epochs=1, batch_size=20, seed=11,
+                      warmup_epochs=0)
+    with pytest.raises(RuntimeError, match=r"epoch 0: block 2 is the first "
+                       r"with a non-finite output"):
+        run_phase(far, teacher, ds, cfg)
+    far.blocks[2].in_w.data[0, 0] = 0.0
+    with pytest.raises(RuntimeError, match="every block output is finite"):
+        run_phase(far, teacher, ds, cfg, extra_loss=lambda: T.Tensor(np.nan))
+
+
 def test_train_teacher_logs_run_phase_columns(desk_cfg):
     ds = synth_dataset(8, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=8)

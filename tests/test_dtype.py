@@ -2,6 +2,11 @@
 a training batch's graph and its gradient, every parameter gradient and
 AdamW moment, frozen forwards and attribution maps."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -107,3 +112,39 @@ def test_frozen_forwards_and_maps_are_at_model_dtype(spy, precision):
     # the FAR maps differentiate with respect to their input tokens
     assert len(spy["losses"]) == 2
     _check_graphs(spy["losses"], dtype)
+
+
+def test_float32_compute_never_imports_scipy():
+    """With scipy made unimportable, an f32 teacher forward, an f32 FAR
+    forward and one f32 distill step run; f64 GELU, the only user of scipy,
+    fails."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from conftest import desk_config
+        from far import tensor as T
+        from far.data import synth_dataset
+        from far.distill import TrainConfig, run_phase
+        from far.far_block import replace_attention
+        from far.vit import TeacherModel
+        teacher = TeacherModel(desk_config("f32"), seed=52)
+        far = replace_attention(teacher, seed=52)
+        ds = synth_dataset(52, 10, 10, 32)
+        teacher.forward(ds.images[:2])
+        far.forward(ds.images[:2])
+        rows = run_phase(far, teacher, ds, TrainConfig(
+            phase="distill", epochs=1, batch_size=len(ds.train_idx),
+            warmup_epochs=0))
+        assert len(rows) == 1
+        try:
+            T.gelu(T.Tensor([0.5], dtype="f64"))
+        except ImportError:
+            print("f32 ok without scipy")
+    """)
+    path = [os.path.dirname(os.path.dirname(distill.__file__)),
+            os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "f32 ok without scipy"

@@ -313,3 +313,92 @@ def test_scalar_constant_takes_the_tensor_dtype(dtype, const, op):
     assert np.array_equal(y.data, want)
     T.tsum(y).backward()
     assert x.grad.dtype == dtype
+
+
+# -- getitem backward ---------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_getitem_basic_key_grad_equals_add_at(dtype):
+    """Slice and integer keys (``split`` pieces, ``classify``'s CLS slice)
+    assign their gradient; the result is bit-equal to ``np.add.at``."""
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(4, 5, 6)).astype(dtype), requires_grad=True)
+    keys = [(slice(None), slice(None), slice(2 * i, 2 * i + 2))
+            for i in range(3)] + [(slice(None), 0, slice(None))]
+    parts = T.split(x, 3, axis=-1) + [x[:, 0, :]]
+    ws = [rng.normal(size=p.shape).astype(dtype) for p in parts]
+    loss = T.tsum(parts[0] * ws[0])
+    for p, w in zip(parts[1:], ws[1:]):
+        loss = loss + T.tsum(p * w)
+    loss.backward()
+    want = np.zeros_like(x.data)
+    for k, w in zip(keys, ws):
+        full = np.zeros_like(x.data)
+        np.add.at(full, k, w)
+        want += full
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, want)
+
+
+def test_getitem_repeated_array_index_accumulates():
+    x = Tensor(np.zeros(4), requires_grad=True)
+    T.tsum(x[np.array([1, 1, 3])]).backward()
+    assert x.grad.tolist() == [0.0, 2.0, 0.0, 1.0]
+
+
+# -- float32 erf and GELU ----------------------------------------------------
+
+ERF_ULP = 7.5      # measured 7.07 on the grid below
+ERF_ABS = 4.5e-7   # measured 4.2e-7
+GELU_ABS = 1.5e-6  # f32 against f64 GELU on [-6, 6]; measured 1.37e-6
+GELU_GRAD_ABS = 5e-7  # the same for its gradient; measured 2.7e-7
+
+
+def _erf_ulps(x):
+    from scipy.special import erf
+    ref = erf(x.astype(np.float64))
+    got = T.erf_f32(x)
+    assert got.dtype == np.float32
+    err = np.abs(got - ref)
+    return err / np.spacing(np.abs(ref).astype(np.float32)), err
+
+
+def test_erf_f32_within_ulp_bound_of_float64_scipy():
+    ulps, err = _erf_ulps(np.linspace(-6, 6, 1_200_001, dtype=np.float32))
+    assert ulps.max() <= ERF_ULP
+    assert err.max() <= ERF_ABS
+    tiny = np.logspace(-37, 0, 20_001, dtype=np.float32)
+    assert _erf_ulps(np.concatenate([tiny, -tiny]))[0].max() <= ERF_ULP
+
+
+def test_erf_f32_special_values():
+    x = np.array([0.0, -0.0, 4.0, 4.5, 1e30, np.inf, np.nan], np.float32)
+    got = T.erf_f32(np.concatenate([x, -x]))
+    pos, neg = got[:7], got[7:]
+    assert pos[0] == 0 and not np.signbit(pos[0])
+    assert pos[1] == 0 and np.signbit(pos[1])
+    assert neg[0] == 0 and np.signbit(neg[0])
+    assert (pos[2:6] == 1.0).all() and (neg[2:6] == -1.0).all()
+    assert np.isnan(pos[6]) and np.isnan(neg[6])
+
+
+def test_gelu_f32_close_to_f64_and_f64_is_scipy():
+    from scipy.special import erf
+    x = np.linspace(-6, 6, 120_001)
+    y64 = T.gelu(Tensor(x)).data
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    assert np.array_equal(y64, x * cdf)
+    y32 = T.gelu(Tensor(x, dtype="f32")).data
+    assert y32.dtype == np.float32
+    assert np.abs(y32 - y64).max() <= GELU_ABS
+
+
+def test_gelu_f32_gradient_is_f32_and_close_to_f64():
+    x = np.linspace(-6, 6, 120_001)
+    grads = []
+    for dtype in ("f32", "f64"):
+        t = Tensor(x, requires_grad=True, dtype=dtype)
+        T.tsum(T.gelu(t)).backward()
+        grads.append(t.grad)
+    assert grads[0].dtype == np.float32
+    assert np.abs(grads[0] - grads[1]).max() <= GELU_GRAD_ABS
