@@ -147,8 +147,8 @@ def cmd_bench(args, cfg):
     """Latency and cost of one model: a random model of the run config
     (--variant), or with --checkpoint the checkpoint's, whose own config,
     kind and scan widths describe what is measured. The report gives the
-    config's precision and the dtype of the logits the measured forward
-    produced."""
+    config's precision, the dtype of the logits the measured forward
+    produced and the thread variables set while it ran."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
     else:
@@ -172,6 +172,7 @@ def cmd_bench(args, cfg):
         report = profiler.cost_report(mcfg, "attention")
     report.latency_ms = {k: stats[k] for k in ("median", "mean", "p10", "p90")}
     report.runs, report.warmups = stats["runs"], stats["warmups"]
+    report.threads = stats["threads"]
     report.precision = mcfg.precision
     report.dtype = str(logits["last"].dtype)
     print(report.csv(), end="")

@@ -165,6 +165,15 @@ def _first_nonfinite(blocks):
     return "every block output is finite"
 
 
+def _first_nonfinite_grad(trainable):
+    """The name of the first trained tensor whose gradient holds a nan or
+    inf, or None."""
+    for name, p in trainable.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return name
+    return None
+
+
 def accuracy(model, dataset, split="train"):
     images, labels = dataset.split(split)
     correct = 0
@@ -233,6 +242,11 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                         f": {_first_nonfinite(s_blocks)}")
                 opt.zero_grad()
                 loss.backward()
+                bad = _first_nonfinite_grad(trainable)
+                if bad is not None:
+                    raise RuntimeError(
+                        f"non-finite gradient in phase {cfg.phase} epoch "
+                        f"{epoch}: {bad} is the first trained tensor with one")
                 opt.step()
                 epoch_loss.append(loss.item())
                 if sims:

@@ -4,20 +4,31 @@ like every block, from a tensor table (``FarBlockParams.from_tensors``).
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
-side (T x 2D) -> output projection (2D->D) -> residual add. Gate
+side (T x 2D) -> output projection (2D->D) -> residual add. Stored gate
 stacking order is (input, forget, cell, output) throughout, so row j of
 gate g lives at index g*hidden + j in the stacked weight matrices.
 
-All 2N scans of a block run as one graph node (``scan_heads``): the
-head inputs are stacked to (2N, B, T, D_h), reverse scans flipped in
-time; one batched GEMM computes every step's input gates; each time step
-is one batched ``h @ w_hh^T`` over the 2N scans; and the node's backward
-is a hand-written BPTT that returns the gradients of the input and of
-every scan's four tensors. Activations are kept only when the input or
-some scan tensor requires grad. Scans of unequal width (a shrunk block)
-are zero-padded to the widest: by the rule below a padded unit's h, c
-and gradients stay exactly zero. ``lstm_step`` is the single-cell
-reference the fused scan is tested against.
+All 2N scans of a block run as one graph node (``scan_heads``). On each
+call it packs the scans' weights gate-major in a private order (i, f, o,
+g), with the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so
+one tanh covers all four gates. A reverse scan reads a time-reversed copy
+of its input, and every buffer runs in scan time. Two batched GEMMs (one
+per direction) write every step's input gates into a time-major buffer
+(T, 4, S, B, hid), and cell states, their tanh and hidden states are
+time-major (T, S, B, hid) too. A step is then one ``h @ w_hh`` over the S
+scans, one add, one tanh over the four gates, two in-place ops on the
+contiguous i/f/o block, and ``out=`` ufuncs for c, tanh(c) and h; the
+gate buffer ends up holding the activations. The node's backward is a
+hand-written BPTT. Before its reverse loop it computes, for all steps at
+once, every factor that does not depend on the recurrence: o(1-tc^2),
+g i(1-i), c_prev f(1-f), i(1-g^2) and tc o(1-o). The loop itself only
+adds dh, updates dc, multiplies the factors into dz, takes ``dz @ w_hh``
+and scales dc by f. Activations are kept only when the input or some
+scan tensor requires grad. Scans of unequal width (a shrunk block) are
+zero-padded to the widest: by the rule below a padded unit's h, c and
+gradients stay exactly zero. ``lstm_step`` is the single-cell reference,
+in stored order with the plain sigmoid, that the fused scan is tested
+against.
 
 A pruned hidden unit is one whose coupled weights (see ``coupled``) are
 all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
@@ -159,10 +170,15 @@ def lstm_step(x_t, h, c, p: LstmDirParams):
     return h_new, c_new
 
 
+# the internal gate order (i, f, o, g) as positions in the stored (i, f, g, o);
+# the swap is its own inverse, so it also maps internal rows back to stored
+_GATES = [0, 1, 3, 2]
+
+
 def _stacked_weights(scans, hid, dtype):
-    """Gate-stacked weights of ``scans``, each zero-padded to ``hid`` units:
-    w_ih^T (S, D_h, 4*hid), w_hh^T (S, hid, 4*hid) and b_ih + b_hh
-    (S, 1, 4*hid)."""
+    """The weights of ``scans`` gate-major in the internal gate order
+    (i, f, o, g), each zero-padded to ``hid`` units: w_ih (S, 4, hid, D_h),
+    w_hh (S, 4, hid, hid) and b_ih + b_hh (S, 4, hid)."""
     s, d = len(scans), scans[0].input_size
     w_ih = np.zeros((s, 4, hid, d), dtype)
     w_hh = np.zeros((s, 4, hid, hid), dtype)
@@ -172,9 +188,7 @@ def _stacked_weights(scans, hid, dtype):
         w_ih[k, :, :n] = p.w_ih.data.reshape(4, n, d)
         w_hh[k, :, :n, :n] = p.w_hh.data.reshape(4, n, n)
         bias[k, :, :n] = (p.b_ih.data + p.b_hh.data).reshape(4, n)
-    return (w_ih.reshape(s, 4 * hid, d).transpose(0, 2, 1),
-            w_hh.reshape(s, 4 * hid, hid).transpose(0, 2, 1),
-            bias.reshape(s, 1, 4 * hid))
+    return w_ih[:, _GATES], w_hh[:, _GATES], bias[:, _GATES]
 
 
 def scan_heads(u, heads, directions=DIRECTIONS):
@@ -201,97 +215,132 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     live = [(n, d) for n, d in order if d in directions]
     scans = [heads[n][d] for n, d in live]
     dtype = np.result_type(x, *(p.w_ih.data for p in scans))
-    if not scans:
-        shape = (b, t, sum(heads[n][d].hidden for n, d in order))
-        return Tensor(np.zeros(shape if batched else shape[1:], dtype))
-
-    s, hid = len(scans), max(p.hidden for p in scans)
-    wih_t, whh_t, bias = _stacked_weights(scans, hid, dtype)
-    rev = np.array([d == "rev" for _, d in live])
-    xs = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)[
-        [n for n, _ in live]].astype(dtype, copy=False)  # (S, B, T, D_h)
-    xs[rev] = xs[rev, :, ::-1]
-    gx = (xs.reshape(s, b * t, d_in) @ wih_t + bias).reshape(s, b, t, 4 * hid)
-
-    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
-    save = u.requires_grad or any(tn.requires_grad for tn in params)
-    hs = np.empty((s, b, t, hid), dtype)
-    if save:
-        acts = np.empty((s, b, t, 4 * hid), dtype)
-        cs = np.empty((s, b, t, hid), dtype)
-        tcs = np.empty((s, b, t, hid), dtype)
-    h = np.zeros((s, b, hid), dtype)
-    c = np.zeros((s, b, hid), dtype)
-    for j in range(t):
-        z = gx[:, :, j] + h @ whh_t
-        a = 1.0 / (1.0 + np.exp(-z))
-        a[..., 2 * hid:3 * hid] = np.tanh(z[..., 2 * hid:3 * hid])
-        c = a[..., hid:2 * hid] * c + a[..., :hid] * a[..., 2 * hid:3 * hid]
-        tc = np.tanh(c)
-        h = a[..., 3 * hid:] * tc
-        hs[:, :, j] = h
-        if save:
-            acts[:, :, j], cs[:, :, j], tcs[:, :, j] = a, c, tc
-
     # (scan index or None, column offset, width, reversed) in coupled order
     pieces, off = [], 0
     for n, d in order:
         w = heads[n][d].hidden
-        k = live.index((n, d)) if d in directions else None
-        pieces.append((k, off, w, d == "rev"))
+        pieces.append((live.index((n, d)) if d in directions else None,
+                       off, w, d == "rev"))
         off += w
-    out = np.concatenate(
-        [np.zeros((b, t, w), dtype) if k is None
-         else (hs[k, :, ::-1] if r else hs[k])[..., :w]
-         for k, _, w, r in pieces], axis=-1)
+    out = np.zeros((b, t, off), dtype)
+    if not scans:
+        return Tensor(out if batched else out[0])
+
+    # S scans, head-major: the ``nd`` live directions of head 0, then of
+    # head 1, ... Step j of a reverse scan reads token t-1-j of its input.
+    s, hid = len(scans), max(p.hidden for p in scans)
+    dirs = [d for _, d in live[:s // n_heads]]
+    nd = len(dirs)
+    x = x.astype(dtype, copy=False)
+    xd = [np.ascontiguousarray(x[:, ::-1]) if d == "rev" else x for d in dirs]
+    w_ih, w_hh, bias = _stacked_weights(scans, hid, dtype)
+    half_ifo = np.array([0.5, 0.5, 0.5, 1.0], dtype)[:, None]
+    wih_f = np.ascontiguousarray((w_ih * half_ifo[..., None]).transpose(
+        1, 0, 3, 2)).reshape(4, n_heads, nd, 1, d_in, hid)
+    whh_f = np.ascontiguousarray((w_hh * half_ifo[..., None]).transpose(
+        1, 0, 3, 2))  # (4, S, hid, hid)
+    gates = np.empty((t, 4, s, b, hid), dtype)  # the activations after the loop
+    gv = gates.reshape(t, 4, n_heads, nd, b, hid).transpose(1, 2, 3, 4, 0, 5)
+    for q, xq in enumerate(xd):  # per gate, head and image: (T, D_h) @ W^T
+        np.matmul(xq.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3),
+                  wih_f[:, :, q], out=gv[:, :, q])
+    # the bias repeated over B: broadcast, it would make numpy loop over hid
+    np.add(gates, np.repeat((bias * half_ifo).transpose(1, 0, 2)[:, :, None],
+                            b, axis=2), out=gates)
+    hs = np.zeros((t + 1, s, b, hid), dtype)  # hs[j + 1] is step j's h
+    cs = np.zeros((t + 1, s, b, hid), dtype)
+    tcs = np.empty((t, s, b, hid), dtype)
+    rec = np.empty((4, s, b, hid), dtype)
+    ig = np.empty((s, b, hid), dtype)
+    half = np.asarray(0.5, dtype)
+    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+    for z, ifo, ij, fj, oj, gj, h0, h1, c0, c1, tc in zip(
+            gates, gates[:, :3], i, f, o, g, hs, hs[1:], cs, cs[1:], tcs):
+        np.matmul(h0, whh_f, out=rec)
+        np.add(z, rec, out=z)
+        np.tanh(z, out=z)
+        np.multiply(ifo, half, out=ifo)
+        np.add(ifo, half, out=ifo)
+        np.multiply(fj, c0, out=c1)
+        np.multiply(ij, gj, out=ig)
+        np.add(c1, ig, out=c1)
+        np.tanh(c1, out=tc)
+        np.multiply(oj, tc, out=h1)
+
+    for k, off, w, r in pieces:
+        if k is not None:
+            piece = hs[1:, k, :, :w].transpose(1, 0, 2)
+            out[:, :, off:off + w] = piece[:, ::-1] if r else piece
+
+    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
 
     def backward(grad):
         gy = grad if batched else grad[None]
-        dhs = np.zeros((s, b, t, hid), dtype)
+        dhs = np.zeros((t, s, b, hid), dtype)
         for k, off, w, r in pieces:
             if k is not None:
-                piece = gy[..., off:off + w]
-                dhs[k, :, :, :w] = piece[:, ::-1] if r else piece
-        whh = whh_t.transpose(0, 2, 1)
-        da = np.empty((s, b, t, 4 * hid), dtype)
-        dh_next = np.zeros((s, b, hid), dtype)
-        dc_next = np.zeros((s, b, hid), dtype)
-        for j in reversed(range(t)):
-            a, tc = acts[:, :, j], tcs[:, :, j]
-            i, f = a[..., :hid], a[..., hid:2 * hid]
-            g, o = a[..., 2 * hid:3 * hid], a[..., 3 * hid:]
-            dh = dhs[:, :, j] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz = da[:, :, j]
-            dz[..., :hid] = dc * g * i * (1.0 - i)
-            dz[..., hid:2 * hid] = (dc * cs[:, :, j - 1] * f * (1.0 - f)
-                                    if j else 0.0)
-            dz[..., 2 * hid:3 * hid] = dc * i * (1.0 - g * g)
-            dz[..., 3 * hid:] = dh * tc * o * (1.0 - o)
-            dh_next = dz @ whh
-            dc_next = dc * f
+                piece = gy[..., off:off + w].transpose(1, 0, 2)
+                dhs[:, k, :, :w] = piece[::-1] if r else piece
+        # every factor that does not depend on the recurrence, at once:
+        # dz = dc * fac for i, f and g, and dz = dh * fac for o
+        dsig = gates[:, :3] * (1.0 - gates[:, :3])
+        dc_dh = o * (1.0 - tcs * tcs)
+        fac = np.empty((t, s, b, 4, hid), dtype)
+        fac_i, fac_f, fac_o, fac_g = fac.transpose(3, 0, 1, 2, 4)
+        np.multiply(g, dsig[:, 0], out=fac_i)
+        np.multiply(cs[:-1], dsig[:, 1], out=fac_f)
+        np.multiply(tcs, dsig[:, 2], out=fac_o)
+        np.multiply(i, 1.0 - g * g, out=fac_g)
 
-        flat = da.reshape(s, b * t, 4 * hid)
+        # dz is image-major (S, B, T, 4, hid), so that (S, B*T, 4*hid)
+        # feeds the weight GEMMs; the loop writes step j's (S, B, 4, hid)
+        dz = np.empty((s, b, t, 4, hid), dtype)
+        whh = w_hh.reshape(s, 4 * hid, hid)
+        dh, ddc = np.empty((s, b, hid), dtype), np.empty((s, b, hid), dtype)
+        dh_next = np.zeros((s, b, hid), dtype)
+        dc = np.zeros((s, b, hid), dtype)
+        dc_gates = dc[:, :, None]
+        steps = zip(dhs, dc_dh, fac, fac_o, dz.transpose(2, 0, 1, 3, 4),
+                    dz[..., 2, :].transpose(2, 0, 1, 3),
+                    dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3), f)
+        for dh_out, a, fz, fo, dzj, dzo, dzf, fj in reversed(list(steps)):
+            np.add(dh_out, dh_next, out=dh)
+            np.multiply(dh, a, out=ddc)
+            np.add(dc, ddc, out=dc)
+            np.multiply(dc_gates, fz, out=dzj)
+            np.multiply(dh, fo, out=dzo)
+            np.matmul(dzf, whh, out=dh_next)
+            np.multiply(dc, fj, out=dc)
+
+        flat = dz.reshape(s, b * t, 4 * hid)
+        dzq = flat.reshape(n_heads, nd, b * t, 4 * hid)
         if u.requires_grad:
-            dx = (flat @ wih_t.transpose(0, 2, 1)).reshape(s, b, t, d_in)
-            dx[rev] = dx[rev, :, ::-1]
             du = np.zeros((b, t, n_heads, d_in), dtype)
-            for k, (n, _) in enumerate(live):
-                du[:, :, n] += dx[k]
+            du_heads = du.transpose(2, 0, 1, 3)
+            wq = w_ih.reshape(n_heads, nd, 4 * hid, d_in)
+            for q, d in enumerate(dirs):
+                dx = (dzq[:, q] @ wq[:, q]).reshape(n_heads, b, t, d_in)
+                du_heads += dx[:, :, ::-1] if d == "rev" else dx
             u._accumulate(du.reshape(u.data.shape))
-        hprev = np.zeros_like(hs)
-        hprev[:, :, 1:] = hs[:, :, :-1]
-        flat_t = flat.transpose(0, 2, 1)
-        g_ih = flat_t @ xs.reshape(s, b * t, d_in)
-        g_hh = flat_t @ hprev.reshape(s, b * t, hid)
-        g_b = flat.sum(axis=1)
+        if not any(tn.requires_grad for tn in params):
+            return
+        hprev = np.ascontiguousarray(hs[:-1].transpose(1, 2, 0, 3))
+        g_hh = (flat.transpose(0, 2, 1) @ hprev.reshape(s, b * t, hid)).reshape(
+            s, 4, hid, hid)
+        g_b = flat.sum(axis=1).reshape(s, 4, hid)
+        g_ih = np.empty((n_heads, nd, 4 * hid, d_in), dtype)
+        for q, xq in enumerate(xd):  # each direction against its own input
+            xh = xq.reshape(b * t, n_heads, d_in).transpose(1, 0, 2)
+            np.matmul(dzq[:, q].transpose(0, 2, 1), xh, out=g_ih[:, q])
+        g_ih = g_ih.reshape(s, 4, hid, d_in)
         for k, p in enumerate(scans):
             n = p.hidden
-            rows = (np.arange(4)[:, None] * hid + np.arange(n)).ravel()
-            for tn, g in ((p.w_ih, g_ih[k, rows]), (p.w_hh, g_hh[k, rows, :n]),
-                          (p.b_ih, g_b[k, rows]), (p.b_hh, g_b[k, rows])):
+            for tn, gk in ((p.w_ih, g_ih[k, _GATES, :n]),
+                           (p.w_hh, g_hh[k, _GATES, :n, :n]),
+                           (p.b_ih, g_b[k, _GATES, :n]),
+                           (p.b_hh, g_b[k, _GATES, :n])):
                 if tn.requires_grad:
-                    tn._accumulate(g)
+                    tn._accumulate(gk.reshape(tn.data.shape))
 
     return T._make(out if batched else out[0], (u, *params), backward)
 

@@ -4,15 +4,19 @@ Compute counts follow the MAC-dominant convention used for the DeiT
 family (one multiply-accumulate counted once; normalization, softmax and
 activation costs are not counted). Latency follows the
 warmup-then-median protocol. The harness sets no thread count: numpy's
-BLAS runs with whatever its environment sets.
+BLAS runs with whatever its environment sets, and ``bench_latency``
+records the thread variables (``THREAD_VARS``) as they were set when it
+ran, each ``unset`` when absent, which the report prints.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 VARIANTS = ("attention", "far")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -26,6 +30,7 @@ class CostReport:
     warmups: int = 0
     precision: str = ""  # the model config's
     dtype: str = ""      # of the measured forward's logits
+    threads: dict = field(default_factory=dict)  # THREAD_VARS at the run
 
     def csv(self):
         lines = ["metric,value",
@@ -40,6 +45,8 @@ class CostReport:
             lines += [f"runs,{self.runs}", f"warmups,{self.warmups}"]
         if self.dtype:
             lines += [f"precision,{self.precision}", f"dtype,{self.dtype}"]
+        for k, v in self.threads.items():
+            lines.append(f'{k},"{v}"' if "," in v else f"{k},{v}")
         return "\n".join(lines) + "\n"
 
 
@@ -144,8 +151,9 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
 def bench_latency(run_fn, warmups=30, runs=100):
     """Warmup-then-timed median latency of ``run_fn()``.
 
-    Returns stats in milliseconds plus the run and warmup counts. The caller
-    must pass a closure over an immutable model and fixed input.
+    Returns stats in milliseconds plus the run and warmup counts and the
+    thread variables in effect. The caller must pass a closure over an
+    immutable model and fixed input.
     """
     if runs <= 0:
         raise ValueError("runs must be positive")
@@ -166,6 +174,7 @@ def bench_latency(run_fn, warmups=30, runs=100):
         "p90": float(np.percentile(arr, 90)),
         "runs": runs,
         "warmups": warmups,
+        "threads": {k: os.environ.get(k, "unset") for k in THREAD_VARS},
     }
 
 

@@ -79,9 +79,14 @@ class Tensor:
     # -- graph machinery ----------------------------------------------------
 
     def _accumulate(self, g):
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of "
+                             f"shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: a backward hands the same g to several parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self):
         """Accumulate gradients of this scalar into all trainable leaves."""

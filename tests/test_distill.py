@@ -296,6 +296,30 @@ def test_non_finite_loss_names_the_first_non_finite_block(desk_cfg, phase):
         run_phase(far, teacher, ds, cfg, extra_loss=lambda: T.Tensor(np.nan))
 
 
+@pytest.mark.parametrize("phase", ["distill", "finetune"])
+def test_non_finite_gradient_names_the_tensor_before_the_step(desk_cfg,
+                                                              phase):
+    ds = synth_dataset(12, 40, 10, 32)
+    teacher = TeacherModel(desk_cfg, seed=12)
+    far = replace_attention(teacher, seed=12)
+    in_b = far.blocks[1].in_b
+    assert not in_b.data.any()
+    before = {n: p.data.copy() for n, p in far.named_parameters().items()}
+
+    def norm_at_zero():  # the norm of a zero vector is 0; its slope is not
+        return T.sqrt(T.tsum(T.square(in_b)))
+
+    cfg = TrainConfig(phase=phase, lr=1e-4, epochs=1, batch_size=20, seed=12,
+                      warmup_epochs=0)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=rf"non-finite gradient in phase {phase} epoch "
+            r"0: far\.1\.in_b is the first trained tensor with one"):
+        run_phase(far, teacher, ds, cfg, extra_loss=norm_at_zero)
+    for n, p in far.named_parameters().items():  # no step was taken
+        np.testing.assert_array_equal(p.data, before[n], err_msg=n)
+    assert not any(p.requires_grad for p in far.parameters())
+
+
 def test_train_teacher_logs_run_phase_columns(desk_cfg):
     ds = synth_dataset(8, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=8)

@@ -550,6 +550,19 @@ def test_cli_bench(tmp_path, capsys):
     assert "threads" not in text  # the harness sets no thread count
 
 
+def test_cli_bench_reports_its_thread_variables(tmp_path, capsys,
+                                               monkeypatch):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4,2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["bench", "--config", str(cfgfile), "--variant", "far"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["OPENBLAS_NUM_THREADS,1", 'OMP_NUM_THREADS,"4,2"',
+                          "MKL_NUM_THREADS,unset"]
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("variant", ["attention", "far"])
 def test_cli_bench_reports_the_dtype_it_measured(tmp_path, capsys, variant,

@@ -235,6 +235,44 @@ def test_shared_node_accumulates():
     assert x.grad.item() == 12.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_leaf_gets_its_own_gradient_array(dtype):
+    """add hands one gradient array to both parents; every leaf keeps its
+    own copy, at its dtype, with the values of zeros-then-add."""
+    rng = np.random.default_rng(40)
+    a, b = (Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+            for _ in range(2))
+    w = rng.normal(size=(3, 4)).astype(dtype)
+    T.tsum((a + b) * Tensor(w)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    for leaf in (a, b):
+        assert leaf.grad.dtype == dtype
+        np.testing.assert_array_equal(leaf.grad, np.zeros_like(w) + w)
+
+    a.grad = b.grad = None
+    T.tsum((a + a) * Tensor(w)).backward()
+    np.testing.assert_array_equal(a.grad, np.zeros_like(w) + w + w)
+
+    a.grad = b.grad = None
+    T.tsum(a * b * Tensor(w)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, np.zeros_like(w) + w * b.data)
+    np.testing.assert_array_equal(b.grad, np.zeros_like(w) + w * a.data)
+
+
+def test_gradient_of_another_shape_is_a_shape_error():
+    a = Tensor(np.zeros((3, 4)), requires_grad=True)
+    for g in (np.ones((4, 3)), np.ones(4), np.ones((1, 3, 4))):
+        with pytest.raises(ShapeError, match=r"gradient of shape .* for a "
+                           r"tensor of shape \(3, 4\)"):
+            a._accumulate(g)
+    assert a.grad is None
+    a._accumulate(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        a._accumulate(np.ones(4))  # would broadcast into the sum
+    np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
+
+
 # -- determinism and shape algebra ---------------------------------------------
 
 def test_determinism_bit_identical():
