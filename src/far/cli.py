@@ -6,6 +6,7 @@ error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -104,9 +105,13 @@ def cmd_prune(args, cfg):
     for key in ("threshold", "reg_coeff"):  # a flag overrides its key
         value, least = getattr(args, key), MINIMUM[("prune", key)]
         if value is not None:
+            flag = f"--{key.replace('_', '-')}"
+            if not math.isfinite(value):
+                raise ValueError(f"{flag}: expected a finite number, got "
+                                 f"{value}")
             if value < least:
-                raise ValueError(f"--{key.replace('_', '-')}: expected at "
-                                 f"least {least}, got {value}")
+                raise ValueError(f"{flag}: expected at least {least}, got "
+                                 f"{value}")
             pr[key] = value
     far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
@@ -180,14 +185,19 @@ def cmd_bench(args, cfg):
 
 
 def cmd_attribute(args, cfg):
-    """Maps of the checkpoint's model, on an image of its own geometry."""
+    """Maps of the checkpoint's model, on an image of its own geometry:
+    image 0 of the run config's dataset. Only that image is drawn: it takes
+    the seeded generator's first draws and is of class 0, whatever the
+    dataset's size and class count."""
     model = ckpt.load_model(args.checkpoint)
-    if not 0 <= args.layer < model.cfg.layers:
-        raise ValueError(
-            f"layer {args.layer} out of range [0, {model.cfg.layers})")
-    image = _dataset_from_cfg(cfg, args.seed, model.cfg).images[0]
+    m = model.cfg
+    if not 0 <= args.layer < m.layers:
+        raise ValueError(f"layer {args.layer} out of range [0, {m.layers})")
+    seed = args.seed if args.seed is not None else cfg["train"]["seed"]
+    image = synth_dataset(seed, 1, 1, m.image_size, channels=m.channels,
+                          noise=cfg["data"]["noise"]).images[0]
     mats = {}
-    for head in range(model.cfg.heads):
+    for head in range(m.heads):
         mats[f"saliency_l{args.layer}_h{head}"] = cls_saliency(
             model, image, args.layer, head)
     mats[f"dependency_l{args.layer}"] = token_dependency(

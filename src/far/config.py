@@ -1,8 +1,11 @@
 """Line-oriented run configuration: ``key = value`` pairs under
 ``[section]`` headers. Unknown sections or keys are errors; every key
-has a documented default, a string key listed in ``CHOICES`` takes only
-the values listed there, and a key listed in ``MINIMUM`` no smaller value.
+has a documented default, a float key only finite values, a string key
+listed in ``CHOICES`` only the values listed there, and a key listed in
+``MINIMUM`` no smaller value.
 """
+
+import math
 
 # section -> key -> (type, default)
 SCHEMA = {
@@ -64,6 +67,9 @@ def _coerce(section, key, raw):
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(
+            f"[{section}] {key}: expected a finite number, got {raw!r}")
     least = MINIMUM.get((section, key))
     if least is not None and value < least:
         raise ConfigError(

@@ -40,8 +40,9 @@ class TrainConfig:
     phase: str = "distill"
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("similarity weight must be non-negative")
+        if not self.lam >= 0:
+            raise ValueError(
+                f"similarity weight must be non-negative, got {self.lam}")
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
 

@@ -104,8 +104,8 @@ def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
     importance. The max-importance unit is always kept (floor rule). A
     pruned unit loses its gate rows, W_hh column, biases and out_w row.
     """
-    if tau < 0:
-        raise ValueError("pruning threshold must be non-negative")
+    if not tau >= 0:  # also a nan, which every comparison would keep
+        raise ValueError(f"pruning threshold must be non-negative, got {tau}")
     for blk in far_model.blocks:
         for h, head in enumerate(blk.heads):
             for d in DIRECTIONS:
@@ -162,12 +162,12 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
     ``far_model`` is shrunk in place: its blocks are replaced. A negative
-    ``tau`` or ``reg_coeff`` is a ValueError before any training.
+    or nan ``tau`` or ``reg_coeff`` is a ValueError before any training.
     """
     from .distill import run_phase
 
     for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
     reg_cfg.phase = "prune-regularize"
     if reg_coeff > 0:

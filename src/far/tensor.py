@@ -11,6 +11,18 @@ bit-identical. A graph computes at its inputs' dtype: a constant operand
 of ``add``, ``mul`` or ``div`` takes the Tensor operand's dtype
 (``_operands``), so a float32 model's activations, gradients and
 optimizer state stay float32.
+
+The node contract: a node's ``data`` is always a float32 or float64
+ndarray, 0-d for a full reduction. ``Tensor(...)`` coerces what a caller
+passes; an op's node is built by ``_make`` from a numpy result, which
+needs no coercion, so a B=1 request pays for its numpy calls rather than
+for bookkeeping. Every reduction inside an op calls the ufunc
+``np.add.reduce`` or ``np.maximum.reduce``, the calls that
+``ndarray.sum``/``max``/``mean`` make after a Python wrapper, and a mean
+divides that sum by the element count, a Python int. That is
+bit-identical to ``ndarray.mean``, which divides by an ``intp`` count: for
+float32 that quotient is computed in float64 and rounded once, which
+equals the correctly rounded float32 quotient of ``/ d``.
 """
 
 import math
@@ -18,6 +30,10 @@ import math
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+# the ufunc reductions behind ndarray.sum/max, without their Python wrapper
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 class GradientError(RuntimeError):
@@ -134,6 +150,8 @@ class Tensor:
         return add(other, self)
 
     def __sub__(self, other):
+        if not isinstance(other, Tensor) and np.ndim(other) == 0:
+            return add(self, -other)  # a constant, so it takes self's dtype
         return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
@@ -166,12 +184,23 @@ def as_tensor(x, dtype=None):
 
 
 def _make(data, parents, backward_fn):
-    """Build a graph node; records the edge only if some parent needs grad."""
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    """Build a graph node from an op's numpy result; records the edge only
+    if some parent needs grad. The result of a float op needs none of
+    ``Tensor.__init__``'s coercions, only a full reduction's numpy scalar
+    becomes a 0-d array."""
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out._backward_done = False
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward_fn = backward_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = None
     return out
 
 
@@ -181,10 +210,10 @@ def _unbroadcast(g, shape):
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = _sum(g, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = _sum(g, axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -195,6 +224,8 @@ def _operands(a, b):
     (a Python or numpy scalar, or a 0-d array) takes the dtype of the other
     operand, so a float32 graph stays float32: numpy >= 2 would otherwise
     promote it to the constant's float64 (NEP 50)."""
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        return a, b
     if not isinstance(b, Tensor) and np.ndim(b) == 0:
         a = as_tensor(a)
         return a, Tensor(np.asarray(b, a.dtype))
@@ -321,11 +352,11 @@ def reshape(a, shape):
 
 def transpose(a, axes=None):
     a = as_tensor(a)
-    out_data = np.transpose(a.data, axes)
+    out_data = a.data.transpose(axes)
 
     def backward(g):
         inv = None if axes is None else np.argsort(axes)
-        a._accumulate(np.transpose(g, inv))
+        a._accumulate(g.transpose(inv))
 
     return _make(out_data, (a,), backward)
 
@@ -342,11 +373,10 @@ def _basic_index(key):
 def getitem(a, key):
     a = as_tensor(a)
     out_data = a.data[key]
-    basic = _basic_index(key)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        if basic:
+        if _basic_index(key):
             full[key] = g
         else:  # an index array may repeat an element: accumulate
             np.add.at(full, key, g)
@@ -389,7 +419,7 @@ def split(a, sections, axis=0):
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = _sum(a.data, axis=axis, keepdims=keepdims)
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -514,12 +544,12 @@ def _gelu_f32(a):
 def softmax(a, axis=-1):
     """Numerically stabilized softmax along ``axis``."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _max(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / _sum(e, axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = _sum(g * out_data, axis=axis, keepdims=True)
         a._accumulate(out_data * (g - dot))
 
     return _make(out_data, (a,), backward)
@@ -535,22 +565,22 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm affine params must have shape ({d},), got "
             f"{gamma.data.shape} and {beta.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _sum(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _sum(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
 
     def backward(g):
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma._accumulate(_sum((g * xhat).reshape(-1, d), axis=0))
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+            beta._accumulate(_sum(g.reshape(-1, d), axis=0))
         if x.requires_grad:
             gx = g * gamma.data
-            gxhat_mean = gx.mean(axis=-1, keepdims=True)
-            gxhat_x_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+            gxhat_mean = _sum(gx, axis=-1, keepdims=True) / d
+            gxhat_x_mean = _sum(gx * xhat, axis=-1, keepdims=True) / d
             x._accumulate(inv * (gx - gxhat_mean - xhat * gxhat_x_mean))
 
     return _make(out_data, (x, gamma, beta), backward)
@@ -562,10 +592,10 @@ def cross_entropy(logits, labels):
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     lg = np.atleast_2d(logits.data)
     n = lg.shape[0]
-    shifted = lg - lg.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = lg - _max(lg, axis=-1, keepdims=True)
+    lse = np.log(_sum(np.exp(shifted), axis=-1, keepdims=True))
     logp = shifted - lse
-    out_data = np.asarray(-logp[np.arange(n), labels].sum() / n)
+    out_data = -_sum(logp[np.arange(n), labels], axis=None) / n
 
     def backward(g):
         p = np.exp(logp)

@@ -42,6 +42,9 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.type is int and value <= 0:
                 raise ShapeError(f"{f.name} must be positive, got {value}")
+        if self.precision not in T.DTYPES:
+            raise ValueError(f"precision must be one of "
+                             f"{', '.join(T.DTYPES)}, got {self.precision!r}")
         if self.image_size % self.patch_size != 0:
             raise ShapeError(
                 f"patch size {self.patch_size} does not divide image size "

@@ -188,6 +188,8 @@ def test_train_config_validation():
         TrainConfig(lam=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(phase="nope")
+    with pytest.raises(ValueError, match="non-negative, got nan"):
+        TrainConfig(lam=float("nan"))
 
 
 def test_cosine_lr_shape():

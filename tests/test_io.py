@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import checkpoint as ckpt, distill, far_block
+from far import checkpoint as ckpt, cli, distill, far_block
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
 from far.cli import build_parser, main
-from far.config import (ConfigError, default_config, load_config,
+from far.config import (SCHEMA, ConfigError, default_config, load_config,
                         parse_config, render_config)
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import ShapeError, Tensor
-from far.attribution import read_heatmap_csv
+from far.attribution import (cls_saliency, export_heatmaps, read_heatmap_csv,
+                             token_dependency)
 from far.vit import ModelConfig, TeacherModel
 
 from conftest import desk_config
@@ -403,6 +404,18 @@ def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+FLOAT_KEYS = [(sec, key) for sec, keys in SCHEMA.items()
+              for key, (typ, _) in keys.items() if typ is float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_config_rejects_non_finite_float(section, key, raw):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected "
+                                          f"a finite number, got '{raw}'"):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+
+
 def test_config_comments_and_types():
     cfg = parse_config("[train]\nseed = 7  # reproducibility\n"
                        "[prune]\nthreshold = 0.5\n")
@@ -521,6 +534,49 @@ def test_cli_attribute_uses_the_checkpoint_image_size(tmp_path, capsys):
     assert dep.shape == (cfg.tokens, cfg.tokens) == (65, 65)
 
 
+def test_cli_attribute_maps_image_0_of_the_run_dataset(tmp_path, capsys,
+                                                       monkeypatch):
+    """The one image drawn is byte-identical to image 0 of the whole
+    ``[data]`` dataset, so the maps are those of that image."""
+    cfg = desk_config()
+    cfg.layers = 2
+    model = replace_attention(TeacherModel(cfg, seed=41), seed=41)
+    path = tmp_path / "far.farc"
+    save_model(model, path)
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(synth_dataset(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "synth_dataset", spy)
+    assert main(["attribute", "--checkpoint", str(path), "--layer", "1",
+                 "--seed", "5", "--out-prefix", str(tmp_path / "new_")]) == 0
+    files = capsys.readouterr().out.split()
+    assert [len(ds) for ds in drawn] == [1]
+    image = synth_dataset(5, 200, 10, 32, channels=3, noise=0.25).images[0]
+    assert drawn[0].images[0].tobytes() == image.tobytes()
+    mats = {f"saliency_l1_h{h}": cls_saliency(model, image, 1, h)
+            for h in range(cfg.heads)}
+    mats["dependency_l1"] = token_dependency(model, image, 1)
+    expected = export_heatmaps(mats, str(tmp_path / "old_"))
+    assert len(files) == len(expected) == 6
+    for new, old in zip(files, expected):
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_cli_attribute_maps_a_model_with_more_classes_than_n(tmp_path,
+                                                             capsys):
+    cfg = desk_config()
+    cfg.layers, cfg.num_classes = 1, 300  # [data] n is 200
+    path = tmp_path / "wide.farc"
+    save_model(TeacherModel(cfg, seed=42), path)
+    assert main(["attribute", "--checkpoint", str(path), "--out-prefix",
+                 str(tmp_path / "attr_")]) == 0
+    assert len(capsys.readouterr().out.split()) == 2 * (cfg.heads + 1)
+
+
 def test_cli_attribute_layer_out_of_range_is_named_error(tmp_path, capsys):
     cfg = desk_config()
     cfg.layers = 2
@@ -629,11 +685,17 @@ def test_cli_zero_epochs_saves_the_model(tmp_path, capsys, command, kind,
 
 
 @pytest.mark.parametrize("setting,flags,named", [
-    ("threshold = -0.5", [], "[prune] threshold"),
-    ("reg_coeff = -5", [], "[prune] reg_coeff"),
-    ("", ["--threshold", "-1"], "--threshold"),
-    ("", ["--reg-coeff", "-3"], "--reg-coeff"),
-], ids=["threshold-key", "reg_coeff-key", "threshold-flag", "reg-coeff-flag"])
+    ("threshold = -0.5", [], "[prune] threshold: expected at least 0.0"),
+    ("reg_coeff = -5", [], "[prune] reg_coeff: expected at least 0.0"),
+    ("", ["--threshold", "-1"], "--threshold: expected at least 0.0"),
+    ("", ["--reg-coeff", "-3"], "--reg-coeff: expected at least 0.0"),
+    ("", ["--threshold", "nan"], "--threshold: expected a finite number"),
+    ("", ["--threshold", "inf"], "--threshold: expected a finite number"),
+    ("", ["--reg-coeff", "nan"], "--reg-coeff: expected a finite number"),
+    ("", ["--reg-coeff", "inf"], "--reg-coeff: expected a finite number"),
+], ids=["threshold-key", "reg_coeff-key", "threshold-flag", "reg-coeff-flag",
+        "threshold-flag-nan", "threshold-flag-inf", "reg-coeff-flag-nan",
+        "reg-coeff-flag-inf"])
 def test_cli_prune_rejects_negative_values_before_training(
         tmp_path, capsys, monkeypatch, setting, flags, named):
     calls = []
@@ -647,7 +709,7 @@ def test_cli_prune_rejects_negative_values_before_training(
     assert main(["prune", "--config", str(cfgfile), "--checkpoint", str(path),
                  "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    assert f"{named}: expected at least 0.0" in err
+    assert named in err
     assert calls == []
     assert not out.exists()
 
@@ -760,6 +822,22 @@ def test_any_bit_flip_is_checkpoint_error(small_far_file, data):
     bad = path.with_name("flipped.farc")
     bad.write_bytes(bytes(flipped))
     _assert_named_failure(bad)
+
+
+@pytest.mark.parametrize("precision", ["f16", "bogus"])
+def test_bad_precision_is_named_error(small_far_file, precision):
+    """A precision outside tensor.DTYPES is a ValueError from the
+    constructor and a CheckpointError naming the file (exit 1) from a
+    CRC-valid checkpoint."""
+    with pytest.raises(ValueError, match="precision must be one of f32, f64"):
+        ModelConfig(precision=precision)
+    path, _ = small_far_file
+    cfg = ModelConfig(**{**vars(desk_config()), "layers": 1})
+    cfg.precision = precision  # attribute writes are not validated
+    _, kind, tensors = load_checkpoint(path)
+    bad = path.with_name(f"{precision}.farc")
+    save_checkpoint(bad, cfg, tensors, kind=kind)
+    _assert_named_failure(bad, match=f"got {precision!r}")
 
 
 INT_FIELDS = [f.name for f in dataclasses.fields(ModelConfig) if f.type is int]

@@ -293,6 +293,18 @@ def test_negative_threshold_rejected(far_f64):
         prune_by_threshold(far_f64, -1e-6)
 
 
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_nan_threshold_rejected_and_nothing_pruned(far_f64, mode):
+    """A nan tau compares false with every norm, so it would prune every
+    unit but each scan's argmax."""
+    before = {n: t.data.copy() for n, t in far_f64.named_parameters().items()}
+    with pytest.raises(ValueError, match="threshold must be non-negative, "
+                                         "got nan"):
+        prune_by_threshold(far_f64, float("nan"), mode=mode)
+    for n, t in far_f64.named_parameters().items():
+        np.testing.assert_array_equal(t.data, before[n])
+
+
 def test_prune_zeroes_exactly_the_coupled_set():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=15), seed=15)
@@ -463,7 +475,10 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
 
 
 @pytest.mark.parametrize("kwargs,name", [({"tau": -1e-6}, "tau"),
-                                         ({"reg_coeff": -1.0}, "reg_coeff")])
+                                         ({"reg_coeff": -1.0}, "reg_coeff"),
+                                         ({"tau": float("nan")}, "tau"),
+                                         ({"reg_coeff": float("nan")},
+                                          "reg_coeff")])
 def test_pipeline_rejects_negative_values_before_training(monkeypatch, kwargs,
                                                           name):
     calls = []

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -6,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from far import tensor as T
+from far.far_block import replace_attention
 from far.tensor import GradientError, ShapeError, Tensor
+from far.vit import TeacherModel
+
+from conftest import desk_config, random_image
 
 
 def fd_check(fn, x, h=1e-6, rel=1e-7, samples=None):
@@ -440,3 +446,173 @@ def test_gelu_f32_gradient_is_f32_and_close_to_f64():
         grads.append(t.grad)
     assert grads[0].dtype == np.float32
     assert np.abs(grads[0] - grads[1]).max() <= GELU_GRAD_ABS
+
+
+# -- ufunc reductions: bit-identical to ndarray.mean/sum/max ------------------
+
+def _same_bits(got, want):
+    want = np.asarray(want)
+    assert type(got) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _oracle_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """Output and (dx, dgamma, dbeta) written with ndarray.mean and .sum."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gx = g * gamma
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return (xhat * gamma + beta, dx, (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+def _upstream(out, g):
+    """Backward from ``out`` with upstream gradient exactly ``g``."""
+    T.tsum(out * Tensor(g)).backward()
+
+
+REDUCE_CASES = [(dt, d) for dt in (np.float32, np.float64) for d in (32, 192)]
+
+
+@pytest.mark.parametrize("dtype,d", REDUCE_CASES)
+def test_layer_norm_bit_identical_to_ndarray_mean_oracle(dtype, d):
+    rng = np.random.default_rng(d)
+    x, gamma, beta, g = (rng.normal(1.5, 2.0, size=s).astype(dtype)
+                         for s in ((3, 17, d), (d,), (d,), (3, 17, d)))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = T.layer_norm(*leaves)
+    _upstream(out, g)
+    want = _oracle_layer_norm(x, gamma, beta, g)
+    for got, exp in zip([out.data] + [t.grad for t in leaves], want):
+        _same_bits(got, exp)
+
+
+@pytest.mark.parametrize("dtype,d", REDUCE_CASES)
+def test_softmax_bit_identical_to_ndarray_oracle(dtype, d):
+    rng = np.random.default_rng(d + 1)
+    x, g = (rng.normal(0.0, 3.0, size=(2, 3, 17, d)).astype(dtype)
+            for _ in range(2))
+    leaf = Tensor(x, requires_grad=True)
+    out = T.softmax(leaf, axis=-1)
+    _upstream(out, g)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    _same_bits(out.data, p)
+    _same_bits(leaf.grad, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("dtype,d", REDUCE_CASES)
+@pytest.mark.parametrize("axis,keepdims", [(None, False), (-1, False),
+                                           (-1, True), (0, False)])
+def test_tsum_and_mean_bit_identical_to_ndarray_oracle(dtype, d, axis,
+                                                       keepdims):
+    x = np.random.default_rng(d + 2).normal(1.5, 2.0, (3, 17, d)).astype(dtype)
+    _same_bits(T.tsum(Tensor(x), axis=axis, keepdims=keepdims).data,
+               x.sum(axis=axis, keepdims=keepdims))
+    n = x.size if axis is None else x.shape[axis]
+    _same_bits(T.mean(Tensor(x), axis=axis, keepdims=keepdims).data,
+               x.sum(axis=axis, keepdims=keepdims) * dtype(1.0 / n))
+
+
+@pytest.mark.parametrize("dtype,d", REDUCE_CASES)
+def test_cross_entropy_bit_identical_to_ndarray_oracle(dtype, d):
+    rng = np.random.default_rng(d + 3)
+    lg = rng.normal(0.0, 3.0, size=(5, d)).astype(dtype)
+    labels = rng.integers(0, d, size=5)
+    leaf = Tensor(lg, requires_grad=True)
+    loss = T.cross_entropy(leaf, labels)
+    loss.backward()
+    shifted = lg - lg.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    _same_bits(loss.data, -logp[np.arange(5), labels].sum() / 5)
+    p = np.exp(logp)
+    p[np.arange(5), labels] -= 1.0
+    _same_bits(leaf.grad, np.ones((), dtype) * p / 5)
+
+
+# -- node contract: data is a float ndarray of the inputs' dtype ---------------
+
+_PREC = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+OPS = {
+    "add": lambda x: x + x,
+    "add_const": lambda x: 2 + x,
+    "sub": lambda x: x - 0.5,
+    "mul": lambda x: x * x,
+    "div": lambda x: x / (T.square(x) + 1.0),
+    "neg": lambda x: -x,
+    "sqrt": lambda x: T.sqrt(T.square(x) + 1.0),
+    "exp": T.exp,
+    "log": lambda x: T.log(T.exp(x)),
+    "matmul": lambda x: T.matmul(x, T.transpose(x)),
+    "matmul_vec": lambda x: T.matmul(x, x[0]),
+    "reshape": lambda x: T.reshape(x, (-1,)),
+    "getitem_slice": lambda x: x[:, 1:],
+    "getitem_element": lambda x: x[1, 2],
+    "getitem_array": lambda x: x[np.array([0, 0, 1])],
+    "concat": lambda x: T.concat([x, x], axis=1),
+    "split": lambda x: T.split(x, 3, axis=1)[1],
+    "tsum": T.tsum,
+    "tsum_axis": lambda x: T.tsum(x, axis=0),
+    "mean": T.mean,
+    "sigmoid": T.sigmoid,
+    "tanh": T.tanh,
+    "gelu": T.gelu,
+    "softmax": T.softmax,
+    "layer_norm": lambda x: T.layer_norm(x, T.ones(3, _PREC[x.dtype]),
+                                         T.zeros(3, _PREC[x.dtype])),
+    "cross_entropy": lambda x: T.cross_entropy(x, [0, 2]),
+}
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_every_op_result_is_an_ndarray_of_the_input_dtype(name, dtype,
+                                                          requires_grad):
+    x = Tensor(np.arange(6.0).reshape(2, 3) / 7, dtype=_PREC[np.dtype(dtype)],
+               requires_grad=requires_grad)
+    out = OPS[name](x)
+    assert type(out.data) is np.ndarray and out.data.dtype == dtype
+    assert out.requires_grad is requires_grad
+    assert (out._parents != ()) is requires_grad
+
+
+def test_tensor_constructor_still_coerces():
+    for value in (3, [1, 2], np.arange(3), [[True]]):
+        t = Tensor(value)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(value))
+    x32 = np.ones(2, np.float32)
+    assert Tensor(x32).data is x32
+    assert Tensor(Tensor(x32)).data is x32
+    assert Tensor(x32, dtype="f64").data.dtype == np.float64
+    assert Tensor(np.ones(2), dtype=np.float32).data.dtype == np.float32
+    scalar = Tensor(np.float32(2.0))
+    assert type(scalar.data) is np.ndarray and scalar.data.shape == ()
+    assert scalar.data.dtype == np.float32
+
+
+# -- a frozen B=1 forward goes around numpy's Python reduction wrappers -------
+
+@pytest.mark.parametrize("variant", ["teacher", "far"])
+def test_frozen_b1_forward_calls_nothing_in_numpy_methods(variant):
+    methods = pytest.importorskip("numpy._core._methods")
+    cfg = desk_config()
+    model = TeacherModel(cfg, seed=5)
+    if variant == "far":
+        model = replace_attention(model, seed=5)
+    image = random_image(cfg, np.random.default_rng(5))
+    profile = cProfile.Profile()
+    profile.enable()
+    logits, _ = model.forward(image)
+    profile.disable()
+    assert logits.shape == (1, cfg.num_classes)
+    calls = {fn: row[1] for (path, _, fn), row in
+             pstats.Stats(profile).stats.items() if path == methods.__file__}
+    assert calls == {}
