@@ -67,7 +67,7 @@ def cls_saliency(model, image, layer, head, directions=DIRECTIONS):
     leaf = Tensor(x.data, requires_grad=True)
     blk = model.blocks[layer]
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
-    u = T.matmul(h, blk.in_w) + blk.in_b
+    u = T.linear(h, blk.in_w, blk.in_b)
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
     hh = bilstm_head(sub, blk.heads[head], directions=directions)
     T.sqrt(T.tsum(T.square(hh[:, 0, :]))).backward()

@@ -42,6 +42,12 @@ def _load_kind(path, kind):
     return model
 
 
+def _final_acc(rows, model, ds):
+    """The last epoch row's train accuracy, which was measured on the
+    final weights; measured now when no epoch ran."""
+    return rows[-1]["acc"] if rows else accuracy(model, ds)
+
+
 def cmd_train_teacher(args, cfg):
     mcfg = model_config(cfg)
     tr = cfg["train"]
@@ -58,7 +64,8 @@ def cmd_train_teacher(args, cfg):
     ckpt.save_model(teacher, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
-    print(f"teacher train acc {accuracy(teacher, ds):.3f}; saved {args.out}")
+    print(f"teacher train acc {_final_acc(rows, teacher, ds):.3f}; "
+          f"saved {args.out}")
     return 0
 
 
@@ -96,7 +103,8 @@ def cmd_finetune(args, cfg):
     ckpt.save_model(far, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
-    print(f"finetuned; train acc {accuracy(far, ds):.3f}; saved {args.out}")
+    print(f"finetuned; train acc {_final_acc(rows, far, ds):.3f}; "
+          f"saved {args.out}")
     return 0
 
 

@@ -8,27 +8,35 @@ side (T x 2D) -> output projection (2D->D) -> residual add. Stored gate
 stacking order is (input, forget, cell, output) throughout, so row j of
 gate g lives at index g*hidden + j in the stacked weight matrices.
 
-All 2N scans of a block run as one graph node (``scan_heads``). On each
-call it packs the scans' weights gate-major in a private order (i, f, o,
-g), with the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so
-one tanh covers all four gates. A reverse scan reads a time-reversed copy
-of its input, and every buffer runs in scan time. Two batched GEMMs (one
-per direction) write every step's input gates into a time-major buffer
-(T, 4, S, B, hid), and cell states, their tanh and hidden states are
-time-major (T, S, B, hid) too. A step is then one ``h @ w_hh`` over the S
-scans, one add, one tanh over the four gates, two in-place ops on the
-contiguous i/f/o block, and ``out=`` ufuncs for c, tanh(c) and h; the
-gate buffer ends up holding the activations. The node's backward is a
-hand-written BPTT. Before its reverse loop it computes, for all steps at
-once, every factor that does not depend on the recurrence: o(1-tc^2),
-g i(1-i), c_prev f(1-f), i(1-g^2) and tc o(1-o). The loop itself only
-adds dh, updates dc, multiplies the factors into dz, takes ``dz @ w_hh``
-and scales dc by f. Activations are kept only when the input or some
-scan tensor requires grad. Scans of unequal width (a shrunk block) are
-zero-padded to the widest: by the rule below a padded unit's h, c and
-gradients stay exactly zero. ``lstm_step`` is the single-cell reference,
-in stored order with the plain sigmoid, that the fused scan is tested
-against.
+All 2N scans of a block run as one graph node (``scan_heads``). It lays
+the scans' weights out gate-major in a private order (i, f, o, g), with
+the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so one tanh
+covers all four gates. Whatever depends on shapes alone comes from a
+plan cached per scan sizes, head count, directions and dtype: the output
+pieces, and gather indices into one concatenation of the live scans'
+weights with a zero appended for padding. A call then lays out its
+forward weights with one concatenate, one gather and one in-place scale,
+and its backward gathers the unscaled layouts from the same
+concatenation. The plan holds indices only, so weights zeroed in place
+(pruning) or rebound (``AdamW.step``) are read afresh on every call, and
+a shrunk block's new sizes get a plan of their own. A reverse scan reads
+a time-reversed copy of its input, and every buffer runs in scan time.
+Two batched GEMMs (one per direction) write every step's input gates
+into a time-major buffer (T, 4, S, B, hid), and cell states, their tanh
+and hidden states are time-major (T, S, B, hid) too. A step is then one
+``h @ w_hh`` over the S scans, one add, one tanh over the four gates,
+two in-place ops on the contiguous i/f/o block, and ``out=`` ufuncs for
+c, tanh(c) and h; the gate buffer ends up holding the activations. The
+node's backward is a hand-written BPTT. Before its reverse loop it
+computes, for all steps at once, every factor that does not depend on
+the recurrence: o(1-tc^2), g i(1-i), c_prev f(1-f), i(1-g^2) and tc
+o(1-o). The loop itself only adds dh, updates dc, multiplies the factors
+into dz, takes ``dz @ w_hh`` and scales dc by f. Activations are kept
+only when the input or some scan tensor requires grad. Scans of unequal
+width (a shrunk block) are zero-padded to the widest: by the rule below
+a padded unit's h, c and gradients stay exactly zero. ``lstm_step`` is
+the single-cell reference, in stored order with the plain sigmoid, that
+the fused scan is tested against.
 
 A pruned hidden unit is one whose coupled weights (see ``coupled``) are
 all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
@@ -36,6 +44,7 @@ zero initial state its h and c stay exactly zero and its gradients are
 zero. No separate mask is kept.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,20 +184,76 @@ def lstm_step(x_t, h, c, p: LstmDirParams):
 _GATES = [0, 1, 3, 2]
 
 
-def _stacked_weights(scans, hid, dtype):
-    """The weights of ``scans`` gate-major in the internal gate order
-    (i, f, o, g), each zero-padded to ``hid`` units: w_ih (S, 4, hid, D_h),
-    w_hh (S, 4, hid, hid) and b_ih + b_hh (S, 4, hid)."""
-    s, d = len(scans), scans[0].input_size
-    w_ih = np.zeros((s, 4, hid, d), dtype)
-    w_hh = np.zeros((s, 4, hid, hid), dtype)
-    bias = np.zeros((s, 4, hid), dtype)
-    for k, p in enumerate(scans):
-        n = p.hidden
-        w_ih[k, :, :n] = p.w_ih.data.reshape(4, n, d)
-        w_hh[k, :, :n, :n] = p.w_hh.data.reshape(4, n, n)
-        bias[k, :, :n] = (p.b_ih.data + p.b_hh.data).reshape(4, n)
-    return w_ih[:, _GATES], w_hh[:, _GATES], bias[:, _GATES]
+def _gather_indices(hidden, d_in):
+    """The layouts of ``_Plan`` as indices into the concatenation of the
+    scans' flattened (w_ih, w_hh, b_ih, b_hh) with one zero appended:
+    w_ih (S, 4, hid, D_h), w_hh (S, 4, hid, hid), b_ih and b_hh (S, 4, hid)
+    gate-major in the internal order (i, f, o, g), for scans of ``hidden``
+    units and input size ``d_in``. Padding to the widest scan points at the
+    zero."""
+    s, hid = len(hidden), max(hidden)
+    zero = sum(4 * n * (d_in + n + 2) for n in hidden)
+    ih, hh = np.full((s, 4, hid, d_in), zero), np.full((s, 4, hid, hid), zero)
+    bi, bh = np.full((s, 4, hid), zero), np.full((s, 4, hid), zero)
+    base = 0
+    for k, n in enumerate(hidden):
+        for a, shape in ((ih, (4, n, d_in)), (hh, (4, n, n)), (bi, (4, n)),
+                         (bh, (4, n))):
+            size = np.prod(shape)
+            a[k][tuple(map(slice, shape))] = np.arange(
+                base, base + size).reshape(shape)
+            base += size
+    return [a[:, _GATES] for a in (ih, hh, bi, bh)]
+
+
+class _Plan:
+    """Everything a ``scan_heads`` call derives from shapes alone: the live
+    directions, the output pieces and the gather indices of the weight
+    layouts. It holds no weight values, so a weight zeroed in place or
+    rebound is read afresh on the next call."""
+
+    def __init__(self, sizes, n_heads, directions, dtype):
+        self.dirs = [d for d in DIRECTIONS if d in directions]
+        order = [d for _ in range(n_heads) for d in DIRECTIONS]
+        live = [k for k, d in enumerate(order) if d in directions]
+        d_in = sizes[0][1]
+        # one input size for all scans; scan_heads names a mismatch
+        self.d_in = d_in if all(size[1] == d_in for size in sizes) else None
+        # (scan index or None, column offset, width, reversed) in coupled order
+        self.pieces, off = [], 0
+        for k, (d, (w, _)) in enumerate(zip(order, sizes)):
+            self.pieces.append((live.index(k) if k in live else None, off, w,
+                                d == "rev"))
+            off += w
+        self.width = off
+        if not live or self.d_in is None:
+            return
+        hidden = [sizes[k][0] for k in live]
+        s, nd, hid = len(live), len(self.dirs), max(hidden)
+        self.s, self.hid = s, hid
+        ih, hh, bi, bh = _gather_indices(hidden, d_in)
+        self.zero = np.zeros(1, dtype)
+        # the forward's layouts, gate-major and transposed for ``x @ W``:
+        # w_ih (4, S, D_h, hid), w_hh (4, S, hid, hid), then b_ih and b_hh
+        # (4, S, hid). ``scale`` halves the i, f and o rows of all but b_hh,
+        # which is first added into b_ih: sigmoid(z) = tanh(z/2)/2 + 1/2
+        fwd = [ih.transpose(1, 0, 3, 2), hh.transpose(1, 0, 3, 2),
+               bi.transpose(1, 0, 2), bh.transpose(1, 0, 2)]
+        self.forward = np.concatenate([a.ravel() for a in fwd])
+        self.ends = np.cumsum([a.size for a in fwd])[:3].tolist()
+        half_ifo = np.array([0.5, 0.5, 0.5, 1.0], dtype)
+        self.scale = np.concatenate([np.repeat(half_ifo, a.size // 4)
+                                     for a in fwd[:3]])
+        # the backward's unscaled layouts
+        self.ih_back = ih.reshape(n_heads, nd, 4 * hid, d_in)
+        self.hh_back = hh.reshape(s, 4 * hid, hid)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(sizes, n_heads, directions, dtype):
+    """The plan of ``n_heads`` heads whose scans, in ``coupled`` order, have
+    (hidden, input) ``sizes``, run over ``directions`` at ``dtype``."""
+    return _Plan(sizes, n_heads, directions, dtype)
 
 
 def scan_heads(u, heads, directions=DIRECTIONS):
@@ -206,47 +271,43 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     x = u.data if batched else u.data[None]
     b, t, width = x.shape
     n_heads = len(heads)
-    d_in = width // n_heads
-    if d_in * n_heads != width or any(
-            head[d].input_size != d_in for head in heads for d in DIRECTIONS):
+    scans = [head[d] for head in heads for d in DIRECTIONS if d in directions]
+    dtype = np.result_type(x, *(p.w_ih.data for p in scans))
+    plan = _plan(tuple((p.hidden, p.input_size) for head in heads
+                       for p in (head["fwd"], head["rev"])),
+                 n_heads, tuple(directions), dtype)
+    d_in, pieces = plan.d_in, plan.pieces
+    if d_in is None or d_in * n_heads != width:
         raise ShapeError(f"input width {width} does not split into "
                          f"{n_heads} heads of the scans' input size")
-    order = [(n, d) for n in range(n_heads) for d in DIRECTIONS]
-    live = [(n, d) for n, d in order if d in directions]
-    scans = [heads[n][d] for n, d in live]
-    dtype = np.result_type(x, *(p.w_ih.data for p in scans))
-    # (scan index or None, column offset, width, reversed) in coupled order
-    pieces, off = [], 0
-    for n, d in order:
-        w = heads[n][d].hidden
-        pieces.append((live.index((n, d)) if d in directions else None,
-                       off, w, d == "rev"))
-        off += w
-    out = np.zeros((b, t, off), dtype)
+    out = np.zeros((b, t, plan.width), dtype)
     if not scans:
         return Tensor(out if batched else out[0])
 
     # S scans, head-major: the ``nd`` live directions of head 0, then of
     # head 1, ... Step j of a reverse scan reads token t-1-j of its input.
-    s, hid = len(scans), max(p.hidden for p in scans)
-    dirs = [d for _, d in live[:s // n_heads]]
+    s, hid, dirs = plan.s, plan.hid, plan.dirs
     nd = len(dirs)
     x = x.astype(dtype, copy=False)
     xd = [np.ascontiguousarray(x[:, ::-1]) if d == "rev" else x for d in dirs]
-    w_ih, w_hh, bias = _stacked_weights(scans, hid, dtype)
-    half_ifo = np.array([0.5, 0.5, 0.5, 1.0], dtype)[:, None]
-    wih_f = np.ascontiguousarray((w_ih * half_ifo[..., None]).transpose(
-        1, 0, 3, 2)).reshape(4, n_heads, nd, 1, d_in, hid)
-    whh_f = np.ascontiguousarray((w_hh * half_ifo[..., None]).transpose(
-        1, 0, 3, 2))  # (4, S, hid, hid)
+    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    # every weight, read now; the backward gathers its layouts from it too
+    cat = np.concatenate([tn.data for tn in params] + [plan.zero], axis=None,
+                         dtype=dtype)
+    packed = cat.take(plan.forward)
+    e_ih, e_hh, e_b = plan.ends
+    bias = packed[e_hh:e_b]
+    np.add(bias, packed[e_b:], out=bias)
+    np.multiply(packed[:e_b], plan.scale, out=packed[:e_b])
+    wih_f = packed[:e_ih].reshape(4, n_heads, nd, 1, d_in, hid)
+    whh_f = packed[e_ih:e_hh].reshape(4, s, hid, hid)
     gates = np.empty((t, 4, s, b, hid), dtype)  # the activations after the loop
     gv = gates.reshape(t, 4, n_heads, nd, b, hid).transpose(1, 2, 3, 4, 0, 5)
     for q, xq in enumerate(xd):  # per gate, head and image: (T, D_h) @ W^T
         np.matmul(xq.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3),
                   wih_f[:, :, q], out=gv[:, :, q])
     # the bias repeated over B: broadcast, it would make numpy loop over hid
-    np.add(gates, np.repeat((bias * half_ifo).transpose(1, 0, 2)[:, :, None],
-                            b, axis=2), out=gates)
+    np.add(gates, bias.reshape(4, s, 1, hid).repeat(b, axis=2), out=gates)
     hs = np.zeros((t + 1, s, b, hid), dtype)  # hs[j + 1] is step j's h
     cs = np.zeros((t + 1, s, b, hid), dtype)
     tcs = np.empty((t, s, b, hid), dtype)
@@ -272,8 +333,6 @@ def scan_heads(u, heads, directions=DIRECTIONS):
             piece = hs[1:, k, :, :w].transpose(1, 0, 2)
             out[:, :, off:off + w] = piece[:, ::-1] if r else piece
 
-    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
-
     def backward(grad):
         gy = grad if batched else grad[None]
         dhs = np.zeros((t, s, b, hid), dtype)
@@ -295,7 +354,7 @@ def scan_heads(u, heads, directions=DIRECTIONS):
         # dz is image-major (S, B, T, 4, hid), so that (S, B*T, 4*hid)
         # feeds the weight GEMMs; the loop writes step j's (S, B, 4, hid)
         dz = np.empty((s, b, t, 4, hid), dtype)
-        whh = w_hh.reshape(s, 4 * hid, hid)
+        whh = cat.take(plan.hh_back)
         dh, ddc = np.empty((s, b, hid), dtype), np.empty((s, b, hid), dtype)
         dh_next = np.zeros((s, b, hid), dtype)
         dc = np.zeros((s, b, hid), dtype)
@@ -317,7 +376,7 @@ def scan_heads(u, heads, directions=DIRECTIONS):
         if u.requires_grad:
             du = np.zeros((b, t, n_heads, d_in), dtype)
             du_heads = du.transpose(2, 0, 1, 3)
-            wq = w_ih.reshape(n_heads, nd, 4 * hid, d_in)
+            wq = cat.take(plan.ih_back)
             for q, d in enumerate(dirs):
                 dx = (dzq[:, q] @ wq[:, q]).reshape(n_heads, b, t, d_in)
                 du_heads += dx[:, :, ::-1] if d == "rev" else dx
@@ -357,13 +416,13 @@ def bilstm_head(x, head, directions=DIRECTIONS):
 def far_block_forward(x, p: FarBlockParams, directions=DIRECTIONS):
     """y = x + out_proj(BiLSTM scans of the N heads of in_proj(LN(x)))."""
     h = T.layer_norm(x, p.ln_g, p.ln_b)
-    u = T.matmul(h, p.in_w) + p.in_b
+    u = T.linear(h, p.in_w, p.in_b)
     cat = scan_heads(u, p.heads, directions)
     if cat.shape[-1] != p.out_w.shape[0]:
         raise ShapeError(
             f"head outputs ({cat.shape[-1]}) do not match out_proj rows "
             f"({p.out_w.shape[0]})")
-    return x + (T.matmul(cat, p.out_w) + p.out_b)
+    return x + T.linear(cat, p.out_w, p.out_b)
 
 
 def coupled(blk: FarBlockParams, head, direction, units):

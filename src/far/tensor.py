@@ -10,7 +10,9 @@ left-to-right accumulation, so repeated runs with identical inputs are
 bit-identical. A graph computes at its inputs' dtype: a constant operand
 of ``add``, ``mul`` or ``div`` takes the Tensor operand's dtype
 (``_operands``), so a float32 model's activations, gradients and
-optimizer state stay float32.
+optimizer state stay float32. ``linear(x, w, b)`` is ``x @ w + b`` as one
+node, the bias added in place into the product; its gradients are those
+of ``matmul`` followed by ``add``, bit for bit.
 
 The node contract: a node's ``data`` is always a float32 or float64
 ndarray, 0-d for a full reduction. ``Tensor(...)`` coerces what a caller
@@ -314,28 +316,54 @@ def log(a):
     return _make(out_data, (a,), backward)
 
 
-def matmul(a, b):
+def _matmul_operands(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    return a, b
+
+
+def _matmul_backward(a, b, g):
+    """Accumulate the gradients of ``a @ b`` given its gradient ``g``."""
+    if a.requires_grad:
+        if b.data.ndim == 1:
+            ga = np.multiply.outer(g, b.data)
+        else:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+        a._accumulate(_unbroadcast(ga, a.data.shape))
+    if b.requires_grad:
+        if a.data.ndim == 1:
+            gb = np.multiply.outer(a.data, g)
+        else:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+        b._accumulate(_unbroadcast(gb, b.data.shape))
+
+
+def matmul(a, b):
+    a, b = _matmul_operands(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                ga = np.multiply.outer(g, b.data)
-            else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                gb = np.multiply.outer(a.data, g)
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        _matmul_backward(a, b, g)
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one node: the bias is added in place into the
+    product, and the gradients are exactly those of ``matmul`` followed by
+    ``add``."""
+    x, w = _matmul_operands(x, w)
+    b = as_tensor(b)
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        _matmul_backward(x, w, g)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return _make(out_data, (x, w, b), backward)
 
 
 # -- shape primitives ---------------------------------------------------------

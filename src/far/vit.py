@@ -148,7 +148,7 @@ class Backbone:
         patches = img.reshape(b, c, g, ps, g, ps).transpose(0, 2, 4, 1, 3, 5)
         patches = patches.reshape(b, g * g, c * ps * ps)
         patches = patches.astype(self.patch_w.data.dtype)
-        tok = T.matmul(Tensor(patches), self.patch_w) + self.patch_b
+        tok = T.linear(Tensor(patches), self.patch_w, self.patch_b)
         cls = T.reshape(self.cls, (1, 1, cfg.dim)) + T.zeros(
             (b, 1, cfg.dim), cfg.precision)
         x = T.concat([cls, tok], axis=1)
@@ -156,13 +156,13 @@ class Backbone:
 
     def mlp_block(self, y, layer):
         h = T.layer_norm(y, layer.ln2_g, layer.ln2_b)
-        h = T.gelu(T.matmul(h, layer.fc1_w) + layer.fc1_b)
-        return y + (T.matmul(h, layer.fc2_w) + layer.fc2_b)
+        h = T.gelu(T.linear(h, layer.fc1_w, layer.fc1_b))
+        return y + T.linear(h, layer.fc2_w, layer.fc2_b)
 
     def classify(self, x):
         h = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
         cls = h[:, 0, :]
-        return T.matmul(cls, self.head_w) + self.head_b
+        return T.linear(cls, self.head_w, self.head_b)
 
     def tokens(self, image, stop=None):
         """Patch embedding of ``image``, then the output of each layer below
@@ -212,7 +212,7 @@ class TeacherModel(Backbone):
         b, t, d = x.shape
         n, dh = cfg.heads, cfg.head_dim
         h = T.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        qkv = T.matmul(h, layer.qkv_w) + layer.qkv_b
+        qkv = T.linear(h, layer.qkv_w, layer.qkv_b)
         q, k, v = T.split(qkv, 3, axis=-1)
         q = T.transpose(T.reshape(q, (b, t, n, dh)), (0, 2, 1, 3))
         k = T.transpose(T.reshape(k, (b, t, n, dh)), (0, 2, 1, 3))
@@ -221,7 +221,7 @@ class TeacherModel(Backbone):
         attn = T.softmax(scores, axis=-1)
         out = T.matmul(attn, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-        y = x + (T.matmul(out, layer.proj_w) + layer.proj_b)
+        y = x + T.linear(out, layer.proj_w, layer.proj_b)
         return y, attn
 
     def mix(self, x, i):

@@ -4,10 +4,12 @@ import pytest
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
 from far.vit import ModelConfig, TeacherModel
+from far import far_block
 from far.far_block import (DIRECTIONS, FarModel, LstmDirParams, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
                            lstm_step, replace_attention, scan_heads,
                            shrink_block)
+from far.pruner import prune_by_threshold
 from far.profiler import _attn_layer_params, _far_layer_params, _mlp_params
 
 from conftest import desk_config
@@ -165,6 +167,23 @@ def _block_grads(forward, blk, x, directions):
     return out.data, leaf.grad, grads
 
 
+def _assert_block_matches_reference(blk, x, directions=DIRECTIONS):
+    """Block output and every gradient within 1e-12 of the lstm_step
+    scans (float64)."""
+    out, gx, grads = _block_grads(far_block_forward, blk, x, directions)
+    ref_out, ref_gx, ref_grads = _block_grads(_reference_block, blk, x,
+                                              directions)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+    for name, ref in ref_grads.items():
+        if ref is None:  # a skipped direction's scan receives no gradient
+            assert grads[name] is None, name
+        else:
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12,
+                                       err_msg=name)
+    return out
+
+
 @pytest.mark.parametrize("shape", [(3, 7, 32), (7, 32)])
 @pytest.mark.parametrize("directions", [DIRECTIONS, ("fwd",), ("rev",)])
 @pytest.mark.parametrize("widths", ["full", "unequal"])
@@ -184,18 +203,7 @@ def test_fused_scan_matches_per_step_reference(widths, directions, shape):
         keep[0]["rev"][:3] = True
         blk = shrink_block(blk, keep)
         assert len({p.hidden for head in blk.heads for p in head.values()}) > 1
-    x = rng.normal(size=shape)
-    out, gx, grads = _block_grads(far_block_forward, blk, x, directions)
-    ref_out, ref_gx, ref_grads = _block_grads(_reference_block, blk, x,
-                                              directions)
-    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
-    for name, ref in ref_grads.items():
-        if ref is None:  # a skipped direction's scan receives no gradient
-            assert grads[name] is None, name
-        else:
-            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12,
-                                       err_msg=name)
+    _assert_block_matches_reference(blk, rng.normal(size=shape), directions)
 
 
 def test_fused_scan_finite_differences():
@@ -245,6 +253,13 @@ def _scan_block(precision, widths, rng):
         keep[0]["rev"][:3] = True
         blk = shrink_block(blk, keep)
     return blk
+
+
+def _heads_f64(heads):
+    """A float64 copy of every scan of ``heads``."""
+    return [{d: LstmDirParams(*(Tensor(t.data.astype(np.float64)) for t in
+                                (p.w_ih, p.w_hh, p.b_ih, p.b_hh)))
+             for d, p in head.items()} for head in heads]
 
 
 def _scan_grads(scan, heads, u, directions=DIRECTIONS, input_grad=True,
@@ -310,9 +325,7 @@ def test_f32_scan_matches_f64_per_step_reference(widths, directions):
     within 1e-6 of their largest entry (measured: 1.4e-7 and 3.9e-7)."""
     rng = np.random.default_rng(37)
     blk = _scan_block("f32", widths, rng)
-    heads64 = [{d: LstmDirParams(*(Tensor(t.data.astype(np.float64)) for t in
-                                   (p.w_ih, p.w_hh, p.b_ih, p.b_hh)))
-                for d, p in head.items()} for head in blk.heads]
+    heads64 = _heads_f64(blk.heads)
     u = rng.normal(size=(3, 17, 32))
     out, gu, grads = _scan_grads(scan_heads, blk.heads, u.astype(np.float32),
                                  directions)
@@ -326,6 +339,72 @@ def test_f32_scan_matches_f64_per_step_reference(widths, directions):
             continue
         assert g.dtype == np.float32
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-6 * np.abs(r).max())
+
+
+# -- the scan's shape plan holds indices, never weight values -----------------
+
+def test_scan_reads_weights_zeroed_in_place_after_a_forward():
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=50), seed=50)
+    blk = far.blocks[1]
+    x = np.random.default_rng(50).normal(size=(2, 17, 32))
+    before = _assert_block_matches_reference(blk, x)
+    prune_by_threshold(far, 0.97, mode="relative")
+    assert not all(m.all() for head in far.masks[1].values()
+                   for m in head.values())
+    after = _assert_block_matches_reference(blk, x)
+    assert not np.array_equal(after, before)
+
+
+def test_scan_reads_weights_rebound_like_an_optimizer_step():
+    blk = _scan_block("f64", "full", np.random.default_rng(51))
+    x = np.random.default_rng(52).normal(size=(3, 7, 32))
+    before = _assert_block_matches_reference(blk, x)
+    for head in blk.heads:  # as AdamW.step does: a new array, not in place
+        for p in head.values():
+            for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+                t.data = t.data - 0.1 * (t.data + 0.05)
+    after = _assert_block_matches_reference(blk, x)
+    assert not np.array_equal(after, before)
+
+
+def test_scan_plans_of_alternating_blocks_stay_apart():
+    """Full, shrunk (unequal widths) and rev-only blocks in float32 and
+    float64, with 2-D and 3-D input, called in turn: each call equals the
+    lstm_step scans, and equals the same call made with an empty plan
+    cache, bit for bit."""
+    rng = np.random.default_rng(53)
+    blocks = {(p, w): _scan_block(p, w, rng) for p in ("f32", "f64")
+              for w in ("full", "unequal")}
+    calls = []
+    for (precision, widths), blk in blocks.items():
+        for directions in (DIRECTIONS, ("rev",)):
+            for shape in ((7, 32), (2, 7, 32)):
+                u = rng.normal(size=shape)
+                calls.append((blk, directions, u.astype(T.DTYPES[precision]),
+                              u, precision))
+    rng.shuffle(calls)
+    results = []
+    for blk, directions, u, u64, precision in calls + calls:
+        out = scan_heads(Tensor(u), blk.heads, directions)
+        ref = _reference_scans(Tensor(u64), _heads_f64(blk.heads), directions)
+        assert out.dtype == T.DTYPES[precision]
+        np.testing.assert_allclose(out.data, ref.data, rtol=0,
+                                   atol=5e-7 if precision == "f32" else 1e-12)
+        results.append(out.data)
+    for (blk, directions, u, _, _), warm in zip(calls + calls, results):
+        far_block._plan.cache_clear()
+        cold = scan_heads(Tensor(u), blk.heads, directions)
+        np.testing.assert_array_equal(cold.data, warm)
+
+
+def test_second_frozen_forward_of_the_same_shapes_plans_nothing(desk_cfg):
+    far = replace_attention(TeacherModel(desk_cfg, seed=54), seed=54)
+    image = np.random.default_rng(54).normal(size=(1, 3, 32, 32))
+    far.forward(image)
+    misses = far_block._plan.cache_info().misses
+    far.forward(image)
+    far.forward(image[0])
+    assert far_block._plan.cache_info().misses == misses
 
 
 def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):

@@ -684,6 +684,45 @@ def test_cli_zero_epochs_saves_the_model(tmp_path, capsys, command, kind,
     assert log.read_text() == "acc,epoch,loss,phase,sim_mean\n"
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("command,kind,section,key", [
+    ("train-teacher", None, "train", "teacher_epochs"),
+    ("finetune", "far", "distill", "finetune_epochs"),
+])
+def test_cli_prints_the_last_epoch_accuracy_without_measuring_it_again(
+        tmp_path, capsys, monkeypatch, command, kind, section, key, epochs):
+    """The printed train accuracy is the last epoch row's, measured on the
+    final weights; ``accuracy`` runs once per epoch, and once in all when
+    no epoch ran."""
+    real, calls = distill.accuracy, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distill, "accuracy", counted)
+    monkeypatch.setattr(cli, "accuracy", counted)
+    cfgfile, out, log = (tmp_path / n for n in ("run.cfg", "out.farc", "a.csv"))
+    cfgfile.write_text(f"[{section}]\n{key} = {epochs}\n[data]\nn = 20\n")
+    argv = [command, "--config", str(cfgfile), "--out", str(out),
+            "--log", str(log)]
+    if kind is not None:
+        path = tmp_path / "far.farc"
+        save_model(replace_attention(TeacherModel(desk_config(), seed=49),
+                                     seed=49), path)
+        argv += ["--checkpoint", str(path)]
+    assert main(argv) == 0
+    assert len(calls) == max(epochs, 1)
+    printed = capsys.readouterr().out.split("train acc ")[1].split(";")[0]
+    model = load_model(out)
+    ds = cli._dataset_from_cfg(load_config(str(cfgfile)), None, model.cfg)
+    assert printed == f"{real(model, ds):.3f}"
+    if epochs:
+        header, *rows = log.read_text().splitlines()
+        acc = float(rows[-1].split(",")[header.split(",").index("acc")])
+        assert printed == f"{acc:.3f}"
+
+
 @pytest.mark.parametrize("setting,flags,named", [
     ("threshold = -0.5", [], "[prune] threshold: expected at least 0.0"),
     ("reg_coeff = -5", [], "[prune] reg_coeff: expected at least 0.0"),

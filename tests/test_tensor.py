@@ -75,6 +75,51 @@ def test_matmul_backward():
     np.testing.assert_allclose(b.grad, a.data.T @ g, atol=1e-14)
 
 
+# -- linear -----------------------------------------------------------------
+
+def _linear_grads(op, x, w, b, g):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = op(*leaves)
+    T.tsum(out * Tensor(g)).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_is_bit_identical_to_matmul_then_add(dtype, shape):
+    rng = np.random.default_rng(60)
+    x, w, b, g = (rng.normal(size=s).astype(dtype)
+                  for s in (shape, (4, 3), (3,), shape[:-1] + (3,)))
+    got = _linear_grads(T.linear, x, w, b, g)
+    want = _linear_grads(lambda x, w, b: T.matmul(x, w) + b, x, w, b, g)
+    for a, e in zip(got, want):
+        _same_bits(a, e)
+
+
+def test_linear_is_one_node():
+    x, w, b = (Tensor(np.ones(s), requires_grad=True)
+               for s in ((2, 4), (4, 3), (3,)))
+    out = T.linear(x, w, b)
+    assert out._parents == (x, w, b)
+
+
+def test_linear_backward_fd():
+    rng = np.random.default_rng(61)
+    w = rng.normal(size=(4, 3))
+    b = rng.normal(size=3)
+    x = rng.normal(size=(2, 5, 4))
+    weight = Tensor(rng.normal(size=(2, 5, 3)))
+    fd_check(lambda t: T.tsum(T.linear(t, Tensor(w), Tensor(b)) * weight), x)
+    fd_check(lambda t: T.tsum(T.linear(Tensor(x), t, Tensor(b)) * weight), w)
+    fd_check(lambda t: T.tsum(T.linear(Tensor(x), Tensor(w), t) * weight), b)
+
+
+def test_linear_shape_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 5\).*\(4, 3\)"):
+        T.linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 3))),
+                 Tensor(np.zeros(3)))
+
+
 # -- layer_norm -----------------------------------------------------------
 
 def test_layer_norm_constant_row_collapses_to_beta():
@@ -551,6 +596,7 @@ OPS = {
     "log": lambda x: T.log(T.exp(x)),
     "matmul": lambda x: T.matmul(x, T.transpose(x)),
     "matmul_vec": lambda x: T.matmul(x, x[0]),
+    "linear": lambda x: T.linear(x, T.transpose(x), x[0, :2]),
     "reshape": lambda x: T.reshape(x, (-1,)),
     "getitem_slice": lambda x: x[:, 1:],
     "getitem_element": lambda x: x[1, 2],
@@ -616,3 +662,21 @@ def test_frozen_b1_forward_calls_nothing_in_numpy_methods(variant):
     calls = {fn: row[1] for (path, _, fn), row in
              pstats.Stats(profile).stats.items() if path == methods.__file__}
     assert calls == {}
+
+
+# a warmed, frozen B=1 desk FAR forward: 1,036 calls when every scan packed
+# its weights again on every call, 740 with shape-planned scans and linear
+FAR_B1_FORWARD_CALLS = 740
+
+
+def test_warm_frozen_b1_far_forward_makes_no_more_python_calls_than_measured():
+    cfg = desk_config()
+    far = replace_attention(TeacherModel(cfg, seed=5), seed=5)
+    image = random_image(cfg, np.random.default_rng(5))
+    far.forward(image)  # plans each block's scans
+    profile = cProfile.Profile()
+    profile.enable()
+    far.forward(image)
+    profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= FAR_B1_FORWARD_CALLS, calls
