@@ -6,7 +6,6 @@ error.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pruner, profiler
 from .attribution import cls_saliency, export_heatmaps, token_dependency
-from .config import MINIMUM, ConfigError, load_config, model_config
+from .config import ConfigError, coerce, load_config, model_config
 from .data import synth_dataset
 from .distill import TrainConfig, accuracy, metrics_to_csv, run_phase, train_teacher
 from .far_block import FarModel, replace_attention
@@ -111,16 +110,10 @@ def cmd_finetune(args, cfg):
 def cmd_prune(args, cfg):
     pr = cfg["prune"]
     for key in ("threshold", "reg_coeff"):  # a flag overrides its key
-        value, least = getattr(args, key), MINIMUM[("prune", key)]
+        value = getattr(args, key)
         if value is not None:
-            flag = f"--{key.replace('_', '-')}"
-            if not math.isfinite(value):
-                raise ValueError(f"{flag}: expected a finite number, got "
-                                 f"{value}")
-            if value < least:
-                raise ValueError(f"{flag}: expected at least {least}, got "
-                                 f"{value}")
-            pr[key] = value
+            pr[key] = coerce(f"--{key.replace('_', '-')}", "prune", key,
+                             str(value))
     far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
     reg_cfg = _train_cfg(cfg, "prune-regularize", pr["reg_lr"], pr["reg_epochs"])
@@ -245,9 +238,9 @@ def build_parser():
     p.add_argument("--reg-coeff", type=float, default=None)
     p.add_argument("--report", default="retention.csv")
 
-    command("params", "closed-form parameter counts", seed=False)
+    command("params", "analytic parameter counts", seed=False)
 
-    p = command("flops", "closed-form compute counts", seed=False)
+    p = command("flops", "analytic MAC counts", seed=False)
     p.add_argument("--variant", choices=("attention", "far"), default="far")
     p.add_argument("--image-size", type=int, default=None)
 

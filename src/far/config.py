@@ -57,23 +57,24 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-def _coerce(section, key, raw):
+def coerce(label, section, key, raw):
+    """Text ``raw`` as the value of ``[section] key``: of its type, a listed
+    choice, finite and no less than its minimum, else a ConfigError that
+    names ``label``."""
     typ, _ = SCHEMA[section][key]
     choices = CHOICES.get((section, key))
     if choices is not None and raw not in choices:
-        raise ConfigError(f"[{section}] {key}: expected one of "
-                          f"{', '.join(choices)}, got {raw!r}")
+        raise ConfigError(f"{label}: expected one of {', '.join(choices)}, "
+                          f"got {raw!r}")
     try:
         value = typ(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
     if typ is float and not math.isfinite(value):
-        raise ConfigError(
-            f"[{section}] {key}: expected a finite number, got {raw!r}")
+        raise ConfigError(f"{label}: expected a finite number, got {raw!r}")
     least = MINIMUM.get((section, key))
     if least is not None and value < least:
-        raise ConfigError(
-            f"[{section}] {key}: expected at least {least}, got {raw!r}")
+        raise ConfigError(f"{label}: expected at least {least}, got {raw!r}")
     return value
 
 
@@ -102,7 +103,8 @@ def parse_config(text):
         key, raw = (s.strip() for s in stripped.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        cfg[section][key] = _coerce(section, key, raw)
+        cfg[section][key] = coerce(f"[{section}] {key}", section, key,
+                                   raw)
     return cfg
 
 

@@ -54,6 +54,9 @@ from .tensor import Tensor, ShapeError
 from .vit import Backbone, take
 
 DIRECTIONS = ("fwd", "rev")
+# the tensors of a scan and a block's own, in the order ``named`` lists them
+SCAN = ("w_ih", "w_hh", "b_ih", "b_hh")
+BLOCK = ("ln_g", "ln_b", "in_w", "in_b", "out_w", "out_b")
 
 
 @dataclass
@@ -73,8 +76,7 @@ class LstmDirParams:
         return self.w_ih.shape[1]
 
     def named(self, prefix):
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("w_ih", "w_hh", "b_ih", "b_hh")}
+        return {f"{prefix}.{k}": getattr(self, k) for k in SCAN}
 
 
 def init_lstm_dir(rng, input_size, hidden, precision="f32"):
@@ -107,9 +109,7 @@ class FarBlockParams:
     out_b: Tensor
 
     def named(self, prefix):
-        out = {f"{prefix}.ln_g": self.ln_g, f"{prefix}.ln_b": self.ln_b,
-               f"{prefix}.in_w": self.in_w, f"{prefix}.in_b": self.in_b,
-               f"{prefix}.out_w": self.out_w, f"{prefix}.out_b": self.out_b}
+        out = {f"{prefix}.{k}": getattr(self, k) for k in BLOCK}
         for n, head in enumerate(self.heads):
             for d in DIRECTIONS:
                 out.update(head[d].named(f"{prefix}.{n}.{d}"))
@@ -120,37 +120,46 @@ class FarBlockParams:
         """The block of ``n_heads`` heads of width ``head_dim`` read from
         ``tensors`` under the names that ``named(prefix)`` uses. Each
         scan's hidden size is read from its ``w_hh`` and must be 1..head_dim;
-        its other tensors and the rows of ``out_w`` (one per unit of every
-        scan) must agree. Any other table is a ShapeError naming the tensor.
+        every tensor must then have its shape in ``block_shapes``. Any other
+        table is a ShapeError naming the tensor.
         """
-        d = n_heads * head_dim
+        def width(name):
+            if name not in tensors:
+                raise ShapeError(f"missing tensor {name}")
+            shape = np.shape(tensors[name])
+            w = shape[1] if len(shape) == 2 else 0
+            if not 1 <= w <= head_dim:
+                raise ShapeError(f"tensor {name} has shape {shape}; its "
+                                 f"hidden size must be 1..{head_dim}")
+            return w
 
-        def get(name, shape):
-            return take(tensors, f"{prefix}.{name}", shape, dtype)
+        widths = [{d: width(f"{prefix}.{n}.{d}.w_hh") for d in DIRECTIONS}
+                  for n in range(n_heads)]
+        t = {name[len(prefix) + 1:]: take(tensors, name, shape, dtype)
+             for name, shape in block_shapes(prefix, widths, head_dim).items()}
+        heads = [{d: LstmDirParams(**{k: t[f"{n}.{d}.{k}"] for k in SCAN})
+                  for d in DIRECTIONS} for n in range(n_heads)]
+        return cls(heads=heads, **{k: t[k] for k in BLOCK})
 
-        heads, width = [{} for _ in range(n_heads)], 0
-        for n, head in enumerate(heads):
-            for dirn in DIRECTIONS:
-                q = f"{n}.{dirn}."
-                name = f"{prefix}.{q}w_hh"
-                if name not in tensors:
-                    raise ShapeError(f"missing tensor {name}")
-                shape = np.shape(tensors[name])
-                w = shape[1] if len(shape) == 2 else 0
-                if not 1 <= w <= head_dim:
-                    raise ShapeError(
-                        f"tensor {name} has shape {shape}; its hidden size "
-                        f"must be 1..{head_dim}")
-                head[dirn] = LstmDirParams(  # checked in name order
-                    b_hh=get(q + "b_hh", (4 * w,)),
-                    b_ih=get(q + "b_ih", (4 * w,)),
-                    w_hh=get(q + "w_hh", (4 * w, w)),
-                    w_ih=get(q + "w_ih", (4 * w, head_dim)))
-                width += w
-        return cls(ln_g=get("ln_g", (d,)), ln_b=get("ln_b", (d,)),
-                   in_w=get("in_w", (d, d)), in_b=get("in_b", (d,)),
-                   heads=heads, out_w=get("out_w", (width, d)),
-                   out_b=get("out_b", (d,)))
+
+def block_shapes(prefix, widths, head_dim):
+    """name -> shape of every tensor of the block ``named(prefix)`` names,
+    whose head n reads ``head_dim`` columns and scans ``widths[n][d]``
+    hidden units in direction d; each scan's tensors in name order, the
+    order ``from_tensors`` checks them in, then the block's."""
+    d, out, shapes = len(widths) * head_dim, 0, {}
+    for n, head in enumerate(widths):
+        for dirn in DIRECTIONS:
+            w = head[dirn]
+            out += w
+            q = f"{prefix}.{n}.{dirn}."
+            shapes[q + "b_hh"] = shapes[q + "b_ih"] = (4 * w,)
+            shapes[q + "w_hh"] = (4 * w, w)
+            shapes[q + "w_ih"] = (4 * w, head_dim)
+    q = f"{prefix}."
+    shapes.update({q + "ln_g": (d,), q + "ln_b": (d,), q + "in_w": (d, d),
+                   q + "in_b": (d,), q + "out_w": (out, d), q + "out_b": (d,)})
+    return shapes
 
 
 def init_far_block(cfg, rng):

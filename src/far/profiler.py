@@ -1,19 +1,31 @@
 """Analytic cost model and wall-clock latency harness.
 
-Compute counts follow the MAC-dominant convention used for the DeiT
-family (one multiply-accumulate counted once; normalization, softmax and
-activation costs are not counted). Latency follows the
+Parameter and MAC counts are read from the tensor table a model is built
+from: ``vit.tensor_shapes`` for the teacher and backbone, and
+``far_block.block_shapes`` for each FAR layer at its scans' widths. A
+parameter count is the sum of the tensor sizes. MACs follow the
+MAC-dominant convention used for the DeiT family (one multiply-accumulate
+counted once; normalization, softmax, activation and bias costs are not
+counted) at T tokens: every 2-D weight of a layer is one matrix product
+per token; attention adds 2 * heads * T^2 * head_dim for its scores and
+weighted values; ``embed.patch_w`` runs once per patch (T - 1) and
+``final.head_w`` once per image. Latency follows the
 warmup-then-median protocol. The harness sets no thread count: numpy's
 BLAS runs with whatever its environment sets, and ``bench_latency``
 records the thread variables (``THREAD_VARS``) as they were set when it
 ran, each ``unset`` when absent, which the report prints.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import vit
+from .far_block import DIRECTIONS, block_shapes
+from .tensor import ShapeError
 
 VARIANTS = ("attention", "far")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -50,99 +62,58 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def _embed_params(cfg):
-    d = cfg.dim
-    return (cfg.channels * cfg.patch_size ** 2 * d + d  # patch proj
-            + cfg.tokens * d                            # positional
-            + d)                                        # CLS
-
-
-def _head_params(cfg):
-    return 2 * cfg.dim + cfg.dim * cfg.num_classes + cfg.num_classes
-
-
-def _mlp_params(cfg):
-    d, r = cfg.dim, cfg.mlp_ratio
-    return 2 * d + d * r * d + r * d + r * d * d + d  # LN2 + two linears
-
-
-def _attn_layer_params(cfg):
-    d = cfg.dim
-    return 2 * d + 3 * d * d + 3 * d + d * d + d + _mlp_params(cfg)
-
-
-def _far_layer_params(cfg, live=None):
-    d, dh = cfg.dim, cfg.head_dim
-    total = 2 * d + d * d + d  # LN + in_proj
-    retained_sum = 0
-    for h in range(cfg.heads):
-        for dirn in ("fwd", "rev"):
-            k = dh if live is None else int(live[h][dirn].sum())
-            total += 4 * k * dh + 4 * k * k + 8 * k  # W_ih, W_hh, biases
-            retained_sum += k
-    total += retained_sum * d + d  # out_proj
-    return total + _mlp_params(cfg)
+def _shapes(cfg, variant, masks):
+    """name -> shape of every tensor of the ``variant`` model of ``cfg``:
+    the teacher's table, or the backbone's with a FAR block per layer whose
+    scan widths are the sums of ``masks`` (full without)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    shapes = vit.tensor_shapes(cfg, attention=variant == "attention")
+    if variant == "far":
+        for l in range(cfg.layers):
+            widths = [{d: cfg.head_dim if masks is None
+                       else int(masks[l][h][d].sum()) for d in DIRECTIONS}
+                      for h in range(cfg.heads)]
+            shapes.update(block_shapes(f"far.{l}", widths, cfg.head_dim))
+    return shapes
 
 
 def count_params(cfg, variant, masks=None):
-    """Exact closed-form parameter total for a model variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    total = _embed_params(cfg) + _head_params(cfg)
-    for l in range(cfg.layers):
-        if variant == "attention":
-            total += _attn_layer_params(cfg)
-        else:
-            total += _far_layer_params(
-                cfg, None if masks is None else masks[l])
-    return total
-
-
-def _attn_layer_flops(cfg, t):
-    d, n, dh = cfg.dim, cfg.heads, cfg.head_dim
-    return (t * d * 3 * d          # QKV projection
-            + 2 * n * t * t * dh   # scores + attention-weighted values
-            + t * d * d            # output projection
-            + 2 * t * d * cfg.mlp_ratio * d)  # MLP
-
-
-def _far_layer_flops(cfg, t, live=None):
-    d, dh = cfg.dim, cfg.head_dim
-    macs = t * d * d  # in_proj
-    retained_sum = 0
-    for h in range(cfg.heads):
-        for dirn in ("fwd", "rev"):
-            k = dh if live is None else int(live[h][dirn].sum())
-            macs += t * (4 * k * dh + 4 * k * k)
-            retained_sum += k
-    macs += t * retained_sum * d            # out_proj
-    macs += 2 * t * d * cfg.mlp_ratio * d   # MLP
-    return macs
+    """Parameter total of a model variant: its tensor table's sizes."""
+    return sum(math.prod(s) for s in _shapes(cfg, variant, masks).values())
 
 
 def tokens_for_image(cfg, image_size):
+    if image_size <= 0 or image_size % cfg.patch_size:
+        raise ShapeError(f"image size {image_size} is not a positive "
+                         f"multiple of patch size {cfg.patch_size}")
     g = image_size // cfg.patch_size
     return g * g + 1
 
 
 def count_flops(cfg, variant, t=None, image_size=None, masks=None,
                 breakdown=False):
-    """MAC count of one forward pass at sequence length ``t``."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    """MAC count of one forward pass at sequence length ``t`` (by default
+    of an image of ``image_size``, or of the config's), with the per-layer
+    counts too when ``breakdown``; by the rule the module states."""
     if t is None:
-        t = tokens_for_image(cfg, image_size or cfg.image_size)
-    d = cfg.dim
-    embed = (t - 1) * cfg.channels * cfg.patch_size ** 2 * d
-    head = d * cfg.num_classes
-    per_layer = []
-    for l in range(cfg.layers):
-        if variant == "attention":
-            per_layer.append(_attn_layer_flops(cfg, t))
+        t = tokens_for_image(
+            cfg, cfg.image_size if image_size is None else image_size)
+    if t < 1:
+        raise ValueError(f"token count must be at least 1, got {t}")
+    runs = {"embed.patch_w": t - 1, "final.head_w": 1}  # embed.pos: no MAC
+    attend = 2 * cfg.heads * t * t * cfg.head_dim
+    per_layer = [attend if variant == "attention" else 0] * cfg.layers
+    total = 0
+    for name, shape in _shapes(cfg, variant, masks).items():
+        if len(shape) != 2:
+            continue
+        group, layer = name.split(".")[:2]
+        if group in ("layer", "far"):
+            per_layer[int(layer)] += t * shape[0] * shape[1]
         else:
-            per_layer.append(_far_layer_flops(
-                cfg, t, None if masks is None else masks[l]))
-    total = embed + head + sum(per_layer)
+            total += runs.get(name, 0) * shape[0] * shape[1]
+    total += sum(per_layer)
     if breakdown:
         return total, per_layer
     return total

@@ -25,18 +25,15 @@ log = logging.getLogger(__name__)
 
 
 def group_hs(w, groups):
-    """Group Hoyer-square: (sum of group L2 norms)^2 / sum of squared norms.
+    """Group Hoyer-square: (sum of group L2 norms)^2 / sum of squared norms,
+    as ``hoyer_penalty`` computes it for training.
 
     ``groups`` is a partition of the flattened entries of ``w`` given as
     index arrays. All-zero input returns 0 by convention.
     """
     flat = np.asarray(w.data if isinstance(w, Tensor) else w).ravel()
-    norms = np.array([np.linalg.norm(flat[np.asarray(g)]) for g in groups])
-    denom = (norms * norms).sum()
-    if denom == 0.0:
-        log.warning("group_hs of all-zero tensor; returning 0 by convention")
-        return 0.0
-    return float(norms.sum() ** 2 / denom)
+    sq = [np.square(flat[np.asarray(g)]).sum() for g in groups]
+    return hoyer_penalty(np.array(sq)).item()
 
 
 def unit_sq_norms(block: FarBlockParams, head, direction, extension=False):

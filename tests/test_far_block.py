@@ -3,14 +3,14 @@ import pytest
 
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
-from far.vit import ModelConfig, TeacherModel
+from far.vit import ATTENTION, ModelConfig, TeacherModel
 from far import far_block
 from far.far_block import (DIRECTIONS, FarModel, LstmDirParams, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
                            lstm_step, replace_attention, scan_heads,
                            shrink_block)
 from far.pruner import prune_by_threshold
-from far.profiler import _attn_layer_params, _far_layer_params, _mlp_params
+from far.profiler import count_params
 
 from conftest import desk_config
 
@@ -483,18 +483,20 @@ def test_replace_attention_rejects_bad_heads():
         FarModel(cfg, {})
 
 
-def test_param_count_closed_form_matches_enumeration(desk_cfg):
+def test_param_count_matches_enumeration(desk_cfg):
     teacher = TeacherModel(desk_cfg, seed=11)
     far = replace_attention(teacher, seed=11)
-    blk = far.blocks[0]
-    actual = sum(t.data.size for t in blk.named("b").values())
-    assert actual == _far_layer_params(desk_cfg) - _mlp_params(desk_cfg)
+    block = sum(t.data.size for t in far.blocks[0].named("b").values())
+    attention = sum(getattr(teacher.layers[0], k).data.size
+                    for k in ATTENTION)
+    assert (count_params(desk_cfg, "far")
+            - count_params(desk_cfg, "attention")
+            == desk_cfg.layers * (block - attention))
 
 
 def test_replacement_param_delta_deit_tiny():
     cfg = ModelConfig(dim=192, heads=3, head_dim=64)
-    delta = _far_layer_params(cfg) - _attn_layer_params(cfg)
-    total_added = 12 * delta
+    total_added = count_params(cfg, "far") - count_params(cfg, "attention")
     assert abs(total_added - 2.0e6) / 2.0e6 < 0.03  # ~2.0M params added
     # and lands at ~7.7M from the 5.7M teacher
     assert abs((5.72e6 + total_added) - 7.7e6) / 7.7e6 < 0.03

@@ -1,12 +1,16 @@
-import time
+import dataclasses
 
 import numpy as np
 import pytest
 
-from far.vit import ModelConfig
-from far.far_block import DIRECTIONS
+from far import profiler
+from far.cli import main
+from far.vit import ModelConfig, TeacherModel
+from far.far_block import DIRECTIONS, replace_attention
 from far.profiler import (bench_latency, cost_report, count_flops,
                           count_params, tokens_for_image)
+from far.pruner import prune_by_threshold, shrink_model
+from far.tensor import ShapeError
 
 from conftest import desk_config
 
@@ -130,11 +134,18 @@ def test_unknown_variant_rejected():
         count_flops(TINY, "mamba", t=10)
 
 
-def test_bench_latency_protocol():
+def test_bench_latency_protocol(monkeypatch):
+    class Clock:  # a busy-wait of exactly 1/512 s per call
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+    clock = Clock()
+    monkeypatch.setattr(profiler, "time", clock)
+
     def busy():
-        end = time.perf_counter() + 0.001
-        while time.perf_counter() < end:
-            pass
+        clock.now += 1 / 512
 
     stats = bench_latency(busy, warmups=3, runs=20)
     assert stats["runs"] == 20 and stats["warmups"] == 3
@@ -165,3 +176,142 @@ def test_cost_report_csv():
     # total = layer costs + embed + head overhead
     assert rep.flops > sum(rep.per_layer) > 0
     assert len([l for l in lines if l.startswith("flops_layer_")]) == 4
+
+
+# -- counts against the closed forms they replaced ----------------------------
+
+# The closed forms as they stood before the counts were read from the
+# tensor tables, kept as the reference the tables must match exactly.
+
+def _embed_params(cfg):
+    d = cfg.dim
+    return (cfg.channels * cfg.patch_size ** 2 * d + d  # patch proj
+            + cfg.tokens * d                            # positional
+            + d)                                        # CLS
+
+
+def _head_params(cfg):
+    return 2 * cfg.dim + cfg.dim * cfg.num_classes + cfg.num_classes
+
+
+def _mlp_params(cfg):
+    d, r = cfg.dim, cfg.mlp_ratio
+    return 2 * d + d * r * d + r * d + r * d * d + d  # LN2 + two linears
+
+
+def _attn_layer_params(cfg):
+    d = cfg.dim
+    return 2 * d + 3 * d * d + 3 * d + d * d + d + _mlp_params(cfg)
+
+
+def _far_layer_params(cfg, live=None):
+    d, dh = cfg.dim, cfg.head_dim
+    total = 2 * d + d * d + d  # LN + in_proj
+    retained_sum = 0
+    for h in range(cfg.heads):
+        for dirn in ("fwd", "rev"):
+            k = dh if live is None else int(live[h][dirn].sum())
+            total += 4 * k * dh + 4 * k * k + 8 * k  # W_ih, W_hh, biases
+            retained_sum += k
+    total += retained_sum * d + d  # out_proj
+    return total + _mlp_params(cfg)
+
+
+def _attn_layer_flops(cfg, t):
+    d, n, dh = cfg.dim, cfg.heads, cfg.head_dim
+    return (t * d * 3 * d          # QKV projection
+            + 2 * n * t * t * dh   # scores + attention-weighted values
+            + t * d * d            # output projection
+            + 2 * t * d * cfg.mlp_ratio * d)  # MLP
+
+
+def _far_layer_flops(cfg, t, live=None):
+    d, dh = cfg.dim, cfg.head_dim
+    macs = t * d * d  # in_proj
+    retained_sum = 0
+    for h in range(cfg.heads):
+        for dirn in ("fwd", "rev"):
+            k = dh if live is None else int(live[h][dirn].sum())
+            macs += t * (4 * k * dh + 4 * k * k)
+            retained_sum += k
+    macs += t * retained_sum * d            # out_proj
+    macs += 2 * t * d * cfg.mlp_ratio * d   # MLP
+    return macs
+
+
+def _oracle_params(cfg, variant, masks):
+    total = _embed_params(cfg) + _head_params(cfg)
+    for l in range(cfg.layers):
+        if variant == "attention":
+            total += _attn_layer_params(cfg)
+        else:
+            total += _far_layer_params(
+                cfg, None if masks is None else masks[l])
+    return total
+
+
+def _oracle_flops(cfg, variant, t, masks):
+    per_layer = [_attn_layer_flops(cfg, t) if variant == "attention"
+                 else _far_layer_flops(cfg, t,
+                                       None if masks is None else masks[l])
+                 for l in range(cfg.layers)]
+    embed = (t - 1) * cfg.channels * cfg.patch_size ** 2 * cfg.dim
+    return embed + cfg.dim * cfg.num_classes + sum(per_layer), per_layer
+
+
+ORACLE_CFGS = [dataclasses.replace(base, image_size=size)
+               for base in (TINY, SMALL, BASE) for size in (224, 384)]
+ORACLE_CFGS.append(desk_config())
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CFGS,
+                         ids=[f"{c.dim}-{c.image_size}" for c in ORACLE_CFGS])
+@pytest.mark.parametrize("variant,random_widths", [
+    ("attention", False), ("far", False), ("far", True)])
+def test_counts_match_closed_forms(cfg, variant, random_widths):
+    masks = None
+    if random_widths:  # a random share kept per scan, none kept included
+        rng = np.random.default_rng(cfg.dim + cfg.image_size)
+        masks = [{h: {d: rng.random(cfg.head_dim) < rng.random()
+                      for d in DIRECTIONS} for h in range(cfg.heads)}
+                 for _ in range(cfg.layers)]
+    assert count_params(cfg, variant, masks=masks) == \
+        _oracle_params(cfg, variant, masks)
+    for t in (None, 1, 17, 65, 197, 577):  # None: the config's own image
+        assert count_flops(cfg, variant, t=t, masks=masks,
+                           breakdown=True) == \
+            _oracle_flops(cfg, variant, t or cfg.tokens, masks)
+
+
+def test_params_are_built_models_parameter_sizes():
+    cfg = desk_config()
+    teacher = TeacherModel(cfg, seed=5)
+    far = replace_attention(teacher, seed=5)
+
+    def size(model):
+        return sum(t.data.size for t in model.named_parameters().values())
+
+    assert count_params(cfg, "attention") == size(teacher)
+    assert count_params(cfg, "far", masks=far.masks) == size(far)
+    prune_by_threshold(far, 0.97, mode="relative")
+    shrunk = shrink_model(far)
+    assert size(shrunk) < size(far)
+    assert count_params(cfg, "far", masks=shrunk.masks) == size(shrunk)
+
+
+# -- bad sizes fail by name ---------------------------------------------------
+
+@pytest.mark.parametrize("size", [0, -32, 225, 7])
+def test_flops_rejects_bad_image_size(size, capsys):
+    cfg = desk_config()
+    match = f"image size {size} is not a positive multiple of patch size 8"
+    with pytest.raises(ShapeError, match=match):
+        count_flops(cfg, "far", image_size=size)
+    assert main(["flops", "--image-size", str(size)]) == 1
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [0, -5])
+def test_flops_rejects_token_count_below_one(t):
+    with pytest.raises(ValueError, match=f"at least 1, got {t}"):
+        count_flops(desk_config(), "attention", t=t)
