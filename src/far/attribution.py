@@ -143,8 +143,3 @@ def export_heatmaps(matrices, path_prefix):
         written += [pgm_path, csv_path]
     return written
 
-
-def read_heatmap_csv(path):
-    with open(path) as fh:
-        return np.array([[float(v) for v in line.strip().split(",")]
-                         for line in fh if line.strip()])

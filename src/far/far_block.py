@@ -12,31 +12,34 @@ All 2N scans of a block run as one graph node (``scan_heads``). It lays
 the scans' weights out gate-major in a private order (i, f, o, g), with
 the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so one tanh
 covers all four gates. Whatever depends on shapes alone comes from a
-plan cached per scan sizes, head count, directions and dtype: the output
-pieces, and gather indices into one concatenation of the live scans'
-weights with a zero appended for padding. A call then lays out its
-forward weights with one concatenate, one gather and one in-place scale,
-and its backward gathers the unscaled layouts from the same
-concatenation. The plan holds indices only, so weights zeroed in place
-(pruning) or rebound (``AdamW.step``) are read afresh on every call, and
-a shrunk block's new sizes get a plan of their own. A reverse scan reads
-a time-reversed copy of its input, and every buffer runs in scan time.
-Two batched GEMMs (one per direction) write every step's input gates
-into a time-major buffer (T, 4, S, B, hid), and cell states, their tanh
-and hidden states are time-major (T, S, B, hid) too. A step is then one
-``h @ w_hh`` over the S scans, one add, one tanh over the four gates,
-two in-place ops on the contiguous i/f/o block, and ``out=`` ufuncs for
-c, tanh(c) and h; the gate buffer ends up holding the activations. The
-node's backward is a hand-written BPTT. Before its reverse loop it
-computes, for all steps at once, every factor that does not depend on
-the recurrence: o(1-tc^2), g i(1-i), c_prev f(1-f), i(1-g^2) and tc
-o(1-o). The loop itself only adds dh, updates dc, multiplies the factors
-into dz, takes ``dz @ w_hh`` and scales dc by f. Activations are kept
-only when the input or some scan tensor requires grad. Scans of unequal
-width (a shrunk block) are zero-padded to the widest: by the rule below
-a padded unit's h, c and gradients stay exactly zero. ``lstm_step`` is
-the single-cell reference, in stored order with the plain sigmoid, that
-the fused scan is tested against.
+plan cached per scan sizes, head count, directions and dtype: each live
+scan's (head, reversed) pair, the output pieces, and gather indices into
+one concatenation of the live scans' weights with a zero appended for
+padding. A call then lays out its forward weights with one concatenate,
+one gather and one in-place scale, and its backward gathers the unscaled
+layouts from the same concatenation. The plan holds indices only, so
+weights zeroed in place (pruning) or rebound (``AdamW.step``) are read
+afresh on every call, and a shrunk block's new sizes get a plan of their
+own. A reverse scan is a forward scan over the time-reversed input, so
+one concatenate lays out every scan's input in scan time,
+(S, B, T, D_h), and every buffer runs in scan time. One batched GEMM
+writes every step's input gates into a time-major buffer
+(T, 4, S, B, hid), and cell states, their tanh and hidden states are
+time-major (T, S, B, hid) too. A step is then one ``h @ w_hh`` over the
+S scans, one add, one tanh over the four gates, two in-place ops on the
+contiguous i/f/o block, and ``out=`` ufuncs for c, tanh(c) and h; the
+gate buffer ends up holding the activations. The node's backward is a
+hand-written BPTT. Before its reverse loop it computes, for all steps at
+once, every factor that does not depend on the recurrence: o(1-tc^2),
+g i(1-i), c_prev f(1-f), i(1-g^2) and tc o(1-o). The loop itself only
+adds dh, updates dc, multiplies the factors into dz, takes ``dz @ w_hh``
+and scales dc by f. After it, one batched GEMM each gives every scan's
+input and w_ih gradients. Activations are kept only when the input or
+some scan tensor requires grad. Scans of unequal width (a shrunk block)
+are zero-padded to the widest: by the rule below a padded unit's h, c
+and gradients stay exactly zero. ``lstm_step`` is the single-cell
+reference, in stored order with the plain sigmoid, that the fused scan
+is tested against.
 
 A pruned hidden unit is one whose coupled weights (see ``coupled``) are
 all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
@@ -217,28 +220,32 @@ def _gather_indices(hidden, d_in):
 
 class _Plan:
     """Everything a ``scan_heads`` call derives from shapes alone: the live
-    directions, the output pieces and the gather indices of the weight
-    layouts. It holds no weight values, so a weight zeroed in place or
-    rebound is read afresh on the next call."""
+    scans, the output pieces and the gather indices of the weight layouts.
+    It holds no weight values, so a weight zeroed in place or rebound is
+    read afresh on the next call."""
 
     def __init__(self, sizes, n_heads, directions, dtype):
-        self.dirs = [d for d in DIRECTIONS if d in directions]
-        order = [d for _ in range(n_heads) for d in DIRECTIONS]
-        live = [k for k, d in enumerate(order) if d in directions]
+        if not directions or any(d not in DIRECTIONS for d in directions):
+            raise ValueError(f"directions must be a non-empty subset of "
+                             f"{DIRECTIONS}; got {directions}")
+        order = [(n, d) for n in range(n_heads) for d in DIRECTIONS]
+        live = [k for k, (_, d) in enumerate(order) if d in directions]
+        # each scan's (head, reversed), head-major in scan order
+        self.inputs = [(n, d == "rev") for n, d in order if d in directions]
         d_in = sizes[0][1]
         # one input size for all scans; scan_heads names a mismatch
         self.d_in = d_in if all(size[1] == d_in for size in sizes) else None
         # (scan index or None, column offset, width, reversed) in coupled order
         self.pieces, off = [], 0
-        for k, (d, (w, _)) in enumerate(zip(order, sizes)):
+        for k, ((_, d), (w, _)) in enumerate(zip(order, sizes)):
             self.pieces.append((live.index(k) if k in live else None, off, w,
                                 d == "rev"))
             off += w
         self.width = off
-        if not live or self.d_in is None:
+        if self.d_in is None:
             return
         hidden = [sizes[k][0] for k in live]
-        s, nd, hid = len(live), len(self.dirs), max(hidden)
+        s, hid = len(live), max(hidden)
         self.s, self.hid = s, hid
         ih, hh, bi, bh = _gather_indices(hidden, d_in)
         self.zero = np.zeros(1, dtype)
@@ -254,7 +261,7 @@ class _Plan:
         self.scale = np.concatenate([np.repeat(half_ifo, a.size // 4)
                                      for a in fwd[:3]])
         # the backward's unscaled layouts
-        self.ih_back = ih.reshape(n_heads, nd, 4 * hid, d_in)
+        self.ih_back = ih.reshape(s, 4 * hid, d_in)
         self.hh_back = hh.reshape(s, 4 * hid, hid)
 
 
@@ -273,7 +280,9 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     n*D_h:(n+1)*D_h. Returns the hidden states of all scans side by side
     in ``coupled`` order (head 0 fwd, head 0 rev, head 1 fwd, ...), the
     reverse scans re-aligned to token positions. A scan whose direction
-    is not in ``directions`` outputs zeros and receives no gradient.
+    is not in ``directions`` outputs zeros and receives no gradient;
+    ``directions`` must be a non-empty subset of ``DIRECTIONS``, else
+    ValueError.
     """
     u = T.as_tensor(u)
     batched = u.ndim == 3
@@ -289,16 +298,12 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     if d_in is None or d_in * n_heads != width:
         raise ShapeError(f"input width {width} does not split into "
                          f"{n_heads} heads of the scans' input size")
-    out = np.zeros((b, t, plan.width), dtype)
-    if not scans:
-        return Tensor(out if batched else out[0])
-
-    # S scans, head-major: the ``nd`` live directions of head 0, then of
-    # head 1, ... Step j of a reverse scan reads token t-1-j of its input.
-    s, hid, dirs = plan.s, plan.hid, plan.dirs
-    nd = len(dirs)
-    x = x.astype(dtype, copy=False)
-    xd = [np.ascontiguousarray(x[:, ::-1]) if d == "rev" else x for d in dirs]
+    # S scans, head-major in scan order: xs[k] is scan k's input, in scan
+    # time (step j of a reverse scan reads token t-1-j)
+    s, hid = plan.s, plan.hid
+    heads_x = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)
+    xs = np.concatenate([heads_x[n:n + 1, :, ::-1] if r else heads_x[n:n + 1]
+                         for n, r in plan.inputs], dtype=dtype)
     params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
     # every weight, read now; the backward gathers its layouts from it too
     cat = np.concatenate([tn.data for tn in params] + [plan.zero], axis=None,
@@ -308,13 +313,11 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     bias = packed[e_hh:e_b]
     np.add(bias, packed[e_b:], out=bias)
     np.multiply(packed[:e_b], plan.scale, out=packed[:e_b])
-    wih_f = packed[:e_ih].reshape(4, n_heads, nd, 1, d_in, hid)
+    wih_f = packed[:e_ih].reshape(4, s, 1, d_in, hid)
     whh_f = packed[e_ih:e_hh].reshape(4, s, hid, hid)
     gates = np.empty((t, 4, s, b, hid), dtype)  # the activations after the loop
-    gv = gates.reshape(t, 4, n_heads, nd, b, hid).transpose(1, 2, 3, 4, 0, 5)
-    for q, xq in enumerate(xd):  # per gate, head and image: (T, D_h) @ W^T
-        np.matmul(xq.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3),
-                  wih_f[:, :, q], out=gv[:, :, q])
+    # per gate, scan and image: (T, D_h) @ W^T
+    np.matmul(xs, wih_f, out=gates.transpose(1, 2, 3, 0, 4))
     # the bias repeated over B: broadcast, it would make numpy loop over hid
     np.add(gates, bias.reshape(4, s, 1, hid).repeat(b, axis=2), out=gates)
     hs = np.zeros((t + 1, s, b, hid), dtype)  # hs[j + 1] is step j's h
@@ -337,6 +340,7 @@ def scan_heads(u, heads, directions=DIRECTIONS):
         np.tanh(c1, out=tc)
         np.multiply(oj, tc, out=h1)
 
+    out = np.zeros((b, t, plan.width), dtype)
     for k, off, w, r in pieces:
         if k is not None:
             piece = hs[1:, k, :, :w].transpose(1, 0, 2)
@@ -381,14 +385,12 @@ def scan_heads(u, heads, directions=DIRECTIONS):
             np.multiply(dc, fj, out=dc)
 
         flat = dz.reshape(s, b * t, 4 * hid)
-        dzq = flat.reshape(n_heads, nd, b * t, 4 * hid)
         if u.requires_grad:
             du = np.zeros((b, t, n_heads, d_in), dtype)
             du_heads = du.transpose(2, 0, 1, 3)
-            wq = cat.take(plan.ih_back)
-            for q, d in enumerate(dirs):
-                dx = (dzq[:, q] @ wq[:, q]).reshape(n_heads, b, t, d_in)
-                du_heads += dx[:, :, ::-1] if d == "rev" else dx
+            dx = (flat @ cat.take(plan.ih_back)).reshape(s, b, t, d_in)
+            for dxk, (n, r) in zip(dx, plan.inputs):
+                du_heads[n] += dxk[:, ::-1] if r else dxk
             u._accumulate(du.reshape(u.data.shape))
         if not any(tn.requires_grad for tn in params):
             return
@@ -396,11 +398,8 @@ def scan_heads(u, heads, directions=DIRECTIONS):
         g_hh = (flat.transpose(0, 2, 1) @ hprev.reshape(s, b * t, hid)).reshape(
             s, 4, hid, hid)
         g_b = flat.sum(axis=1).reshape(s, 4, hid)
-        g_ih = np.empty((n_heads, nd, 4 * hid, d_in), dtype)
-        for q, xq in enumerate(xd):  # each direction against its own input
-            xh = xq.reshape(b * t, n_heads, d_in).transpose(1, 0, 2)
-            np.matmul(dzq[:, q].transpose(0, 2, 1), xh, out=g_ih[:, q])
-        g_ih = g_ih.reshape(s, 4, hid, d_in)
+        g_ih = (flat.transpose(0, 2, 1) @ xs.reshape(s, b * t, d_in)).reshape(
+            s, 4, hid, d_in)
         for k, p in enumerate(scans):
             n = p.hidden
             for tn, gk in ((p.w_ih, g_ih[k, _GATES, :n]),

@@ -19,7 +19,7 @@ ran, each ``unset`` when absent, which the report prints.
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,8 +150,13 @@ def bench_latency(run_fn, warmups=30, runs=100):
 
 
 def cost_report(cfg, variant, image_size=None, masks=None):
+    """Parameters and MACs of the ``variant`` model of ``cfg`` built for
+    ``image_size`` (the config's by default), whose position table grows
+    with it."""
     total, per_layer = count_flops(cfg, variant, image_size=image_size,
                                    masks=masks, breakdown=True)
+    if image_size is not None:
+        cfg = replace(cfg, image_size=image_size)
     return CostReport(variant=variant,
                       params=count_params(cfg, variant, masks=masks),
                       flops=total, per_layer=per_layer)

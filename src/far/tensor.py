@@ -485,27 +485,23 @@ def tanh(a):
     return _make(out_data, (a,), backward)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _f32(*values):
-    """Float32 constants as 0-d arrays: numpy dispatches an operation on one
-    of them faster than on a Python float, which matters for small arrays."""
-    return [np.array(v, np.float32) for v in values]
+def _consts(dtype, *values):
+    """Constants as 0-d arrays of ``dtype``: numpy dispatches an operation
+    on one of them faster than on a Python float, which matters for small
+    arrays."""
+    return [np.array(v, dtype) for v in values]
 
 
 # Eigen's float32 erf: x * P(x^2) / Q(x^2) on x clamped to [-4, 4], beyond
 # which erf rounds to +-1 in float32. Coefficients from the highest power.
-_ERF_P = _f32(-2.72614225801306e-10, 2.77068142495902e-08,
-              -2.10102402082508e-06, -5.69250639462346e-05,
-              -7.34990630326855e-04, -2.95459980854025e-03,
-              -1.60960333262415e-02)
-_ERF_Q = _f32(-1.45660718464996e-05, -2.13374055278905e-04,
-              -1.68282697438203e-03, -7.37332916720468e-03,
-              -1.42647390514189e-02)
-_ERF_LO, _ERF_HI, _MINUS_HALF, _HALF, _ONE = _f32(-4, 4, -0.5, 0.5, 1)
-_INV_SQRT2_F32, _INV_SQRT2PI_F32 = _f32(_INV_SQRT2, _INV_SQRT2PI)
+_ERF_P = _consts(np.float32, -2.72614225801306e-10, 2.77068142495902e-08,
+                 -2.10102402082508e-06, -5.69250639462346e-05,
+                 -7.34990630326855e-04, -2.95459980854025e-03,
+                 -1.60960333262415e-02)
+_ERF_Q = _consts(np.float32, -1.45660718464996e-05, -2.13374055278905e-04,
+                 -1.68282697438203e-03, -7.37332916720468e-03,
+                 -1.42647390514189e-02)
+_ERF_LO, _ERF_HI = _consts(np.float32, -4, 4)
 
 
 def _horner(x2, coeffs, out):
@@ -531,36 +527,38 @@ def erf_f32(x):
     return p
 
 
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf_f64(x):
+    """erf of a float64 array, ``math.erf`` per element (within 1 ulp of
+    the exact value); a Python call per element, so several times slower
+    than ``erf_f32``."""
+    return _math_erf(x, out=np.empty_like(x), casting="unsafe")
+
+
+# per dtype: erf, 1/sqrt(2), 1/sqrt(2 pi), -1/2, 1/2 and 1
+_GELU = {np.dtype(dt): (erf, *_consts(dt, 1 / math.sqrt(2),
+                                      1 / math.sqrt(2 * math.pi), -0.5, 0.5, 1))
+         for dt, erf in ((np.float32, erf_f32), (np.float64, _erf_f64))}
+
+
 def gelu(a):
-    """Exact (erf-based) GELU. A float32 input computes in float32 with
-    ``erf_f32``; any other dtype uses ``scipy.special.erf``, the float64
-    reference, and is the only use of scipy."""
+    """Exact (erf-based) GELU, computed at the input's dtype: a float32
+    input with ``erf_f32``, a float64 one with ``math.erf``."""
     a = as_tensor(a)
-    if a.dtype == np.float32:
-        return _gelu_f32(a)
-    from scipy.special import erf
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out_data = a.data * cdf
-
-    def backward(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        a._accumulate(g * (cdf + a.data * pdf))
-
-    return _make(out_data, (a,), backward)
-
-
-def _gelu_f32(a):
     x = a.data
-    cdf = erf_f32(x * _INV_SQRT2_F32)
-    cdf += _ONE
-    cdf *= _HALF
+    erf, inv_sqrt2, inv_sqrt2pi, minus_half, half, one = _GELU[x.dtype]
+    cdf = erf(x * inv_sqrt2)
+    cdf += one
+    cdf *= half
 
     def backward(g):
         # g * (cdf + x * pdf(x)), one buffer
         t = np.multiply(x, x, out=np.empty_like(x))
-        t *= _MINUS_HALF
+        t *= minus_half
         np.exp(t, out=t)
-        t *= _INV_SQRT2PI_F32
+        t *= inv_sqrt2pi
         t *= x
         t += cdf
         t *= g

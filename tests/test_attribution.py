@@ -10,8 +10,7 @@ from far.tensor import Tensor
 from far.vit import TeacherModel
 from far.far_block import DIRECTIONS, replace_attention, shrink_block
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
-                             read_heatmap_csv, token_dependency,
-                             uniform_band_mass)
+                             token_dependency, uniform_band_mass)
 
 from conftest import desk_config
 
@@ -233,6 +232,15 @@ def test_range_checks(models):
         token_dependency(far, img, layer=-1)
 
 
+@pytest.mark.parametrize("directions", [("forward",), ()])
+def test_far_maps_name_directions_that_select_no_scan(models, directions):
+    _, _, far, img = models
+    with pytest.raises(ValueError, match=re.escape(str(directions))):
+        token_dependency(far, img, 0, directions)
+    with pytest.raises(ValueError, match=re.escape(str(directions))):
+        cls_saliency(far, img, 0, 0, directions)
+
+
 ENTRY_POINTS = {
     "forward": lambda m, img: m.forward(img),
     "cls_saliency": lambda m, img: cls_saliency(m, img, 1, 0),
@@ -277,7 +285,7 @@ def test_export_pgm_and_csv_round_trip(tmp_path, models):
     assert maxval == b"255"
     assert len(pixels) == cfg.grid * cfg.grid
     # CSV stores exact repr round trip
-    back = read_heatmap_csv(tmp_path / "run_dep.csv")
+    back = np.loadtxt(tmp_path / "run_dep.csv", delimiter=",", ndmin=2)
     assert np.array_equal(back, dep)
 
 

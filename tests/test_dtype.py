@@ -116,8 +116,8 @@ def test_frozen_forwards_and_maps_are_at_model_dtype(spy, precision):
 
 def test_float32_compute_never_imports_scipy():
     """With scipy made unimportable, an f32 teacher forward, an f32 FAR
-    forward and one f32 distill step run; f64 GELU, the only user of scipy,
-    fails."""
+    forward, one f32 distill step and an f64 GELU run: the package needs
+    numpy only."""
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None
@@ -136,10 +136,9 @@ def test_float32_compute_never_imports_scipy():
             phase="distill", epochs=1, batch_size=len(ds.train_idx),
             warmup_epochs=0))
         assert len(rows) == 1
-        try:
-            T.gelu(T.Tensor([0.5], dtype="f64"))
-        except ImportError:
-            print("f32 ok without scipy")
+        y = T.gelu(T.Tensor([0.5], dtype="f64"))
+        assert y.dtype == "float64" and 0.34 < y.data[0] < 0.35
+        print("ok without scipy")
     """)
     path = [os.path.dirname(os.path.dirname(distill.__file__)),
             os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
@@ -147,4 +146,4 @@ def test_float32_compute_never_imports_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "f32 ok without scipy"
+    assert done.stdout.strip() == "ok without scipy"

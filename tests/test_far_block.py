@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,19 @@ def test_second_frozen_forward_of_the_same_shapes_plans_nothing(desk_cfg):
     far.forward(image)
     far.forward(image[0])
     assert far_block._plan.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("directions", [("forward",), (), ("fwd", "back")])
+def test_directions_that_select_no_known_scan_are_named(directions):
+    """Directions that are empty or name an unknown scan are a ValueError,
+    not an all-zero output."""
+    blk = _scan_block("f32", "full", np.random.default_rng(55))
+    x = Tensor(np.zeros((7, 32), np.float32))
+    for call in (lambda: scan_heads(x, blk.heads, directions),
+                 lambda: far_block_forward(x, blk, directions),
+                 lambda: bilstm_head(x[:, :16], blk.heads[0], directions)):
+        with pytest.raises(ValueError, match=re.escape(str(directions))):
+            call()
 
 
 def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):

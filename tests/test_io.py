@@ -22,8 +22,7 @@ from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import ShapeError, Tensor
-from far.attribution import (cls_saliency, export_heatmaps, read_heatmap_csv,
-                             token_dependency)
+from far.attribution import cls_saliency, export_heatmaps, token_dependency
 from far.vit import ModelConfig, TeacherModel
 
 from conftest import desk_config
@@ -530,7 +529,7 @@ def test_cli_attribute_uses_the_checkpoint_image_size(tmp_path, capsys):
                  "--out-prefix", prefix]) == 0
     files = capsys.readouterr().out.split()
     assert len(files) == 2 * (cfg.heads + 1)
-    dep = read_heatmap_csv(prefix + "dependency_l1.csv")
+    dep = np.loadtxt(prefix + "dependency_l1.csv", delimiter=",", ndmin=2)
     assert dep.shape == (cfg.tokens, cfg.tokens) == (65, 65)
 
 

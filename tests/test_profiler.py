@@ -299,6 +299,30 @@ def test_params_are_built_models_parameter_sizes():
     assert count_params(cfg, "far", masks=shrunk.masks) == size(shrunk)
 
 
+DEIT_TINY_INI = """[model]
+layers = 12
+dim = 192
+heads = 3
+head_dim = 64
+patch_size = 16
+image_size = 224
+num_classes = 1000
+"""
+
+
+@pytest.mark.parametrize("ini, variant, params", [
+    ("[model]\n", "far", 161_642),             # desk, 32 px in its config
+    (DEIT_TINY_INI, "attention", 5_790_376),  # 577 positions, not 197
+], ids=["desk", "deit-tiny"])
+def test_cli_flops_counts_params_at_its_image_size(tmp_path, capsys, ini,
+                                                   variant, params):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    assert main(["flops", "--config", str(path), "--variant", variant,
+                 "--image-size", "384"]) == 0
+    assert f"params,{params}" in capsys.readouterr().out.splitlines()
+
+
 # -- bad sizes fail by name ---------------------------------------------------
 
 @pytest.mark.parametrize("size", [0, -32, 225, 7])

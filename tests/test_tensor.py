@@ -471,12 +471,17 @@ def test_erf_f32_special_values():
     assert np.isnan(pos[6]) and np.isnan(neg[6])
 
 
-def test_gelu_f32_close_to_f64_and_f64_is_scipy():
+def test_gelu_f32_close_to_f64_and_f64_is_math_erf():
+    """Float64 GELU is x * (1 + math.erf(x / sqrt 2)) / 2 per element, and
+    that erf is within 3 ulp of scipy's (measured: 2)."""
     from scipy.special import erf
     x = np.linspace(-6, 6, 120_001)
     y64 = T.gelu(Tensor(x)).data
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
-    assert np.array_equal(y64, x * cdf)
+    z = x * (1 / math.sqrt(2))
+    math_erf = np.array([math.erf(v) for v in z])
+    assert np.array_equal(y64, x * ((math_erf + 1) * 0.5))
+    ref = erf(z)
+    assert (np.abs(math_erf - ref) <= 3 * np.spacing(np.abs(ref))).all()
     y32 = T.gelu(Tensor(x, dtype="f32")).data
     assert y32.dtype == np.float32
     assert np.abs(y32 - y64).max() <= GELU_ABS
@@ -665,8 +670,9 @@ def test_frozen_b1_forward_calls_nothing_in_numpy_methods(variant):
 
 
 # a warmed, frozen B=1 desk FAR forward: 1,036 calls when every scan packed
-# its weights again on every call, 740 with shape-planned scans and linear
-FAR_B1_FORWARD_CALLS = 740
+# its weights again on every call, 740 with shape-planned scans and linear,
+# 700 with one scan axis and one GELU body
+FAR_B1_FORWARD_CALLS = 700
 
 
 def test_warm_frozen_b1_far_forward_makes_no_more_python_calls_than_measured():
