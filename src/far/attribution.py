@@ -8,6 +8,8 @@ start from the layer's input, the prefix of the model's one layer loop
 (``Backbone.tokens``).
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import tensor as T
@@ -49,7 +51,7 @@ def _minmax(arr):
     return (arr - lo) / (hi - lo)
 
 
-def cls_saliency(model, image, layer, head, directions=DIRECTIONS):
+def cls_saliency(model, image, layer, head):
     """(grid x grid) min-max normalized importance of patches to the CLS.
 
     Teacher: the CLS row of the layer/head softmax attention. FAR: the
@@ -69,7 +71,7 @@ def cls_saliency(model, image, layer, head, directions=DIRECTIONS):
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.linear(h, blk.in_w, blk.in_b)
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
-    hh = bilstm_head(sub, blk.heads[head], directions=directions)
+    hh = bilstm_head(sub, blk.heads[head])
     T.sqrt(T.tsum(T.square(hh[:, 0, :]))).backward()
     grad = leaf.grad[0, 1:, :]  # patch tokens
     sal = np.sqrt((grad * grad).sum(axis=-1))
@@ -87,14 +89,27 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     and one backward give the rows of every query in a pass (batch rows
     do not interact). A pass takes at most ``ROWS // T`` queries (at
     least 1), which bounds the saved activations; a desk map is one pass.
+
+    A FAR map of ``directions`` (a non-empty subset of ``DIRECTIONS``,
+    else ValueError) runs every scan, in a copy of the block whose out_w
+    rows of the other scans' units are zero: a zero row passes neither
+    output nor gradient, so the map sees only the kept scans.
     """
     x = _layer_input(model, image, layer)
     if isinstance(model, TeacherModel):
         attn = model.attention_block(x, model.layers[layer])[1]
         return attn.data[0].mean(axis=0)
 
+    directions = tuple(directions)
+    if not directions or any(d not in DIRECTIONS for d in directions):
+        raise ValueError(f"directions must be a non-empty subset of "
+                         f"{DIRECTIONS}; got {directions}")
     t = model.cfg.tokens
     blk = model.blocks[layer]
+    # out_w rows follow the scans in coupled order; a left-out scan's are 0
+    kept = np.concatenate([np.full((head[d].hidden, 1), d in directions)
+                           for head in blk.heads for d in DIRECTIONS])
+    blk = dataclasses.replace(blk, out_w=Tensor(blk.out_w.data * kept))
     x = x.data[0]
     dep = np.empty((t, t), x.dtype)
     step = max(1, ROWS // t)
@@ -102,7 +117,7 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
         queries = np.arange(start, min(start + step, t))
         n = len(queries)
         leaf = Tensor(np.repeat(x[None], n, axis=0), requires_grad=True)
-        out = far_block_forward(leaf, blk, directions=directions)
+        out = far_block_forward(leaf, blk)
         vecs = out[np.arange(n), queries]  # batch row k reads its query
         T.tsum(T.sqrt(T.tsum(T.square(vecs), axis=-1))).backward()
         dep[queries] = np.sqrt((leaf.grad * leaf.grad).sum(axis=-1))

@@ -48,16 +48,10 @@ def _final_acc(rows, model, ds):
 
 
 def cmd_train_teacher(args, cfg):
-    mcfg = model_config(cfg)
     tr = cfg["train"]
-    teacher = TeacherModel(mcfg, seed=tr["seed"])
+    teacher = TeacherModel(model_config(cfg), seed=tr["seed"])
     ds = _dataset_from_cfg(cfg, args.seed)
-    tcfg = TrainConfig(phase="teacher", lr=tr["teacher_lr"],
-                       epochs=tr["teacher_epochs"],
-                       batch_size=tr["batch_size"], seed=tr["seed"],
-                       weight_decay=tr["weight_decay"],
-                       warmup_epochs=tr["warmup_epochs"],
-                       warmup_lr=tr["warmup_lr"])
+    tcfg = _train_cfg(cfg, "teacher", tr["teacher_lr"], tr["teacher_epochs"])
     rows = []
     train_teacher(teacher, ds, tcfg, log_rows=rows)
     ckpt.save_model(teacher, args.out)

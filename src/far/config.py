@@ -1,8 +1,8 @@
 """Line-oriented run configuration: ``key = value`` pairs under
-``[section]`` headers. Unknown sections or keys are errors; every key
-has a documented default, a float key only finite values, a string key
-listed in ``CHOICES`` only the values listed there, and a key listed in
-``MINIMUM`` no smaller value.
+``[section]`` headers. Unknown sections or keys, and a key set twice in
+one section, are errors; every key has a documented default, a float key
+only finite values, a string key listed in ``CHOICES`` only the values
+listed there, and a key listed in ``MINIMUM`` no smaller value.
 """
 
 import math
@@ -47,10 +47,15 @@ CHOICES = {
     ("prune", "threshold_mode"): ("absolute", "relative"),
 }
 
-# (section, key) -> the least value a numeric key may take. ``[model]``
-# sizes are checked by ``ModelConfig``; an epoch count of 0 trains nothing.
+# (section, key) -> the least value a numeric key may take, 0 for every
+# epoch count, learning rate and weight decay (0 epochs train nothing).
+# ``[model]`` sizes are checked by ``ModelConfig``.
 MINIMUM = {("train", "batch_size"): 1, ("data", "noise"): 0.0,
-           ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0}
+           ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0,
+           ("distill", "lam"): 0.0,
+           **{(sec, key): typ(0) for sec, keys in SCHEMA.items()
+              for key, (typ, _) in keys.items()
+              if key.endswith(("epochs", "lr", "weight_decay"))}}
 
 
 class ConfigError(ValueError):
@@ -84,9 +89,9 @@ def default_config():
 
 
 def parse_config(text):
-    """Parse config text; unknown sections/keys raise ConfigError."""
+    """Parse config text; a fault the module names is a ConfigError."""
     cfg = default_config()
-    section = None
+    section, seen = None, set()
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -103,19 +108,13 @@ def parse_config(text):
         key, raw = (s.strip() for s in stripped.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} in [{section}] "
+                              f"is already set")
+        seen.add((section, key))
         cfg[section][key] = coerce(f"[{section}] {key}", section, key,
                                    raw)
     return cfg
-
-
-def render_config(cfg):
-    lines = []
-    for sec in SCHEMA:
-        lines.append(f"[{sec}]")
-        for key in SCHEMA[sec]:
-            lines.append(f"{key} = {cfg[sec][key]}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def load_config(path=None):

@@ -12,12 +12,12 @@ All 2N scans of a block run as one graph node (``scan_heads``). It lays
 the scans' weights out gate-major in a private order (i, f, o, g), with
 the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so one tanh
 covers all four gates. Whatever depends on shapes alone comes from a
-plan cached per scan sizes, head count, directions and dtype: each live
-scan's (head, reversed) pair, the output pieces, and gather indices into
-one concatenation of the live scans' weights with a zero appended for
-padding. A call then lays out its forward weights with one concatenate,
-one gather and one in-place scale, and its backward gathers the unscaled
-layouts from the same concatenation. The plan holds indices only, so
+plan cached per scan sizes, head count and dtype: each scan's (head,
+reversed) pair, the output pieces, and gather indices into one
+concatenation of the scans' weights with a zero appended for padding. A
+call then lays out its forward weights with one concatenate, one gather
+and one in-place scale, and its backward gathers the unscaled layouts
+from the same concatenation. The plan holds indices only, so
 weights zeroed in place (pruning) or rebound (``AdamW.step``) are read
 afresh on every call, and a shrunk block's new sizes get a plan of their
 own. A reverse scan is a forward scan over the time-reversed input, so
@@ -166,7 +166,6 @@ def block_shapes(prefix, widths, head_dim):
 
 
 def init_far_block(cfg, rng):
-    cfg.check_heads()
     d, n, dh, p = cfg.dim, cfg.heads, cfg.head_dim, cfg.precision
     return FarBlockParams(
         ln_g=T.ones(d, p), ln_b=T.zeros(d, p),
@@ -219,33 +218,28 @@ def _gather_indices(hidden, d_in):
 
 
 class _Plan:
-    """Everything a ``scan_heads`` call derives from shapes alone: the live
-    scans, the output pieces and the gather indices of the weight layouts.
-    It holds no weight values, so a weight zeroed in place or rebound is
-    read afresh on the next call."""
+    """Everything a ``scan_heads`` call derives from shapes alone: each
+    scan's (head, reversed) pair, the output pieces and the gather indices
+    of the weight layouts. It holds no weight values, so a weight zeroed in
+    place or rebound is read afresh on the next call."""
 
-    def __init__(self, sizes, n_heads, directions, dtype):
-        if not directions or any(d not in DIRECTIONS for d in directions):
-            raise ValueError(f"directions must be a non-empty subset of "
-                             f"{DIRECTIONS}; got {directions}")
-        order = [(n, d) for n in range(n_heads) for d in DIRECTIONS]
-        live = [k for k, (_, d) in enumerate(order) if d in directions]
-        # each scan's (head, reversed), head-major in scan order
-        self.inputs = [(n, d == "rev") for n, d in order if d in directions]
+    def __init__(self, sizes, n_heads, dtype):
+        # each scan's (head, reversed), in coupled order
+        self.inputs = [(n, d == "rev") for n in range(n_heads)
+                       for d in DIRECTIONS]
         d_in = sizes[0][1]
         # one input size for all scans; scan_heads names a mismatch
         self.d_in = d_in if all(size[1] == d_in for size in sizes) else None
-        # (scan index or None, column offset, width, reversed) in coupled order
+        # (column offset, width, reversed) of each scan's output
         self.pieces, off = [], 0
-        for k, ((_, d), (w, _)) in enumerate(zip(order, sizes)):
-            self.pieces.append((live.index(k) if k in live else None, off, w,
-                                d == "rev"))
+        for (_, r), (w, _) in zip(self.inputs, sizes):
+            self.pieces.append((off, w, r))
             off += w
         self.width = off
         if self.d_in is None:
             return
-        hidden = [sizes[k][0] for k in live]
-        s, hid = len(live), max(hidden)
+        hidden = [size[0] for size in sizes]
+        s, hid = len(sizes), max(hidden)
         self.s, self.hid = s, hid
         ih, hh, bi, bh = _gather_indices(hidden, d_in)
         self.zero = np.zeros(1, dtype)
@@ -266,40 +260,36 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(sizes, n_heads, directions, dtype):
+def _plan(sizes, n_heads, dtype):
     """The plan of ``n_heads`` heads whose scans, in ``coupled`` order, have
-    (hidden, input) ``sizes``, run over ``directions`` at ``dtype``."""
-    return _Plan(sizes, n_heads, directions, dtype)
+    (hidden, input) ``sizes``, at ``dtype``."""
+    return _Plan(sizes, n_heads, dtype)
 
 
-def scan_heads(u, heads, directions=DIRECTIONS):
+def scan_heads(u, heads):
     """Every (head, direction) LSTM scan of ``heads`` over ``u``, as one
     graph node.
 
     ``u`` is (B, T, N*D_h) or (T, N*D_h); head n reads columns
     n*D_h:(n+1)*D_h. Returns the hidden states of all scans side by side
     in ``coupled`` order (head 0 fwd, head 0 rev, head 1 fwd, ...), the
-    reverse scans re-aligned to token positions. A scan whose direction
-    is not in ``directions`` outputs zeros and receives no gradient;
-    ``directions`` must be a non-empty subset of ``DIRECTIONS``, else
-    ValueError.
+    reverse scans re-aligned to token positions.
     """
     u = T.as_tensor(u)
     batched = u.ndim == 3
     x = u.data if batched else u.data[None]
     b, t, width = x.shape
     n_heads = len(heads)
-    scans = [head[d] for head in heads for d in DIRECTIONS if d in directions]
+    scans = [head[d] for head in heads for d in DIRECTIONS]
     dtype = np.result_type(x, *(p.w_ih.data for p in scans))
-    plan = _plan(tuple((p.hidden, p.input_size) for head in heads
-                       for p in (head["fwd"], head["rev"])),
-                 n_heads, tuple(directions), dtype)
+    plan = _plan(tuple((p.hidden, p.input_size) for p in scans), n_heads,
+                 dtype)
     d_in, pieces = plan.d_in, plan.pieces
     if d_in is None or d_in * n_heads != width:
         raise ShapeError(f"input width {width} does not split into "
                          f"{n_heads} heads of the scans' input size")
-    # S scans, head-major in scan order: xs[k] is scan k's input, in scan
-    # time (step j of a reverse scan reads token t-1-j)
+    # S scans in coupled order: xs[k] is scan k's input, in scan time
+    # (step j of a reverse scan reads token t-1-j)
     s, hid = plan.s, plan.hid
     heads_x = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)
     xs = np.concatenate([heads_x[n:n + 1, :, ::-1] if r else heads_x[n:n + 1]
@@ -340,19 +330,17 @@ def scan_heads(u, heads, directions=DIRECTIONS):
         np.tanh(c1, out=tc)
         np.multiply(oj, tc, out=h1)
 
-    out = np.zeros((b, t, plan.width), dtype)
-    for k, off, w, r in pieces:
-        if k is not None:
-            piece = hs[1:, k, :, :w].transpose(1, 0, 2)
-            out[:, :, off:off + w] = piece[:, ::-1] if r else piece
+    out = np.empty((b, t, plan.width), dtype)
+    for k, (off, w, r) in enumerate(pieces):
+        piece = hs[1:, k, :, :w].transpose(1, 0, 2)
+        out[:, :, off:off + w] = piece[:, ::-1] if r else piece
 
     def backward(grad):
         gy = grad if batched else grad[None]
         dhs = np.zeros((t, s, b, hid), dtype)
-        for k, off, w, r in pieces:
-            if k is not None:
-                piece = gy[..., off:off + w].transpose(1, 0, 2)
-                dhs[:, k, :, :w] = piece[::-1] if r else piece
+        for k, (off, w, r) in enumerate(pieces):
+            piece = gy[..., off:off + w].transpose(1, 0, 2)
+            dhs[:, k, :, :w] = piece[::-1] if r else piece
         # every factor that does not depend on the recurrence, at once:
         # dz = dc * fac for i, f and g, and dz = dh * fac for o
         dsig = gates[:, :3] * (1.0 - gates[:, :3])
@@ -412,20 +400,20 @@ def scan_heads(u, heads, directions=DIRECTIONS):
     return T._make(out if batched else out[0], (u, *params), backward)
 
 
-def bilstm_head(x, head, directions=DIRECTIONS):
+def bilstm_head(x, head):
     """(B,T,D_h) or (T,D_h) -> concat of forward and reverse scans.
 
     The reverse half is re-aligned to original token positions. Output
     width is fwd_hidden + rev_hidden (equal to 2*D_h when unpruned).
     """
-    return scan_heads(x, [head], directions)
+    return scan_heads(x, [head])
 
 
-def far_block_forward(x, p: FarBlockParams, directions=DIRECTIONS):
+def far_block_forward(x, p: FarBlockParams):
     """y = x + out_proj(BiLSTM scans of the N heads of in_proj(LN(x)))."""
     h = T.layer_norm(x, p.ln_g, p.ln_b)
     u = T.linear(h, p.in_w, p.in_b)
-    cat = scan_heads(u, p.heads, directions)
+    cat = scan_heads(u, p.heads)
     if cat.shape[-1] != p.out_w.shape[0]:
         raise ShapeError(
             f"head outputs ({cat.shape[-1]}) do not match out_proj rows "

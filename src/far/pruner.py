@@ -23,6 +23,8 @@ from .far_block import (DIRECTIONS, FarBlockParams, FarModel, coupled,
 
 log = logging.getLogger(__name__)
 
+MODES = ("absolute", "relative")
+
 
 def group_hs(w, groups):
     """Group Hoyer-square: (sum of group L2 norms)^2 / sum of squared norms,
@@ -97,12 +99,14 @@ def unit_importance(block: FarBlockParams, head, direction):
 def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
     """Zero, in place, every unit whose importance is at most tau.
 
-    ``mode='relative'`` interprets tau as a fraction of the scan's max
-    importance. The max-importance unit is always kept (floor rule). A
-    pruned unit loses its gate rows, W_hh column, biases and out_w row.
+    ``mode`` is one of ``MODES``; 'relative' reads tau as a fraction of the
+    scan's max importance. The max-importance unit is always kept (floor
+    rule). A pruned unit loses its gate rows, W_hh column, biases, out_w row.
     """
     if not tau >= 0:  # also a nan, which every comparison would keep
         raise ValueError(f"pruning threshold must be non-negative, got {tau}")
+    if mode not in MODES:
+        raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
     for blk in far_model.blocks:
         for h, head in enumerate(blk.heads):
             for d in DIRECTIONS:
@@ -159,13 +163,15 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
     ``far_model`` is shrunk in place: its blocks are replaced. A negative
-    or nan ``tau`` or ``reg_coeff`` is a ValueError before any training.
+    or nan ``tau`` or ``reg_coeff``, or a bad mode, fails before training.
     """
     from .distill import run_phase
 
     for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if mode not in MODES:
+        raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
     reg_cfg.phase = "prune-regularize"
     if reg_coeff > 0:
         def extra():

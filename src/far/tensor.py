@@ -181,8 +181,8 @@ class Tensor:
         return getitem(self, key)
 
 
-def as_tensor(x, dtype=None):
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward_fn):

@@ -49,6 +49,10 @@ class ModelConfig:
             raise ShapeError(
                 f"patch size {self.patch_size} does not divide image size "
                 f"{self.image_size}")
+        if self.dim != self.heads * self.head_dim:
+            raise ShapeError(
+                f"a model requires dim == heads * head_dim, got "
+                f"{self.dim} != {self.heads} * {self.head_dim}")
 
     @property
     def grid(self):
@@ -57,12 +61,6 @@ class ModelConfig:
     @property
     def tokens(self):
         return self.grid * self.grid + 1
-
-    def check_heads(self):
-        if self.dim != self.heads * self.head_dim:
-            raise ShapeError(
-                f"a model requires dim == heads * head_dim, got "
-                f"{self.dim} != {self.heads} * {self.head_dim}")
 
 
 def tensor_shapes(cfg, attention=True):
@@ -114,7 +112,6 @@ class Backbone:
     x + Mixer_i(x)."""
 
     def __init__(self, cfg: ModelConfig, tensors):
-        cfg.check_heads()
         self.cfg = cfg
         self.backbone = b = {
             n: take(tensors, n, s, cfg.precision)

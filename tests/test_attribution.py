@@ -8,7 +8,8 @@ from far import tensor as T
 from far.checkpoint import load_model, save_model
 from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import DIRECTIONS, replace_attention, shrink_block
+from far.far_block import (DIRECTIONS, SCAN, FarBlockParams,
+                           replace_attention, shrink_block)
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
                              token_dependency, uniform_band_mass)
 
@@ -92,14 +93,6 @@ def test_constant_image_zero_pos_uniform_teacher_saliency():
     assert np.abs(sal).max() <= 1e-6
 
 
-def test_forward_only_cls_saliency_is_zero(models):
-    """CLS sits at position 0, so the forward recurrence at the CLS has
-    consumed no patch token yet; its gradient map must vanish."""
-    _, _, far, img = models
-    sal = cls_saliency(far, img, layer=0, head=0, directions=("fwd",))
-    assert np.abs(sal).max() <= 1e-10
-
-
 def test_far_saliency_tracks_true_sensitivity(models):
     """Gradient saliency ranks patches like direct input perturbation."""
     from scipy.stats import spearmanr
@@ -147,13 +140,24 @@ def test_forward_only_dependency_is_causal(models):
 
 
 def _per_query_dependency(model, image, layer, directions):
-    """Reference map: one block forward and backward per query token."""
+    """Reference map: one block forward and backward per query token,
+    through a rebuilt block whose scans outside ``directions`` have all
+    their weights zero, so they output zero and pass no gradient."""
+    blk = model.blocks[layer]
+    tensors = {n: t.data for n, t in blk.named("blk").items()}
+    for n in range(len(blk.heads)):
+        for d in DIRECTIONS:
+            if d not in directions:
+                for k in SCAN:
+                    tensors[f"blk.{n}.{d}.{k}"] = np.zeros_like(
+                        tensors[f"blk.{n}.{d}.{k}"])
+    blk = FarBlockParams.from_tensors(tensors, "blk", len(blk.heads),
+                                      model.cfg.head_dim, blk.in_w.dtype)
     x = model.tokens(image, stop=layer)[-1].data
     dep = np.zeros((model.cfg.tokens, model.cfg.tokens))
     for q in range(model.cfg.tokens):
         leaf = Tensor(x, requires_grad=True)
-        out = far_block.far_block_forward(leaf, model.blocks[layer],
-                                          directions=directions)
+        out = far_block.far_block_forward(leaf, blk)
         T.sqrt(T.tsum(T.square(out[:, q, :]))).backward()
         dep[q] = np.sqrt((leaf.grad[0] ** 2).sum(axis=-1))
     return dep / dep.sum(axis=1, keepdims=True)
@@ -237,8 +241,6 @@ def test_far_maps_name_directions_that_select_no_scan(models, directions):
     _, _, far, img = models
     with pytest.raises(ValueError, match=re.escape(str(directions))):
         token_dependency(far, img, 0, directions)
-    with pytest.raises(ValueError, match=re.escape(str(directions))):
-        cls_saliency(far, img, 0, 0, directions)
 
 
 ENTRY_POINTS = {

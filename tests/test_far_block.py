@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from far import tensor as T
 from far.tensor import ShapeError, Tensor
 from far.vit import ATTENTION, ModelConfig, TeacherModel
 from far import far_block
-from far.far_block import (DIRECTIONS, FarModel, LstmDirParams, bilstm_head,
+from far.far_block import (DIRECTIONS, LstmDirParams, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
                            lstm_step, replace_attention, scan_heads,
                            shrink_block)
@@ -125,7 +123,7 @@ def test_bilstm_reversal_symmetry():
     np.testing.assert_allclose(out_rev[::-1, :dh], out[:, dh:], atol=1e-14)
 
 
-def _reference_scans(u, heads, directions):
+def _reference_scans(u, heads):
     """Every (head, direction) scan run token by token with ``lstm_step``,
     side by side in ``coupled`` order."""
     batched = u.ndim == 3
@@ -137,9 +135,6 @@ def _reference_scans(u, heads, directions):
         sl = slice(n * d_in, (n + 1) * d_in)
         for d in DIRECTIONS:
             p = head[d]
-            if d not in directions:
-                cols.append(T.zeros(lead + (t, p.hidden), "f64"))
-                continue
             h = c = T.zeros(lead + (p.hidden,), "f64")
             steps = [None] * t
             for j in (range(t) if d == "fwd" else reversed(range(t))):
@@ -149,18 +144,18 @@ def _reference_scans(u, heads, directions):
     return T.concat(cols, axis=-1)
 
 
-def _reference_block(x, blk, directions):
+def _reference_block(x, blk):
     u = T.matmul(T.layer_norm(x, blk.ln_g, blk.ln_b), blk.in_w) + blk.in_b
-    return x + (T.matmul(_reference_scans(u, blk.heads, directions), blk.out_w)
+    return x + (T.matmul(_reference_scans(u, blk.heads), blk.out_w)
                 + blk.out_b)
 
 
-def _block_grads(forward, blk, x, directions):
+def _block_grads(forward, blk, x):
     params = blk.named("b")
     for p in params.values():
         p.requires_grad, p.grad = True, None
     leaf = Tensor(x.copy(), requires_grad=True)
-    out = forward(leaf, blk, directions=directions)
+    out = forward(leaf, blk)
     weight = np.random.default_rng(31).normal(size=out.shape)
     T.tsum(out * Tensor(weight)).backward()
     grads = {n: p.grad for n, p in params.items()}
@@ -169,27 +164,22 @@ def _block_grads(forward, blk, x, directions):
     return out.data, leaf.grad, grads
 
 
-def _assert_block_matches_reference(blk, x, directions=DIRECTIONS):
+def _assert_block_matches_reference(blk, x):
     """Block output and every gradient within 1e-12 of the lstm_step
     scans (float64)."""
-    out, gx, grads = _block_grads(far_block_forward, blk, x, directions)
-    ref_out, ref_gx, ref_grads = _block_grads(_reference_block, blk, x,
-                                              directions)
+    out, gx, grads = _block_grads(far_block_forward, blk, x)
+    ref_out, ref_gx, ref_grads = _block_grads(_reference_block, blk, x)
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
     for name, ref in ref_grads.items():
-        if ref is None:  # a skipped direction's scan receives no gradient
-            assert grads[name] is None, name
-        else:
-            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12,
-                                       err_msg=name)
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12,
+                                   err_msg=name)
     return out
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 32), (7, 32)])
-@pytest.mark.parametrize("directions", [DIRECTIONS, ("fwd",), ("rev",)])
 @pytest.mark.parametrize("widths", ["full", "unequal"])
-def test_fused_scan_matches_per_step_reference(widths, directions, shape):
+def test_fused_scan_matches_per_step_reference(widths, shape):
     """One fused node per block == the per-step lstm_step scans, in the
     output and in the gradients of the input and of every scan tensor."""
     cfg = desk_config("f64")
@@ -205,7 +195,7 @@ def test_fused_scan_matches_per_step_reference(widths, directions, shape):
         keep[0]["rev"][:3] = True
         blk = shrink_block(blk, keep)
         assert len({p.hidden for head in blk.heads for p in head.values()}) > 1
-    _assert_block_matches_reference(blk, rng.normal(size=shape), directions)
+    _assert_block_matches_reference(blk, rng.normal(size=shape))
 
 
 def test_fused_scan_finite_differences():
@@ -264,8 +254,7 @@ def _heads_f64(heads):
              for d, p in head.items()} for head in heads]
 
 
-def _scan_grads(scan, heads, u, directions=DIRECTIONS, input_grad=True,
-                weight_grads=True):
+def _scan_grads(scan, heads, u, input_grad=True, weight_grads=True):
     """Output of ``scan(u, heads)`` and the gradients of the input and of
     every scan tensor under a fixed random weighting of the output (None
     for what does not require grad)."""
@@ -274,7 +263,7 @@ def _scan_grads(scan, heads, u, directions=DIRECTIONS, input_grad=True,
     for t in params:
         t.requires_grad, t.grad = weight_grads, None
     leaf = Tensor(u, requires_grad=input_grad)
-    out = scan(leaf, heads, directions)
+    out = scan(leaf, heads)
     weight = np.random.default_rng(35).normal(size=out.shape)
     T.tsum(out * Tensor(weight.astype(out.dtype))).backward()
     grads = [t.grad for t in params]
@@ -318,9 +307,8 @@ def test_input_or_weight_gradients_alone_match_the_full_backward():
         np.testing.assert_array_equal(alone, both)
 
 
-@pytest.mark.parametrize("directions", [DIRECTIONS, ("rev",)])
 @pytest.mark.parametrize("widths", ["full", "unequal"])
-def test_f32_scan_matches_f64_per_step_reference(widths, directions):
+def test_f32_scan_matches_f64_per_step_reference(widths):
     """A float32 scan (its sigmoid taken as tanh(z/2)/2 + 1/2 on halved
     i/f/o rows) stays within float32 rounding of ``lstm_step`` run in
     float64 on the same weights: hidden states within 5e-7, gradients
@@ -329,16 +317,11 @@ def test_f32_scan_matches_f64_per_step_reference(widths, directions):
     blk = _scan_block("f32", widths, rng)
     heads64 = _heads_f64(blk.heads)
     u = rng.normal(size=(3, 17, 32))
-    out, gu, grads = _scan_grads(scan_heads, blk.heads, u.astype(np.float32),
-                                 directions)
-    ref, ref_gu, ref_grads = _scan_grads(_reference_scans, heads64, u,
-                                         directions)
+    out, gu, grads = _scan_grads(scan_heads, blk.heads, u.astype(np.float32))
+    ref, ref_gu, ref_grads = _scan_grads(_reference_scans, heads64, u)
     assert out.dtype == gu.dtype == np.float32
     np.testing.assert_allclose(out, ref, rtol=0, atol=5e-7)
     for g, r in zip([gu] + grads, [ref_gu] + ref_grads):
-        if r is None:
-            assert g is None
-            continue
         assert g.dtype == np.float32
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-6 * np.abs(r).max())
 
@@ -370,32 +353,30 @@ def test_scan_reads_weights_rebound_like_an_optimizer_step():
 
 
 def test_scan_plans_of_alternating_blocks_stay_apart():
-    """Full, shrunk (unequal widths) and rev-only blocks in float32 and
-    float64, with 2-D and 3-D input, called in turn: each call equals the
-    lstm_step scans, and equals the same call made with an empty plan
-    cache, bit for bit."""
+    """Full and shrunk (unequal widths) blocks in float32 and float64, with
+    2-D and 3-D input, called in turn: each call equals the lstm_step
+    scans, and equals the same call made with an empty plan cache, bit for
+    bit."""
     rng = np.random.default_rng(53)
     blocks = {(p, w): _scan_block(p, w, rng) for p in ("f32", "f64")
               for w in ("full", "unequal")}
     calls = []
     for (precision, widths), blk in blocks.items():
-        for directions in (DIRECTIONS, ("rev",)):
-            for shape in ((7, 32), (2, 7, 32)):
-                u = rng.normal(size=shape)
-                calls.append((blk, directions, u.astype(T.DTYPES[precision]),
-                              u, precision))
+        for shape in ((7, 32), (2, 7, 32)):
+            u = rng.normal(size=shape)
+            calls.append((blk, u.astype(T.DTYPES[precision]), u, precision))
     rng.shuffle(calls)
     results = []
-    for blk, directions, u, u64, precision in calls + calls:
-        out = scan_heads(Tensor(u), blk.heads, directions)
-        ref = _reference_scans(Tensor(u64), _heads_f64(blk.heads), directions)
+    for blk, u, u64, precision in calls + calls:
+        out = scan_heads(Tensor(u), blk.heads)
+        ref = _reference_scans(Tensor(u64), _heads_f64(blk.heads))
         assert out.dtype == T.DTYPES[precision]
         np.testing.assert_allclose(out.data, ref.data, rtol=0,
                                    atol=5e-7 if precision == "f32" else 1e-12)
         results.append(out.data)
-    for (blk, directions, u, _, _), warm in zip(calls + calls, results):
+    for (blk, u, _, _), warm in zip(calls + calls, results):
         far_block._plan.cache_clear()
-        cold = scan_heads(Tensor(u), blk.heads, directions)
+        cold = scan_heads(Tensor(u), blk.heads)
         np.testing.assert_array_equal(cold.data, warm)
 
 
@@ -407,19 +388,6 @@ def test_second_frozen_forward_of_the_same_shapes_plans_nothing(desk_cfg):
     far.forward(image)
     far.forward(image[0])
     assert far_block._plan.cache_info().misses == misses
-
-
-@pytest.mark.parametrize("directions", [("forward",), (), ("fwd", "back")])
-def test_directions_that_select_no_known_scan_are_named(directions):
-    """Directions that are empty or name an unknown scan are a ValueError,
-    not an all-zero output."""
-    blk = _scan_block("f32", "full", np.random.default_rng(55))
-    x = Tensor(np.zeros((7, 32), np.float32))
-    for call in (lambda: scan_heads(x, blk.heads, directions),
-                 lambda: far_block_forward(x, blk, directions),
-                 lambda: bilstm_head(x[:, :16], blk.heads[0], directions)):
-        with pytest.raises(ValueError, match=re.escape(str(directions))):
-            call()
 
 
 def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
@@ -490,12 +458,9 @@ def test_replace_attention_shares_and_freezes_structure(desk_cfg):
 
 
 def test_replace_attention_rejects_bad_heads():
-    cfg = ModelConfig(layers=1, dim=33, heads=2, head_dim=16,
-                      patch_size=8, image_size=32)
     with pytest.raises(ShapeError, match="dim == heads"):
-        # dim != heads*head_dim fails at teacher construction already;
-        # go through FarModel directly to exercise its check
-        FarModel(cfg, {})
+        ModelConfig(layers=1, dim=33, heads=2, head_dim=16, patch_size=8,
+                    image_size=32)
 
 
 def test_param_count_matches_enumeration(desk_cfg):

@@ -16,7 +16,7 @@ from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
 from far.cli import build_parser, main
 from far.config import (SCHEMA, ConfigError, default_config, load_config,
-                        parse_config, render_config)
+                        parse_config)
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
 from far.far_block import replace_attention
@@ -348,14 +348,6 @@ def test_config_defaults_match_documented_values():
     assert cfg["bench"]["warmups"] == 30
 
 
-def test_config_parse_render_round_trip():
-    cfg = default_config()
-    cfg["model"]["dim"] = 64
-    cfg["distill"]["lam"] = 0.5
-    cfg["prune"]["threshold_mode"] = "relative"
-    assert parse_config(render_config(cfg)) == cfg
-
-
 def test_config_unknown_key_and_section():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[model]\nwidth = 3\n")
@@ -390,6 +382,21 @@ def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
 @pytest.mark.parametrize("section,key,bad,least", [
     ("train", "batch_size", "0", "1"),
     ("data", "noise", "-0.5", "0.0"),
+    ("train", "teacher_epochs", "-3", "0"),
+    ("train", "warmup_epochs", "-2", "0"),
+    ("train", "teacher_lr", "-0.5", "0.0"),
+    ("train", "warmup_lr", "-1e-5", "0.0"),
+    ("train", "weight_decay", "-1", "0.0"),
+    ("distill", "lam", "-1", "0.0"),
+    ("distill", "epochs", "-1", "0"),
+    ("distill", "lr", "-1e-3", "0.0"),
+    ("distill", "finetune_epochs", "-1", "0"),
+    ("distill", "finetune_lr", "-1e-3", "0.0"),
+    ("prune", "reg_epochs", "-1", "0"),
+    ("prune", "reg_lr", "-1e-3", "0.0"),
+    ("prune", "reg_weight_decay", "-0.1", "0.0"),
+    ("prune", "finetune_epochs", "-1", "0"),
+    ("prune", "finetune_lr", "-1e-3", "0.0"),
 ])
 def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
                                             bad, least):
@@ -401,6 +408,37 @@ def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
     assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,line", [
+    ("[train]\nseed = 1\nbatch_size = 8\nseed = 2\n", 4),
+    ("[train]\nseed = 1\n[data]\nn = 20\n[train]\nseed = 2\n", 6),
+])
+def test_config_rejects_repeated_key(tmp_path, capsys, text, line):
+    """A key set twice in a section is an error naming the line and key,
+    not a silent last-wins; one key name in two sections is two keys."""
+    with pytest.raises(ConfigError, match=rf"line {line}: key 'seed' in "
+                                          rf"\[train\] is already set"):
+        parse_config(text)
+    path, out = tmp_path / "run.cfg", tmp_path / "t.farc"
+    path.write_text(text)
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = parse_config("[distill]\nfinetune_epochs = 3\n"
+                       "[prune]\nfinetune_epochs = 4\n")
+    assert (cfg["distill"]["finetune_epochs"], cfg["prune"]["finetune_epochs"]) == (3, 4)
+
+
+@pytest.mark.parametrize("command", [["params"], ["flops"], ["bench"]])
+def test_config_with_dim_not_heads_times_head_dim_fails(tmp_path, capsys,
+                                                         command):
+    """dim != heads * head_dim is a ShapeError naming the rule, from every
+    command that builds a model config from the run config (exit 1)."""
+    path = tmp_path / "run.cfg"
+    path.write_text("[model]\ndim = 32\nheads = 2\nhead_dim = 8\n")
+    assert main(command + ["--config", str(path)]) == 1
+    assert "dim == heads * head_dim, got 32 != 2 * 8" in capsys.readouterr().err
 
 
 FLOAT_KEYS = [(sec, key) for sec, keys in SCHEMA.items()

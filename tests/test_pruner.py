@@ -305,6 +305,17 @@ def test_nan_threshold_rejected_and_nothing_pruned(far_f64, mode):
         np.testing.assert_array_equal(t.data, before[n])
 
 
+@pytest.mark.parametrize("mode", ["Relative", "percentile", ""])
+def test_unknown_mode_rejected_and_nothing_pruned(far_f64, mode):
+    """A mode outside MODES is named, not thresholded as absolute."""
+    before = {n: t.data.copy() for n, t in far_f64.named_parameters().items()}
+    with pytest.raises(ValueError, match=f"pruning mode must be one of "
+                                         f".*got {mode!r}"):
+        prune_by_threshold(far_f64, 0.97, mode=mode)
+    for n, t in far_f64.named_parameters().items():
+        np.testing.assert_array_equal(t.data, before[n])
+
+
 def test_prune_zeroes_exactly_the_coupled_set():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=15), seed=15)
@@ -491,4 +502,20 @@ def test_pipeline_rejects_negative_values_before_training(monkeypatch, kwargs,
     tune = TrainConfig(phase="prune-finetune", epochs=1, batch_size=20)
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
         three_stage_pipeline(far, None, ds, reg, tune, **kwargs)
+    assert calls == []
+
+
+def test_pipeline_rejects_unknown_mode_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(distill, "run_phase",
+                        lambda *args, **kw: calls.append(args) or [])
+    cfg = desk_config()
+    far = replace_attention(TeacherModel(cfg, seed=21), seed=21)
+    ds = synth_dataset(21, 20, 10, 32)
+    reg = TrainConfig(phase="prune-regularize", epochs=1, batch_size=20)
+    tune = TrainConfig(phase="prune-finetune", epochs=1, batch_size=20)
+    with pytest.raises(ValueError, match="pruning mode must be one of .*"
+                                         "got 'Relative'"):
+        three_stage_pipeline(far, None, ds, reg, tune, tau=0.97,
+                             mode="Relative")
     assert calls == []

@@ -22,10 +22,9 @@ def test_patch_size_must_divide():
 
 
 def test_teacher_requires_head_factorization():
-    cfg = ModelConfig(layers=1, dim=30, heads=2, head_dim=16,
-                      patch_size=8, image_size=32)
-    with pytest.raises(ShapeError):
-        TeacherModel(cfg)
+    with pytest.raises(ShapeError, match="dim == heads"):
+        ModelConfig(layers=1, dim=30, heads=2, head_dim=16, patch_size=8,
+                    image_size=32)
 
 
 def test_zero_image_zero_projection_gives_positional():
