@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import DIRECTIONS, bilstm_head, far_block_forward
+from .far_block import DIRECTIONS, bilstm_head, far_block_forward, scan_of
 from .vit import TeacherModel
 
 # Batch x token rows per batched pass of ``token_dependency``: a pass takes
@@ -71,7 +71,7 @@ def cls_saliency(model, image, layer, head):
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.linear(h, blk.in_w, blk.in_b)
     sub = T.split(u, model.cfg.heads, axis=-1)[head]
-    hh = bilstm_head(sub, blk.heads[head])
+    hh = bilstm_head(sub, blk.head(head))
     T.sqrt(T.tsum(T.square(hh[:, 0, :]))).backward()
     grad = leaf.grad[0, 1:, :]  # patch tokens
     sal = np.sqrt((grad * grad).sum(axis=-1))
@@ -93,22 +93,26 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     A FAR map of ``directions`` (a non-empty subset of ``DIRECTIONS``,
     else ValueError) runs every scan, in a copy of the block whose out_w
     rows of the other scans' units are zero: a zero row passes neither
-    output nor gradient, so the map sees only the kept scans.
+    output nor gradient, so the map sees only the kept scans. A teacher has
+    no scan direction: its map takes only all of ``DIRECTIONS``.
     """
-    x = _layer_input(model, image, layer)
-    if isinstance(model, TeacherModel):
-        attn = model.attention_block(x, model.layers[layer])[1]
-        return attn.data[0].mean(axis=0)
-
-    directions = tuple(directions)
+    directions, teacher = tuple(directions), isinstance(model, TeacherModel)
+    if teacher and set(directions) != set(DIRECTIONS):
+        raise ValueError(f"a teacher map has no scan direction; directions "
+                         f"must be {DIRECTIONS}, got {directions}")
     if not directions or any(d not in DIRECTIONS for d in directions):
         raise ValueError(f"directions must be a non-empty subset of "
                          f"{DIRECTIONS}; got {directions}")
+    x = _layer_input(model, image, layer)
+    if teacher:
+        attn = model.attention_block(x, model.layers[layer])[1]
+        return attn.data[0].mean(axis=0)
+
     t = model.cfg.tokens
     blk = model.blocks[layer]
     # out_w rows follow the scans in coupled order; a left-out scan's are 0
-    kept = np.concatenate([np.full((head[d].hidden, 1), d in directions)
-                           for head in blk.heads for d in DIRECTIONS])
+    kept = np.concatenate([np.full((p.hidden, 1), scan_of(k)[1] in directions)
+                           for k, p in enumerate(blk.scans)])
     blk = dataclasses.replace(blk, out_w=Tensor(blk.out_w.data * kept))
     x = x.data[0]
     dep = np.empty((t, t), x.dtype)

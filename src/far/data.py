@@ -18,6 +18,8 @@ class Dataset:
     val_idx: np.ndarray
 
     def split(self, which="train"):
+        if which not in ("train", "val"):
+            raise ValueError(f"split must be 'train' or 'val', got {which!r}")
         idx = self.train_idx if which == "train" else self.val_idx
         return self.images[idx], self.labels[idx]
 

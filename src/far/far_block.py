@@ -4,42 +4,44 @@ like every block, from a tensor table (``FarBlockParams.from_tensors``).
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
-side (T x 2D) -> output projection (2D->D) -> residual add. Stored gate
-stacking order is (input, forget, cell, output) throughout, so row j of
-gate g lives at index g*hidden + j in the stacked weight matrices.
+side (T x 2D) -> output projection (2D->D) -> residual add. The 2N scans
+are one list, ``FarBlockParams.scans`` (head 0 fwd, head 0 rev, head 1
+fwd, ...), indexed by k; only ``scan_of(k)`` knows scan k's head and
+direction, and so its names ``<prefix>.<head>.<fwd|rev>.*``. Stored gate
+order is (input, forget, cell, output) throughout, so row j of gate g
+lives at index g*hidden + j in the stacked weight matrices.
 
 All 2N scans of a block run as one graph node (``scan_heads``). It lays
 the scans' weights out gate-major in a private order (i, f, o, g), with
 the i, f and o rows halved: sigmoid(z) = tanh(z/2)/2 + 1/2, so one tanh
 covers all four gates. Whatever depends on shapes alone comes from a
-plan cached per scan sizes, head count and dtype: each scan's (head,
-reversed) pair, the output pieces, and gather indices into one
-concatenation of the scans' weights with a zero appended for padding. A
-call then lays out its forward weights with one concatenate, one gather
-and one in-place scale, and its backward gathers the unscaled layouts
-from the same concatenation. The plan holds indices only, so
-weights zeroed in place (pruning) or rebound (``AdamW.step``) are read
-afresh on every call, and a shrunk block's new sizes get a plan of their
-own. A reverse scan is a forward scan over the time-reversed input, so
-one concatenate lays out every scan's input in scan time,
-(S, B, T, D_h), and every buffer runs in scan time. One batched GEMM
-writes every step's input gates into a time-major buffer
-(T, 4, S, B, hid), and cell states, their tanh and hidden states are
-time-major (T, S, B, hid) too. A step is then one ``h @ w_hh`` over the
-S scans, one add, one tanh over the four gates, two in-place ops on the
-contiguous i/f/o block, and ``out=`` ufuncs for c, tanh(c) and h; the
-gate buffer ends up holding the activations. The node's backward is a
-hand-written BPTT. Before its reverse loop it computes, for all steps at
-once, every factor that does not depend on the recurrence: o(1-tc^2),
-g i(1-i), c_prev f(1-f), i(1-g^2) and tc o(1-o). The loop itself only
-adds dh, updates dc, multiplies the factors into dz, takes ``dz @ w_hh``
-and scales dc by f. After it, one batched GEMM each gives every scan's
-input and w_ih gradients. Activations are kept only when the input or
-some scan tensor requires grad. Scans of unequal width (a shrunk block)
-are zero-padded to the widest: by the rule below a padded unit's h, c
-and gradients stay exactly zero. ``lstm_step`` is the single-cell
-reference, in stored order with the plain sigmoid, that the fused scan
-is tested against.
+plan cached per (scan sizes, dtype): the output pieces, and gather
+indices into one concatenation of the scans' weights with a zero
+appended for padding. A call then lays out its forward weights with one
+concatenate, one gather and one in-place scale, and its backward gathers
+the unscaled layouts from the same concatenation. The plan holds indices
+only, so weights zeroed in place (pruning) or rebound (``AdamW.step``)
+are read afresh on every call, and a shrunk block's new sizes get a plan
+of their own. A reverse scan is a forward scan over the time-reversed
+input, so one concatenate of the heads' inputs and their time-reversed
+copies lays out every scan's input in scan time, (S, B, T, D_h), and every
+buffer runs in scan time. One batched GEMM writes every step's input
+gates into a time-major buffer (T, 4, S, B, hid), and cell states, their
+tanh and hidden states are time-major (T, S, B, hid) too. A step is then
+one ``h @ w_hh`` over the S scans, one add, one tanh over the four
+gates, two in-place ops on the contiguous i/f/o block, and ``out=``
+ufuncs for c, tanh(c) and h; the gate buffer ends up holding the
+activations. The node's backward is a hand-written BPTT. Before its
+reverse loop it computes, for all steps at once, every factor that does
+not depend on the recurrence: o(1-tc^2), g i(1-i), c_prev f(1-f),
+i(1-g^2) and tc o(1-o). The loop itself only adds dh, updates dc,
+multiplies the factors into dz, takes ``dz @ w_hh`` and scales dc by f.
+After it, one batched GEMM each gives every scan's input and w_ih
+gradients. Activations are kept only when the input or some scan tensor
+requires grad. Scans of unequal width (a shrunk block) are zero-padded to
+the widest: by the rule below a padded unit's h, c and gradients stay
+exactly zero. ``lstm_step`` is the single-cell reference, in stored
+order with the plain sigmoid, that the fused scan is tested against.
 
 A pruned hidden unit is one whose coupled weights (see ``coupled``) are
 all exactly zero: its gates are then i = f = o = 0.5 and g = 0, so with a
@@ -62,6 +64,16 @@ SCAN = ("w_ih", "w_hh", "b_ih", "b_hh")
 BLOCK = ("ln_g", "ln_b", "in_w", "in_b", "out_w", "out_b")
 
 
+def scan_of(k):
+    """The (head, direction) of a block's scan k, in ``coupled`` order."""
+    return k // 2, DIRECTIONS[k % 2]
+
+
+def _scan_name(prefix, k):
+    """The prefix of scan k's tensor names in the block ``prefix``."""
+    return "{}.{}.{}.".format(prefix, *scan_of(k))
+
+
 @dataclass
 class LstmDirParams:
     """One scan direction: gate-stacked weights over ``hidden`` units."""
@@ -77,9 +89,6 @@ class LstmDirParams:
     @property
     def input_size(self):
         return self.w_ih.shape[1]
-
-    def named(self, prefix):
-        return {f"{prefix}.{k}": getattr(self, k) for k in SCAN}
 
 
 def init_lstm_dir(rng, input_size, hidden, precision="f32"):
@@ -107,16 +116,21 @@ class FarBlockParams:
     ln_b: Tensor
     in_w: Tensor   # (D, D)
     in_b: Tensor
-    heads: list    # N entries of {"fwd": LstmDirParams, "rev": LstmDirParams}
-    out_w: Tensor  # (sum of head output widths, D)
+    scans: list    # 2N LstmDirParams, scan k of head and direction scan_of(k)
+    out_w: Tensor  # (sum of scan widths, D)
     out_b: Tensor
 
     def named(self, prefix):
         out = {f"{prefix}.{k}": getattr(self, k) for k in BLOCK}
-        for n, head in enumerate(self.heads):
-            for d in DIRECTIONS:
-                out.update(head[d].named(f"{prefix}.{n}.{d}"))
+        for k, p in enumerate(self.scans):
+            q = _scan_name(prefix, k)
+            out.update({q + n: getattr(p, n) for n in SCAN})
         return out
+
+    def head(self, n):
+        """Head n's two scans, as ``bilstm_head`` takes them."""
+        return {scan_of(k)[1]: p for k, p in enumerate(self.scans)
+                if scan_of(k)[0] == n}
 
     @classmethod
     def from_tensors(cls, tensors, prefix, n_heads, head_dim, dtype):
@@ -136,32 +150,30 @@ class FarBlockParams:
                                  f"hidden size must be 1..{head_dim}")
             return w
 
-        widths = [{d: width(f"{prefix}.{n}.{d}.w_hh") for d in DIRECTIONS}
-                  for n in range(n_heads)]
-        t = {name[len(prefix) + 1:]: take(tensors, name, shape, dtype)
+        names = [_scan_name(prefix, k) for k in range(2 * n_heads)]
+        widths = [width(q + "w_hh") for q in names]
+        t = {name: take(tensors, name, shape, dtype)
              for name, shape in block_shapes(prefix, widths, head_dim).items()}
-        heads = [{d: LstmDirParams(**{k: t[f"{n}.{d}.{k}"] for k in SCAN})
-                  for d in DIRECTIONS} for n in range(n_heads)]
-        return cls(heads=heads, **{k: t[k] for k in BLOCK})
+        return cls(scans=[LstmDirParams(**{k: t[q + k] for k in SCAN})
+                          for q in names],
+                   **{k: t[f"{prefix}.{k}"] for k in BLOCK})
 
 
 def block_shapes(prefix, widths, head_dim):
     """name -> shape of every tensor of the block ``named(prefix)`` names,
-    whose head n reads ``head_dim`` columns and scans ``widths[n][d]``
-    hidden units in direction d; each scan's tensors in name order, the
-    order ``from_tensors`` checks them in, then the block's."""
-    d, out, shapes = len(widths) * head_dim, 0, {}
-    for n, head in enumerate(widths):
-        for dirn in DIRECTIONS:
-            w = head[dirn]
-            out += w
-            q = f"{prefix}.{n}.{dirn}."
-            shapes[q + "b_hh"] = shapes[q + "b_ih"] = (4 * w,)
-            shapes[q + "w_hh"] = (4 * w, w)
-            shapes[q + "w_ih"] = (4 * w, head_dim)
+    whose scan k reads ``head_dim`` columns and has ``widths[k]`` hidden
+    units; each scan's tensors in name order, the order ``from_tensors``
+    checks them in, then the block's."""
+    d, shapes = len(widths) // 2 * head_dim, {}
+    for k, w in enumerate(widths):
+        q = _scan_name(prefix, k)
+        shapes[q + "b_hh"] = shapes[q + "b_ih"] = (4 * w,)
+        shapes[q + "w_hh"] = (4 * w, w)
+        shapes[q + "w_ih"] = (4 * w, head_dim)
     q = f"{prefix}."
     shapes.update({q + "ln_g": (d,), q + "ln_b": (d,), q + "in_w": (d, d),
-                   q + "in_b": (d,), q + "out_w": (out, d), q + "out_b": (d,)})
+                   q + "in_b": (d,), q + "out_w": (sum(widths), d),
+                   q + "out_b": (d,)})
     return shapes
 
 
@@ -171,8 +183,7 @@ def init_far_block(cfg, rng):
         ln_g=T.ones(d, p), ln_b=T.zeros(d, p),
         in_w=T.trunc_normal(rng, (d, d), dtype=p),
         in_b=T.zeros(d, p),
-        heads=[{dd: init_lstm_dir(rng, dh, dh, p) for dd in DIRECTIONS}
-               for _ in range(n)],
+        scans=[init_lstm_dir(rng, dh, dh, p) for _ in range(2 * n)],
         out_w=T.trunc_normal(rng, (2 * d, d), dtype=p),
         out_b=T.zeros(d, p),
     )
@@ -218,22 +229,20 @@ def _gather_indices(hidden, d_in):
 
 
 class _Plan:
-    """Everything a ``scan_heads`` call derives from shapes alone: each
-    scan's (head, reversed) pair, the output pieces and the gather indices
-    of the weight layouts. It holds no weight values, so a weight zeroed in
-    place or rebound is read afresh on the next call."""
+    """Everything a ``scan_heads`` call derives from its scans' (hidden,
+    input) ``sizes``, in ``coupled`` order, and ``dtype``: the output pieces
+    and the gather indices of the weight layouts. It holds no weight values,
+    so a weight zeroed in place or rebound is read afresh on the next call."""
 
-    def __init__(self, sizes, n_heads, dtype):
-        # each scan's (head, reversed), in coupled order
-        self.inputs = [(n, d == "rev") for n in range(n_heads)
-                       for d in DIRECTIONS]
+    def __init__(self, sizes, dtype):
         d_in = sizes[0][1]
-        # one input size for all scans; scan_heads names a mismatch
-        self.d_in = d_in if all(size[1] == d_in for size in sizes) else None
+        # one input size for all scans, 2 a head; scan_heads names a mismatch
+        fits = len(sizes) % 2 == 0 and all(size[1] == d_in for size in sizes)
+        self.d_in = d_in if fits else None
         # (column offset, width, reversed) of each scan's output
         self.pieces, off = [], 0
-        for (_, r), (w, _) in zip(self.inputs, sizes):
-            self.pieces.append((off, w, r))
+        for k, (w, _) in enumerate(sizes):
+            self.pieces.append((off, w, scan_of(k)[1] == "rev"))
             off += w
         self.width = off
         if self.d_in is None:
@@ -259,41 +268,34 @@ class _Plan:
         self.hh_back = hh.reshape(s, 4 * hid, hid)
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(sizes, n_heads, dtype):
-    """The plan of ``n_heads`` heads whose scans, in ``coupled`` order, have
-    (hidden, input) ``sizes``, at ``dtype``."""
-    return _Plan(sizes, n_heads, dtype)
+_plan = functools.lru_cache(maxsize=64)(_Plan)
 
 
-def scan_heads(u, heads):
-    """Every (head, direction) LSTM scan of ``heads`` over ``u``, as one
-    graph node.
+def scan_heads(u, scans):
+    """Every LSTM scan of ``scans`` (2N, in ``coupled`` order) over ``u``,
+    as one graph node.
 
-    ``u`` is (B, T, N*D_h) or (T, N*D_h); head n reads columns
+    ``u`` is (B, T, N*D_h) or (T, N*D_h); the scans of head n read columns
     n*D_h:(n+1)*D_h. Returns the hidden states of all scans side by side
-    in ``coupled`` order (head 0 fwd, head 0 rev, head 1 fwd, ...), the
-    reverse scans re-aligned to token positions.
+    in ``coupled`` order, the reverse scans re-aligned to token positions.
     """
     u = T.as_tensor(u)
     batched = u.ndim == 3
     x = u.data if batched else u.data[None]
     b, t, width = x.shape
-    n_heads = len(heads)
-    scans = [head[d] for head in heads for d in DIRECTIONS]
+    n_heads = len(scans) // 2
     dtype = np.result_type(x, *(p.w_ih.data for p in scans))
-    plan = _plan(tuple((p.hidden, p.input_size) for p in scans), n_heads,
-                 dtype)
+    plan = _plan(tuple((p.hidden, p.input_size) for p in scans), dtype)
     d_in, pieces = plan.d_in, plan.pieces
     if d_in is None or d_in * n_heads != width:
-        raise ShapeError(f"input width {width} does not split into "
-                         f"{n_heads} heads of the scans' input size")
+        raise ShapeError(f"input width {width} does not split into heads "
+                         f"of the input size of {len(scans)} scans, 2 a head")
     # S scans in coupled order: xs[k] is scan k's input, in scan time
     # (step j of a reverse scan reads token t-1-j)
     s, hid = plan.s, plan.hid
     heads_x = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)
-    xs = np.concatenate([heads_x[n:n + 1, :, ::-1] if r else heads_x[n:n + 1]
-                         for n, r in plan.inputs], dtype=dtype)
+    xs = np.concatenate([heads_x[:, None], heads_x[:, None, :, ::-1]], axis=1,
+                        dtype=dtype).reshape(s, b, t, d_in)
     params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
     # every weight, read now; the backward gathers its layouts from it too
     cat = np.concatenate([tn.data for tn in params] + [plan.zero], axis=None,
@@ -374,12 +376,10 @@ def scan_heads(u, heads):
 
         flat = dz.reshape(s, b * t, 4 * hid)
         if u.requires_grad:
-            du = np.zeros((b, t, n_heads, d_in), dtype)
-            du_heads = du.transpose(2, 0, 1, 3)
-            dx = (flat @ cat.take(plan.ih_back)).reshape(s, b, t, d_in)
-            for dxk, (n, r) in zip(dx, plan.inputs):
-                du_heads[n] += dxk[:, ::-1] if r else dxk
-            u._accumulate(du.reshape(u.data.shape))
+            # (N, 2, B, T, D_h): each head's fwd and rev input gradients
+            dx = (flat @ cat.take(plan.ih_back)).reshape(n_heads, 2, b, t, -1)
+            du = dx[:, 0] + dx[:, 1, :, ::-1]
+            u._accumulate(du.transpose(1, 2, 0, 3).reshape(u.data.shape))
         if not any(tn.requires_grad for tn in params):
             return
         hprev = np.ascontiguousarray(hs[:-1].transpose(1, 2, 0, 3))
@@ -406,14 +406,14 @@ def bilstm_head(x, head):
     The reverse half is re-aligned to original token positions. Output
     width is fwd_hidden + rev_hidden (equal to 2*D_h when unpruned).
     """
-    return scan_heads(x, [head])
+    return scan_heads(x, [head[d] for d in DIRECTIONS])
 
 
 def far_block_forward(x, p: FarBlockParams):
     """y = x + out_proj(BiLSTM scans of the N heads of in_proj(LN(x)))."""
     h = T.layer_norm(x, p.ln_g, p.ln_b)
     u = T.linear(h, p.in_w, p.in_b)
-    cat = scan_heads(u, p.heads)
+    cat = scan_heads(u, p.scans)
     if cat.shape[-1] != p.out_w.shape[0]:
         raise ShapeError(
             f"head outputs ({cat.shape[-1]}) do not match out_proj rows "
@@ -421,8 +421,8 @@ def far_block_forward(x, p: FarBlockParams):
     return x + T.linear(cat, p.out_w, p.out_b)
 
 
-def coupled(blk: FarBlockParams, head, direction, units):
-    """Indices of every weight coupled to hidden ``units`` of one scan.
+def coupled(blk: FarBlockParams, k, units):
+    """Indices of every weight coupled to hidden ``units`` of scan k.
 
     Returns ``(gate_rows, cols, out_rows)``: the rows of the gate-stacked
     w_ih, w_hh, b_ih and b_hh, gate-major (gate 0's row of every unit, then
@@ -431,19 +431,17 @@ def coupled(blk: FarBlockParams, head, direction, units):
     for a shrunk block too.
     """
     units = np.asarray(units, dtype=np.intp)
-    hid = blk.heads[head][direction].hidden
+    hid = blk.scans[k].hidden
     gate_rows = (np.arange(4)[:, None] * hid + units).ravel()
-    start = sum(blk.heads[h][d].hidden for h in range(head) for d in DIRECTIONS)
-    if direction == "rev":
-        start += blk.heads[head]["fwd"].hidden
+    start = sum(p.hidden for p in blk.scans[:k])
     return gate_rows, units, start + units
 
 
-def live_units(blk: FarBlockParams, head, direction):
-    """Bool per hidden unit: False where all its coupled weights are zero."""
-    p = blk.heads[head][direction]
+def live_units(blk: FarBlockParams, k):
+    """Bool per unit of scan k: False where all its coupled weights are 0."""
+    p = blk.scans[k]
     n = p.hidden
-    rows, cols, out_rows = coupled(blk, head, direction, np.arange(n))
+    rows, cols, out_rows = coupled(blk, k, np.arange(n))
     live = p.w_hh.data[:, cols].any(axis=0) | blk.out_w.data[out_rows].any(axis=1)
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         live |= t.data[rows].reshape(4, n, -1).any(axis=(0, 2))
@@ -451,21 +449,20 @@ def live_units(blk: FarBlockParams, head, direction):
 
 
 def shrink_block(blk: FarBlockParams, keep):
-    """A copy of ``blk`` holding only the units where ``keep[head][direction]``
+    """A copy of ``blk`` holding only the units of scan k where ``keep[k]``
     is True; every coupled matrix is re-packed."""
     tensors = {n: t.data for n, t in blk.named("blk").items()}
     out_rows = []
-    for h in range(len(blk.heads)):
-        for d in DIRECTIONS:
-            rows, cols, out = coupled(blk, h, d, np.flatnonzero(keep[h][d]))
-            q = f"blk.{h}.{d}."
-            for k in ("w_ih", "b_ih", "b_hh"):
-                tensors[q + k] = tensors[q + k][rows]
-            tensors[q + "w_hh"] = tensors[q + "w_hh"][np.ix_(rows, cols)]
-            out_rows.append(out)
+    for k in range(len(blk.scans)):
+        rows, cols, out = coupled(blk, k, np.flatnonzero(keep[k]))
+        q = _scan_name("blk", k)
+        for name in ("w_ih", "b_ih", "b_hh"):
+            tensors[q + name] = tensors[q + name][rows]
+        tensors[q + "w_hh"] = tensors[q + "w_hh"][np.ix_(rows, cols)]
+        out_rows.append(out)
     tensors["blk.out_w"] = blk.out_w.data[np.concatenate(out_rows)]
-    return FarBlockParams.from_tensors(tensors, "blk", len(blk.heads),
-                                       blk.heads[0]["fwd"].input_size,
+    return FarBlockParams.from_tensors(tensors, "blk", len(blk.scans) // 2,
+                                       blk.scans[0].input_size,
                                        blk.in_w.dtype)
 
 
@@ -488,11 +485,10 @@ class FarModel(Backbone):
 
     @property
     def masks(self):
-        """masks[layer][head][direction]: bool vector over the scan's
-        current units, False where the unit is pruned. Derived from the
-        weights on every call, never stored."""
-        return [{h: {d: live_units(blk, h, d) for d in DIRECTIONS}
-                 for h in range(len(blk.heads))} for blk in self.blocks]
+        """masks[layer][k]: per unit of scan k, False where it is pruned.
+        Derived from the weights on every call, never stored."""
+        return [[live_units(blk, k) for k in range(len(blk.scans))]
+                for blk in self.blocks]
 
     def mix(self, x, i):
         return far_block_forward(x, self.blocks[i])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import vit
-from .far_block import DIRECTIONS, block_shapes
+from .far_block import block_shapes
 from .tensor import ShapeError
 
 VARIANTS = ("attention", "far")
@@ -65,15 +65,14 @@ class CostReport:
 def _shapes(cfg, variant, masks):
     """name -> shape of every tensor of the ``variant`` model of ``cfg``:
     the teacher's table, or the backbone's with a FAR block per layer whose
-    scan widths are the sums of ``masks`` (full without)."""
+    scan k has ``masks[layer][k].sum()`` units (``head_dim`` without)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     shapes = vit.tensor_shapes(cfg, attention=variant == "attention")
     if variant == "far":
         for l in range(cfg.layers):
-            widths = [{d: cfg.head_dim if masks is None
-                       else int(masks[l][h][d].sum()) for d in DIRECTIONS}
-                      for h in range(cfg.heads)]
+            widths = ([cfg.head_dim] * (2 * cfg.heads) if masks is None
+                      else [int(m.sum()) for m in masks[l]])
             shapes.update(block_shapes(f"far.{l}", widths, cfg.head_dim))
     return shapes
 

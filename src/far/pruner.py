@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import (DIRECTIONS, FarBlockParams, FarModel, coupled,
+from .far_block import (FarBlockParams, FarModel, coupled, scan_of,
                         shrink_block)
 
 log = logging.getLogger(__name__)
@@ -38,17 +38,17 @@ def group_hs(w, groups):
     return hoyer_penalty(np.array(sq)).item()
 
 
-def unit_sq_norms(block: FarBlockParams, head, direction, extension=False):
-    """(hidden,) Tensor: per hidden unit, the sum of squares of its coupled
-    weights, wired into the autodiff graph.
+def unit_sq_norms(block: FarBlockParams, k, extension=False):
+    """(hidden,) Tensor: per hidden unit of scan k, the sum of squares of
+    its coupled weights, wired into the autodiff graph.
 
     The mandatory set is the unit's four gate rows of w_ih and w_hh. With
     ``extension`` it adds the unit's w_hh column, both bias entries and its
     out_w row; the w_hh diagonal entry then counts in the row and the column.
     """
-    p = block.heads[head][direction]
+    p = block.scans[k]
     hid = p.hidden
-    rows, cols, out_rows = coupled(block, head, direction, np.arange(hid))
+    rows, cols, out_rows = coupled(block, k, np.arange(hid))
     hh_sq = T.square(p.w_hh)
     gate_sq = T.tsum(T.square(p.w_ih), axis=1) + T.tsum(hh_sq, axis=1)
     if extension:
@@ -80,20 +80,21 @@ def hoyer_penalty(sq):
 
 
 def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
-    """Sum (or mean) of per-(layer, head, direction) Hoyer penalties."""
-    terms = [hoyer_penalty(unit_sq_norms(blk, h, d, extension=extension))
-             for blk in far_model.blocks
-             for h in range(len(blk.heads)) for d in DIRECTIONS]
+    """Sum (or mean) of the Hoyer penalties of every scan of every layer."""
+    if reduce not in ("sum", "mean"):
+        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
+    terms = [hoyer_penalty(unit_sq_norms(blk, k, extension=extension))
+             for blk in far_model.blocks for k in range(len(blk.scans))]
     total = sum(terms[1:], terms[0])
     if reduce == "mean":
         total = total * (1.0 / len(terms))
     return total
 
 
-def unit_importance(block: FarBlockParams, head, direction):
-    """L2 norm of every weight coupled to each unit (the extended set),
-    used for threshold selection."""
-    return np.sqrt(unit_sq_norms(block, head, direction, extension=True).data)
+def unit_importance(block: FarBlockParams, k):
+    """L2 norm of every weight coupled to each unit of scan k (the extended
+    set), used for threshold selection."""
+    return np.sqrt(unit_sq_norms(block, k, extension=True).data)
 
 
 def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
@@ -108,18 +109,16 @@ def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
     if mode not in MODES:
         raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
     for blk in far_model.blocks:
-        for h, head in enumerate(blk.heads):
-            for d in DIRECTIONS:
-                norms = unit_importance(blk, h, d)
-                cut = tau * norms.max() if mode == "relative" else tau
-                drop = ~(norms > cut)
-                drop[int(norms.argmax())] = False
-                rows, cols, out_rows = coupled(blk, h, d, np.flatnonzero(drop))
-                p = head[d]
-                for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
-                    t.data[rows] = 0.0
-                p.w_hh.data[:, cols] = 0.0
-                blk.out_w.data[out_rows] = 0.0
+        for k, p in enumerate(blk.scans):
+            norms = unit_importance(blk, k)
+            cut = tau * norms.max() if mode == "relative" else tau
+            drop = ~(norms > cut)
+            drop[int(norms.argmax())] = False
+            rows, cols, out_rows = coupled(blk, k, np.flatnonzero(drop))
+            for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+                t.data[rows] = 0.0
+            p.w_hh.data[:, cols] = 0.0
+            blk.out_w.data[out_rows] = 0.0
 
 
 def shrink_model(far_model: FarModel):
@@ -140,12 +139,11 @@ def retention_report(far_model: FarModel):
     total = far_model.cfg.head_dim
     rows = []
     for l, layer in enumerate(far_model.masks):
-        for h, head in layer.items():
-            for d in DIRECTIONS:
-                kept = int(head[d].sum())
-                rows.append({"layer": l, "head": h, "direction": d,
-                             "retained": kept, "total": total,
-                             "ratio": kept / total})
+        for k, keep in enumerate(layer):
+            (h, d), kept = scan_of(k), int(keep.sum())
+            rows.append({"layer": l, "head": h, "direction": d,
+                         "retained": kept, "total": total,
+                         "ratio": kept / total})
     return rows
 
 

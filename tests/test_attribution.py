@@ -9,7 +9,7 @@ from far.checkpoint import load_model, save_model
 from far.tensor import Tensor
 from far.vit import TeacherModel
 from far.far_block import (DIRECTIONS, SCAN, FarBlockParams,
-                           replace_attention, shrink_block)
+                           replace_attention, scan_of, shrink_block)
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
                              token_dependency, uniform_band_mass)
 
@@ -108,7 +108,7 @@ def test_far_saliency_tracks_true_sensitivity(models):
         h = T.layer_norm(x_tokens, blk.ln_g, blk.ln_b)
         u = T.matmul(h, blk.in_w) + blk.in_b
         sub = T.split(u, cfg.heads, axis=-1)[head]
-        hh = bilstm_head(sub, blk.heads[head])
+        hh = bilstm_head(sub, blk.head(head))
         v = hh.data[:, 0, :]
         return float(np.sqrt((v * v).sum()))
 
@@ -145,13 +145,13 @@ def _per_query_dependency(model, image, layer, directions):
     their weights zero, so they output zero and pass no gradient."""
     blk = model.blocks[layer]
     tensors = {n: t.data for n, t in blk.named("blk").items()}
-    for n in range(len(blk.heads)):
-        for d in DIRECTIONS:
-            if d not in directions:
-                for k in SCAN:
-                    tensors[f"blk.{n}.{d}.{k}"] = np.zeros_like(
-                        tensors[f"blk.{n}.{d}.{k}"])
-    blk = FarBlockParams.from_tensors(tensors, "blk", len(blk.heads),
+    for k in range(len(blk.scans)):
+        n, d = scan_of(k)
+        if d not in directions:
+            for name in SCAN:
+                tensors[f"blk.{n}.{d}.{name}"] = np.zeros_like(
+                    tensors[f"blk.{n}.{d}.{name}"])
+    blk = FarBlockParams.from_tensors(tensors, "blk", len(blk.scans) // 2,
                                       model.cfg.head_dim, blk.in_w.dtype)
     x = model.tokens(image, stop=layer)[-1].data
     dep = np.zeros((model.cfg.tokens, model.cfg.tokens))
@@ -171,8 +171,8 @@ def test_batched_dependency_matches_per_query_reference(directions, widths):
     if widths == "shrunk":
         rng = np.random.default_rng(26)
         first = np.arange(cfg.head_dim) == 0  # every scan keeps a unit
-        keep = [{d: first | (rng.random(cfg.head_dim) < 0.5)
-                 for d in DIRECTIONS} for _ in range(cfg.heads)]
+        keep = [first | (rng.random(cfg.head_dim) < 0.5)
+                for _ in range(2 * cfg.heads)]
         far.blocks = [shrink_block(blk, keep) for blk in far.blocks]
     img = np.random.default_rng(26).normal(size=(3, 32, 32))
     for layer in (0, cfg.layers - 1):
@@ -241,6 +241,26 @@ def test_far_maps_name_directions_that_select_no_scan(models, directions):
     _, _, far, img = models
     with pytest.raises(ValueError, match=re.escape(str(directions))):
         token_dependency(far, img, 0, directions)
+
+
+@pytest.mark.parametrize("directions", [(), ("bogus",), ("fwd",), ("rev",),
+                                        ("fwd", "bogus")])
+def test_teacher_maps_take_only_every_direction(models, directions):
+    """A teacher has no scan direction: any ``directions`` but all of
+    DIRECTIONS is named, not answered with the full attention map."""
+    _, teacher, _, img = models
+    with pytest.raises(ValueError, match=r"teacher map has no scan "
+                                         r"direction.*" +
+                                         re.escape(str(directions))):
+        token_dependency(teacher, img, 0, directions)
+
+
+def test_teacher_map_of_every_direction_is_the_default(models):
+    _, teacher, _, img = models
+    default = token_dependency(teacher, img, 1)
+    for directions in (DIRECTIONS, DIRECTIONS[::-1], list(DIRECTIONS)):
+        assert np.array_equal(
+            token_dependency(teacher, img, 1, directions), default)
 
 
 ENTRY_POINTS = {

@@ -7,7 +7,7 @@ from far.vit import ATTENTION, ModelConfig, TeacherModel
 from far import far_block
 from far.far_block import (DIRECTIONS, LstmDirParams, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
-                           lstm_step, replace_attention, scan_heads,
+                           lstm_step, replace_attention, scan_heads, scan_of,
                            shrink_block)
 from far.pruner import prune_by_threshold
 from far.profiler import count_params
@@ -123,30 +123,29 @@ def test_bilstm_reversal_symmetry():
     np.testing.assert_allclose(out_rev[::-1, :dh], out[:, dh:], atol=1e-14)
 
 
-def _reference_scans(u, heads):
-    """Every (head, direction) scan run token by token with ``lstm_step``,
-    side by side in ``coupled`` order."""
+def _reference_scans(u, scans):
+    """Every scan of ``scans`` (in ``coupled`` order) run token by token
+    with ``lstm_step``, side by side in that order."""
     batched = u.ndim == 3
     t = u.shape[-2]
     lead = u.shape[:-2]
-    d_in = u.shape[-1] // len(heads)
+    d_in = u.shape[-1] // (len(scans) // 2)
     cols = []
-    for n, head in enumerate(heads):
+    for k, p in enumerate(scans):
+        n, d = scan_of(k)
         sl = slice(n * d_in, (n + 1) * d_in)
-        for d in DIRECTIONS:
-            p = head[d]
-            h = c = T.zeros(lead + (p.hidden,), "f64")
-            steps = [None] * t
-            for j in (range(t) if d == "fwd" else reversed(range(t))):
-                h, c = lstm_step(u[:, j, sl] if batched else u[j, sl], h, c, p)
-                steps[j] = T.reshape(h, lead + (1, p.hidden))
-            cols.append(T.concat(steps, axis=-2))
+        h = c = T.zeros(lead + (p.hidden,), "f64")
+        steps = [None] * t
+        for j in (range(t) if d == "fwd" else reversed(range(t))):
+            h, c = lstm_step(u[:, j, sl] if batched else u[j, sl], h, c, p)
+            steps[j] = T.reshape(h, lead + (1, p.hidden))
+        cols.append(T.concat(steps, axis=-2))
     return T.concat(cols, axis=-1)
 
 
 def _reference_block(x, blk):
     u = T.matmul(T.layer_norm(x, blk.ln_g, blk.ln_b), blk.in_w) + blk.in_b
-    return x + (T.matmul(_reference_scans(u, blk.heads), blk.out_w)
+    return x + (T.matmul(_reference_scans(u, blk.scans), blk.out_w)
                 + blk.out_b)
 
 
@@ -185,35 +184,29 @@ def test_fused_scan_matches_per_step_reference(widths, shape):
     cfg = desk_config("f64")
     rng = np.random.default_rng(30)
     blk = init_far_block(cfg, rng)
-    for head in blk.heads:  # init leaves b_hh zero
-        for p in head.values():
-            p.b_hh.data[:] = rng.normal(size=p.b_hh.shape)
+    for p in blk.scans:  # init leaves b_hh zero
+        p.b_hh.data[:] = rng.normal(size=p.b_hh.shape)
     if widths == "unequal":
-        keep = [{d: rng.random(cfg.head_dim) < 0.6 for d in DIRECTIONS}
-                for _ in range(cfg.heads)]
-        keep[0]["rev"][:] = False
-        keep[0]["rev"][:3] = True
+        keep = [rng.random(cfg.head_dim) < 0.6 for _ in range(2 * cfg.heads)]
+        keep[1][:] = False  # head 0 rev
+        keep[1][:3] = True
         blk = shrink_block(blk, keep)
-        assert len({p.hidden for head in blk.heads for p in head.values()}) > 1
+        assert len({p.hidden for p in blk.scans}) > 1
     _assert_block_matches_reference(blk, rng.normal(size=shape))
 
 
 def test_fused_scan_finite_differences():
     rng = np.random.default_rng(32)
-    heads = [{"fwd": init_lstm_dir(rng, 3, 3, "f64"),
-              "rev": init_lstm_dir(rng, 3, 2, "f64")},
-             {"fwd": init_lstm_dir(rng, 3, 1, "f64"),
-              "rev": init_lstm_dir(rng, 3, 3, "f64")}]
+    scans = [init_lstm_dir(rng, 3, hid, "f64") for hid in (3, 2, 1, 3)]
     u = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
-    params = [t for head in heads for p in head.values()
-              for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    params = [t for p in scans for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
     for t in params:
         t.requires_grad = True
         t.data[:] += rng.normal(scale=0.1, size=t.shape)  # init leaves b_hh zero
     weight = Tensor(rng.normal(size=(2, 4, 9)))
 
     def loss():
-        return T.tsum(T.square(scan_heads(u, heads) * weight))
+        return T.tsum(T.square(scan_heads(u, scans) * weight))
 
     loss().backward()
     step = 1e-6
@@ -235,35 +228,32 @@ def _scan_block(precision, widths, rng):
     scans of different widths."""
     cfg = desk_config(precision)
     blk = init_far_block(cfg, rng)
-    for head in blk.heads:  # init leaves b_hh zero
-        for p in head.values():
-            p.b_hh.data[:] = rng.normal(size=p.b_hh.shape)
+    for p in blk.scans:  # init leaves b_hh zero
+        p.b_hh.data[:] = rng.normal(size=p.b_hh.shape)
     if widths == "unequal":
-        keep = [{d: rng.random(cfg.head_dim) < 0.6 for d in DIRECTIONS}
-                for _ in range(cfg.heads)]
-        keep[0]["rev"][:] = False
-        keep[0]["rev"][:3] = True
+        keep = [rng.random(cfg.head_dim) < 0.6 for _ in range(2 * cfg.heads)]
+        keep[1][:] = False  # head 0 rev
+        keep[1][:3] = True
         blk = shrink_block(blk, keep)
     return blk
 
 
-def _heads_f64(heads):
-    """A float64 copy of every scan of ``heads``."""
-    return [{d: LstmDirParams(*(Tensor(t.data.astype(np.float64)) for t in
-                                (p.w_ih, p.w_hh, p.b_ih, p.b_hh)))
-             for d, p in head.items()} for head in heads]
+def _scans_f64(scans):
+    """A float64 copy of every scan of ``scans``."""
+    return [LstmDirParams(*(Tensor(t.data.astype(np.float64)) for t in
+                            (p.w_ih, p.w_hh, p.b_ih, p.b_hh)))
+            for p in scans]
 
 
-def _scan_grads(scan, heads, u, input_grad=True, weight_grads=True):
-    """Output of ``scan(u, heads)`` and the gradients of the input and of
+def _scan_grads(scan, scans, u, input_grad=True, weight_grads=True):
+    """Output of ``scan(u, scans)`` and the gradients of the input and of
     every scan tensor under a fixed random weighting of the output (None
     for what does not require grad)."""
-    params = [t for head in heads for p in head.values()
-              for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    params = [t for p in scans for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
     for t in params:
         t.requires_grad, t.grad = weight_grads, None
     leaf = Tensor(u, requires_grad=input_grad)
-    out = scan(leaf, heads)
+    out = scan(leaf, scans)
     weight = np.random.default_rng(35).normal(size=out.shape)
     T.tsum(out * Tensor(weight.astype(out.dtype))).backward()
     grads = [t.grad for t in params]
@@ -282,9 +272,9 @@ def test_frozen_and_training_scans_give_identical_outputs(precision, widths,
     rng = np.random.default_rng(36)
     blk = _scan_block(precision, widths, rng)
     u = rng.normal(size=shape).astype(T.DTYPES[precision])
-    frozen = scan_heads(Tensor(u), blk.heads)
+    frozen = scan_heads(Tensor(u), blk.scans)
     assert frozen._backward_fn is None
-    trained, _, _ = _scan_grads(scan_heads, blk.heads, u)
+    trained, _, _ = _scan_grads(scan_heads, blk.scans, u)
     assert frozen.dtype == trained.dtype == T.DTYPES[precision]
     np.testing.assert_array_equal(frozen.data, trained)
 
@@ -296,10 +286,10 @@ def test_input_or_weight_gradients_alone_match_the_full_backward():
     rng = np.random.default_rng(38)
     blk = _scan_block("f64", "unequal", rng)
     u = rng.normal(size=(3, 7, 32))
-    _, gu, grads = _scan_grads(scan_heads, blk.heads, u)
-    _, gu_alone, no_grads = _scan_grads(scan_heads, blk.heads, u,
+    _, gu, grads = _scan_grads(scan_heads, blk.scans, u)
+    _, gu_alone, no_grads = _scan_grads(scan_heads, blk.scans, u,
                                         weight_grads=False)
-    _, no_gu, grads_alone = _scan_grads(scan_heads, blk.heads, u,
+    _, no_gu, grads_alone = _scan_grads(scan_heads, blk.scans, u,
                                         input_grad=False)
     np.testing.assert_array_equal(gu_alone, gu)
     assert no_gu is None and all(g is None for g in no_grads)
@@ -315,10 +305,10 @@ def test_f32_scan_matches_f64_per_step_reference(widths):
     within 1e-6 of their largest entry (measured: 1.4e-7 and 3.9e-7)."""
     rng = np.random.default_rng(37)
     blk = _scan_block("f32", widths, rng)
-    heads64 = _heads_f64(blk.heads)
+    scans64 = _scans_f64(blk.scans)
     u = rng.normal(size=(3, 17, 32))
-    out, gu, grads = _scan_grads(scan_heads, blk.heads, u.astype(np.float32))
-    ref, ref_gu, ref_grads = _scan_grads(_reference_scans, heads64, u)
+    out, gu, grads = _scan_grads(scan_heads, blk.scans, u.astype(np.float32))
+    ref, ref_gu, ref_grads = _scan_grads(_reference_scans, scans64, u)
     assert out.dtype == gu.dtype == np.float32
     np.testing.assert_allclose(out, ref, rtol=0, atol=5e-7)
     for g, r in zip([gu] + grads, [ref_gu] + ref_grads):
@@ -334,8 +324,7 @@ def test_scan_reads_weights_zeroed_in_place_after_a_forward():
     x = np.random.default_rng(50).normal(size=(2, 17, 32))
     before = _assert_block_matches_reference(blk, x)
     prune_by_threshold(far, 0.97, mode="relative")
-    assert not all(m.all() for head in far.masks[1].values()
-                   for m in head.values())
+    assert not all(m.all() for m in far.masks[1])
     after = _assert_block_matches_reference(blk, x)
     assert not np.array_equal(after, before)
 
@@ -344,10 +333,9 @@ def test_scan_reads_weights_rebound_like_an_optimizer_step():
     blk = _scan_block("f64", "full", np.random.default_rng(51))
     x = np.random.default_rng(52).normal(size=(3, 7, 32))
     before = _assert_block_matches_reference(blk, x)
-    for head in blk.heads:  # as AdamW.step does: a new array, not in place
-        for p in head.values():
-            for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
-                t.data = t.data - 0.1 * (t.data + 0.05)
+    for p in blk.scans:  # as AdamW.step does: a new array, not in place
+        for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+            t.data = t.data - 0.1 * (t.data + 0.05)
     after = _assert_block_matches_reference(blk, x)
     assert not np.array_equal(after, before)
 
@@ -368,15 +356,15 @@ def test_scan_plans_of_alternating_blocks_stay_apart():
     rng.shuffle(calls)
     results = []
     for blk, u, u64, precision in calls + calls:
-        out = scan_heads(Tensor(u), blk.heads)
-        ref = _reference_scans(Tensor(u64), _heads_f64(blk.heads))
+        out = scan_heads(Tensor(u), blk.scans)
+        ref = _reference_scans(Tensor(u64), _scans_f64(blk.scans))
         assert out.dtype == T.DTYPES[precision]
         np.testing.assert_allclose(out.data, ref.data, rtol=0,
                                    atol=5e-7 if precision == "f32" else 1e-12)
         results.append(out.data)
     for (blk, u, _, _), warm in zip(calls + calls, results):
         far_block._plan.cache_clear()
-        cold = scan_heads(Tensor(u), blk.heads)
+        cold = scan_heads(Tensor(u), blk.scans)
         np.testing.assert_array_equal(cold.data, warm)
 
 
@@ -395,10 +383,39 @@ def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
     blk = far.blocks[0]
     u = Tensor(np.random.default_rng(33).normal(
         size=(2, desk_cfg.tokens, desk_cfg.dim)).astype(np.float32))
-    out = scan_heads(u, blk.heads)
+    out = scan_heads(u, blk.scans)
     assert out.shape == (2, desk_cfg.tokens, 2 * desk_cfg.dim)
     assert out._parents == () and out._backward_fn is None
     assert not out.requires_grad
+
+
+def test_scan_k_is_named_and_grouped_by_scan_of(desk_cfg):
+    """Scan k of a block holds the tensors named ``<prefix>.<head>.<dir>.*``
+    for (head, dir) = scan_of(k), in coupled order, and ``head(n)`` holds
+    head n's fwd and rev scans."""
+    blk = replace_attention(TeacherModel(desk_cfg, seed=55), seed=55).blocks[0]
+    named = blk.named("far.0")
+    assert len(blk.scans) == 2 * desk_cfg.heads
+    assert [scan_of(k) for k in range(4)] == [
+        (0, "fwd"), (0, "rev"), (1, "fwd"), (1, "rev")]
+    for k, p in enumerate(blk.scans):
+        n, d = scan_of(k)
+        for name in ("w_ih", "w_hh", "b_ih", "b_hh"):
+            assert named[f"far.0.{n}.{d}.{name}"] is getattr(p, name)
+        assert blk.head(n)[d] is p
+    assert list(blk.head(1)) == list(DIRECTIONS)
+
+
+@pytest.mark.parametrize("d_ins,width", [((4, 4, 4), 4), ((4, 4), 8),
+                                         ((4, 3, 4, 4), 8)])
+def test_scan_heads_names_scans_that_do_not_fit_the_input(d_ins, width):
+    """An odd scan count, an input that is not 2 scans' input size a head,
+    or scans of unequal input size are a ShapeError naming the width."""
+    rng = np.random.default_rng(56)
+    scans = [init_lstm_dir(rng, d_in, 3, "f64") for d_in in d_ins]
+    with pytest.raises(ShapeError, match=f"input width {width} does not "
+                                         f"split into heads"):
+        scan_heads(Tensor(rng.normal(size=(5, width))), scans)
 
 
 def test_far_block_zero_out_proj_is_identity():
@@ -432,12 +449,12 @@ def test_head_isolation():
         u = T.matmul(h, blk.in_w) + blk.in_b
         subs = T.split(u, cfg.heads, axis=-1)
         return np.concatenate(
-            [bilstm_head(subs[i], blk.heads[i]).data
+            [bilstm_head(subs[i], blk.head(i)).data
              for i in range(cfg.heads)], axis=-1)
 
     base = hidden_concat()
-    blk.heads[1]["fwd"].w_hh.data += rng.normal(
-        size=blk.heads[1]["fwd"].w_hh.data.shape)
+    blk.head(1)["fwd"].w_hh.data += rng.normal(
+        size=blk.head(1)["fwd"].w_hh.data.shape)
     after = hidden_concat()
     lo, hi = 1 * 2 * dh, 2 * 2 * dh
     assert np.array_equal(base[..., :lo], after[..., :lo])

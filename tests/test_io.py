@@ -19,7 +19,7 @@ from far.config import (SCHEMA, ConfigError, default_config, load_config,
                         parse_config)
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase, train_teacher
-from far.far_block import replace_attention
+from far.far_block import replace_attention, scan_of
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import ShapeError, Tensor
 from far.attribution import cls_saliency, export_heatmaps, token_dependency
@@ -213,9 +213,9 @@ def test_load_model_reads_v1_file_with_masks(tmp_path, monkeypatch):
     far = _pruned_far(36)
     tensors = dict(far.named_parameters())
     for l, layer in enumerate(far.masks):
-        for h, head in layer.items():
-            for d, keep in head.items():
-                tensors[f"mask.{l}.{h}.{d}"] = keep.astype(np.uint8)
+        for k, keep in enumerate(layer):
+            tensors["mask.{}.{}.{}".format(l, *scan_of(k))] = keep.astype(
+                np.uint8)
     monkeypatch.setattr(ckpt, "FORMAT_VERSION", 1)
     save_checkpoint(tmp_path / "v1.farc", far.cfg, tensors, kind="far")
     monkeypatch.undo()
@@ -489,6 +489,27 @@ def test_dataset_stratified_and_split():
     # split is stratified too
     val_counts = np.bincount(ds.labels[ds.val_idx], minlength=10)
     assert (val_counts == 4).all()
+
+
+def test_dataset_split_names_train_and_val():
+    ds = synth_dataset(42, 50, 10, 8)
+    for which, idx in (("train", ds.train_idx), ("val", ds.val_idx)):
+        images, labels = ds.split(which)
+        assert np.array_equal(images, ds.images[idx])
+        assert np.array_equal(labels, ds.labels[idx])
+
+
+@pytest.mark.parametrize("which", ["bogus", "validation", "Train", ""])
+def test_dataset_split_rejects_unknown_names(which):
+    """An unknown split is named, not read as the validation split, and so
+    is the split ``distill.accuracy`` is asked for."""
+    ds = synth_dataset(42, 50, 10, 8)
+    with pytest.raises(ValueError, match=f"split must be 'train' or 'val', "
+                                         f"got {which!r}"):
+        ds.split(which)
+    teacher = TeacherModel(desk_config(), seed=42)
+    with pytest.raises(ValueError, match=repr(which)):
+        distill.accuracy(teacher, synth_dataset(42, 50, 10, 32), which)
 
 
 def test_dataset_classes_are_separable():

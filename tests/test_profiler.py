@@ -6,7 +6,7 @@ import pytest
 from far import profiler
 from far.cli import main
 from far.vit import ModelConfig, TeacherModel
-from far.far_block import DIRECTIONS, replace_attention
+from far.far_block import replace_attention
 from far.profiler import (bench_latency, cost_report, count_flops,
                           count_params, tokens_for_image)
 from far.pruner import prune_by_threshold, shrink_model
@@ -97,8 +97,8 @@ def test_tokens_for_image():
 
 def test_full_masks_match_unmasked():
     cfg = desk_config()
-    full = [{h: {d: np.ones(cfg.head_dim, dtype=bool) for d in DIRECTIONS}
-             for h in range(cfg.heads)} for _ in range(cfg.layers)]
+    full = [[np.ones(cfg.head_dim, dtype=bool) for _ in range(2 * cfg.heads)]
+            for _ in range(cfg.layers)]
     assert count_params(cfg, "far", masks=full) == count_params(cfg, "far")
     assert count_flops(cfg, "far", t=17, masks=full) == \
         count_flops(cfg, "far", t=17)
@@ -106,8 +106,8 @@ def test_full_masks_match_unmasked():
 
 def test_pruned_costs_strictly_lower():
     cfg = desk_config()
-    masks = [{h: {d: np.arange(cfg.head_dim) < 8 for d in DIRECTIONS}
-              for h in range(cfg.heads)} for _ in range(cfg.layers)]
+    masks = [[np.arange(cfg.head_dim) < 8 for _ in range(2 * cfg.heads)]
+             for _ in range(cfg.layers)]
     assert count_params(cfg, "far", masks=masks) < count_params(cfg, "far")
     assert count_flops(cfg, "far", t=17, masks=masks) < \
         count_flops(cfg, "far", t=17)
@@ -208,11 +208,10 @@ def _far_layer_params(cfg, live=None):
     d, dh = cfg.dim, cfg.head_dim
     total = 2 * d + d * d + d  # LN + in_proj
     retained_sum = 0
-    for h in range(cfg.heads):
-        for dirn in ("fwd", "rev"):
-            k = dh if live is None else int(live[h][dirn].sum())
-            total += 4 * k * dh + 4 * k * k + 8 * k  # W_ih, W_hh, biases
-            retained_sum += k
+    for scan in range(2 * cfg.heads):  # each head's fwd and rev
+        k = dh if live is None else int(live[scan].sum())
+        total += 4 * k * dh + 4 * k * k + 8 * k  # W_ih, W_hh, biases
+        retained_sum += k
     total += retained_sum * d + d  # out_proj
     return total + _mlp_params(cfg)
 
@@ -229,11 +228,10 @@ def _far_layer_flops(cfg, t, live=None):
     d, dh = cfg.dim, cfg.head_dim
     macs = t * d * d  # in_proj
     retained_sum = 0
-    for h in range(cfg.heads):
-        for dirn in ("fwd", "rev"):
-            k = dh if live is None else int(live[h][dirn].sum())
-            macs += t * (4 * k * dh + 4 * k * k)
-            retained_sum += k
+    for scan in range(2 * cfg.heads):  # each head's fwd and rev
+        k = dh if live is None else int(live[scan].sum())
+        macs += t * (4 * k * dh + 4 * k * k)
+        retained_sum += k
     macs += t * retained_sum * d            # out_proj
     macs += 2 * t * d * cfg.mlp_ratio * d   # MLP
     return macs
@@ -272,9 +270,8 @@ def test_counts_match_closed_forms(cfg, variant, random_widths):
     masks = None
     if random_widths:  # a random share kept per scan, none kept included
         rng = np.random.default_rng(cfg.dim + cfg.image_size)
-        masks = [{h: {d: rng.random(cfg.head_dim) < rng.random()
-                      for d in DIRECTIONS} for h in range(cfg.heads)}
-                 for _ in range(cfg.layers)]
+        masks = [[rng.random(cfg.head_dim) < rng.random()
+                  for _ in range(2 * cfg.heads)] for _ in range(cfg.layers)]
     assert count_params(cfg, variant, masks=masks) == \
         _oracle_params(cfg, variant, masks)
     for t in (None, 1, 17, 65, 197, 577):  # None: the config's own image

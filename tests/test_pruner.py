@@ -7,7 +7,7 @@ from far import distill
 from far import tensor as T
 from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import DIRECTIONS, coupled, replace_attention
+from far.far_block import coupled, replace_attention, scan_of
 from far.data import synth_dataset
 from far.distill import TrainConfig, accuracy
 from far.pruner import (group_hs, hoyer_penalty, hoyer_penalty_total,
@@ -77,12 +77,12 @@ def test_group_hs_all_zero_warns(caplog):
 
 # -- per-unit squared norms ---------------------------------------------------
 
-def _hand_sq_norms(blk, h, d, extension):
+def _hand_sq_norms(blk, k, extension):
     """Per unit, a plain float loop over the indices ``coupled`` gives."""
-    p = blk.heads[h][d]
+    p = blk.scans[k]
     out = []
     for j in range(p.hidden):
-        rows, cols, out_rows = coupled(blk, h, d, [j])
+        rows, cols, out_rows = coupled(blk, k, [j])
         vals = [v for r in rows for t in (p.w_ih, p.w_hh)
                 for v in t.data[r]]
         if extension:
@@ -96,19 +96,17 @@ def _hand_sq_norms(blk, h, d, extension):
     return np.array(out)
 
 
-def _old_composite(blk, h, d, extension):
+def _old_composite(blk, k, extension):
     """The (hidden, G) composite matrix whose row norms the group norms
     once were: gate-major reshapes and transposes, then one concatenation.
     The out_w offset is counted here, independently of ``coupled``."""
-    p = blk.heads[h][d]
+    p = blk.scans[k]
     hid, din = p.hidden, p.input_size
     w_hh = p.w_hh.data.reshape(4, hid, hid)
     parts = [p.w_ih.data.reshape(4, hid, din).transpose(1, 0, 2),
              w_hh.transpose(1, 0, 2)]
     if extension:
-        order = [(hh, dd) for hh in range(len(blk.heads)) for dd in DIRECTIONS]
-        start = sum(blk.heads[hh][dd].hidden
-                    for hh, dd in order[:order.index((h, d))])
+        start = sum(q.hidden for q in blk.scans[:k])
         parts += [w_hh.transpose(2, 0, 1), p.b_ih.data.reshape(4, hid).T,
                   p.b_hh.data.reshape(4, hid).T,
                   blk.out_w.data[start:start + hid]]
@@ -116,8 +114,7 @@ def _old_composite(blk, h, d, extension):
 
 
 def _scans(model):
-    return [(blk, h, d) for blk in model.blocks
-            for h in range(len(blk.heads)) for d in DIRECTIONS]
+    return [(blk, k) for blk in model.blocks for k in range(len(blk.scans))]
 
 
 @pytest.fixture(params=["full", "shrunk"])
@@ -128,32 +125,32 @@ def widths_f64(request):
     prune_by_threshold(far, 0.9, mode="relative")
     shrunk = shrink_model(far)
     assert any(p.hidden < far.cfg.head_dim for blk in shrunk.blocks
-               for head in blk.heads for p in head.values())
+               for p in blk.scans)
     return shrunk
 
 
 @pytest.mark.parametrize("extension", [False, True])
 def test_unit_sq_norms_sum_the_coupled_set(widths_f64, extension):
-    for blk, h, d in _scans(widths_f64):
-        sq = unit_sq_norms(blk, h, d, extension=extension)
-        assert sq.shape == (blk.heads[h][d].hidden,)
+    for blk, k in _scans(widths_f64):
+        sq = unit_sq_norms(blk, k, extension=extension)
+        assert sq.shape == (blk.scans[k].hidden,)
         np.testing.assert_allclose(
-            sq.data, _hand_sq_norms(blk, h, d, extension), rtol=1e-12)
+            sq.data, _hand_sq_norms(blk, k, extension), rtol=1e-12)
 
 
 def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
     far = replace_attention(TeacherModel(desk_config("f64"), seed=5), seed=5)
     blk = far.blocks[0]
-    p = blk.heads[1]["rev"]
+    p = blk.scans[3]  # head 1 rev
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[:] = 0.0
     blk.out_w.data[:] = 0.0
     j, dh = 2, p.hidden
     p.w_hh.data[2 * dh + j, j] = 3.0  # cell-gate row of unit j, column j
     np.testing.assert_array_equal(
-        unit_sq_norms(blk, 1, "rev").data, np.eye(dh)[j] * 9.0)
+        unit_sq_norms(blk, 3).data, np.eye(dh)[j] * 9.0)
     np.testing.assert_array_equal(
-        unit_sq_norms(blk, 1, "rev", extension=True).data,
+        unit_sq_norms(blk, 3, extension=True).data,
         np.eye(dh)[j] * 18.0)
 
 
@@ -161,27 +158,27 @@ def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
 def test_unit_sq_norms_zero_unit_is_zero(extension):
     far = replace_attention(TeacherModel(desk_config("f64"), seed=7), seed=7)
     blk, j = far.blocks[1], 2
-    p = blk.heads[0]["rev"]
-    rows, cols, out_rows = coupled(blk, 0, "rev", [j])
+    p = blk.scans[1]  # head 0 rev
+    rows, cols, out_rows = coupled(blk, 1, [j])
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[rows] = 0.0
     p.w_hh.data[:, cols] = 0.0
     blk.out_w.data[out_rows] = 0.0
-    sq = unit_sq_norms(blk, 0, "rev", extension=extension).data
+    sq = unit_sq_norms(blk, 1, extension=extension).data
     assert sq[j] == 0.0
     assert np.all(np.delete(sq, j) > 0.0)
 
 
 @pytest.mark.parametrize("extension", [False, True])
 def test_norms_and_penalty_match_the_old_composite(widths_f64, extension):
-    comps = [_old_composite(blk, h, d, extension)
-             for blk, h, d in _scans(widths_f64)]
-    for (blk, h, d), comp in zip(_scans(widths_f64), comps):
+    comps = [_old_composite(blk, k, extension)
+             for blk, k in _scans(widths_f64)]
+    for (blk, k), comp in zip(_scans(widths_f64), comps):
         np.testing.assert_allclose(
-            unit_sq_norms(blk, h, d, extension=extension).data,
+            unit_sq_norms(blk, k, extension=extension).data,
             (comp * comp).sum(axis=1), rtol=1e-12)
         if extension:
-            np.testing.assert_allclose(unit_importance(blk, h, d),
+            np.testing.assert_allclose(unit_importance(blk, k),
                                        np.linalg.norm(comp, axis=1),
                                        rtol=1e-12)
     hs = [group_hs(comp, [np.arange(r * comp.shape[1], (r + 1) * comp.shape[1])
@@ -233,6 +230,15 @@ def test_hoyer_penalty_zero_rows_get_zero_grad():
     assert np.abs(x.grad[[0, 2, 3]]).max() > 0
 
 
+@pytest.mark.parametrize("reduce", ["Mean", "max", "", None])
+def test_hoyer_penalty_total_rejects_unknown_reduce(far_f64, reduce):
+    """Only "sum" and "mean" reduce the terms; any other value is named
+    rather than summed."""
+    with pytest.raises(ValueError, match=f"reduce must be 'sum' or 'mean', "
+                                         f"got {reduce!r}"):
+        hoyer_penalty_total(far_f64, reduce=reduce)
+
+
 def test_hoyer_penalty_total_bounds(far_f64):
     cfg = far_f64.cfg
     n_terms = cfg.layers * cfg.heads * 2
@@ -254,8 +260,8 @@ def test_threshold_keeps_clearly_large_units():
     teacher = TeacherModel(cfg, seed=13)
     far = replace_attention(teacher, seed=13)
     dh = cfg.head_dim
-    # craft head (0,0,fwd): unit 0 large, all others tiny
-    p = far.blocks[0].heads[0]["fwd"]
+    # craft layer 0's scan 0 (head 0 fwd): unit 0 large, all others tiny
+    p = far.blocks[0].scans[0]
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[:] = 1e-6
     for g in range(4):
@@ -264,7 +270,7 @@ def test_threshold_keeps_clearly_large_units():
     far.blocks[0].out_w.data[:dh] = 1e-6
     far.blocks[0].out_w.data[0] = 1.0
     prune_by_threshold(far, 1e-4, mode="absolute")
-    keep = far.masks[0][0]["fwd"]
+    keep = far.masks[0][0]
     assert keep[0]
     assert not keep[1:].any()
 
@@ -272,20 +278,19 @@ def test_threshold_keeps_clearly_large_units():
 def test_floor_rule_keeps_max_norm_unit(far_f64):
     prune_by_threshold(far_f64, 1e9, mode="absolute")
     for layer in far_f64.masks:
-        for head in layer.values():
-            for keep in head.values():
-                assert keep.sum() == 1
+        for keep in layer:
+            assert keep.sum() == 1
 
 
 def test_relative_mode_uses_max_norm():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=14), seed=14)
     blk = far.blocks[0]
-    norms = unit_importance(blk, 0, "fwd")
+    norms = unit_importance(blk, 0)
     tau = 0.5
     expect = norms > tau * norms.max()
     prune_by_threshold(far, tau, mode="relative")
-    np.testing.assert_array_equal(far.masks[0][0]["fwd"], expect)
+    np.testing.assert_array_equal(far.masks[0][0], expect)
 
 
 def test_negative_threshold_rejected(far_f64):
@@ -320,7 +325,7 @@ def test_prune_zeroes_exactly_the_coupled_set():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=15), seed=15)
     dh = cfg.head_dim
-    rows, cols, out_rows = coupled(far.blocks[0], 1, "rev", [3])
+    rows, cols, out_rows = coupled(far.blocks[0], 3, [3])  # head 1 rev
     assert rows.tolist() == [g * dh + 3 for g in range(4)]
     assert cols.tolist() == [3]
     assert out_rows.tolist() == [3 * dh + 3]
@@ -328,16 +333,16 @@ def test_prune_zeroes_exactly_the_coupled_set():
     expect = {n: t.data.copy() for n, t in far.named_parameters().items()}
     dropped = 0
     for l, blk in enumerate(far.blocks):
-        for h in range(cfg.heads):
-            for d in DIRECTIONS:
-                norms = unit_importance(blk, h, d)
-                drop = np.flatnonzero(norms <= 0.9 * norms.max())
-                dropped += len(drop)
-                rows, cols, out_rows = coupled(blk, h, d, drop)
-                for name in ("w_ih", "w_hh", "b_ih", "b_hh"):
-                    expect[f"far.{l}.{h}.{d}.{name}"][rows] = 0.0
-                expect[f"far.{l}.{h}.{d}.w_hh"][:, cols] = 0.0
-                expect[f"far.{l}.out_w"][out_rows] = 0.0
+        for k in range(2 * cfg.heads):
+            h, d = scan_of(k)
+            norms = unit_importance(blk, k)
+            drop = np.flatnonzero(norms <= 0.9 * norms.max())
+            dropped += len(drop)
+            rows, cols, out_rows = coupled(blk, k, drop)
+            for name in ("w_ih", "w_hh", "b_ih", "b_hh"):
+                expect[f"far.{l}.{h}.{d}.{name}"][rows] = 0.0
+            expect[f"far.{l}.{h}.{d}.w_hh"][:, cols] = 0.0
+            expect[f"far.{l}.out_w"][out_rows] = 0.0
     prune_by_threshold(far, 0.9, mode="relative")
     assert dropped > 0
     for name, t in far.named_parameters().items():
@@ -365,13 +370,12 @@ def test_shrunk_importance_and_penalty_match_zeroed_live_units():
     prune_by_threshold(far, 0.9, mode="relative")
     shrunk = shrink_model(far)
     assert any(p.hidden < cfg.head_dim for blk in shrunk.blocks
-               for head in blk.heads for p in head.values())
+               for p in blk.scans)
     for blk, small, live in zip(far.blocks, shrunk.blocks, far.masks):
-        for h in range(cfg.heads):
-            for d in DIRECTIONS:
-                np.testing.assert_allclose(
-                    unit_importance(small, h, d),
-                    unit_importance(blk, h, d)[live[h][d]], rtol=1e-12)
+        for k in range(2 * cfg.heads):
+            np.testing.assert_allclose(unit_importance(small, k),
+                                       unit_importance(blk, k)[live[k]],
+                                       rtol=1e-12)
     np.testing.assert_allclose(
         hoyer_penalty_total(shrunk, extension=True).item(),
         hoyer_penalty_total(far, extension=True).item(), rtol=1e-12)
@@ -382,48 +386,44 @@ def test_weight_zero_masks_cover_pruned_entries():
     and every weight coupled to a masked unit is zero."""
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
-    drops = [{h: {d: np.flatnonzero(unit_importance(blk, h, d)
-                                    <= 0.9 * unit_importance(blk, h, d).max())
-                  for d in DIRECTIONS} for h in range(cfg.heads)}
-             for blk in far.blocks]
+    drops = [[np.flatnonzero(unit_importance(blk, k)
+                             <= 0.9 * unit_importance(blk, k).max())
+              for k in range(2 * cfg.heads)] for blk in far.blocks]
     prune_by_threshold(far, 0.9, mode="relative")
-    assert any(len(units) for layer in drops for head in layer.values()
-               for units in head.values())
+    assert any(len(units) for layer in drops for units in layer)
     for blk, keep, drop in zip(far.blocks, far.masks, drops):
-        for h in range(cfg.heads):
-            for d in DIRECTIONS:
-                assert keep[h][d].shape == (blk.heads[h][d].hidden,)
-                assert np.flatnonzero(~keep[h][d]).tolist() == drop[h][d].tolist()
-                p = blk.heads[h][d]
-                rows, cols, out_rows = coupled(blk, h, d, drop[h][d])
-                for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
-                    assert np.all(t.data[rows] == 0.0)
-                assert np.all(p.w_hh.data[:, cols] == 0.0)
-                assert np.all(blk.out_w.data[out_rows] == 0.0)
+        for k, p in enumerate(blk.scans):
+            assert keep[k].shape == (p.hidden,)
+            assert np.flatnonzero(~keep[k]).tolist() == drop[k].tolist()
+            rows, cols, out_rows = coupled(blk, k, drop[k])
+            for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+                assert np.all(t.data[rows] == 0.0)
+            assert np.all(p.w_hh.data[:, cols] == 0.0)
+            assert np.all(blk.out_w.data[out_rows] == 0.0)
 
 
 def test_regularization_drives_group_sparsity():
     """Hoyer gradient steps shrink small units faster than large ones."""
     far = replace_attention(TeacherModel(desk_config("f64"), seed=18), seed=18)
     blk = far.blocks[0]
-    p = blk.heads[0]["fwd"]
+    p = blk.scans[0]
     p.w_ih.requires_grad = p.w_hh.requires_grad = True  # born frozen
     # make unit 0 dominant
-    rows = coupled(blk, 0, "fwd", [0])[0]
+    rows = coupled(blk, 0, [0])[0]
     p.w_ih.data[rows] *= 10.0
-    before = np.sqrt(unit_sq_norms(blk, 0, "fwd").data)
+    before = np.sqrt(unit_sq_norms(blk, 0).data)
     start = hoyer_penalty(before * before).item()
     for _ in range(200):
-        loss = hoyer_penalty(unit_sq_norms(blk, 0, "fwd"))
+        loss = hoyer_penalty(unit_sq_norms(blk, 0))
         for t in (p.w_ih, p.w_hh):
             t.grad = None
         loss.backward()
         for t in (p.w_ih, p.w_hh):
             t.data -= 0.05 * t.grad
-    after = np.sqrt(unit_sq_norms(blk, 0, "fwd").data)
+    after = np.sqrt(unit_sq_norms(blk, 0).data)
     # dominant unit survives, tail shrinks relative to it
     assert after[0] / after[1:].max() > before[0] / before[1:].max()
-    assert hoyer_penalty(unit_sq_norms(blk, 0, "fwd")).item() < start
+    assert hoyer_penalty(unit_sq_norms(blk, 0)).item() < start
 
 
 def test_retention_report_row_count(far_f64):
@@ -431,6 +431,18 @@ def test_retention_report_row_count(far_f64):
     cfg = far_f64.cfg
     assert len(rows) == cfg.layers * cfg.heads * 2
     assert all(r["ratio"] == 1.0 for r in rows)
+
+
+def test_retention_rows_name_each_scan_by_layer_head_direction(far_f64):
+    """One row per scan, layer-major, each scan's head and direction in
+    coupled order, and its retained count read from its mask."""
+    prune_by_threshold(far_f64, 0.9, mode="relative")
+    rows = retention_report(far_f64)
+    assert [(r["layer"], r["head"], r["direction"]) for r in rows] == [
+        (l, h, d) for l in range(far_f64.cfg.layers)
+        for h in range(far_f64.cfg.heads) for d in ("fwd", "rev")]
+    assert [r["retained"] for r in rows] == [
+        int(keep.sum()) for layer in far_f64.masks for keep in layer]
 
 
 def test_report_csv_round_trip(tmp_path, far_f64):
@@ -477,11 +489,9 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
                                 tau=0.9, mode="relative", reg_coeff=1e-3)
     assert any(r["ratio"] < 1.0 for r in rows)
     # the finetuned model is shrunk: no all-zero unit, widths = retained
-    widths = [p.hidden for blk in far.blocks for head in blk.heads
-              for p in (head["fwd"], head["rev"])]
+    widths = [p.hidden for blk in far.blocks for p in blk.scans]
     assert widths == [r["retained"] for r in rows]
-    assert all(keep.all() for layer in far.masks for head in layer.values()
-               for keep in head.values())
+    assert all(keep.all() for layer in far.masks for keep in layer)
     assert 0.0 <= accuracy(far, ds, "val") <= 1.0
 
 
