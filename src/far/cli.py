@@ -6,6 +6,7 @@ error.
 """
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -20,14 +21,21 @@ from .far_block import FarModel, replace_attention
 from .vit import TeacherModel
 
 
-def _dataset_from_cfg(cfg, seed=None, mcfg=None):
-    """The run config's dataset, at the geometry of model config ``mcfg``
-    (a loaded model's own) when given, else of the run config."""
-    m = vars(mcfg) if mcfg else cfg["model"]
+def _dataset_from_cfg(cfg, seed, mcfg):
+    """The run config's dataset, drawn with ``seed`` (``[train] seed`` when
+    None), at the geometry of model config ``mcfg``."""
     d = cfg["data"]
     return synth_dataset(seed if seed is not None else cfg["train"]["seed"],
-                         d["n"], m["num_classes"], m["image_size"],
-                         channels=m["channels"], noise=d["noise"])
+                         d["n"], mcfg.num_classes, mcfg.image_size,
+                         channels=mcfg.channels, noise=d["noise"])
+
+
+def _print_rows(rows):
+    """(metric, value) ``rows`` under a ``metric,value`` header, as CSV
+    (RFC 4180 quoting)."""
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("metric", "value"))
+    out.writerows(rows)
 
 
 def _load_kind(path, kind):
@@ -50,7 +58,7 @@ def _final_acc(rows, model, ds):
 def cmd_train_teacher(args, cfg):
     tr = cfg["train"]
     teacher = TeacherModel(model_config(cfg), seed=tr["seed"])
-    ds = _dataset_from_cfg(cfg, args.seed)
+    ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
     tcfg = _train_cfg(cfg, "teacher", tr["teacher_lr"], tr["teacher_epochs"])
     rows = []
     train_teacher(teacher, ds, tcfg, log_rows=rows)
@@ -137,9 +145,8 @@ def cmd_params(args, cfg):
 
 def cmd_flops(args, cfg):
     mcfg = model_config(cfg)
-    report = profiler.cost_report(mcfg, args.variant,
-                                  image_size=args.image_size)
-    print(report.csv(), end="")
+    _print_rows(profiler.cost_rows(mcfg, args.variant,
+                                   image_size=args.image_size))
     return 0
 
 
@@ -166,16 +173,15 @@ def cmd_bench(args, cfg):
 
     stats = profiler.bench_latency(forward, warmups=cfg["bench"]["warmups"],
                                    runs=cfg["bench"]["runs"])
-    if isinstance(model, FarModel):
-        report = profiler.cost_report(mcfg, "far", masks=model.masks)
-    else:
-        report = profiler.cost_report(mcfg, "attention")
-    report.latency_ms = {k: stats[k] for k in ("median", "mean", "p10", "p90")}
-    report.runs, report.warmups = stats["runs"], stats["warmups"]
-    report.threads = stats["threads"]
-    report.precision = mcfg.precision
-    report.dtype = str(logits["last"].dtype)
-    print(report.csv(), end="")
+    far = isinstance(model, FarModel)
+    rows = profiler.cost_rows(mcfg, "far" if far else "attention",
+                              masks=model.masks if far else None)
+    rows += [(f"latency_{k}_ms", f"{stats[k]:.6f}")
+             for k in ("median", "mean", "p10", "p90")]
+    rows += [("runs", stats["runs"]), ("warmups", stats["warmups"]),
+             ("precision", mcfg.precision), ("dtype", logits["last"].dtype),
+             *stats["threads"].items()]
+    _print_rows(rows)
     return 0
 
 
@@ -202,6 +208,15 @@ def cmd_attribute(args, cfg):
     return 0
 
 
+def non_negative_int(text):
+    """An integer option's value, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="far",
@@ -213,7 +228,7 @@ def build_parser():
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", default=None, help="run config file")
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=non_negative_int, default=None)
         return p
 
     def training(name, about, checkpoint=True):

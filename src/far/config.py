@@ -50,7 +50,8 @@ CHOICES = {
 # (section, key) -> the least value a numeric key may take, 0 for every
 # epoch count, learning rate and weight decay (0 epochs train nothing).
 # ``[model]`` sizes are checked by ``ModelConfig``.
-MINIMUM = {("train", "batch_size"): 1, ("data", "noise"): 0.0,
+MINIMUM = {("train", "seed"): 0, ("train", "batch_size"): 1,
+           ("data", "noise"): 0.0,
            ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0,
            ("distill", "lam"): 0.0,
            **{(sec, key): typ(0) for sec, keys in SCHEMA.items()
@@ -117,7 +118,7 @@ def parse_config(text):
     return cfg
 
 
-def load_config(path=None):
+def load_config(path):
     if path is None:
         return default_config()
     with open(path) as fh:

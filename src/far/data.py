@@ -17,7 +17,7 @@ class Dataset:
     train_idx: np.ndarray
     val_idx: np.ndarray
 
-    def split(self, which="train"):
+    def split(self, which):
         if which not in ("train", "val"):
             raise ValueError(f"split must be 'train' or 'val', got {which!r}")
         idx = self.train_idx if which == "train" else self.val_idx

@@ -45,6 +45,11 @@ class TrainConfig:
                 f"similarity weight must be non-negative, got {self.lam}")
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be at least 1, got {self.batch_size}")
 
 
 class AdamW:
@@ -52,7 +57,7 @@ class AdamW:
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=5e-4, weight_decay=0.05):
+    def __init__(self, params, lr, weight_decay):
         self.params = list(params)
         self.lr = lr
         self.wd = weight_decay
@@ -177,6 +182,8 @@ def _first_nonfinite_grad(trainable):
 
 def accuracy(model, dataset, split="train"):
     images, labels = dataset.split(split)
+    if not len(labels):
+        raise ValueError(f"accuracy of the {split!r} split, which is empty")
     correct = 0
     for start in range(0, len(labels), 64):
         logits, _ = model.forward(images[start:start + 64])

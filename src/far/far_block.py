@@ -91,7 +91,7 @@ class LstmDirParams:
         return self.w_ih.shape[1]
 
 
-def init_lstm_dir(rng, input_size, hidden, precision="f32"):
+def init_lstm_dir(rng, input_size, hidden, precision):
     """Uniform +-1/sqrt(hidden) weights, forget-gate bias +1."""
     bound = 1.0 / np.sqrt(hidden)
     dt = T.DTYPES[precision]

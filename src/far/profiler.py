@@ -19,7 +19,7 @@ ran, each ``unset`` when absent, which the report prints.
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,37 +29,6 @@ from .tensor import ShapeError
 
 VARIANTS = ("attention", "far")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@dataclass
-class CostReport:
-    variant: str
-    params: int = 0
-    flops: int = 0
-    per_layer: list = field(default_factory=list)
-    latency_ms: dict = field(default_factory=dict)
-    runs: int = 0
-    warmups: int = 0
-    precision: str = ""  # the model config's
-    dtype: str = ""      # of the measured forward's logits
-    threads: dict = field(default_factory=dict)  # THREAD_VARS at the run
-
-    def csv(self):
-        lines = ["metric,value",
-                 f"variant,{self.variant}",
-                 f"params,{self.params}",
-                 f"flops,{self.flops}"]
-        for i, fl in enumerate(self.per_layer):
-            lines.append(f"flops_layer_{i},{fl}")
-        for k, v in self.latency_ms.items():
-            lines.append(f"latency_{k}_ms,{v:.6f}")
-        if self.runs:
-            lines += [f"runs,{self.runs}", f"warmups,{self.warmups}"]
-        if self.dtype:
-            lines += [f"precision,{self.precision}", f"dtype,{self.dtype}"]
-        for k, v in self.threads.items():
-            lines.append(f'{k},"{v}"' if "," in v else f"{k},{v}")
-        return "\n".join(lines) + "\n"
 
 
 def _shapes(cfg, variant, masks):
@@ -118,7 +87,7 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
     return total
 
 
-def bench_latency(run_fn, warmups=30, runs=100):
+def bench_latency(run_fn, warmups, runs):
     """Warmup-then-timed median latency of ``run_fn()``.
 
     Returns stats in milliseconds plus the run and warmup counts and the
@@ -148,14 +117,15 @@ def bench_latency(run_fn, warmups=30, runs=100):
     }
 
 
-def cost_report(cfg, variant, image_size=None, masks=None):
-    """Parameters and MACs of the ``variant`` model of ``cfg`` built for
+def cost_rows(cfg, variant, image_size=None, masks=None):
+    """(metric, value) rows of the ``variant`` model of ``cfg`` built for
     ``image_size`` (the config's by default), whose position table grows
-    with it."""
+    with it: the variant, its parameters, its MACs and each layer's MACs."""
     total, per_layer = count_flops(cfg, variant, image_size=image_size,
                                    masks=masks, breakdown=True)
     if image_size is not None:
         cfg = replace(cfg, image_size=image_size)
-    return CostReport(variant=variant,
-                      params=count_params(cfg, variant, masks=masks),
-                      flops=total, per_layer=per_layer)
+    return [("variant", variant),
+            ("params", count_params(cfg, variant, masks=masks)),
+            ("flops", total),
+            *((f"flops_layer_{i}", fl) for i, fl in enumerate(per_layer))]

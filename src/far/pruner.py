@@ -97,7 +97,7 @@ def unit_importance(block: FarBlockParams, k):
     return np.sqrt(unit_sq_norms(block, k, extension=True).data)
 
 
-def prune_by_threshold(far_model: FarModel, tau, mode="absolute"):
+def prune_by_threshold(far_model: FarModel, tau, mode):
     """Zero, in place, every unit whose importance is at most tau.
 
     ``mode`` is one of ``MODES``; 'relative' reads tau as a fraction of the
@@ -156,8 +156,7 @@ def report_to_csv(rows, path):
 
 
 def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
-                         tau=1e-4, mode="absolute", reg_coeff=1e-4,
-                         log_rows=None):
+                         tau, mode, reg_coeff, log_rows=None):
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
     ``far_model`` is shrunk in place: its blocks are replaced. A negative

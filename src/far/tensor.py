@@ -634,15 +634,15 @@ def cross_entropy(logits, labels):
 
 # -- parameter helpers --------------------------------------------------------
 
-def zeros(shape, dtype="f32"):
+def zeros(shape, dtype):
     return Tensor(np.zeros(shape, dtype=DTYPES[dtype]))
 
 
-def ones(shape, dtype="f32"):
+def ones(shape, dtype):
     return Tensor(np.ones(shape, dtype=DTYPES[dtype]))
 
 
-def trunc_normal(rng, shape, dtype="f32"):
+def trunc_normal(rng, shape, dtype):
     """Truncated normal at 2 sigma via resampling."""
     std = 0.02
     vals = rng.normal(0.0, std, size=shape)

@@ -179,7 +179,7 @@ class TeacherModel(Backbone):
     """The backbone with multi-head self-attention as every token mixer;
     ``layers[i]`` holds layer i's tensors by short name (``qkv_w``, ...)."""
 
-    def __init__(self, cfg: ModelConfig, seed=0):
+    def __init__(self, cfg: ModelConfig, seed):
         rng = np.random.default_rng(seed)
         self._build(cfg, {n: _draw(rng, n, s, cfg.precision)
                           for n, s in tensor_shapes(cfg).items()})

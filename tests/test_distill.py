@@ -6,8 +6,8 @@ from far.tensor import Tensor
 from far.vit import TeacherModel
 from far.far_block import replace_attention
 from far.data import synth_dataset
-from far.distill import (AdamW, TrainConfig, combined_loss, cosine_lr,
-                         freeze_plan, run_phase, similarity_loss,
+from far.distill import (AdamW, TrainConfig, accuracy, combined_loss,
+                         cosine_lr, freeze_plan, run_phase, similarity_loss,
                          train_teacher)
 
 from conftest import desk_config
@@ -153,6 +153,15 @@ def test_freeze_plan_rejects_unknown_phase(desk_cfg):
         freeze_plan(far, "warmup")
 
 
+def test_accuracy_of_an_empty_split_names_it(desk_cfg):
+    ds = synth_dataset(0, 10, 10, 32)  # one image per class: no val image
+    assert len(ds.val_idx) == 0
+    teacher = TeacherModel(desk_cfg, seed=3)
+    with pytest.raises(ValueError, match="'val' split, which is empty"):
+        accuracy(teacher, ds, "val")
+    assert 0.0 <= accuracy(teacher, ds, "train") <= 1.0
+
+
 def test_teacher_detached_in_similarity(desk_cfg):
     teacher = TeacherModel(desk_cfg, seed=4)
     far = replace_attention(teacher, seed=4)
@@ -190,6 +199,18 @@ def test_train_config_validation():
         TrainConfig(phase="nope")
     with pytest.raises(ValueError, match="non-negative, got nan"):
         TrainConfig(lam=float("nan"))
+
+
+@pytest.mark.parametrize("field,value,rule", [
+    ("seed", -1, "non-negative"),
+    ("batch_size", 0, "at least 1"),
+    ("batch_size", -4, "at least 1"),
+])
+def test_train_config_rejects_bad_seed_and_batch_size(field, value, rule):
+    """A bad seed or batch size fails on construction, naming the field,
+    not inside numpy or range() once a phase runs."""
+    with pytest.raises(ValueError, match=f"{field} must be {rule}, got {value}"):
+        TrainConfig(**{field: value})
 
 
 def test_cosine_lr_shape():

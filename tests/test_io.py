@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import struct
@@ -380,6 +381,7 @@ def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
 
 
 @pytest.mark.parametrize("section,key,bad,least", [
+    ("train", "seed", "-1", "0"),
     ("train", "batch_size", "0", "1"),
     ("data", "noise", "-0.5", "0.0"),
     ("train", "teacher_epochs", "-3", "0"),
@@ -407,6 +409,16 @@ def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
     path.write_text(text)
     assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-3"]])
+def test_cli_rejects_negative_seed(tmp_path, capsys, seed):
+    """A negative --seed is a usage error naming the option (exit 2)."""
+    out = tmp_path / "t.farc"
+    assert main(["train-teacher", *seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer" in err
     assert not out.exists()
 
 
@@ -675,6 +687,19 @@ def test_cli_bench_reports_its_thread_variables(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3:] == ["OPENBLAS_NUM_THREADS,1", 'OMP_NUM_THREADS,"4,2"',
                           "MKL_NUM_THREADS,unset"]
+
+
+def test_cli_bench_thread_values_round_trip_as_csv(tmp_path, capsys,
+                                                   monkeypatch):
+    """A thread value holding a comma and a quote reads back unchanged
+    through csv.reader."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
+    monkeypatch.setenv("OMP_NUM_THREADS", 'a,"b')
+    assert main(["bench", "--config", str(cfgfile), "--variant", "far"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(len(row) == 2 for row in rows)
+    assert ["OMP_NUM_THREADS", 'a,"b'] in rows
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

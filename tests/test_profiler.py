@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from far import profiler
-from far.cli import main
+from far.cli import _print_rows, main
 from far.vit import ModelConfig, TeacherModel
 from far.far_block import replace_attention
-from far.profiler import (bench_latency, cost_report, count_flops,
+from far.profiler import (bench_latency, cost_rows, count_flops,
                           count_params, tokens_for_image)
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import ShapeError
@@ -156,25 +156,24 @@ def test_bench_latency_protocol(monkeypatch):
 
 
 def test_bench_latency_defaults_and_validation():
-    import inspect
-    sig = inspect.signature(bench_latency)
-    assert sig.parameters["runs"].default == 100
-    assert sig.parameters["warmups"].default == 30
+    # the defaults live in config.SCHEMA; test_io pins runs 100, warmups 30
     with pytest.raises(ValueError):
-        bench_latency(lambda: None, runs=0)
+        bench_latency(lambda: None, warmups=30, runs=0)
     with pytest.raises(ValueError):
-        bench_latency(lambda: None, warmups=-1)
+        bench_latency(lambda: None, warmups=-1, runs=100)
 
 
-def test_cost_report_csv():
-    rep = cost_report(desk_config(), "far")
-    text = rep.csv()
-    lines = text.strip().splitlines()
+def test_cost_report_csv(capsys):
+    rows = cost_rows(desk_config(), "far")
+    _print_rows(rows)
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "metric,value"
-    assert f"params,{rep.params}" in lines
-    assert f"flops,{rep.flops}" in lines
+    values = dict(rows)
+    assert f"params,{values['params']}" in lines
+    assert f"flops,{values['flops']}" in lines
     # total = layer costs + embed + head overhead
-    assert rep.flops > sum(rep.per_layer) > 0
+    per_layer = [v for k, v in rows if k.startswith("flops_layer_")]
+    assert values["flops"] > sum(per_layer) > 0
     assert len([l for l in lines if l.startswith("flops_layer_")]) == 4
 
 

@@ -251,7 +251,7 @@ def test_hoyer_penalty_total_bounds(far_f64):
 # -- thresholding, zeroing and shrinking ------------------------------------------
 
 def test_tau_zero_retains_everything(far_f64):
-    prune_by_threshold(far_f64, 0.0)
+    prune_by_threshold(far_f64, 0.0, mode="absolute")
     assert all(r["retained"] == r["total"] for r in retention_report(far_f64))
 
 
@@ -295,7 +295,7 @@ def test_relative_mode_uses_max_norm():
 
 def test_negative_threshold_rejected(far_f64):
     with pytest.raises(ValueError):
-        prune_by_threshold(far_f64, -1e-6)
+        prune_by_threshold(far_f64, -1e-6, mode="absolute")
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
@@ -468,7 +468,7 @@ def test_pipeline_noop_when_alpha_and_tau_zero():
                        batch_size=20, seed=19, warmup_epochs=0,
                        weight_decay=0.0)
     rows = three_stage_pipeline(far, teacher, ds, reg, tune,
-                                tau=0.0, reg_coeff=0.0)
+                                tau=0.0, mode="absolute", reg_coeff=0.0)
     assert all(r["ratio"] == 1.0 for r in rows)
     for n, p in far.named_parameters().items():
         np.testing.assert_array_equal(before[n], p.data)
@@ -511,7 +511,9 @@ def test_pipeline_rejects_negative_values_before_training(monkeypatch, kwargs,
     reg = TrainConfig(phase="prune-regularize", epochs=1, batch_size=20)
     tune = TrainConfig(phase="prune-finetune", epochs=1, batch_size=20)
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
-        three_stage_pipeline(far, None, ds, reg, tune, **kwargs)
+        three_stage_pipeline(far, None, ds, reg, tune,
+                             **{"tau": 1e-4, "mode": "absolute",
+                                "reg_coeff": 1e-4, **kwargs})
     assert calls == []
 
 
@@ -527,5 +529,5 @@ def test_pipeline_rejects_unknown_mode_before_training(monkeypatch):
     with pytest.raises(ValueError, match="pruning mode must be one of .*"
                                          "got 'Relative'"):
         three_stage_pipeline(far, None, ds, reg, tune, tau=0.97,
-                             mode="Relative")
+                             mode="Relative", reg_coeff=1e-4)
     assert calls == []

@@ -151,7 +151,8 @@ def test_layer_norm_dim_mismatch():
 
 def test_layer_norm_eps_positive():
     with pytest.raises(ValueError):
-        T.layer_norm(Tensor(np.zeros((1, 2))), T.ones(2), T.zeros(2), eps=0.0)
+        T.layer_norm(Tensor(np.zeros((1, 2))), T.ones(2, "f32"),
+                     T.zeros(2, "f32"), eps=0.0)
 
 
 def test_layer_norm_backward_fd():
@@ -264,7 +265,7 @@ def test_backward_requires_scalar():
 
 def test_backward_without_graph_errors():
     from far.far_block import init_lstm_dir
-    p = init_lstm_dir(np.random.default_rng(0), 4, 4)
+    p = init_lstm_dir(np.random.default_rng(0), 4, 4, "f32")
     loss = T.tsum(T.square(p.w_ih))  # parameters are born frozen
     with pytest.raises(GradientError, match="no graph"):
         loss.backward()
