@@ -14,7 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import DIRECTIONS, bilstm_head, far_block_forward, scan_of
+from .far_block import (DIRECTIONS, bilstm_head, coupled, far_block_forward,
+                        scan_of)
 from .vit import TeacherModel
 
 # Batch x token rows per batched pass of ``token_dependency``: a pass takes
@@ -92,9 +93,10 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
 
     A FAR map of ``directions`` (a non-empty subset of ``DIRECTIONS``,
     else ValueError) runs every scan, in a copy of the block whose out_w
-    rows of the other scans' units are zero: a zero row passes neither
-    output nor gradient, so the map sees only the kept scans. A teacher has
-    no scan direction: its map takes only all of ``DIRECTIONS``.
+    rows coupled to the other scans' units (``far_block.coupled``) are
+    zero: a zero row passes neither output nor gradient, so the map sees
+    only the kept scans. A teacher has no scan direction: its map takes
+    only all of ``DIRECTIONS``.
     """
     directions, teacher = tuple(directions), isinstance(model, TeacherModel)
     if teacher and set(directions) != set(DIRECTIONS):
@@ -110,10 +112,11 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
 
     t = model.cfg.tokens
     blk = model.blocks[layer]
-    # out_w rows follow the scans in coupled order; a left-out scan's are 0
-    kept = np.concatenate([np.full((p.hidden, 1), scan_of(k)[1] in directions)
-                           for k, p in enumerate(blk.scans)])
-    blk = dataclasses.replace(blk, out_w=Tensor(blk.out_w.data * kept))
+    out_w = blk.out_w.data.copy()
+    for k, p in enumerate(blk.scans):
+        if scan_of(k)[1] not in directions:
+            out_w[coupled(blk, k, np.arange(p.hidden))[2]] = 0.0
+    blk = dataclasses.replace(blk, out_w=Tensor(out_w))
     x = x.data[0]
     dep = np.empty((t, t), x.dtype)
     step = max(1, ROWS // t)
@@ -130,16 +133,25 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     return dep / row_sums
 
 
-def band_mass(dep, width=1):
+def band_mass(dep, width):
     """Fraction of dependency mass within ``width`` of the diagonal."""
     t = dep.shape[0]
     mask = np.abs(np.subtract.outer(np.arange(t), np.arange(t))) <= width
     return float(dep[mask].sum() / dep.sum())
 
 
-def uniform_band_mass(t, width=1):
+def uniform_band_mass(t, width):
     mask = np.abs(np.subtract.outer(np.arange(t), np.arange(t))) <= width
     return float(mask.sum() / (t * t))
+
+
+def _write(path, mode, data):
+    """Write ``data`` to ``path``; an OSError names the file."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise OSError(f"failed writing heatmap to {path}: {exc}") from exc
 
 
 def export_heatmaps(matrices, path_prefix):
@@ -150,15 +162,10 @@ def export_heatmaps(matrices, path_prefix):
         pgm_path = f"{path_prefix}{name}.pgm"
         csv_path = f"{path_prefix}{name}.csv"
         scaled = np.round(_minmax(mat) * 255).astype(np.uint8)
-        try:
-            with open(pgm_path, "wb") as fh:
-                header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n"
-                fh.write(header.encode() + scaled.tobytes())
-            with open(csv_path, "w") as fh:
-                for row in mat:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        except OSError as exc:
-            raise OSError(f"failed writing heatmap to {pgm_path}: {exc}") from exc
+        header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n"
+        _write(pgm_path, "wb", header.encode() + scaled.tobytes())
+        _write(csv_path, "w", "".join(",".join(repr(float(v)) for v in row)
+                                      + "\n" for row in mat))
         written += [pgm_path, csv_path]
     return written
 

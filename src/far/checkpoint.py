@@ -13,7 +13,7 @@ Layout (all integers little-endian):
         raw little-endian payload
     crc     u32 CRC-32 of all preceding bytes
 
-Loading verifies magic, rejects versions newer than FORMAT_VERSION, and
+Loading verifies magic, rejects versions outside 1..FORMAT_VERSION, and
 fails with a CheckpointError naming the file on CRC mismatch, on any read
 past the end and on a tensor name that is not UTF-8 or comes twice.
 ``load_model`` builds the model straight from the file's tensor table: a
@@ -141,10 +141,9 @@ def load_checkpoint(path):
         return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
 
     version = unpack("<I")
-    if version > FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} is newer than supported "
-            f"{FORMAT_VERSION}")
+    if not 1 <= version <= FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version} is not "
+                              f"one of the supported 1..{FORMAT_VERSION}")
     cfg, kind = _parse_config_blob(path, read(unpack("<I")))
     tensors = {}
     for _ in range(unpack("<Q")):

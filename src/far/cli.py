@@ -138,7 +138,7 @@ def cmd_prune(args, cfg):
 
 def cmd_params(args, cfg):
     mcfg = model_config(cfg)
-    for variant in ("attention", "far"):
+    for variant in profiler.VARIANTS:
         print(f"{variant},{profiler.count_params(mcfg, variant)}")
     return 0
 
@@ -178,7 +178,8 @@ def cmd_bench(args, cfg):
                               masks=model.masks if far else None)
     rows += [(f"latency_{k}_ms", f"{stats[k]:.6f}")
              for k in ("median", "mean", "p10", "p90")]
-    rows += [("runs", stats["runs"]), ("warmups", stats["warmups"]),
+    rows += [("runs", cfg["bench"]["runs"]),
+             ("warmups", cfg["bench"]["warmups"]),
              ("precision", mcfg.precision), ("dtype", logits["last"].dtype),
              *stats["threads"].items()]
     _print_rows(rows)
@@ -250,12 +251,12 @@ def build_parser():
     command("params", "analytic parameter counts", seed=False)
 
     p = command("flops", "analytic MAC counts", seed=False)
-    p.add_argument("--variant", choices=("attention", "far"), default="far")
+    p.add_argument("--variant", choices=profiler.VARIANTS, default="far")
     p.add_argument("--image-size", type=int, default=None)
 
     p = command("bench", "wall-clock latency harness")
     model = p.add_mutually_exclusive_group()
-    model.add_argument("--variant", choices=("attention", "far"),
+    model.add_argument("--variant", choices=profiler.VARIANTS,
                        help="a random model of the run config (default far)")
     model.add_argument("--checkpoint", default=None)
 

@@ -7,6 +7,10 @@ listed there, and a key listed in ``MINIMUM`` no smaller value.
 
 import math
 
+from .pruner import MODES
+from .tensor import DTYPES
+from .vit import ModelConfig
+
 # section -> key -> (type, default)
 SCHEMA = {
     "model": {
@@ -42,15 +46,14 @@ SCHEMA = {
 
 
 # (section, key) -> the only values a string key may take
-CHOICES = {
-    ("model", "precision"): ("f32", "f64"),
-    ("prune", "threshold_mode"): ("absolute", "relative"),
-}
+CHOICES = {("model", "precision"): tuple(DTYPES),
+           ("prune", "threshold_mode"): MODES}
 
 # (section, key) -> the least value a numeric key may take, 0 for every
 # epoch count, learning rate and weight decay (0 epochs train nothing).
 # ``[model]`` sizes are checked by ``ModelConfig``.
 MINIMUM = {("train", "seed"): 0, ("train", "batch_size"): 1,
+           ("bench", "runs"): 1, ("bench", "warmups"): 0,
            ("data", "noise"): 0.0,
            ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0,
            ("distill", "lam"): 0.0,
@@ -126,5 +129,4 @@ def load_config(path):
 
 
 def model_config(cfg):
-    from .vit import ModelConfig
     return ModelConfig(**cfg["model"])

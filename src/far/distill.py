@@ -204,11 +204,14 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
     """One training phase of ``far_model`` (a TeacherModel for the teacher
     phase) over the desk dataset.
 
-    ``teacher`` supplies the similarity targets of the distill phase and
-    is not read otherwise. ``extra_loss`` is an optional callable
-    returning an additional scalar Tensor (used by the pruning
-    regularization stage). Emits one metrics row per epoch: loss,
-    per-block similarity (nan where none is computed), train accuracy.
+    Every batch runs one student forward. In the distill phase with
+    ``cfg.lam`` > 0, ``teacher``'s block outputs are the similarity
+    targets (their values only: no gradient reaches the teacher), weighted
+    by ``cfg.lam`` in ``combined_loss``; ``teacher`` is not read otherwise.
+    ``extra_loss`` is an optional callable returning an additional scalar
+    Tensor (used by the pruning regularization stage). Emits one metrics
+    row per epoch: loss, per-block similarity (nan where none is
+    computed), train accuracy.
     """
     rng = np.random.default_rng(cfg.seed)
     trainable = freeze_plan(far_model, cfg.phase)
@@ -232,16 +235,13 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
             epoch_loss, epoch_sims = [], []
             for batch in _batches(np.arange(len(labels)), cfg.batch_size, rng):
                 imgs, labs = images[batch], labels[batch]
+                s_logits, s_blocks = far_model.forward(imgs)
                 sims = []
                 if use_sim:
-                    t_logits, t_blocks = teacher.forward(imgs)
-                    s_logits, s_blocks = far_model.forward(imgs)
-                    for tb, sb in zip(t_blocks, s_blocks):
-                        sims.append(similarity_loss(tb.detach(), sb))
-                else:
-                    s_logits, s_blocks = far_model.forward(imgs)
-                loss = combined_loss(sims, s_logits, labs,
-                                     cfg.lam if use_sim else 0.0)
+                    t_blocks = teacher.forward(imgs)[1]
+                    sims = [similarity_loss(tb, sb)
+                            for tb, sb in zip(t_blocks, s_blocks)]
+                loss = combined_loss(sims, s_logits, labs, cfg.lam)
                 if extra_loss is not None:
                     loss = loss + extra_loss()
                 if not np.isfinite(loss.item()):

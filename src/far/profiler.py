@@ -9,11 +9,13 @@ counted once; normalization, softmax, activation and bias costs are not
 counted) at T tokens: every 2-D weight of a layer is one matrix product
 per token; attention adds 2 * heads * T^2 * head_dim for its scores and
 weighted values; ``embed.patch_w`` runs once per patch (T - 1) and
-``final.head_w`` once per image. Latency follows the
-warmup-then-median protocol. The harness sets no thread count: numpy's
-BLAS runs with whatever its environment sets, and ``bench_latency``
-records the thread variables (``THREAD_VARS``) as they were set when it
-ran, each ``unset`` when absent, which the report prints.
+``final.head_w`` once per image. The T of an image size is the
+``ModelConfig.tokens`` of the config at that size, so ``ModelConfig``
+alone checks the size. Latency follows the warmup-then-median protocol.
+The harness sets no thread count: numpy's BLAS runs with whatever its
+environment sets, and ``bench_latency`` records the thread variables
+(``THREAD_VARS``) as they were set when it ran, each ``unset`` when
+absent, which the report prints.
 """
 
 import math
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import vit
 from .far_block import block_shapes
-from .tensor import ShapeError
 
 VARIANTS = ("attention", "far")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -51,22 +52,15 @@ def count_params(cfg, variant, masks=None):
     return sum(math.prod(s) for s in _shapes(cfg, variant, masks).values())
 
 
-def tokens_for_image(cfg, image_size):
-    if image_size <= 0 or image_size % cfg.patch_size:
-        raise ShapeError(f"image size {image_size} is not a positive "
-                         f"multiple of patch size {cfg.patch_size}")
-    g = image_size // cfg.patch_size
-    return g * g + 1
-
-
 def count_flops(cfg, variant, t=None, image_size=None, masks=None,
                 breakdown=False):
     """MAC count of one forward pass at sequence length ``t`` (by default
-    of an image of ``image_size``, or of the config's), with the per-layer
-    counts too when ``breakdown``; by the rule the module states."""
+    the tokens of an image of ``image_size``, or of the config's), with the
+    per-layer counts too when ``breakdown``; by the rule the module states."""
+    if image_size is not None:
+        cfg = replace(cfg, image_size=image_size)
     if t is None:
-        t = tokens_for_image(
-            cfg, cfg.image_size if image_size is None else image_size)
+        t = cfg.tokens
     if t < 1:
         raise ValueError(f"token count must be at least 1, got {t}")
     runs = {"embed.patch_w": t - 1, "final.head_w": 1}  # embed.pos: no MAC
@@ -90,9 +84,8 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
 def bench_latency(run_fn, warmups, runs):
     """Warmup-then-timed median latency of ``run_fn()``.
 
-    Returns stats in milliseconds plus the run and warmup counts and the
-    thread variables in effect. The caller must pass a closure over an
-    immutable model and fixed input.
+    Returns stats in milliseconds and the thread variables in effect. The
+    caller must pass a closure over an immutable model and fixed input.
     """
     if runs <= 0:
         raise ValueError("runs must be positive")
@@ -111,8 +104,6 @@ def bench_latency(run_fn, warmups, runs):
         "mean": float(arr.mean()),
         "p10": float(np.percentile(arr, 10)),
         "p90": float(np.percentile(arr, 90)),
-        "runs": runs,
-        "warmups": warmups,
         "threads": {k: os.environ.get(k, "unset") for k in THREAD_VARS},
     }
 
@@ -121,10 +112,9 @@ def cost_rows(cfg, variant, image_size=None, masks=None):
     """(metric, value) rows of the ``variant`` model of ``cfg`` built for
     ``image_size`` (the config's by default), whose position table grows
     with it: the variant, its parameters, its MACs and each layer's MACs."""
-    total, per_layer = count_flops(cfg, variant, image_size=image_size,
-                                   masks=masks, breakdown=True)
     if image_size is not None:
         cfg = replace(cfg, image_size=image_size)
+    total, per_layer = count_flops(cfg, variant, masks=masks, breakdown=True)
     return [("variant", variant),
             ("params", count_params(cfg, variant, masks=masks)),
             ("flops", total),

@@ -16,6 +16,7 @@ import logging
 
 import numpy as np
 
+from . import distill
 from . import tensor as T
 from .tensor import Tensor
 from .far_block import (FarBlockParams, FarModel, coupled, scan_of,
@@ -38,7 +39,7 @@ def group_hs(w, groups):
     return hoyer_penalty(np.array(sq)).item()
 
 
-def unit_sq_norms(block: FarBlockParams, k, extension=False):
+def unit_sq_norms(block: FarBlockParams, k, extension):
     """(hidden,) Tensor: per hidden unit of scan k, the sum of squares of
     its coupled weights, wired into the autodiff graph.
 
@@ -162,8 +163,6 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
     ``far_model`` is shrunk in place: its blocks are replaced. A negative
     or nan ``tau`` or ``reg_coeff``, or a bad mode, fails before training.
     """
-    from .distill import run_phase
-
     for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
@@ -175,12 +174,12 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
             return hoyer_penalty_total(far_model) * reg_coeff
     else:
         extra = None
-    run_phase(far_model, teacher, dataset, reg_cfg,
-              extra_loss=extra, log_rows=log_rows)
+    distill.run_phase(far_model, teacher, dataset, reg_cfg,
+                      extra_loss=extra, log_rows=log_rows)
 
     prune_by_threshold(far_model, tau, mode=mode)
     far_model.blocks = shrink_model(far_model).blocks
 
     tune_cfg.phase = "prune-finetune"
-    run_phase(far_model, teacher, dataset, tune_cfg, log_rows=log_rows)
+    distill.run_phase(far_model, teacher, dataset, tune_cfg, log_rows=log_rows)
     return retention_report(far_model)

@@ -88,9 +88,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.grad is not None})"
 
@@ -413,7 +410,7 @@ def getitem(a, key):
     return _make(out_data, (a,), backward)
 
 
-def concat(tensors, axis=0):
+def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -430,7 +427,7 @@ def concat(tensors, axis=0):
     return _make(out_data, tuple(tensors), backward)
 
 
-def split(a, sections, axis=0):
+def split(a, sections, axis):
     """Split into equal sections along ``axis``; inverse of concat."""
     a = as_tensor(a)
     n = a.data.shape[axis]
@@ -445,22 +442,26 @@ def split(a, sections, axis=0):
     return outs
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
+    """Sum over ``axis``, or of every element when None; the summed axis
+    is dropped."""
     a = as_tensor(a)
-    out_data = _sum(a.data, axis=axis, keepdims=keepdims)
+    out_data = _sum(a.data, axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), backward)
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
+    """Mean over ``axis``, or of every element when None: ``tsum`` times
+    the reciprocal of the element count."""
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -567,7 +568,7 @@ def gelu(a):
     return _make(x * cdf, (a,), backward)
 
 
-def softmax(a, axis=-1):
+def softmax(a, axis):
     """Numerically stabilized softmax along ``axis``."""
     a = as_tensor(a)
     shifted = a.data - _max(a.data, axis=axis, keepdims=True)

@@ -123,9 +123,6 @@ class Backbone:
         self.mlps = [SimpleNamespace(**{k: b[f"layer.{i}.{k}"] for k in MLP})
                      for i in range(cfg.layers)]
 
-    def parameters(self):
-        return list(self.named_parameters().values())
-
     def patch_embed(self, image):
         """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings; an
         image of another rank is a ShapeError naming its shape."""

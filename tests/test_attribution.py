@@ -311,6 +311,14 @@ def test_export_pgm_and_csv_round_trip(tmp_path, models):
     assert np.array_equal(back, dep)
 
 
+@pytest.mark.parametrize("blocked", ["pgm", "csv"])
+def test_export_error_names_the_file_it_failed_to_write(tmp_path, blocked):
+    (tmp_path / f"run_dep.{blocked}").mkdir()
+    with pytest.raises(OSError, match=re.escape(
+            f"failed writing heatmap to {tmp_path}/run_dep.{blocked}:")):
+        export_heatmaps({"dep": np.eye(3)}, f"{tmp_path}/run_")
+
+
 def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
     cfg, _, far, img = models
     calls = []
@@ -337,4 +345,4 @@ def test_attribution_of_loaded_model_leaves_no_parameter_grads(tmp_path):
     for head in range(cfg.heads):
         cls_saliency(far, img, cfg.layers - 1, head)
     token_dependency(far, img, cfg.layers - 1)
-    assert all(p.grad is None for p in far.parameters())
+    assert all(p.grad is None for p in far.named_parameters().values())

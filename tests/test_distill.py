@@ -170,7 +170,7 @@ def test_teacher_detached_in_similarity(desk_cfg):
     img = rng.normal(size=(1, 3, 32, 32)).astype(np.float32)
     _, t_blocks = teacher.forward(img)
     _, s_blocks = far.forward(img)
-    loss = similarity_loss(t_blocks[0].detach(), s_blocks[0])
+    loss = similarity_loss(t_blocks[0], s_blocks[0])
     for p in far.named_parameters().values():
         p.grad = None
     loss.backward()
@@ -187,8 +187,7 @@ def test_oracle_injection_gives_zero_similarity(desk_cfg):
     _, t_blocks = teacher.forward(img)
     total = 0.0
     for tb in t_blocks:
-        total += similarity_loss(tb.detach(),
-                                 Tensor(tb.data.copy())).item()
+        total += similarity_loss(tb, Tensor(tb.data.copy())).item()
     assert abs(total) <= 1e-12
 
 
@@ -284,8 +283,9 @@ def test_run_phase_evaluates_frozen_and_leaves_nothing_trainable(
         phase="finetune", lr=1e-4, epochs=2, batch_size=20, seed=9,
         warmup_epochs=0))
     assert counts == [0, 0]
-    assert not any(p.requires_grad for p in far.parameters())
-    assert not any(p.requires_grad for p in teacher.parameters())
+    assert not any(p.requires_grad for p in far.named_parameters().values())
+    assert not any(p.requires_grad
+                   for p in teacher.named_parameters().values())
 
 
 def test_run_phase_leaves_nothing_trainable_when_it_raises(desk_cfg):
@@ -300,7 +300,7 @@ def test_run_phase_leaves_nothing_trainable_when_it_raises(desk_cfg):
         run_phase(far, teacher, ds, TrainConfig(
             phase="finetune", lr=1e-4, epochs=1, batch_size=20, seed=10,
             warmup_epochs=0), extra_loss=diverge)
-    assert not any(p.requires_grad for p in far.parameters())
+    assert not any(p.requires_grad for p in far.named_parameters().values())
 
 
 @pytest.mark.parametrize("phase", ["distill", "finetune"])
@@ -340,7 +340,7 @@ def test_non_finite_gradient_names_the_tensor_before_the_step(desk_cfg,
         run_phase(far, teacher, ds, cfg, extra_loss=norm_at_zero)
     for n, p in far.named_parameters().items():  # no step was taken
         np.testing.assert_array_equal(p.data, before[n], err_msg=n)
-    assert not any(p.requires_grad for p in far.parameters())
+    assert not any(p.requires_grad for p in far.named_parameters().values())
 
 
 def test_train_teacher_logs_run_phase_columns(desk_cfg):

@@ -94,7 +94,8 @@ def test_one_batch_of_every_phase_computes_at_model_dtype(spy, precision,
                for p in trained.values())
     opt = spy["opts"][0]
     assert all(a.dtype == dtype for a in opt.m + opt.v)
-    assert all(p.data.dtype == dtype for p in model.parameters())
+    assert all(p.data.dtype == dtype
+               for p in model.named_parameters().values())
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

@@ -106,6 +106,22 @@ def test_checkpoint_future_version_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_version_zero_rejected(tmp_path, capsys):
+    path = tmp_path / "v0.farc"
+    save_model(TeacherModel(desk_config(), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 0)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{path}: format version 0 "):
+        load_checkpoint(path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
+    assert main(["bench", "--config", str(cfgfile),
+                 "--checkpoint", str(path)]) == 1
+    assert f"{path}: format version 0 " in capsys.readouterr().err
+
+
 def test_checkpoint_empty_tensor_table(tmp_path):
     cfg = desk_config()
     path = tmp_path / "e.farc"
@@ -180,7 +196,8 @@ def test_models_are_born_frozen_and_build_no_graph(tmp_path):
     img = np.random.default_rng(37).normal(size=(2, 3, 32, 32))
     for model in (teacher, far, load_model(tmp_path / "teacher.farc"),
                   load_model(tmp_path / "far.farc")):
-        assert not any(p.requires_grad for p in model.parameters())
+        assert not any(p.requires_grad
+                       for p in model.named_parameters().values())
         logits, blocks = model.forward(img)
         assert logits._parents == () and not logits.requires_grad
         assert all(b._parents == () for b in blocks)
@@ -383,6 +400,8 @@ def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
 @pytest.mark.parametrize("section,key,bad,least", [
     ("train", "seed", "-1", "0"),
     ("train", "batch_size", "0", "1"),
+    ("bench", "runs", "0", "1"),
+    ("bench", "warmups", "-2", "0"),
     ("data", "noise", "-0.5", "0.0"),
     ("train", "teacher_epochs", "-3", "0"),
     ("train", "warmup_epochs", "-2", "0"),

@@ -7,8 +7,7 @@ from far import profiler
 from far.cli import _print_rows, main
 from far.vit import ModelConfig, TeacherModel
 from far.far_block import replace_attention
-from far.profiler import (bench_latency, cost_rows, count_flops,
-                          count_params, tokens_for_image)
+from far.profiler import bench_latency, cost_rows, count_flops, count_params
 from far.pruner import prune_by_threshold, shrink_model
 from far.tensor import ShapeError
 
@@ -90,9 +89,11 @@ def test_scaling_order_quadratic_vs_linear():
 
 
 def test_tokens_for_image():
-    assert tokens_for_image(TINY, 224) == 197
-    assert tokens_for_image(TINY, 384) == 577
-    assert tokens_for_image(desk_config(), 32) == 17
+    for cfg, size, t in ((TINY, 224, 197), (TINY, 384, 577),
+                         (desk_config(), 32, 17)):
+        for variant in ("attention", "far"):
+            assert (count_flops(cfg, variant, image_size=size)
+                    == count_flops(cfg, variant, t=t))
 
 
 def test_full_masks_match_unmasked():
@@ -148,7 +149,6 @@ def test_bench_latency_protocol(monkeypatch):
         clock.now += 1 / 512
 
     stats = bench_latency(busy, warmups=3, runs=20)
-    assert stats["runs"] == 20 and stats["warmups"] == 3
     assert stats["p10"] <= stats["median"] <= stats["p90"]
     assert stats["median"] >= 1.0
     # deterministic busy-wait: median and mean agree closely
@@ -321,10 +321,14 @@ def test_cli_flops_counts_params_at_its_image_size(tmp_path, capsys, ini,
 
 # -- bad sizes fail by name ---------------------------------------------------
 
-@pytest.mark.parametrize("size", [0, -32, 225, 7])
-def test_flops_rejects_bad_image_size(size, capsys):
+@pytest.mark.parametrize("size,match", [
+    (0, "image_size must be positive, got 0"),
+    (-32, "image_size must be positive, got -32"),
+    (225, "patch size 8 does not divide image size 225"),
+    (7, "patch size 8 does not divide image size 7"),
+], ids=["0", "-32", "225", "7"])
+def test_flops_rejects_bad_image_size(size, match, capsys):
     cfg = desk_config()
-    match = f"image size {size} is not a positive multiple of patch size 8"
     with pytest.raises(ShapeError, match=match):
         count_flops(cfg, "far", image_size=size)
     assert main(["flops", "--image-size", str(size)]) == 1

@@ -148,7 +148,7 @@ def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
     j, dh = 2, p.hidden
     p.w_hh.data[2 * dh + j, j] = 3.0  # cell-gate row of unit j, column j
     np.testing.assert_array_equal(
-        unit_sq_norms(blk, 3).data, np.eye(dh)[j] * 9.0)
+        unit_sq_norms(blk, 3, extension=False).data, np.eye(dh)[j] * 9.0)
     np.testing.assert_array_equal(
         unit_sq_norms(blk, 3, extension=True).data,
         np.eye(dh)[j] * 18.0)
@@ -411,19 +411,19 @@ def test_regularization_drives_group_sparsity():
     # make unit 0 dominant
     rows = coupled(blk, 0, [0])[0]
     p.w_ih.data[rows] *= 10.0
-    before = np.sqrt(unit_sq_norms(blk, 0).data)
+    before = np.sqrt(unit_sq_norms(blk, 0, extension=False).data)
     start = hoyer_penalty(before * before).item()
     for _ in range(200):
-        loss = hoyer_penalty(unit_sq_norms(blk, 0))
+        loss = hoyer_penalty(unit_sq_norms(blk, 0, extension=False))
         for t in (p.w_ih, p.w_hh):
             t.grad = None
         loss.backward()
         for t in (p.w_ih, p.w_hh):
             t.data -= 0.05 * t.grad
-    after = np.sqrt(unit_sq_norms(blk, 0).data)
+    after = np.sqrt(unit_sq_norms(blk, 0, extension=False).data)
     # dominant unit survives, tail shrinks relative to it
     assert after[0] / after[1:].max() > before[0] / before[1:].max()
-    assert hoyer_penalty(unit_sq_norms(blk, 0)).item() < start
+    assert hoyer_penalty(unit_sq_norms(blk, 0, extension=False)).item() < start
 
 
 def test_retention_report_row_count(far_f64):

@@ -5,8 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SETTABLE_BOUND = 142
+SETTABLE_BOUND = 134
 KINDS = ("keyword_defaults", "dataclass_fields", "config_keys", "cli_options")
 
 
@@ -20,3 +22,23 @@ def test_settable_total_sums_its_kinds_and_stays_within_bound():
     assert set(KINDS) < counts.keys() and counts["src_lines"] > 0
     assert counts["settable_total"] == sum(counts[k] for k in KINDS)
     assert counts["settable_total"] <= SETTABLE_BOUND
+
+
+@pytest.mark.parametrize("layout,pythonpath", [
+    ((), None),
+    (("far/extra.py",), None),
+    (("far/extra.py",), ROOT / "src"),
+], ids=["empty", "no-init", "no-init-far-elsewhere"])
+def test_a_src_without_the_package_fails_naming_it(tmp_path, monkeypatch,
+                                                   layout, pythonpath):
+    for name in layout:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("X = 1\n")
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    if pythonpath is not None:
+        monkeypatch.setenv("PYTHONPATH", str(pythonpath))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "settables.py"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert run.returncode != 0 and run.stdout == ""
+    assert str(tmp_path) in run.stderr

@@ -11,8 +11,10 @@ A settable value is one a caller or user can set:
 
 Run from the repository root: ``python tools/settables.py [SRC]``, where
 SRC (default ``src``) holds the ``far`` package. Prints one ``name,count``
-row per kind, their total, and the line count of ``SRC/far/*.py``. The
-script needs only the standard library and the package it counts.
+row per kind, their total, and the line count of ``SRC/far/*.py``. A SRC
+with no ``far/*.py``, or from which ``far`` is not the package imported,
+is an error that names SRC (exit 1). The script needs only the standard
+library and the package it counts.
 """
 
 import argparse
@@ -60,8 +62,16 @@ def cli_options(parser):
 def main():
     src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "src")
     files = sorted((src / "far").glob("*.py"))
+    if not files:
+        sys.exit(f"settables: no far/*.py under SRC {src}")
     trees = [ast.parse(f.read_text(), str(f)) for f in files]
     sys.path.insert(0, str(src))
+    import far
+    # a far/ without __init__.py imports as a namespace package (no file)
+    if far.__file__ is None or (pathlib.Path(far.__file__).resolve().parent
+                                != (src / "far").resolve()):
+        origin = far.__file__ or list(far.__path__)
+        sys.exit(f"settables: imported far from {origin}, not from SRC {src}")
     from far.cli import build_parser
     from far.config import SCHEMA
 
