@@ -195,7 +195,7 @@ def load_model(path):
     if kind == "far":
         # Known wart: perfbench distills against ``load_model(far).teacher``
         # and pins that loss, so a FAR model still gets a seed-0 random
-        # teacher sharing its backbone. Nothing in the package reads it.
+        # teacher with a copy of its backbone. Nothing in the package reads it.
         model.teacher = TeacherModel.from_tensors(cfg, {
             **TeacherModel(cfg, seed=0).named_parameters(), **model.backbone})
     return model

@@ -21,13 +21,18 @@ from .far_block import FarModel, replace_attention
 from .vit import TeacherModel
 
 
+def _seed(cfg, seed):
+    """``seed`` (a ``--seed``), or ``[train] seed`` when it is None."""
+    return seed if seed is not None else cfg["train"]["seed"]
+
+
 def _dataset_from_cfg(cfg, seed, mcfg):
-    """The run config's dataset, drawn with ``seed`` (``[train] seed`` when
-    None), at the geometry of model config ``mcfg``."""
+    """The run config's dataset, drawn with ``_seed(cfg, seed)``, at the
+    geometry of model config ``mcfg``."""
     d = cfg["data"]
-    return synth_dataset(seed if seed is not None else cfg["train"]["seed"],
-                         d["n"], mcfg.num_classes, mcfg.image_size,
-                         channels=mcfg.channels, noise=d["noise"])
+    return synth_dataset(_seed(cfg, seed), d["n"], mcfg.num_classes,
+                         mcfg.image_size, channels=mcfg.channels,
+                         noise=d["noise"])
 
 
 def _print_rows(rows):
@@ -60,8 +65,7 @@ def cmd_train_teacher(args, cfg):
     teacher = TeacherModel(model_config(cfg), seed=tr["seed"])
     ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
     tcfg = _train_cfg(cfg, "teacher", tr["teacher_lr"], tr["teacher_epochs"])
-    rows = []
-    train_teacher(teacher, ds, tcfg, log_rows=rows)
+    rows = train_teacher(teacher, ds, tcfg)
     ckpt.save_model(teacher, args.out)
     if args.log:
         metrics_to_csv(rows, args.log)
@@ -161,9 +165,9 @@ def cmd_bench(args, cfg):
     else:
         teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
         model = (teacher if args.variant == "attention"
-                 else replace_attention(teacher))
+                 else replace_attention(teacher, seed=cfg["train"]["seed"]))
     mcfg = model.cfg
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(_seed(cfg, args.seed))
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)
     logits = {}
@@ -193,10 +197,8 @@ def cmd_attribute(args, cfg):
     dataset's size and class count."""
     model = ckpt.load_model(args.checkpoint)
     m = model.cfg
-    if not 0 <= args.layer < m.layers:
-        raise ValueError(f"layer {args.layer} out of range [0, {m.layers})")
-    seed = args.seed if args.seed is not None else cfg["train"]["seed"]
-    image = synth_dataset(seed, 1, 1, m.image_size, channels=m.channels,
+    image = synth_dataset(_seed(cfg, args.seed), 1, 1, m.image_size,
+                          channels=m.channels,
                           noise=cfg["data"]["noise"]).images[0]
     mats = {}
     for head in range(m.heads):
@@ -289,7 +291,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         return COMMANDS[args.command](args, cfg)
     except (ConfigError, FileNotFoundError, ckpt.CheckpointError,
-            ValueError, RuntimeError, OSError) as exc:
+            ValueError, IndexError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

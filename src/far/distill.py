@@ -13,9 +13,9 @@ that no phase has trained (such as one returned by
 autodiff graph in their forward pass.
 """
 
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 PHASES = ("teacher", "distill", "finetune", "prune-regularize", "prune-finetune")
 
 
-@dataclass
+@dataclasses.dataclass
 class TrainConfig:
     lam: float = 1.0
     lr: float = 5e-4
@@ -192,15 +192,14 @@ def accuracy(model, dataset, split="train"):
     return correct / len(labels)
 
 
-def train_teacher(teacher, dataset, cfg: TrainConfig, log_rows=None):
-    """Plain cross-entropy training of the attention teacher."""
-    cfg.phase = "teacher"
-    run_phase(teacher, None, dataset, cfg, log_rows=log_rows)
-    return teacher
+def train_teacher(teacher, dataset, cfg: TrainConfig):
+    """``run_phase`` of the attention teacher, in the teacher phase."""
+    return run_phase(teacher, None, dataset,
+                     dataclasses.replace(cfg, phase="teacher"))
 
 
 def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
-              extra_loss=None, log_rows=None):
+              extra_loss=None):
     """One training phase of ``far_model`` (a TeacherModel for the teacher
     phase) over the desk dataset.
 
@@ -209,7 +208,7 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
     targets (their values only: no gradient reaches the teacher), weighted
     by ``cfg.lam`` in ``combined_loss``; ``teacher`` is not read otherwise.
     ``extra_loss`` is an optional callable returning an additional scalar
-    Tensor (used by the pruning regularization stage). Emits one metrics
+    Tensor (used by the pruning regularization stage). Returns one metrics
     row per epoch: loss, per-block similarity (nan where none is
     computed), train accuracy.
     """
@@ -220,7 +219,7 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
     n_layers = far_model.cfg.layers
     # the pruning stages train with classification + Hoyer terms only
     use_sim = cfg.lam > 0 and cfg.phase == "distill"
-    rows = log_rows if log_rows is not None else []
+    rows = []
 
     frozen_before = None
     if cfg.phase == "distill":

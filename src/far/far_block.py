@@ -1,6 +1,6 @@
 """Multi-head bidirectional LSTM attention substitute. ``FarModel`` is a
 ``vit.Backbone`` with one such block per layer as its token mixer, built,
-like every block, from a tensor table (``FarBlockParams.from_tensors``).
+like every block, by copying a tensor table (``FarBlockParams.from_tensors``).
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
@@ -468,7 +468,7 @@ def shrink_block(blk: FarBlockParams, keep):
 
 class FarModel(Backbone):
     """A backbone with a FAR block (tensors ``far.<layer>.*``) as every token
-    mixer; ``replace_attention`` shares the teacher's backbone Tensors."""
+    mixer; ``replace_attention`` copies the teacher's backbone."""
 
     def __init__(self, cfg, tensors):
         super().__init__(cfg, tensors)
@@ -494,15 +494,14 @@ class FarModel(Backbone):
         return far_block_forward(x, self.blocks[i])
 
 
-def replace_attention(teacher, seed=0):
-    """A FarModel sharing ``teacher``'s backbone, with a FAR block drawn from
-    ``seed`` in place of every attention sublayer. Each block's LN starts
-    as a copy of the attention sublayer's LN."""
+def replace_attention(teacher, seed):
+    """A FarModel holding a copy of ``teacher``'s backbone, with a FAR block
+    drawn from ``seed`` in place of every attention sublayer. Each block's
+    LN starts as a copy of the attention sublayer's LN."""
     rng = np.random.default_rng(seed + 1)
     tensors = dict(teacher.backbone)
     for i, layer in enumerate(teacher.layers):
         tensors.update(init_far_block(teacher.cfg, rng).named(f"far.{i}"))
-        # arrays, so the block's LN starts as a copy of the attention LN
-        tensors[f"far.{i}.ln_g"] = layer.ln1_g.data
-        tensors[f"far.{i}.ln_b"] = layer.ln1_b.data
+        tensors[f"far.{i}.ln_g"] = layer.ln1_g
+        tensors[f"far.{i}.ln_b"] = layer.ln1_b
     return FarModel(teacher.cfg, tensors)

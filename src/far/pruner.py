@@ -11,7 +11,7 @@ gradient, so it stays zero through further training. ``shrink_model``
 then drops such units physically.
 """
 
-import copy
+import dataclasses
 import logging
 
 import numpy as np
@@ -125,13 +125,13 @@ def prune_by_threshold(far_model: FarModel, tau, mode):
 def shrink_model(far_model: FarModel):
     """Physically remove pruned units, re-packing every coupled matrix.
 
-    Returns a new FarModel sharing the backbone; each scan keeps only its
-    live units, so its hidden size equals the retained count.
+    Returns a new FarModel holding a copy of the backbone; each scan keeps
+    only its live units, so its hidden size equals the retained count.
     """
-    shrunk = copy.copy(far_model)
-    shrunk.blocks = [shrink_block(blk, keep) for blk, keep in
-                     zip(far_model.blocks, far_model.masks)]
-    return shrunk
+    tensors = dict(far_model.backbone)
+    for i, (blk, keep) in enumerate(zip(far_model.blocks, far_model.masks)):
+        tensors.update(shrink_block(blk, keep).named(f"far.{i}"))
+    return FarModel(far_model.cfg, tensors)
 
 
 def retention_report(far_model: FarModel):
@@ -160,7 +160,8 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                          tau, mode, reg_coeff, log_rows=None):
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
-    ``far_model`` is shrunk in place: its blocks are replaced. A negative
+    ``far_model`` is shrunk in place: its blocks are replaced, and each
+    phase's epoch rows are appended to ``log_rows`` when given. A negative
     or nan ``tau`` or ``reg_coeff``, or a bad mode, fails before training.
     """
     for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
@@ -168,18 +169,19 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
             raise ValueError(f"{name} must be non-negative, got {value}")
     if mode not in MODES:
         raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
-    reg_cfg.phase = "prune-regularize"
+    reg_cfg = dataclasses.replace(reg_cfg, phase="prune-regularize")
     if reg_coeff > 0:
         def extra():
             return hoyer_penalty_total(far_model) * reg_coeff
     else:
         extra = None
-    distill.run_phase(far_model, teacher, dataset, reg_cfg,
-                      extra_loss=extra, log_rows=log_rows)
+    rows = [] if log_rows is None else log_rows
+    rows += distill.run_phase(far_model, teacher, dataset, reg_cfg,
+                              extra_loss=extra)
 
     prune_by_threshold(far_model, tau, mode=mode)
     far_model.blocks = shrink_model(far_model).blocks
 
-    tune_cfg.phase = "prune-finetune"
-    distill.run_phase(far_model, teacher, dataset, tune_cfg, log_rows=log_rows)
+    tune_cfg = dataclasses.replace(tune_cfg, phase="prune-finetune")
+    rows += distill.run_phase(far_model, teacher, dataset, tune_cfg)
     return retention_report(far_model)

@@ -1,5 +1,5 @@
-"""DeiT-style vision transformer teacher and the backbone it shares with
-its FAR substitute.
+"""DeiT-style vision transformer teacher and the backbone its FAR substitute
+copies.
 
 A model is a backbone (patch embedding, CLS token and positions, the
 per-layer MLP sublayers, the final norm and the head) plus a token mixer
@@ -8,7 +8,7 @@ that layer loop for every model, which supplies only ``mix``; the forward
 pass records every block output so substitute blocks can be supervised
 against the teacher's. The teacher's mixer is pre-norm self-attention.
 Every model is built from a table mapping tensor names to arrays or
-Tensors (``take``).
+Tensors, and owns a copy of each (``take``): no two models hold one Tensor.
 """
 
 from dataclasses import dataclass, fields
@@ -84,14 +84,13 @@ def tensor_shapes(cfg, attention=True):
 
 
 def take(tensors, name, shape, dtype):
-    """``tensors[name]`` as a Tensor of ``shape``. A Tensor is shared as it
-    is; an array is copied at ``dtype``. A missing tensor or one of another
-    shape is a ShapeError naming it."""
+    """A copy of ``tensors[name]`` (an array or a Tensor's data) as a Tensor
+    of ``shape`` at ``dtype``. A missing tensor or one of another shape is a
+    ShapeError naming it."""
     if name not in tensors:
         raise ShapeError(f"missing tensor {name}")
     t = tensors[name]
-    if not isinstance(t, Tensor):
-        t = Tensor(np.array(t), dtype=dtype)
+    t = Tensor(np.array(t.data if isinstance(t, Tensor) else t), dtype=dtype)
     if t.shape != tuple(shape):
         raise ShapeError(
             f"tensor {name} has shape {t.shape}, expected {tuple(shape)}")
@@ -107,9 +106,8 @@ def _draw(rng, name, shape, precision):
 
 class Backbone:
     """A model less its token mixers; ``backbone`` maps its tensor names to
-    the Tensors taken from the table, which a FAR model shares. A subclass
-    supplies ``mix(x, i)``: layer i's token mixer with its residual,
-    x + Mixer_i(x)."""
+    its own copies of the table's. A subclass supplies ``mix(x, i)``: layer
+    i's token mixer with its residual, x + Mixer_i(x)."""
 
     def __init__(self, cfg: ModelConfig, tensors):
         self.cfg = cfg

@@ -346,11 +346,9 @@ def test_non_finite_gradient_names_the_tensor_before_the_step(desk_cfg,
 def test_train_teacher_logs_run_phase_columns(desk_cfg):
     ds = synth_dataset(8, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=8)
-    rows = []
     # no phase given: the teacher phase is train_teacher's own
-    assert train_teacher(teacher, ds, TrainConfig(
-        lr=1e-3, epochs=1, batch_size=20, seed=8, warmup_epochs=0),
-        log_rows=rows) is teacher
+    rows = train_teacher(teacher, ds, TrainConfig(
+        lr=1e-3, epochs=1, batch_size=20, seed=8, warmup_epochs=0))
     far_rows = run_phase(replace_attention(teacher, seed=8), teacher, ds,
                          TrainConfig(phase="finetune", lr=1e-4, epochs=1,
                                      batch_size=20, seed=8, warmup_epochs=0))

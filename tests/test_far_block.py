@@ -9,7 +9,9 @@ from far.far_block import (DIRECTIONS, LstmDirParams, bilstm_head,
                            far_block_forward, init_far_block, init_lstm_dir,
                            lstm_step, replace_attention, scan_heads, scan_of,
                            shrink_block)
-from far.pruner import prune_by_threshold
+from far.data import synth_dataset
+from far.distill import TrainConfig, run_phase
+from far.pruner import prune_by_threshold, three_stage_pipeline
 from far.profiler import count_params
 
 from conftest import desk_config
@@ -461,17 +463,36 @@ def test_head_isolation():
     assert not np.array_equal(base[..., lo:hi], after[..., lo:hi])
 
 
-def test_replace_attention_shares_and_freezes_structure(desk_cfg):
+def _bytes(model):
+    return {n: t.data.tobytes() for n, t in model.named_parameters().items()}
+
+
+def test_replace_attention_copies_and_freezes_structure(desk_cfg):
     teacher = TeacherModel(desk_cfg, seed=10)
     far = replace_attention(teacher, seed=10)
     named = far.named_parameters()
     assert not any(".qkv_" in n or ".proj_" in n for n in named)
-    # MLP weights are the same objects
-    assert named["layer.0.fc1_w"] is teacher.layers[0].fc1_w
-    # substitute LN initialized from teacher LN1 but a distinct tensor
-    assert far.blocks[0].ln_g is not teacher.layers[0].ln1_g
+    # the backbone and each substitute LN start as copies of the teacher's
+    for n, t in teacher.backbone.items():
+        np.testing.assert_array_equal(named[n].data, t.data)
     np.testing.assert_array_equal(far.blocks[0].ln_g.data,
                                   teacher.layers[0].ln1_g.data)
+    # training every FAR tensor leaves each teacher tensor byte-identical
+    before = _bytes(teacher)
+    ds = synth_dataset(10, 40, 10, 32)
+    run_phase(far, teacher, ds, TrainConfig(
+        phase="finetune", lr=1e-3, epochs=1, batch_size=20, seed=10,
+        warmup_epochs=0))
+    assert _bytes(teacher) == before
+    trained = _bytes(far)
+    assert all(trained[n] != before[n] for n in teacher.backbone)
+    reg = TrainConfig(phase="prune-regularize", lr=1e-3, epochs=1,
+                      batch_size=20, seed=10, warmup_epochs=0)
+    tune = TrainConfig(phase="prune-finetune", lr=1e-3, epochs=1,
+                       batch_size=20, seed=10, warmup_epochs=0)
+    three_stage_pipeline(far, teacher, ds, reg, tune, tau=0.9,
+                         mode="relative", reg_coeff=1e-3)
+    assert _bytes(teacher) == before
 
 
 def test_replace_attention_rejects_bad_heads():

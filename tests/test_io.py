@@ -283,7 +283,14 @@ def _held_tensors(obj):
     return found
 
 
-def test_far_model_holds_its_parameters_and_no_attention_tensor():
+def _share_memory(a, b):
+    """Whether any parameter array of model ``a`` overlaps one of ``b``."""
+    return any(np.shares_memory(x.data, y.data)
+               for x in a.named_parameters().values()
+               for y in b.named_parameters().values())
+
+
+def test_far_model_holds_its_parameters_and_no_attention_tensor(tmp_path):
     teacher = TeacherModel(desk_config(), seed=39)
     attention = {id(getattr(layer, k)) for layer in teacher.layers
                  for k in ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w",
@@ -294,15 +301,13 @@ def test_far_model_holds_its_parameters_and_no_attention_tensor():
         named = {id(t) for t in model.named_parameters().values()}
         assert set(_held_tensors(model)) == named
         assert not named & attention
-    # the blocks own their arrays: LN copied from the teacher, shrunk copied
-    for a, b in zip(far.far_parameters().values(),
-                    shrunk.far_parameters().values()):
-        assert not np.shares_memory(a.data, b.data)
-    assert not any(np.shares_memory(blk.ln_g.data, layer.ln1_g.data)
-                   for blk, layer in zip(far.blocks, teacher.layers))
-    shared = set(teacher.named_parameters()) & set(far.named_parameters())
-    assert shared and all(teacher.named_parameters()[n]
-                          is far.named_parameters()[n] for n in shared)
+    # every model owns its arrays: the FAR model copies the teacher's
+    # backbone and LNs, the shrunk model the FAR model's tensors, and a
+    # loaded FAR file's ``.teacher`` the file's backbone
+    save_model(far, tmp_path / "far.farc")
+    loaded = load_model(tmp_path / "far.farc")
+    for a, b in ((teacher, far), (far, shrunk), (loaded, loaded.teacher)):
+        assert not _share_memory(a, b)
 
 
 def _far_tensors(seed=37):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -493,6 +495,22 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
     assert widths == [r["retained"] for r in rows]
     assert all(keep.all() for layer in far.masks for keep in layer)
     assert 0.0 <= accuracy(far, ds, "val") <= 1.0
+
+
+def test_train_teacher_and_pipeline_read_their_configs_without_writing():
+    teacher = TeacherModel(desk_config(), seed=22)
+    ds = synth_dataset(22, 20, 10, 32)
+    # each left at the default phase, which no call below runs in
+    tcfg, reg, tune = (TrainConfig(lr=1e-3, epochs=1, batch_size=20, seed=22,
+                                   warmup_epochs=0) for _ in range(3))
+    before = [dataclasses.replace(c) for c in (tcfg, reg, tune)]
+    assert distill.train_teacher(teacher, ds, tcfg)[0]["phase"] == "teacher"
+    rows = []
+    three_stage_pipeline(replace_attention(teacher, seed=22), teacher, ds,
+                         reg, tune, tau=0.9, mode="relative", reg_coeff=1e-3,
+                         log_rows=rows)
+    assert [r["phase"] for r in rows] == ["prune-regularize", "prune-finetune"]
+    assert [tcfg, reg, tune] == before
 
 
 @pytest.mark.parametrize("kwargs,name", [({"tau": -1e-6}, "tau"),
