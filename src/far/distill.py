@@ -3,7 +3,9 @@
 Two-phase schedule: a distillation phase where only the substitute
 blocks are trainable, followed by a finetuning phase with every
 parameter unfrozen and pure classification loss. The teacher and the
-pruning stages train through the same loop, ``run_phase``.
+pruning stages train through the same loop, ``run_phase``. Its optimizer
+step, ``AdamW.step``, is one pass over all trained tensors at once: one
+gather of the gradients, one finiteness check, one update.
 
 Parameters are created frozen; ``freeze_plan`` is the only code that
 marks a parameter trainable, per phase, and ``run_phase`` keeps them
@@ -52,8 +54,27 @@ class TrainConfig:
                 f"batch_size must be at least 1, got {self.batch_size}")
 
 
+class NonFiniteGradient(FloatingPointError):
+    """A gradient holds a nan or inf; ``AdamW.step`` moved nothing.
+    ``index`` is the position of the first such tensor in ``params``."""
+
+    def __init__(self, index):
+        super().__init__(f"the gradient of tensor {index} is not finite")
+        self.index = index
+
+
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay, in one pass over every
+    trained tensor.
+
+    The tensors share one dtype. The moments are one flat buffer each, and
+    ``m`` and ``v`` view them per tensor. ``step`` gathers every gradient
+    and weight into one flat array each, runs the update over them,
+    elementwise the per-tensor rule bit for bit, and rebinds each tensor to
+    its view of the new flat weights. The weights are gathered afresh on
+    every step, so a tensor rebound or zeroed in place between steps is
+    read as it is then.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
@@ -62,25 +83,68 @@ class AdamW:
         self.lr = lr
         self.wd = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise TypeError(f"AdamW trains tensors of one dtype, got {dtypes}")
+        self._shapes = [p.data.shape for p in self.params]
+        self._sizes = [p.data.size for p in self.params]
+        self._ends = np.cumsum([0] + self._sizes).tolist()
+        # m, v, then the gathered gradient and a scratch buffer of each step
+        self._m, self._v, self._g, self._tmp = np.zeros(
+            (4, self._ends[-1]), dtypes[0] if dtypes else np.float64)
+        # the flat moments are only ever written in place
+        self.m, self.v = self._views(self._m), self._views(self._v)
+
+    def _views(self, flat):
+        return [flat[a:b].reshape(shape) for a, b, shape in
+                zip(self._ends, self._ends[1:], self._shapes)]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        """Update every tensor that has a gradient; one whose ``grad`` is
+        None keeps its value and its moments. A nan or inf in any gradient
+        raises ``NonFiniteGradient`` before anything moves."""
+        grads = [p.grad for p in self.params]
+        missing = [g is None for g in grads]
+        g = np.concatenate([np.zeros_like(p.data) if gi is None else gi
+                            for p, gi in zip(self.params, grads)],
+                           axis=None, out=self._g)
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(next(
+                i for i, gi in enumerate(grads)
+                if gi is not None and not np.isfinite(gi).all()))
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * (g * g)
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
-            p.data = p.data - self.lr * (update + self.wd * p.data)
+        w = np.concatenate([p.data for p in self.params], axis=None)
+        keep = np.repeat(missing, self._sizes) if any(missing) else None
+        if keep is not None:
+            kept = w[keep], self._m[keep], self._v[keep]
+        m, v, tmp = self._m, self._v, self._tmp
+        # m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2 and
+        # w -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd w), each product
+        # and sum rounded as the per-tensor rule rounds it; only w is new
+        np.multiply(g, 1 - self.b1, out=tmp)
+        m *= self.b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1 - self.b2
+        v *= self.b2
+        v += tmp
+        np.divide(v, 1.0 - self.b2 ** self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = np.divide(m, 1.0 - self.b1 ** self.t, out=g)
+        step /= tmp
+        np.multiply(w, self.wd, out=tmp)
+        step += tmp
+        step *= self.lr
+        w -= step
+        if keep is not None:
+            w[keep], self._m[keep], self._v[keep] = kept
+        for p, view in zip(self.params, self._views(w)):
+            p.data = view
 
 
 def cosine_lr(epoch, cfg: TrainConfig):
@@ -171,15 +235,6 @@ def _first_nonfinite(blocks):
     return "every block output is finite"
 
 
-def _first_nonfinite_grad(trainable):
-    """The name of the first trained tensor whose gradient holds a nan or
-    inf, or None."""
-    for name, p in trainable.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            return name
-    return None
-
-
 def accuracy(model, dataset, split="train"):
     images, labels = dataset.split(split)
     if not len(labels):
@@ -249,12 +304,14 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                         f": {_first_nonfinite(s_blocks)}")
                 opt.zero_grad()
                 loss.backward()
-                bad = _first_nonfinite_grad(trainable)
-                if bad is not None:
+                try:
+                    opt.step()
+                except NonFiniteGradient as err:
+                    bad = list(trainable)[err.index]
                     raise RuntimeError(
                         f"non-finite gradient in phase {cfg.phase} epoch "
-                        f"{epoch}: {bad} is the first trained tensor with one")
-                opt.step()
+                        f"{epoch}: {bad} is the first trained tensor with one"
+                    ) from None
                 epoch_loss.append(loss.item())
                 if sims:
                     epoch_sims.append([s.item() for s in sims])

@@ -32,10 +32,11 @@ one ``h @ w_hh`` over the S scans, one add, one tanh over the four
 gates, two in-place ops on the contiguous i/f/o block, and ``out=``
 ufuncs for c, tanh(c) and h; the gate buffer ends up holding the
 activations. The node's backward is a hand-written BPTT. Before its
-reverse loop it computes, for all steps at once, every factor that does
-not depend on the recurrence: o(1-tc^2), g i(1-i), c_prev f(1-f),
-i(1-g^2) and tc o(1-o). The loop itself only adds dh, updates dc,
-multiplies the factors into dz, takes ``dz @ w_hh`` and scales dc by f.
+reverse loop (``_bptt``) it computes, for all steps at once, every
+factor that does not depend on the recurrence: o(1-tc^2), and into one
+buffer laid out like the gates g i(1-i), c_prev f(1-f), tc o(1-o) and
+i(1-g^2). The loop itself only adds dh, updates dc, multiplies the
+factors into dz, takes ``dz @ w_hh`` and scales dc by f.
 After it, one batched GEMM each gives every scan's input and w_ih
 gradients. Activations are kept only when the input or some scan tensor
 requires grad. Scans of unequal width (a shrunk block) are zero-padded to
@@ -343,37 +344,7 @@ def scan_heads(u, scans):
         for k, (off, w, r) in enumerate(pieces):
             piece = gy[..., off:off + w].transpose(1, 0, 2)
             dhs[:, k, :, :w] = piece[::-1] if r else piece
-        # every factor that does not depend on the recurrence, at once:
-        # dz = dc * fac for i, f and g, and dz = dh * fac for o
-        dsig = gates[:, :3] * (1.0 - gates[:, :3])
-        dc_dh = o * (1.0 - tcs * tcs)
-        fac = np.empty((t, s, b, 4, hid), dtype)
-        fac_i, fac_f, fac_o, fac_g = fac.transpose(3, 0, 1, 2, 4)
-        np.multiply(g, dsig[:, 0], out=fac_i)
-        np.multiply(cs[:-1], dsig[:, 1], out=fac_f)
-        np.multiply(tcs, dsig[:, 2], out=fac_o)
-        np.multiply(i, 1.0 - g * g, out=fac_g)
-
-        # dz is image-major (S, B, T, 4, hid), so that (S, B*T, 4*hid)
-        # feeds the weight GEMMs; the loop writes step j's (S, B, 4, hid)
-        dz = np.empty((s, b, t, 4, hid), dtype)
-        whh = cat.take(plan.hh_back)
-        dh, ddc = np.empty((s, b, hid), dtype), np.empty((s, b, hid), dtype)
-        dh_next = np.zeros((s, b, hid), dtype)
-        dc = np.zeros((s, b, hid), dtype)
-        dc_gates = dc[:, :, None]
-        steps = zip(dhs, dc_dh, fac, fac_o, dz.transpose(2, 0, 1, 3, 4),
-                    dz[..., 2, :].transpose(2, 0, 1, 3),
-                    dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3), f)
-        for dh_out, a, fz, fo, dzj, dzo, dzf, fj in reversed(list(steps)):
-            np.add(dh_out, dh_next, out=dh)
-            np.multiply(dh, a, out=ddc)
-            np.add(dc, ddc, out=dc)
-            np.multiply(dc_gates, fz, out=dzj)
-            np.multiply(dh, fo, out=dzo)
-            np.matmul(dzf, whh, out=dh_next)
-            np.multiply(dc, fj, out=dc)
-
+        dz = _bptt(dhs, gates, cs, tcs, cat.take(plan.hh_back))
         flat = dz.reshape(s, b * t, 4 * hid)
         if u.requires_grad:
             # (N, 2, B, T, D_h): each head's fwd and rev input gradients
@@ -398,6 +369,45 @@ def scan_heads(u, scans):
                     tn._accumulate(gk.reshape(tn.data.shape))
 
     return T._make(out if batched else out[0], (u, *params), backward)
+
+
+def _bptt(dhs, gates, cs, tcs, whh):
+    """The gate gradients dz (S, B, T, 4, hid), image-major so that
+    (S, B*T, 4*hid) feeds the weight GEMMs, of ``scan_heads``'s scans given
+    the gradients ``dhs`` (T, S, B, hid) of their hidden states, the
+    forward's activations ``gates`` (T, 4, S, B, hid), cell states ``cs``
+    (T+1, S, B, hid) and their tanh ``tcs`` (T, S, B, hid), and the
+    unscaled recurrent weights ``whh`` (S, 4*hid, hid)."""
+    t, s, b, hid = dhs.shape
+    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+    # every factor that does not depend on the recurrence, for all steps
+    # at once and in the gates' layout: dz = dc * fac for i, f and g, and
+    # dz = dh * fac for o; a step broadcasts dc over the gate axis
+    fac = np.empty_like(gates)
+    np.subtract(1.0, gates[:, :3], out=fac[:, :3])
+    np.multiply(fac[:, :3], gates[:, :3], out=fac[:, :3])
+    np.multiply(fac[:, 0], g, out=fac[:, 0])
+    np.multiply(fac[:, 1], cs[:-1], out=fac[:, 1])
+    np.multiply(fac[:, 2], tcs, out=fac[:, 2])
+    np.multiply(g, g, out=fac[:, 3])
+    np.subtract(1.0, fac[:, 3], out=fac[:, 3])
+    np.multiply(fac[:, 3], i, out=fac[:, 3])
+    dc_dh = o * (1.0 - tcs * tcs)
+
+    # the loop writes step j's (4, S, B, hid) into dz
+    dz = np.empty((s, b, t, 4, hid), gates.dtype)
+    dh, ddc, dh_next, dc = np.zeros((4, s, b, hid), gates.dtype)
+    steps = zip(dhs, dc_dh, fac, dz.transpose(2, 3, 0, 1, 4),
+                dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3), f)
+    for dh_out, a, fz, dzj, dzf, fj in reversed(list(steps)):
+        np.add(dh_out, dh_next, out=dh)
+        np.multiply(dh, a, out=ddc)
+        np.add(dc, ddc, out=dc)
+        np.multiply(dc, fz, out=dzj)
+        np.multiply(dh, fz[2], out=dzj[2])
+        np.matmul(dzf, whh, out=dh_next)
+        np.multiply(dc, fj, out=dc)
+    return dz
 
 
 def bilstm_head(x, head):
@@ -448,22 +458,23 @@ def live_units(blk: FarBlockParams, k):
     return live
 
 
-def shrink_block(blk: FarBlockParams, keep):
-    """A copy of ``blk`` holding only the units of scan k where ``keep[k]``
-    is True; every coupled matrix is re-packed."""
-    tensors = {n: t.data for n, t in blk.named("blk").items()}
+def shrink_block(blk: FarBlockParams, keep, prefix):
+    """The tensor table of ``blk`` holding only the units of scan k where
+    ``keep[k]`` is True, under the names ``blk.named(prefix)`` uses; every
+    coupled matrix is re-packed. The tensors it does not re-pack are
+    ``blk``'s own arrays: ``FarBlockParams.from_tensors`` or ``FarModel``,
+    which build the block from the table, copy them."""
+    tensors = {n: t.data for n, t in blk.named(prefix).items()}
     out_rows = []
     for k in range(len(blk.scans)):
         rows, cols, out = coupled(blk, k, np.flatnonzero(keep[k]))
-        q = _scan_name("blk", k)
+        q = _scan_name(prefix, k)
         for name in ("w_ih", "b_ih", "b_hh"):
             tensors[q + name] = tensors[q + name][rows]
         tensors[q + "w_hh"] = tensors[q + "w_hh"][np.ix_(rows, cols)]
         out_rows.append(out)
-    tensors["blk.out_w"] = blk.out_w.data[np.concatenate(out_rows)]
-    return FarBlockParams.from_tensors(tensors, "blk", len(blk.scans) // 2,
-                                       blk.scans[0].input_size,
-                                       blk.in_w.dtype)
+    tensors[f"{prefix}.out_w"] = blk.out_w.data[np.concatenate(out_rows)]
+    return tensors
 
 
 class FarModel(Backbone):

@@ -8,7 +8,8 @@ every weight coupled to a removed unit (its gate rows, W_hh column, bias
 entries and output-projection row), and that all-zero group is the only
 record that the unit was pruned: it outputs exactly zero and receives zero
 gradient, so it stays zero through further training. ``shrink_model``
-then drops such units physically.
+then drops such units physically. The training penalty,
+``hoyer_penalty_total``, is one graph over all scans of all layers.
 """
 
 import dataclasses
@@ -47,54 +48,113 @@ def unit_sq_norms(block: FarBlockParams, k, extension):
     ``extension`` it adds the unit's w_hh column, both bias entries and its
     out_w row; the w_hh diagonal entry then counts in the row and the column.
     """
-    p = block.scans[k]
-    hid = p.hidden
-    rows, cols, out_rows = coupled(block, k, np.arange(hid))
-    hh_sq = T.square(p.w_hh)
-    gate_sq = T.tsum(T.square(p.w_ih), axis=1) + T.tsum(hh_sq, axis=1)
+    sq = _sq_norms([(block, k)], extension)
+    return T.reshape(sq, (block.scans[k].hidden,))
+
+
+def _sq_norms(scans, extension):
+    """(len(scans), hidden) Tensor: ``unit_sq_norms`` of every (block, k) of
+    ``scans``, which share one hidden width, as one graph. The scans'
+    tensors are stacked, so every sum runs over rows of the length it has
+    for one scan and equals that scan's bit for bit."""
+    ps = [blk.scans[k] for blk, k in scans]
+    n, hid = len(ps), ps[0].hidden
+    idx = [coupled(blk, k, np.arange(hid)) for blk, k in scans]
+
+    def stack(name):
+        return T.concat([getattr(p, name) for p in ps], axis=0)
+
+    hh_sq = T.square(stack("w_hh"))  # (n * 4 * hid, hid)
+    gate_sq = (T.tsum(T.square(stack("w_ih")), axis=1)
+               + T.tsum(hh_sq, axis=1))
     if extension:
-        gate_sq = gate_sq + T.square(p.b_ih) + T.square(p.b_hh)
-    sq = T.tsum(gate_sq[rows.reshape(4, hid)], axis=0)
+        gate_sq = gate_sq + T.square(stack("b_ih")) + T.square(stack("b_hh"))
+    rows = np.stack([r + i * 4 * hid for i, (r, _, _) in enumerate(idx)])
+    sq = T.tsum(gate_sq[rows.reshape(n, 4, hid)], axis=1)
     if extension:
-        sq = (sq + T.tsum(hh_sq, axis=0)[cols]
-              + T.tsum(T.square(block.out_w[out_rows]), axis=1))
+        cols = np.stack([c + i * hid for i, (_, c, _) in enumerate(idx)])
+        col_sq = T.tsum(T.reshape(hh_sq, (n, 4 * hid, hid)), axis=1)
+        # each block's out_w once, in first-seen order
+        blocks = list({id(blk): blk for blk, _ in scans}.values())
+        start = dict(zip(map(id, blocks), np.cumsum(
+            [0] + [blk.out_w.shape[0] for blk in blocks]).tolist()))
+        out_rows = np.stack([o + start[id(blk)]
+                             for (blk, _), (_, _, o) in zip(scans, idx)])
+        out_w = T.concat([blk.out_w for blk in blocks], axis=0)
+        sq = (sq + T.reshape(col_sq, (n * hid,))[cols]
+              + T.tsum(T.square(out_w[out_rows]), axis=2))
     return sq
 
 
 def hoyer_penalty(sq):
     """Differentiable group Hoyer-square of groups with squared L2 norms
-    ``sq``: (sum of norms)^2 / sum of squared norms.
+    ``sq``: (sum of norms)^2 / sum of squared norms, over the last axis,
+    so a (rows, groups) ``sq`` gives one ratio per row.
 
     Exactly-zero groups contribute nothing and receive zero gradient
-    (subgradient convention); all-zero input scores 0.
+    (subgradient convention); a row of all-zero groups scores 0.
     """
     sq = T.as_tensor(sq)
     alive = sq.data > 0.0
-    if not alive.any():
-        log.warning("hoyer_penalty of all-zero groups; returning 0")
-        return Tensor(np.zeros((), dtype=sq.data.dtype))
+    dead = ~alive.any(axis=-1)
+    if dead.any():
+        log.warning("hoyer_penalty of all-zero groups; %d row(s) score 0",
+                    int(dead.sum()))
     m = alive.astype(sq.data.dtype)
     norms = T.sqrt(sq * Tensor(m) + Tensor(1.0 - m)) * Tensor(m)
-    num = T.square(T.tsum(norms))
-    den = T.tsum(T.square(norms))
+    num = T.square(T.tsum(norms, axis=-1))
+    den = T.tsum(T.square(norms), axis=-1)
+    if dead.any():  # 0 / 1 for a dead row; a live row's den gains an exact 0
+        den = den + Tensor(dead.astype(sq.data.dtype))
     return num / den
 
 
+def _sum_in_order(terms):
+    """The sum of the (n,) Tensor ``terms`` added first to last, as Python's
+    ``sum`` adds scalars (``tsum`` sums pairwise, in another order)."""
+    def backward(g):
+        terms._accumulate(np.broadcast_to(g, terms.shape))
+
+    return T._make(np.add.accumulate(terms.data)[-1], (terms,), backward)
+
+
+def _by_width(far_model: FarModel):
+    """The (block, k) of every scan of ``far_model`` in lists of one hidden
+    width (one list, before shrinking), and each one's position in scan
+    order, in the same sequence."""
+    scans = [(blk, k) for blk in far_model.blocks
+             for k in range(len(blk.scans))]
+    groups = {}
+    for i, (blk, k) in enumerate(scans):
+        groups.setdefault(blk.scans[k].hidden, []).append(i)
+    return ([[scans[i] for i in pos] for pos in groups.values()],
+            np.concatenate(list(groups.values())))
+
+
 def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
-    """Sum (or mean) of the Hoyer penalties of every scan of every layer."""
+    """Sum (or mean) of the Hoyer penalties of every scan of every layer,
+    as one graph whatever the number of scans.
+
+    The scans of one hidden width are stacked into one ``_sq_norms`` and
+    one row-wise ``hoyer_penalty``; the terms are summed in scan order. The
+    value is the sum of the per-scan penalties bit for bit, and so is its
+    gradient.
+    """
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    terms = [hoyer_penalty(unit_sq_norms(blk, k, extension=extension))
-             for blk in far_model.blocks for k in range(len(blk.scans))]
-    total = sum(terms[1:], terms[0])
+    groups, order = _by_width(far_model)
+    terms = [hoyer_penalty(_sq_norms(scans, extension)) for scans in groups]
+    if len(terms) > 1:  # back to scan order
+        terms = [T.concat(terms, axis=0)[np.argsort(order)]]
+    total = _sum_in_order(terms[0])
     if reduce == "mean":
-        total = total * (1.0 / len(terms))
+        total = total * (1.0 / len(order))
     return total
 
 
 def unit_importance(block: FarBlockParams, k):
     """L2 norm of every weight coupled to each unit of scan k (the extended
-    set), used for threshold selection."""
+    set), the importance ``prune_by_threshold`` ranks by."""
     return np.sqrt(unit_sq_norms(block, k, extension=True).data)
 
 
@@ -104,14 +164,17 @@ def prune_by_threshold(far_model: FarModel, tau, mode):
     ``mode`` is one of ``MODES``; 'relative' reads tau as a fraction of the
     scan's max importance. The max-importance unit is always kept (floor
     rule). A pruned unit loses its gate rows, W_hh column, biases, out_w row.
+    Scans share no coupled weight, so the importances of a whole width
+    group are read at once, before any of its units is zeroed.
     """
     if not tau >= 0:  # also a nan, which every comparison would keep
         raise ValueError(f"pruning threshold must be non-negative, got {tau}")
     if mode not in MODES:
         raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
-    for blk in far_model.blocks:
-        for k, p in enumerate(blk.scans):
-            norms = unit_importance(blk, k)
+    for scans in _by_width(far_model)[0]:
+        importance = np.sqrt(_sq_norms(scans, extension=True).data)
+        for (blk, k), norms in zip(scans, importance):
+            p = blk.scans[k]
             cut = tau * norms.max() if mode == "relative" else tau
             drop = ~(norms > cut)
             drop[int(norms.argmax())] = False
@@ -130,7 +193,7 @@ def shrink_model(far_model: FarModel):
     """
     tensors = dict(far_model.backbone)
     for i, (blk, keep) in enumerate(zip(far_model.blocks, far_model.masks)):
-        tensors.update(shrink_block(blk, keep).named(f"far.{i}"))
+        tensors.update(shrink_block(blk, keep, f"far.{i}"))
     return FarModel(far_model.cfg, tensors)
 
 

@@ -173,7 +173,9 @@ def test_batched_dependency_matches_per_query_reference(directions, widths):
         first = np.arange(cfg.head_dim) == 0  # every scan keeps a unit
         keep = [first | (rng.random(cfg.head_dim) < 0.5)
                 for _ in range(2 * cfg.heads)]
-        far.blocks = [shrink_block(blk, keep) for blk in far.blocks]
+        far.blocks = [FarBlockParams.from_tensors(
+            shrink_block(blk, keep, "blk"), "blk", cfg.heads, cfg.head_dim,
+            cfg.precision) for blk in far.blocks]
     img = np.random.default_rng(26).normal(size=(3, 32, 32))
     for layer in (0, cfg.layers - 1):
         np.testing.assert_allclose(

@@ -369,3 +369,91 @@ def test_adamw_moves_toward_minimum():
     assert abs(w.data[0]) < 0.05
 
 
+
+
+def _per_tensor_adamw(params, grads, state, lr, wd):
+    """One step of the per-tensor AdamW rule, the oracle of the flat one:
+    ``state`` holds t and each tensor's m and v; a None grad skips it."""
+    b1, b2, eps = AdamW.b1, AdamW.b2, AdamW.eps
+    state["t"] += 1
+    bc1 = 1.0 - b1 ** state["t"]
+    bc2 = 1.0 - b2 ** state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            continue
+        m, v = state["m"][i], state["v"][i]
+        state["m"][i] = m = b1 * m + (1 - b1) * g
+        state["v"][i] = v = b2 * v + (1 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.data = p.data - lr * (update + wd * p.data)
+
+
+def _two_copies(precision, seed):
+    """The tensors of two identical desk FAR models, as lists."""
+    models = [replace_attention(TeacherModel(desk_config(precision),
+                                             seed=seed), seed=seed)
+              for _ in range(2)]
+    return [list(m.named_parameters().values()) for m in models]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("missing", [(), (3, 40)])
+def test_flat_adamw_is_the_per_tensor_rule_bit_for_bit(precision, missing):
+    """Over 6 steps with weight decay: weights and moments equal the
+    per-tensor rule's; a tensor with no gradient keeps its value and its
+    moments."""
+    flat, ref = _two_copies(precision, seed=60)
+    rng = np.random.default_rng(60)
+    opt = AdamW(flat, lr=3e-3, weight_decay=0.05)
+    state = {"t": 0, "m": [np.zeros_like(p.data) for p in ref],
+             "v": [np.zeros_like(p.data) for p in ref]}
+    kept = {i: flat[i].data.copy() for i in missing}
+    for _ in range(6):
+        grads = [None if i in missing else
+                 rng.normal(size=p.shape).astype(p.dtype)
+                 for i, p in enumerate(flat)]
+        for p, g in zip(flat, grads):
+            p.grad = g
+        opt.step()
+        _per_tensor_adamw(ref, grads, state, 3e-3, 0.05)
+        for a, b, m, v, am, av in zip(flat, ref, state["m"], state["v"],
+                                      opt.m, opt.v):
+            assert a.data.dtype == b.data.dtype
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(am, m)
+            np.testing.assert_array_equal(av, v)
+    for i, before in kept.items():
+        np.testing.assert_array_equal(flat[i].data, before)
+        assert not opt.m[i].any() and not opt.v[i].any()
+
+
+def test_flat_adamw_reads_a_rebound_tensor_afresh():
+    """A tensor rebound (as a restore does) or zeroed in place (as pruning
+    does) between steps steps from its new value, and no array the step
+    did not make is written."""
+    flat, ref = _two_copies("f32", seed=61)
+    rng = np.random.default_rng(61)
+    opt = AdamW(flat, lr=1e-2, weight_decay=0.05)
+    state = {"t": 0, "m": [np.zeros_like(p.data) for p in ref],
+             "v": [np.zeros_like(p.data) for p in ref]}
+    for step in range(4):
+        if step == 2:
+            new = rng.normal(size=flat[5].shape).astype(np.float32)
+            flat[5].data, ref[5].data = new, new.copy()
+            flat[7].data[0] = ref[7].data[0] = 0.0
+        held = flat[5].data
+        before = held.copy()
+        grads = [rng.normal(size=p.shape).astype(np.float32) for p in flat]
+        for p, g in zip(flat, grads):
+            p.grad = g
+        opt.step()
+        _per_tensor_adamw(ref, grads, state, 1e-2, 0.05)
+        np.testing.assert_array_equal(held, before)
+        for a, b in zip(flat, ref):
+            np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_adamw_names_mixed_dtypes():
+    with pytest.raises(TypeError, match="one dtype"):
+        AdamW([Tensor(np.zeros(2, np.float32)), Tensor(np.zeros(2))],
+              lr=0.1, weight_decay=0.0)

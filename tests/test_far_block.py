@@ -5,10 +5,10 @@ from far import tensor as T
 from far.tensor import ShapeError, Tensor
 from far.vit import ATTENTION, ModelConfig, TeacherModel
 from far import far_block
-from far.far_block import (DIRECTIONS, LstmDirParams, bilstm_head,
-                           far_block_forward, init_far_block, init_lstm_dir,
-                           lstm_step, replace_attention, scan_heads, scan_of,
-                           shrink_block)
+from far.far_block import (DIRECTIONS, FarBlockParams, LstmDirParams,
+                           bilstm_head, far_block_forward, init_far_block,
+                           init_lstm_dir, lstm_step, replace_attention,
+                           scan_heads, scan_of, shrink_block)
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase
 from far.pruner import prune_by_threshold, three_stage_pipeline
@@ -192,7 +192,9 @@ def test_fused_scan_matches_per_step_reference(widths, shape):
         keep = [rng.random(cfg.head_dim) < 0.6 for _ in range(2 * cfg.heads)]
         keep[1][:] = False  # head 0 rev
         keep[1][:3] = True
-        blk = shrink_block(blk, keep)
+        blk = FarBlockParams.from_tensors(shrink_block(blk, keep, "blk"),
+                                          "blk", cfg.heads, cfg.head_dim,
+                                          cfg.precision)
         assert len({p.hidden for p in blk.scans}) > 1
     _assert_block_matches_reference(blk, rng.normal(size=shape))
 
@@ -236,7 +238,9 @@ def _scan_block(precision, widths, rng):
         keep = [rng.random(cfg.head_dim) < 0.6 for _ in range(2 * cfg.heads)]
         keep[1][:] = False  # head 0 rev
         keep[1][:3] = True
-        blk = shrink_block(blk, keep)
+        blk = FarBlockParams.from_tensors(shrink_block(blk, keep, "blk"),
+                                          "blk", cfg.heads, cfg.head_dim,
+                                          cfg.precision)
     return blk
 
 
@@ -279,6 +283,58 @@ def test_frozen_and_training_scans_give_identical_outputs(precision, widths,
     trained, _, _ = _scan_grads(scan_heads, blk.scans, u)
     assert frozen.dtype == trained.dtype == T.DTYPES[precision]
     np.testing.assert_array_equal(frozen.data, trained)
+
+
+def _bptt_factors_per_gate(dhs, gates, cs, tcs, whh):
+    """The BPTT of ``far_block._bptt`` with its step factors written as
+    four strided views of a (T, S, B, 4, hid) buffer and ``dc`` broadcast
+    over a gate axis inside it: the oracle of the gate-layout factors."""
+    t, s, b, hid = dhs.shape
+    dtype = gates.dtype
+    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+    dsig = gates[:, :3] * (1.0 - gates[:, :3])
+    dc_dh = o * (1.0 - tcs * tcs)
+    fac = np.empty((t, s, b, 4, hid), dtype)
+    fac_i, fac_f, fac_o, fac_g = fac.transpose(3, 0, 1, 2, 4)
+    np.multiply(g, dsig[:, 0], out=fac_i)
+    np.multiply(cs[:-1], dsig[:, 1], out=fac_f)
+    np.multiply(tcs, dsig[:, 2], out=fac_o)
+    np.multiply(i, 1.0 - g * g, out=fac_g)
+    dz = np.empty((s, b, t, 4, hid), dtype)
+    dh, ddc = np.empty((s, b, hid), dtype), np.empty((s, b, hid), dtype)
+    dh_next = np.zeros((s, b, hid), dtype)
+    dc = np.zeros((s, b, hid), dtype)
+    dc_gates = dc[:, :, None]
+    steps = zip(dhs, dc_dh, fac, fac_o, dz.transpose(2, 0, 1, 3, 4),
+                dz[..., 2, :].transpose(2, 0, 1, 3),
+                dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3), f)
+    for dh_out, a, fz, fo, dzj, dzo, dzf, fj in reversed(list(steps)):
+        np.add(dh_out, dh_next, out=dh)
+        np.multiply(dh, a, out=ddc)
+        np.add(dc, ddc, out=dc)
+        np.multiply(dc_gates, fz, out=dzj)
+        np.multiply(dh, fo, out=dzo)
+        np.matmul(dzf, whh, out=dh_next)
+        np.multiply(dc, fj, out=dc)
+    return dz
+
+
+@pytest.mark.parametrize("batch", [1, 17, 32])
+@pytest.mark.parametrize("widths", ["full", "unequal"])
+def test_bptt_factors_in_the_gate_layout_are_bit_identical(monkeypatch,
+                                                           widths, batch):
+    """The input and every scan weight get the gradients, bit for bit, of
+    the per-gate factor layout, at desk B=1, 17 and 32 (T=17) and for a
+    shrunk block."""
+    rng = np.random.default_rng(37)
+    blk = _scan_block("f32", widths, rng)
+    u = rng.normal(size=(batch, 17, 32)).astype(np.float32)
+    _, du, grads = _scan_grads(scan_heads, blk.scans, u)
+    monkeypatch.setattr(far_block, "_bptt", _bptt_factors_per_gate)
+    _, ref_du, ref_grads = _scan_grads(scan_heads, blk.scans, u)
+    np.testing.assert_array_equal(du, ref_du)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(g, ref)
 
 
 def test_input_or_weight_gradients_alone_match_the_full_backward():

@@ -250,6 +250,130 @@ def test_hoyer_penalty_total_bounds(far_f64):
     np.testing.assert_allclose(mean_val, val / n_terms, rtol=1e-12)
 
 
+def _per_scan_sq_norms(block, k, extension):
+    """The per-scan graph of the unit norms, kept as the oracle of the
+    stacked one."""
+    p = block.scans[k]
+    hid = p.hidden
+    rows, cols, out_rows = coupled(block, k, np.arange(hid))
+    hh_sq = T.square(p.w_hh)
+    gate_sq = T.tsum(T.square(p.w_ih), axis=1) + T.tsum(hh_sq, axis=1)
+    if extension:
+        gate_sq = gate_sq + T.square(p.b_ih) + T.square(p.b_hh)
+    sq = T.tsum(gate_sq[rows.reshape(4, hid)], axis=0)
+    if extension:
+        sq = (sq + T.tsum(hh_sq, axis=0)[cols]
+              + T.tsum(T.square(block.out_w[out_rows]), axis=1))
+    return sq
+
+
+def _per_scan_penalty_total(model, extension, reduce):
+    """One Hoyer graph per scan, summed term by term: the oracle of
+    ``hoyer_penalty_total``."""
+    terms = []
+    for blk, k in _scans(model):
+        sq = _per_scan_sq_norms(blk, k, extension)
+        m = (sq.data > 0.0).astype(sq.data.dtype)
+        norms = T.sqrt(sq * Tensor(m) + Tensor(1.0 - m)) * Tensor(m)
+        terms.append(T.square(T.tsum(norms)) / T.tsum(T.square(norms)))
+    total = sum(terms[1:], terms[0])
+    return total * (1.0 / len(terms)) if reduce == "mean" else total
+
+
+def _penalty_and_grads(model, penalty):
+    """The penalty's value and the gradient it gives every tensor."""
+    named = model.named_parameters()
+    for p in named.values():
+        p.requires_grad, p.grad = True, None
+    value = penalty(model)
+    (value * 0.02).backward()
+    grads = {n: p.grad for n, p in named.items()}
+    for p in named.values():
+        p.requires_grad, p.grad = False, None
+    return value.data, grads
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("widths", ["full", "shrunk"])
+@pytest.mark.parametrize("extension", [False, True])
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_one_graph_penalty_is_the_per_scan_sum_bit_for_bit(
+        precision, widths, extension, reduce):
+    far = replace_attention(TeacherModel(desk_config(precision), seed=14),
+                            seed=14)
+    if widths == "shrunk":
+        prune_by_threshold(far, 0.97, mode="relative")
+        far = shrink_model(far)
+        assert len({p.hidden for blk in far.blocks for p in blk.scans}) > 1
+    value, grads = _penalty_and_grads(
+        far, lambda m: hoyer_penalty_total(m, extension, reduce))
+    ref, ref_grads = _penalty_and_grads(
+        far, lambda m: _per_scan_penalty_total(m, extension, reduce))
+    assert value.dtype == ref.dtype and value == ref
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        if ref_grads[name] is None:
+            assert g is None, name
+        else:
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_one_graph_penalty_gradient_fd(extension):
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=15),
+                            seed=15)
+    prune_by_threshold(far, 0.9, mode="relative")  # some dead units too
+    _, grads = _penalty_and_grads(
+        far, lambda m: hoyer_penalty_total(m, extension))
+    named = far.named_parameters()
+    blk = far.blocks[2]
+    rows, cols, out_rows = coupled(blk, 1, [0, 5])
+    picks = [("far.2.0.rev.w_ih", (rows[1], 3)),
+             ("far.2.0.rev.w_hh", (rows[6], cols[1])),
+             ("far.0.1.fwd.w_hh", (4, 9))]
+    if extension:  # the extended set adds biases and out_w rows
+        picks += [("far.2.0.rev.b_ih", (rows[2],)),
+                  ("far.2.out_w", (out_rows[0], 7))]
+    else:
+        assert grads["far.2.0.rev.b_ih"] is None
+        assert grads["far.2.out_w"] is None
+    step = 1e-5
+    for name, at in picks:
+        t = named[name].data
+        orig = t[at]
+        t[at] = orig + step
+        up = hoyer_penalty_total(far, extension).item()
+        t[at] = orig - step
+        down = hoyer_penalty_total(far, extension).item()
+        t[at] = orig
+        fd = 0.02 * (up - down) / (2 * step)
+        assert grads[name][at] != 0.0, name
+        np.testing.assert_allclose(grads[name][at], fd, rtol=1e-5, atol=1e-10,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_one_graph_penalty_nodes_do_not_grow_with_scans(monkeypatch,
+                                                        extension):
+    """A 2-layer and a 4-layer model record the same graph nodes."""
+    calls = []
+    make = T._make
+
+    def counting_make(*args):
+        calls.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    counts = []
+    for layers in (2, 4):
+        cfg = dataclasses.replace(desk_config(), layers=layers)
+        far = replace_attention(TeacherModel(cfg, seed=16), seed=16)
+        calls.clear()
+        hoyer_penalty_total(far, extension)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= (36 if extension else 20)
+
+
 # -- thresholding, zeroing and shrinking ------------------------------------------
 
 def test_tau_zero_retains_everything(far_f64):
