@@ -19,11 +19,14 @@ past the end and on a tensor name that is not UTF-8 or comes twice.
 ``load_model`` builds the model straight from the file's tensor table: a
 missing, unexpected or misshapen tensor is a CheckpointError naming it.
 
-Version 2 lets each LSTM scan of a FAR model be narrower than head_dim:
-a pruned model is stored physically shrunk, and ``load_model`` builds each
-scan at the hidden size of its ``w_hh`` tensor. Version 1 files stay
-readable; their ``mask.*`` tensors are skipped, which is exact because a
-v1 pruned file already holds its pruned units as all-zero weight groups.
+Version 2 lets each LSTM scan of a FAR model be narrower than head_dim,
+and ``load_model`` builds each scan at the hidden size of its ``w_hh``
+tensor. ``save_model`` writes every FAR model at its live widths: a unit
+whose coupled weights are all zero is dropped from the file, so a model
+pruned in place loads back as small as ``pruner.shrink_model`` would make
+it. Version 1 files stay readable; their ``mask.*`` tensors are skipped,
+which is exact because a v1 pruned file already holds its pruned units as
+all-zero weight groups.
 """
 
 import math
@@ -35,7 +38,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .far_block import FarModel
+from .far_block import FarModel, live_tensors
 from .tensor import ShapeError, Tensor
 from .vit import ModelConfig, TeacherModel
 
@@ -175,9 +178,13 @@ def model_kind(model):
 
 
 def save_model(model, path):
-    """Serialize a TeacherModel or FarModel at its current scan widths."""
-    save_checkpoint(path, model.cfg, model.named_parameters(),
-                    kind=model_kind(model))
+    """Serialize a TeacherModel, or a FarModel at its live widths
+    (``far_block.live_tensors``): a FarModel with no pruned unit is written
+    as it is, one with pruned units without them. ``model`` is not changed.
+    """
+    kind = model_kind(model)
+    tensors = live_tensors(model) if kind == "far" else model.named_parameters()
+    save_checkpoint(path, model.cfg, tensors, kind=kind)
 
 
 def load_model(path):

@@ -157,11 +157,16 @@ def cmd_flops(args, cfg):
 def cmd_bench(args, cfg):
     """Latency and cost of one model: a random model of the run config
     (--variant), or with --checkpoint the checkpoint's, whose own config,
-    kind and scan widths describe what is measured. The report gives the
-    config's precision, the dtype of the logits the measured forward
-    produced and the thread variables set while it ran."""
+    kind and live scan widths describe what is measured. A FAR file that
+    still holds pruned units (written before ``save_model`` dropped them,
+    or by ``save_checkpoint``) is timed shrunk, at the widths its cost rows
+    count. The report gives the config's precision, the dtype of the logits
+    the measured forward produced and the thread variables set while it
+    ran."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
+        if isinstance(model, FarModel):
+            model = pruner.shrink_model(model)
     else:
         teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
         model = (teacher if args.variant == "attention"

@@ -477,6 +477,22 @@ def shrink_block(blk: FarBlockParams, keep, prefix):
     return tensors
 
 
+def live_tensors(model):
+    """The tensor table of FarModel ``model`` at its live widths: its own
+    ``named_parameters()`` when no unit is pruned, else its backbone with
+    each block re-packed by ``shrink_block``. A scan with no live unit
+    keeps one all-zero unit, which is exact (its h and c stay 0) and keeps
+    every width in the 1..head_dim that ``from_tensors`` accepts."""
+    keeps = [[m if m.any() else np.arange(m.size) == 0 for m in layer]
+             for layer in model.masks]
+    if all(m.all() for layer in keeps for m in layer):
+        return model.named_parameters()
+    tensors = dict(model.backbone)
+    for i, (blk, keep) in enumerate(zip(model.blocks, keeps)):
+        tensors.update(shrink_block(blk, keep, f"far.{i}"))
+    return tensors
+
+
 class FarModel(Backbone):
     """A backbone with a FAR block (tensors ``far.<layer>.*``) as every token
     mixer; ``replace_attention`` copies the teacher's backbone."""

@@ -8,8 +8,10 @@ every weight coupled to a removed unit (its gate rows, W_hh column, bias
 entries and output-projection row), and that all-zero group is the only
 record that the unit was pruned: it outputs exactly zero and receives zero
 gradient, so it stays zero through further training. ``shrink_model``
-then drops such units physically. The training penalty,
-``hoyer_penalty_total``, is one graph over all scans of all layers.
+then drops such units physically, and so does ``checkpoint.save_model``:
+every saved FAR checkpoint holds only live units, whether or not the model
+was shrunk first. The training penalty, ``hoyer_penalty_total``, is one
+graph over all scans of all layers.
 """
 
 import dataclasses
@@ -20,8 +22,8 @@ import numpy as np
 from . import distill
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import (FarBlockParams, FarModel, coupled, scan_of,
-                        shrink_block)
+from .far_block import (FarBlockParams, FarModel, coupled, live_tensors,
+                        scan_of)
 
 log = logging.getLogger(__name__)
 
@@ -188,13 +190,11 @@ def prune_by_threshold(far_model: FarModel, tau, mode):
 def shrink_model(far_model: FarModel):
     """Physically remove pruned units, re-packing every coupled matrix.
 
-    Returns a new FarModel holding a copy of the backbone; each scan keeps
-    only its live units, so its hidden size equals the retained count.
+    Returns a new FarModel built from ``live_tensors(far_model)``: it holds
+    a copy of the backbone, and each scan keeps only its live units, so its
+    hidden size equals the retained count (1 for a scan with none).
     """
-    tensors = dict(far_model.backbone)
-    for i, (blk, keep) in enumerate(zip(far_model.blocks, far_model.masks)):
-        tensors.update(shrink_block(blk, keep, f"far.{i}"))
-    return FarModel(far_model.cfg, tensors)
+    return FarModel(far_model.cfg, live_tensors(far_model))
 
 
 def retention_report(far_model: FarModel):

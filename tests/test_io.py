@@ -223,8 +223,60 @@ def test_shrunk_model_round_trip(tmp_path):
     for name, p in shrunk.named_parameters().items():
         assert np.array_equal(back.named_parameters()[name].data, p.data), name
     assert _same_logits(shrunk, back, 34)
-    assert ((tmp_path / "shrunk.farc").stat().st_size
-            < (tmp_path / "zeroed.farc").stat().st_size)
+    assert ((tmp_path / "zeroed.farc").read_bytes()
+            == (tmp_path / "shrunk.farc").read_bytes())
+
+
+def _widths(model):
+    return [[p.hidden for p in blk.scans] for blk in model.blocks]
+
+
+def _logit_gap(a, b, seed):
+    img = np.random.default_rng(seed).normal(size=(2, 3, 32, 32))
+    return np.abs(a.forward(img)[0].data - b.forward(img)[0].data).max()
+
+
+def test_save_model_writes_a_pruned_model_at_its_live_widths(tmp_path):
+    """prune in place -> save -> load, as perfbench builds its pruned
+    models: the file holds the live units only and leaves the model as
+    it was."""
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=33),
+                            seed=33)
+    prune_by_threshold(far, 0.97, mode="relative")
+    before = {n: t.data.tobytes() for n, t in far.named_parameters().items()}
+    save_model(far, tmp_path / "pruned.farc")
+    assert {n: t.data.tobytes()
+            for n, t in far.named_parameters().items()} == before
+    back = load_model(tmp_path / "pruned.farc")
+    live = [[int(m.sum()) for m in layer] for layer in far.masks]
+    assert _widths(back) == live
+    assert any(w < 16 for layer in live for w in layer)
+    assert _logit_gap(far, back, 33) <= 1e-10
+
+
+def test_save_model_of_an_unpruned_far_model_writes_its_parameters(tmp_path):
+    far = replace_attention(TeacherModel(desk_config(), seed=35), seed=35)
+    save_model(far, tmp_path / "a.farc")
+    save_checkpoint(tmp_path / "b.farc", far.cfg, far.named_parameters(),
+                    kind="far")
+    assert (tmp_path / "a.farc").read_bytes() == (tmp_path / "b.farc").read_bytes()
+
+
+def test_a_scan_with_no_live_unit_keeps_one_zero_unit(tmp_path):
+    far = replace_attention(TeacherModel(desk_config("f64"), seed=32),
+                            seed=32)
+    blk = far.blocks[0]
+    rows, cols, out_rows = far_block.coupled(blk, 1, np.arange(16))
+    p = blk.scans[1]
+    for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+        t.data[rows] = 0.0
+    p.w_hh.data[:, cols] = 0.0
+    blk.out_w.data[out_rows] = 0.0
+    assert not far.masks[0][1].any()
+    save_model(far, tmp_path / "dead.farc")
+    for model in (load_model(tmp_path / "dead.farc"), shrink_model(far)):
+        assert _widths(model)[0] == [16, 1, 16, 16]
+        assert _logit_gap(far, model, 32) <= 1e-10
 
 
 def test_load_model_reads_v1_file_with_masks(tmp_path, monkeypatch):
@@ -764,6 +816,29 @@ def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
     assert report["variant"] == "far"
     assert int(report["params"]) < far_params
     assert pruned.stat().st_size < distilled.stat().st_size
+
+
+def test_cli_bench_times_the_live_model_of_a_file_with_pruned_units(
+        tmp_path, capsys, monkeypatch):
+    """A file written with its pruned units zeroed in place is timed at
+    the widths its cost rows count."""
+    far = _pruned_far(40)
+    path, cfgfile = tmp_path / "zeroed.farc", tmp_path / "run.cfg"
+    save_checkpoint(path, far.cfg, far.named_parameters(), kind="far")
+    cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
+    timed, forward = [], far_block.FarModel.forward
+
+    def spy(model, image):
+        timed.append(model)
+        return forward(model, image)
+
+    monkeypatch.setattr(far_block.FarModel, "forward", spy)
+    assert main(["bench", "--config", str(cfgfile),
+                 "--checkpoint", str(path)]) == 0
+    capsys.readouterr()
+    assert len(timed) == 1
+    assert _widths(timed[0]) == [[int(m.sum()) for m in layer]
+                                 for layer in far.masks]
 
 
 @pytest.mark.parametrize("command,kind,key", [
