@@ -29,9 +29,16 @@ buffer runs in scan time. One batched GEMM writes every step's input
 gates into a time-major buffer (T, 4, S, B, hid), and cell states, their
 tanh and hidden states are time-major (T, S, B, hid) too. A step is then
 one ``h @ w_hh`` over the S scans, one add, one tanh over the four
-gates, two in-place ops on the contiguous i/f/o block, and ``out=``
-ufuncs for c, tanh(c) and h; the gate buffer ends up holding the
-activations. The node's backward is a hand-written BPTT. Before its
+gates, two in-place ops on the contiguous i/f/o block, and ufuncs that
+write c, tanh(c) and h in place; the gate buffer ends up holding the
+activations. These buffers, with each step's views of them built once,
+are a workspace (``_Workspace``). A call where nothing requires grad (a
+frozen forward: inference, attribution's layer prefix, accuracy) takes
+its workspace from a cache per (plan, B, T) kept per thread, so two
+threads never share one, and holding at most WORKSPACE_BYTES (32 MiB) of
+the most recently used shapes; a larger one is made afresh. A grad call
+makes its own, which its backward keeps. The output is always a fresh
+array. The node's backward is a hand-written BPTT. Before its
 reverse loop (``_bptt``) it computes, for all steps at once, every
 factor that does not depend on the recurrence: o(1-tc^2), and into one
 buffer laid out like the gates g i(1-i), c_prev f(1-f), tc o(1-o) and
@@ -51,6 +58,9 @@ zero. No separate mask is kept.
 """
 
 import functools
+import itertools
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +243,11 @@ class _Plan:
     """Everything a ``scan_heads`` call derives from its scans' (hidden,
     input) ``sizes``, in ``coupled`` order, and ``dtype``: the output pieces
     and the gather indices of the weight layouts. It holds no weight values,
-    so a weight zeroed in place or rebound is read afresh on the next call."""
+    so a weight zeroed in place or rebound is read afresh on the next call.
+    A plan is shared by every thread; the buffers a call computes in are a
+    ``_Workspace``, which a frozen call (nothing requires grad) takes from
+    its thread's ``_Workspaces``, keyed by (plan, B, T) and capped at
+    WORKSPACE_BYTES, and a grad call makes afresh."""
 
     def __init__(self, sizes, dtype):
         d_in = sizes[0][1]
@@ -253,6 +267,7 @@ class _Plan:
         self.s, self.hid = s, hid
         ih, hh, bi, bh = _gather_indices(hidden, d_in)
         self.zero = np.zeros(1, dtype)
+        self.half = np.asarray(0.5, dtype)
         # the forward's layouts, gate-major and transposed for ``x @ W``:
         # w_ih (4, S, D_h, hid), w_hh (4, S, hid, hid), then b_ih and b_hh
         # (4, S, hid). ``scale`` halves the i, f and o rows of all but b_hh,
@@ -270,6 +285,65 @@ class _Plan:
 
 
 _plan = functools.lru_cache(maxsize=64)(_Plan)
+
+# Bytes of frozen-scan workspaces one thread keeps; a workspace larger than
+# this is made afresh on every call, as a grad call's are.
+WORKSPACE_BYTES = 32 << 20
+
+
+class _Workspace:
+    """The buffers of one ``scan_heads`` call of ``plan`` over B images of T
+    tokens: the gates (T, 4, S, B, hid), which end up holding the
+    activations, the hidden and cell states (T+1, S, B, hid), of which
+    index 0 is the zero initial state and is never written, tanh(c)
+    (T, S, B, hid) and two per-step temporaries; and ``steps``, each step's
+    views of them, built once. ``nbytes`` is the ``sys.getsizeof`` of all
+    it holds, the arrays' data included.
+    """
+
+    def __init__(self, plan, b, t):
+        s, hid, dtype = plan.s, plan.hid, plan.zero.dtype
+        self.gates = gates = np.empty((t, 4, s, b, hid), dtype)
+        # the input GEMM's output: per gate, scan and image, (T, hid)
+        self.gates_in = gates.transpose(1, 2, 3, 0, 4)
+        self.hs = hs = np.zeros((t + 1, s, b, hid), dtype)
+        self.cs = cs = np.zeros((t + 1, s, b, hid), dtype)
+        self.tcs = tcs = np.empty((t, s, b, hid), dtype)
+        self.rec = np.empty((4, s, b, hid), dtype)
+        self.ig = np.empty((s, b, hid), dtype)
+        i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+        self.steps = list(zip(gates, gates[:, :3], i, f, o, g, hs, hs[1:],
+                              cs, cs[1:], tcs))
+        held = [gates, self.gates_in, hs, cs, tcs, self.rec, self.ig,
+                self.steps, *self.steps, *itertools.chain(*self.steps)]
+        self.nbytes = sum(map(sys.getsizeof, held))
+
+
+class _Workspaces(threading.local):
+    """One thread's workspaces of frozen ``scan_heads`` calls by (plan, B,
+    T), least recently used first, holding ``nbytes`` <= WORKSPACE_BYTES
+    in all."""
+
+    def __init__(self):
+        self.by_shape = {}
+        self.nbytes = 0
+
+    def get(self, plan, b, t):
+        key = (plan, b, t)
+        ws = self.by_shape.pop(key, None)
+        if ws is None:
+            ws = _Workspace(plan, b, t)
+            if ws.nbytes > WORKSPACE_BYTES:
+                return ws
+            self.nbytes += ws.nbytes
+            while self.nbytes > WORKSPACE_BYTES:
+                old = self.by_shape.pop(next(iter(self.by_shape)))
+                self.nbytes -= old.nbytes
+        self.by_shape[key] = ws
+        return ws
+
+
+_workspaces = _Workspaces()
 
 
 def scan_heads(u, scans):
@@ -298,6 +372,11 @@ def scan_heads(u, scans):
     xs = np.concatenate([heads_x[:, None], heads_x[:, None, :, ::-1]], axis=1,
                         dtype=dtype).reshape(s, b, t, d_in)
     params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    needs_grad = u.requires_grad
+    for tn in params:
+        needs_grad = needs_grad or tn.requires_grad
+    # a grad call's backward keeps its buffers; a frozen call reuses them
+    ws = _Workspace(plan, b, t) if needs_grad else _workspaces.get(plan, b, t)
     # every weight, read now; the backward gathers its layouts from it too
     cat = np.concatenate([tn.data for tn in params] + [plan.zero], axis=None,
                          dtype=dtype)
@@ -308,30 +387,23 @@ def scan_heads(u, scans):
     np.multiply(packed[:e_b], plan.scale, out=packed[:e_b])
     wih_f = packed[:e_ih].reshape(4, s, 1, d_in, hid)
     whh_f = packed[e_ih:e_hh].reshape(4, s, hid, hid)
-    gates = np.empty((t, 4, s, b, hid), dtype)  # the activations after the loop
-    # per gate, scan and image: (T, D_h) @ W^T
-    np.matmul(xs, wih_f, out=gates.transpose(1, 2, 3, 0, 4))
+    gates, hs, cs, tcs = ws.gates, ws.hs, ws.cs, ws.tcs
+    np.matmul(xs, wih_f, out=ws.gates_in)
     # the bias repeated over B: broadcast, it would make numpy loop over hid
     np.add(gates, bias.reshape(4, s, 1, hid).repeat(b, axis=2), out=gates)
-    hs = np.zeros((t + 1, s, b, hid), dtype)  # hs[j + 1] is step j's h
-    cs = np.zeros((t + 1, s, b, hid), dtype)
-    tcs = np.empty((t, s, b, hid), dtype)
-    rec = np.empty((4, s, b, hid), dtype)
-    ig = np.empty((s, b, hid), dtype)
-    half = np.asarray(0.5, dtype)
-    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
-    for z, ifo, ij, fj, oj, gj, h0, h1, c0, c1, tc in zip(
-            gates, gates[:, :3], i, f, o, g, hs, hs[1:], cs, cs[1:], tcs):
-        np.matmul(h0, whh_f, out=rec)
-        np.add(z, rec, out=z)
-        np.tanh(z, out=z)
-        np.multiply(ifo, half, out=ifo)
-        np.add(ifo, half, out=ifo)
-        np.multiply(fj, c0, out=c1)
-        np.multiply(ij, gj, out=ig)
-        np.add(c1, ig, out=c1)
-        np.tanh(c1, out=tc)
-        np.multiply(oj, tc, out=h1)
+    rec, ig, half = ws.rec, ws.ig, plan.half
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
+    for z, ifo, ij, fj, oj, gj, h0, h1, c0, c1, tc in ws.steps:
+        matmul(h0, whh_f, rec)
+        add(z, rec, z)
+        tanh(z, z)
+        multiply(ifo, half, ifo)
+        add(ifo, half, ifo)
+        multiply(fj, c0, c1)
+        multiply(ij, gj, ig)
+        add(c1, ig, c1)
+        tanh(c1, tc)
+        multiply(oj, tc, h1)
 
     out = np.empty((b, t, plan.width), dtype)
     for k, (off, w, r) in enumerate(pieces):

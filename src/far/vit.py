@@ -152,8 +152,9 @@ class Backbone:
         return y + T.linear(h, layer.fc2_w, layer.fc2_b)
 
     def classify(self, x):
-        h = T.layer_norm(x, self.ln_f_g, self.ln_f_b)
-        cls = h[:, 0, :]
+        """Logits from the final LN of the CLS token alone: LN is per
+        position, so the other tokens' would be discarded."""
+        cls = T.layer_norm(x[:, 0, :], self.ln_f_g, self.ln_f_b)
         return T.linear(cls, self.head_w, self.head_b)
 
     def tokens(self, image, stop=None):

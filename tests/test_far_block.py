@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from far.distill import TrainConfig, run_phase
 from far.pruner import prune_by_threshold, three_stage_pipeline
 from far.profiler import count_params
 
-from conftest import desk_config
+from conftest import desk_config, random_image
 
 
 def _zero_dir(dh, din=None):
@@ -445,6 +448,122 @@ def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
     assert out.shape == (2, desk_cfg.tokens, 2 * desk_cfg.dim)
     assert out._parents == () and out._backward_fn is None
     assert not out.requires_grad
+
+
+# -- frozen-scan workspaces ---------------------------------------------------
+
+def _grad_call(u, scans):
+    """``scan_heads`` on fresh buffers: ``u`` requires grad."""
+    return scan_heads(Tensor(u, requires_grad=True), scans).data
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("widths", ["full", "unequal"])
+@pytest.mark.parametrize("shape", [(7, 32), (2, 7, 32)])
+def test_frozen_scan_equals_the_same_call_with_grad(precision, widths, shape):
+    """A frozen call, cold and warm, equals bit for bit the call whose
+    input requires grad; and a returned array is the caller's own, so
+    writing to it changes no later call."""
+    rng = np.random.default_rng(56)
+    blk = _scan_block(precision, widths, rng)
+    u = rng.normal(size=shape).astype(T.DTYPES[precision])
+    want = _grad_call(u, blk.scans)
+    outs = [scan_heads(Tensor(u), blk.scans).data for _ in range(3)]
+    for out in outs:
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+    outs[0][...] = np.nan
+    again = scan_heads(Tensor(u), blk.scans).data
+    assert not np.shares_memory(again, outs[1])
+    assert again.tobytes() == want.tobytes()
+
+
+def test_weight_zeroed_in_place_between_frozen_calls_is_read():
+    rng = np.random.default_rng(57)
+    blk = _scan_block("f32", "full", rng)
+    u = rng.normal(size=(2, 7, 32)).astype(np.float32)
+    before = scan_heads(Tensor(u), blk.scans).data
+    blk.scans[1].w_hh.data[:, :5] = 0.0
+    blk.scans[2].b_ih.data[:] = 0.0
+    after = scan_heads(Tensor(u), blk.scans).data
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == _grad_call(u, blk.scans).tobytes()
+
+
+def _in_new_thread(fn, *args):
+    """``fn(*args)`` on a thread of its own, so with no workspace yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+def test_workspaces_of_a_shape_sweep_stay_within_the_byte_cap():
+    """Frozen calls of many (B, T) shapes, whose workspaces hold more than
+    WORKSPACE_BYTES in all, keep at most that many bytes, of the most
+    recently used shapes, and a kept workspace is reused."""
+    blk = _scan_block("f64", "full", np.random.default_rng(58))
+    shapes = [(b, t) for t in (17, 65, 130) for b in (1, 8, 32, 64)]
+
+    def call(b, t):
+        scan_heads(Tensor(np.ones((b, t, 32))), blk.scans)
+        return list(far_block._workspaces.by_shape.items())
+
+    def sweep():
+        made = {}
+        for b, t in shapes + shapes[::-1]:
+            kept = call(b, t)
+            key, ws = kept[-1]
+            assert key[1:] == (b, t)
+            made[key] = ws.nbytes
+            total = sum(w.nbytes for _, w in kept)
+            assert far_block._workspaces.nbytes == total
+            assert total <= far_block.WORKSPACE_BYTES
+        return made, kept, call(*shapes[0])
+
+    made, kept, again = _in_new_thread(sweep)
+    assert sum(made.values()) > 2 * far_block.WORKSPACE_BYTES
+    assert len(kept) < len(shapes)
+    assert [key[1:] for key, _ in kept[-2:]] == shapes[1::-1]
+    assert again == kept
+
+
+def test_a_scan_larger_than_the_byte_cap_runs_on_fresh_buffers(monkeypatch):
+    blk = _scan_block("f32", "full", np.random.default_rng(59))
+    u = np.random.default_rng(59).normal(size=(2, 7, 32)).astype(np.float32)
+    monkeypatch.setattr(far_block, "WORKSPACE_BYTES", 1000)
+
+    def call():
+        out = scan_heads(Tensor(u), blk.scans).data
+        return out, far_block._workspaces.by_shape
+
+    out, kept = _in_new_thread(call)
+    assert kept == {}
+    assert out.tobytes() == _grad_call(u, blk.scans).tobytes()
+
+
+def test_frozen_forwards_on_two_threads_equal_sequential_ones():
+    """Two threads run frozen FAR forwards of B=1 at T=17 and B=32 at
+    T=65, interleaved, so each thread runs both shapes while the other
+    does; every output equals the sequential result bit for bit."""
+    rng = np.random.default_rng(60)
+    calls = []
+    for batch, size in ((1, 32), (32, 64)):
+        cfg = desk_config()
+        cfg.image_size = size
+        far = replace_attention(TeacherModel(cfg, seed=60), seed=60)
+        images = [random_image(cfg, rng, batch) for _ in range(3)]
+        calls.append((far, images))
+    calls = [(far, img) for far, imgs in calls for img in imgs] * 8
+    rng.shuffle(calls)
+    want = [far.forward(img)[0].data for far, img in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(far.forward, img) for far, img in calls]
+            got = [f.result(timeout=120)[0].data for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_scan_k_is_named_and_grouped_by_scan_of(desk_cfg):

@@ -3,9 +3,10 @@ import pytest
 
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
+from far.far_block import replace_attention
 from far.vit import ModelConfig, TeacherModel
 
-from conftest import desk_config
+from conftest import desk_config, random_image
 
 
 def test_token_count_desk():
@@ -150,3 +151,39 @@ def test_token_permutation_equivariance_with_zero_pos():
         return model.classify(cur).data
 
     np.testing.assert_allclose(run(x), run(xp), atol=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["teacher", "far"])
+@pytest.mark.parametrize("batch,image_size", [(1, 32), (32, 64)])
+def test_classify_of_the_cls_row_equals_the_full_layer_norm(variant, batch,
+                                                             image_size):
+    """``classify`` normalizes only the CLS token. Its logits and the
+    gradients of its input and of the final LN's gain and bias are those of
+    normalizing every token and then taking the CLS row, byte for byte; on
+    the discarded rows the full path's zero gradient carries the gain's
+    sign, so the input gradients compare after ``+ 0.0`` makes -0 +0."""
+    cfg = desk_config()
+    cfg.image_size = image_size
+    rng = np.random.default_rng(8)
+    model = TeacherModel(cfg, seed=8)
+    if variant == "far":
+        model = replace_attention(model, seed=8)
+    model.ln_f_g.data[:] = rng.normal(size=cfg.dim)
+    model.ln_f_b.data[:] = rng.normal(size=cfg.dim)
+    x0 = model.tokens(random_image(cfg, rng, batch))[-1].data
+    weights = rng.normal(size=(batch, cfg.num_classes)).astype(np.float32)
+
+    def run(classify):
+        x = Tensor(x0, requires_grad=True)
+        for t in (model.ln_f_g, model.ln_f_b):
+            t.requires_grad, t.grad = True, None
+        logits = classify(x)
+        T.tsum(logits * weights).backward()
+        return logits.data, x.grad + 0.0, model.ln_f_g.grad, model.ln_f_b.grad
+
+    def full_ln(x):
+        h = T.layer_norm(x, model.ln_f_g, model.ln_f_b)
+        return T.linear(h[:, 0, :], model.head_w, model.head_b)
+
+    for got, want in zip(run(model.classify), run(full_ln)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
