@@ -8,6 +8,7 @@ start from the layer's input, the prefix of the model's one layer loop
 (``Backbone.tokens``).
 """
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -145,17 +146,19 @@ def uniform_band_mass(t, width):
     return float(mask.sum() / (t * t))
 
 
-def _write(path, mode, data):
-    """Write ``data`` to ``path``; an OSError names the file."""
+def _write(path, mode, write):
+    """Open ``path`` in ``mode`` and pass the file to ``write``; an OSError
+    names the file."""
     try:
         with open(path, mode) as fh:
-            fh.write(data)
+            write(fh)
     except OSError as exc:
         raise OSError(f"failed writing heatmap to {path}: {exc}") from exc
 
 
 def export_heatmaps(matrices, path_prefix):
-    """Write each matrix as an 8-bit PGM plus an exact CSV of raw values."""
+    """Write each matrix as an 8-bit PGM plus an exact CSV of raw values,
+    each the ``repr`` of its float64."""
     written = []
     for name, mat in matrices.items():
         mat = np.asarray(mat, dtype=np.float64)
@@ -163,9 +166,10 @@ def export_heatmaps(matrices, path_prefix):
         csv_path = f"{path_prefix}{name}.csv"
         scaled = np.round(_minmax(mat) * 255).astype(np.uint8)
         header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n"
-        _write(pgm_path, "wb", header.encode() + scaled.tobytes())
-        _write(csv_path, "w", "".join(",".join(repr(float(v)) for v in row)
-                                      + "\n" for row in mat))
+        _write(pgm_path, "wb",
+               lambda fh: fh.write(header.encode() + scaled.tobytes()))
+        _write(csv_path, "w", lambda fh: csv.writer(
+            fh, lineterminator="\n").writerows(mat.tolist()))
         written += [pgm_path, csv_path]
     return written
 

@@ -16,7 +16,7 @@ from . import pruner, profiler
 from .attribution import cls_saliency, export_heatmaps, token_dependency
 from .config import ConfigError, coerce, load_config, model_config
 from .data import synth_dataset
-from .distill import TrainConfig, accuracy, metrics_to_csv, run_phase, train_teacher
+from .distill import TrainConfig, accuracy, run_phase, train_teacher
 from .far_block import FarModel, replace_attention
 from .vit import TeacherModel
 
@@ -35,12 +35,36 @@ def _dataset_from_cfg(cfg, seed, mcfg):
                          noise=d["noise"])
 
 
+def _write_csv(out, header, rows):
+    """``rows`` under ``header`` to the text file ``out``, as CSV (RFC 4180
+    quoting); a value that is not a string as ``str`` writes it."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _print_rows(rows):
-    """(metric, value) ``rows`` under a ``metric,value`` header, as CSV
-    (RFC 4180 quoting)."""
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(("metric", "value"))
-    out.writerows(rows)
+    """(metric, value) ``rows`` under a ``metric,value`` header."""
+    _write_csv(sys.stdout, ("metric", "value"), rows)
+
+
+def _write_table(path, header, rows):
+    """Dict ``rows`` to the CSV file ``path``, a key of ``header`` that a
+    row lacks as an empty field."""
+    with open(path, "w") as fh:
+        _write_csv(fh, header, ([r.get(k, "") for k in header] for r in rows))
+
+
+def _write_log(path, rows):
+    """Epoch ``rows`` to the --log file ``path`` (none when it is None):
+    the columns of every phase, then the rest by name; the header alone
+    when no epoch ran."""
+    if path is None:
+        return
+    base = ("acc", "epoch", "loss", "phase", "sim_mean")
+    keys = sorted({k for r in rows for k in r} | set(base),
+                  key=lambda k: (k not in base, k))
+    _write_table(path, keys, rows)
 
 
 def _load_kind(path, kind):
@@ -67,8 +91,7 @@ def cmd_train_teacher(args, cfg):
     tcfg = _train_cfg(cfg, "teacher", tr["teacher_lr"], tr["teacher_epochs"])
     rows = train_teacher(teacher, ds, tcfg)
     ckpt.save_model(teacher, args.out)
-    if args.log:
-        metrics_to_csv(rows, args.log)
+    _write_log(args.log, rows)
     print(f"teacher train acc {_final_acc(rows, teacher, ds):.3f}; "
           f"saved {args.out}")
     return 0
@@ -91,8 +114,7 @@ def cmd_distill(args, cfg):
     rows = run_phase(far, teacher, ds,
                      _train_cfg(cfg, "distill", di["lr"], di["epochs"]))
     ckpt.save_model(far, args.out)
-    if args.log:
-        metrics_to_csv(rows, args.log)
+    _write_log(args.log, rows)
     sim = rows[-1]["sim_mean"] if rows else float("nan")
     print(f"distilled; final sim_mean {sim:.4f}; saved {args.out}")
     return 0
@@ -106,8 +128,7 @@ def cmd_finetune(args, cfg):
                      _train_cfg(cfg, "finetune", di["finetune_lr"],
                                 di["finetune_epochs"]))
     ckpt.save_model(far, args.out)
-    if args.log:
-        metrics_to_csv(rows, args.log)
+    _write_log(args.log, rows)
     print(f"finetuned; train acc {_final_acc(rows, far, ds):.3f}; "
           f"saved {args.out}")
     return 0
@@ -131,9 +152,10 @@ def cmd_prune(args, cfg):
         far, None, ds, reg_cfg, tune_cfg, tau=pr["threshold"],
         mode=pr["threshold_mode"], reg_coeff=pr["reg_coeff"], log_rows=rows)
     ckpt.save_model(far, args.out)
-    if args.log:
-        metrics_to_csv(rows, args.log)
-    pruner.report_to_csv(report, args.report)
+    _write_log(args.log, rows)
+    _write_table(args.report, ("layer", "head", "direction", "retained",
+                               "total", "ratio"),
+                 ({**r, "ratio": f"{r['ratio']:.6f}"} for r in report))
     mean_ratio = float(np.mean([r["ratio"] for r in report]))
     print(f"pruned; mean retention {mean_ratio:.3f}; report {args.report}; "
           f"saved {args.out}")
@@ -159,9 +181,10 @@ def cmd_bench(args, cfg):
     (--variant), or with --checkpoint the checkpoint's, whose own config,
     kind and live scan widths describe what is measured. A FAR file that
     still holds pruned units (written before ``save_model`` dropped them,
-    or by ``save_checkpoint``) is timed shrunk, at the widths its cost rows
-    count. The report gives the config's precision, the dtype of the logits
-    the measured forward produced and the thread variables set while it
+    or by ``save_checkpoint``) is timed shrunk. The cost rows count the
+    widths of the model timed, one unit for a scan with none live. The
+    report gives the config's precision, the dtype of the logits the
+    measured forward produced and the thread variables set while it
     ran."""
     if args.checkpoint:
         model = ckpt.load_model(args.checkpoint)
@@ -183,8 +206,10 @@ def cmd_bench(args, cfg):
     stats = profiler.bench_latency(forward, warmups=cfg["bench"]["warmups"],
                                    runs=cfg["bench"]["runs"])
     far = isinstance(model, FarModel)
+    widths = ([[np.ones(p.hidden, bool) for p in blk.scans]
+               for blk in model.blocks] if far else None)
     rows = profiler.cost_rows(mcfg, "far" if far else "attention",
-                              masks=model.masks if far else None)
+                              masks=widths)
     rows += [(f"latency_{k}_ms", f"{stats[k]:.6f}")
              for k in ("median", "mean", "p10", "p90")]
     rows += [("runs", cfg["bench"]["runs"]),

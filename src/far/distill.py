@@ -5,7 +5,8 @@ blocks are trainable, followed by a finetuning phase with every
 parameter unfrozen and pure classification loss. The teacher and the
 pruning stages train through the same loop, ``run_phase``. Its optimizer
 step, ``AdamW.step``, is one pass over all trained tensors at once: one
-gather of the gradients, one finiteness check, one update.
+gather of the gradients (every trained tensor must have one), one
+finiteness check, one update.
 
 Parameters are created frozen; ``freeze_plan`` is the only code that
 marks a parameter trainable, per phase, and ``run_phase`` keeps them
@@ -67,9 +68,9 @@ class AdamW:
     """Adaptive moments with decoupled weight decay, in one pass over every
     trained tensor.
 
-    The tensors share one dtype. The moments are one flat buffer each, and
-    ``m`` and ``v`` view them per tensor. ``step`` gathers every gradient
-    and weight into one flat array each, runs the update over them,
+    The tensors share one dtype, and ``m`` and ``v`` are one flat buffer
+    each, in the order of ``params``. ``step`` gathers every gradient and
+    weight into one flat array each, runs the update over them,
     elementwise the per-tensor rule bit for bit, and rebinds each tensor to
     its view of the new flat weights. The weights are gathered afresh on
     every step, so a tensor rebound or zeroed in place between steps is
@@ -87,41 +88,32 @@ class AdamW:
         if len(dtypes) > 1:
             raise TypeError(f"AdamW trains tensors of one dtype, got {dtypes}")
         self._shapes = [p.data.shape for p in self.params]
-        self._sizes = [p.data.size for p in self.params]
-        self._ends = np.cumsum([0] + self._sizes).tolist()
-        # m, v, then the gathered gradient and a scratch buffer of each step
-        self._m, self._v, self._g, self._tmp = np.zeros(
+        self._ends = np.cumsum(
+            [0] + [p.data.size for p in self.params]).tolist()
+        # m, v, then the gathered gradient and a scratch buffer of each
+        # step; the moments are only ever written in place
+        self.m, self.v, self._g, self._tmp = np.zeros(
             (4, self._ends[-1]), dtypes[0] if dtypes else np.float64)
-        # the flat moments are only ever written in place
-        self.m, self.v = self._views(self._m), self._views(self._v)
-
-    def _views(self, flat):
-        return [flat[a:b].reshape(shape) for a, b, shape in
-                zip(self._ends, self._ends[1:], self._shapes)]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        """Update every tensor that has a gradient; one whose ``grad`` is
-        None keeps its value and its moments. A nan or inf in any gradient
-        raises ``NonFiniteGradient`` before anything moves."""
+        """Update every tensor. A tensor whose ``grad`` is None raises
+        ValueError, and a nan or inf in any gradient ``NonFiniteGradient``,
+        both naming its position in ``params`` before anything moves."""
         grads = [p.grad for p in self.params]
-        missing = [g is None for g in grads]
-        g = np.concatenate([np.zeros_like(p.data) if gi is None else gi
-                            for p, gi in zip(self.params, grads)],
-                           axis=None, out=self._g)
+        for i, gi in enumerate(grads):
+            if gi is None:
+                raise ValueError(f"trained tensor {i} has no gradient")
+        g = np.concatenate(grads, axis=None, out=self._g)
         if not np.isfinite(g).all():
             raise NonFiniteGradient(next(
-                i for i, gi in enumerate(grads)
-                if gi is not None and not np.isfinite(gi).all()))
+                i for i, gi in enumerate(grads) if not np.isfinite(gi).all()))
         self.t += 1
         w = np.concatenate([p.data for p in self.params], axis=None)
-        keep = np.repeat(missing, self._sizes) if any(missing) else None
-        if keep is not None:
-            kept = w[keep], self._m[keep], self._v[keep]
-        m, v, tmp = self._m, self._v, self._tmp
+        m, v, tmp = self.m, self.v, self._tmp
         # m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2 and
         # w -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd w), each product
         # and sum rounded as the per-tensor rule rounds it; only w is new
@@ -141,10 +133,9 @@ class AdamW:
         step += tmp
         step *= self.lr
         w -= step
-        if keep is not None:
-            w[keep], self._m[keep], self._v[keep] = kept
-        for p, view in zip(self.params, self._views(w)):
-            p.data = view
+        for p, a, b, shape in zip(self.params, self._ends, self._ends[1:],
+                                  self._shapes):
+            p.data = w[a:b].reshape(shape)
 
 
 def cosine_lr(epoch, cfg: TrainConfig):
@@ -331,20 +322,8 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
         _set_trainable(trainable, False)
 
     if frozen_before is not None:
+        named = far_model.named_parameters()
         for name, before in frozen_before.items():
-            now = far_model.named_parameters()[name].data
-            if not np.array_equal(before, now):
+            if not np.array_equal(before, named[name].data):
                 raise RuntimeError(f"frozen tensor {name} changed during distill")
     return rows
-
-
-def metrics_to_csv(rows, path):
-    """One line per epoch row under a header; the header alone when no
-    epoch ran."""
-    base = ("acc", "epoch", "loss", "phase", "sim_mean")
-    keys = sorted({k for r in rows for k in r} | set(base),
-                  key=lambda k: (k not in base, k))
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r.get(k, "")) for k in keys) + "\n")

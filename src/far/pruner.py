@@ -154,14 +154,9 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     return total
 
 
-def unit_importance(block: FarBlockParams, k):
-    """L2 norm of every weight coupled to each unit of scan k (the extended
-    set), the importance ``prune_by_threshold`` ranks by."""
-    return np.sqrt(unit_sq_norms(block, k, extension=True).data)
-
-
 def prune_by_threshold(far_model: FarModel, tau, mode):
-    """Zero, in place, every unit whose importance is at most tau.
+    """Zero, in place, every unit whose importance, the L2 norm of all its
+    coupled weights (``unit_sq_norms`` with ``extension``), is at most tau.
 
     ``mode`` is one of ``MODES``; 'relative' reads tau as a fraction of the
     scan's max importance. The max-importance unit is always kept (floor
@@ -209,14 +204,6 @@ def retention_report(far_model: FarModel):
                          "retained": kept, "total": total,
                          "ratio": kept / total})
     return rows
-
-
-def report_to_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("layer,head,direction,retained,total,ratio\n")
-        for r in rows:
-            fh.write(f"{r['layer']},{r['head']},{r['direction']},"
-                     f"{r['retained']},{r['total']},{r['ratio']:.6f}\n")
 
 
 def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,

@@ -313,6 +313,18 @@ def test_export_pgm_and_csv_round_trip(tmp_path, models):
     assert np.array_equal(back, dep)
 
 
+def test_export_csv_bytes(tmp_path):
+    """A heatmap CSV holds each value as ``repr`` of its float64, one row
+    of the matrix per line."""
+    mat = np.array([[1 / 3, 0.0, -0.0], [-2.5e-17, 123456789.125, 5e-324]])
+    export_heatmaps({"m": mat, "f32": np.float32([[1 / 3, 1.5]])},
+                    f"{tmp_path}/run_")
+    assert (tmp_path / "run_m.csv").read_bytes() == (
+        b"0.3333333333333333,0.0,-0.0\n-2.5e-17,123456789.125,5e-324\n")
+    assert (tmp_path / "run_f32.csv").read_bytes() == (
+        b"0.3333333432674408,1.5\n")
+
+
 @pytest.mark.parametrize("blocked", ["pgm", "csv"])
 def test_export_error_names_the_file_it_failed_to_write(tmp_path, blocked):
     (tmp_path / f"run_dep.{blocked}").mkdir()

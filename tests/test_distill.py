@@ -4,9 +4,10 @@ import pytest
 from far import tensor as T
 from far.tensor import Tensor
 from far.vit import TeacherModel
-from far.far_block import replace_attention
+from far.far_block import coupled, replace_attention
+from far.pruner import hoyer_penalty_total, prune_by_threshold, shrink_model
 from far.data import synth_dataset
-from far.distill import (AdamW, TrainConfig, accuracy, combined_loss,
+from far.distill import (PHASES, AdamW, TrainConfig, accuracy, combined_loss,
                          cosine_lr, freeze_plan, run_phase, similarity_loss,
                          train_teacher)
 
@@ -373,14 +374,12 @@ def test_adamw_moves_toward_minimum():
 
 def _per_tensor_adamw(params, grads, state, lr, wd):
     """One step of the per-tensor AdamW rule, the oracle of the flat one:
-    ``state`` holds t and each tensor's m and v; a None grad skips it."""
+    ``state`` holds t and each tensor's m and v."""
     b1, b2, eps = AdamW.b1, AdamW.b2, AdamW.eps
     state["t"] += 1
     bc1 = 1.0 - b1 ** state["t"]
     bc2 = 1.0 - b2 ** state["t"]
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
         m, v = state["m"][i], state["v"][i]
         state["m"][i] = m = b1 * m + (1 - b1) * g
         state["v"][i] = v = b2 * v + (1 - b2) * (g * g)
@@ -397,34 +396,89 @@ def _two_copies(precision, seed):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("missing", [(), (3, 40)])
-def test_flat_adamw_is_the_per_tensor_rule_bit_for_bit(precision, missing):
+def test_flat_adamw_is_the_per_tensor_rule_bit_for_bit(precision):
     """Over 6 steps with weight decay: weights and moments equal the
-    per-tensor rule's; a tensor with no gradient keeps its value and its
-    moments."""
+    per-tensor rule's, each tensor's moments a slice of the flat ones."""
     flat, ref = _two_copies(precision, seed=60)
     rng = np.random.default_rng(60)
     opt = AdamW(flat, lr=3e-3, weight_decay=0.05)
     state = {"t": 0, "m": [np.zeros_like(p.data) for p in ref],
              "v": [np.zeros_like(p.data) for p in ref]}
-    kept = {i: flat[i].data.copy() for i in missing}
+    ends = np.cumsum([0] + [p.data.size for p in flat])
+    assert opt.m.shape == opt.v.shape == (ends[-1],)
     for _ in range(6):
-        grads = [None if i in missing else
-                 rng.normal(size=p.shape).astype(p.dtype)
-                 for i, p in enumerate(flat)]
+        grads = [rng.normal(size=p.shape).astype(p.dtype) for p in flat]
         for p, g in zip(flat, grads):
             p.grad = g
         opt.step()
         _per_tensor_adamw(ref, grads, state, 3e-3, 0.05)
-        for a, b, m, v, am, av in zip(flat, ref, state["m"], state["v"],
-                                      opt.m, opt.v):
+        for a, b, m, v, start, end in zip(flat, ref, state["m"], state["v"],
+                                          ends, ends[1:]):
             assert a.data.dtype == b.data.dtype
             np.testing.assert_array_equal(a.data, b.data)
-            np.testing.assert_array_equal(am, m)
-            np.testing.assert_array_equal(av, v)
-    for i, before in kept.items():
-        np.testing.assert_array_equal(flat[i].data, before)
-        assert not opt.m[i].any() and not opt.v[i].any()
+            np.testing.assert_array_equal(opt.m[start:end], m.ravel())
+            np.testing.assert_array_equal(opt.v[start:end], v.ravel())
+
+
+def test_adamw_step_without_a_gradient_raises_and_moves_nothing():
+    """A trained tensor with no gradient is a ValueError naming its
+    position, and the weights, moments and step count stay as they were."""
+    flat, _ = _two_copies("f32", seed=63)
+    rng = np.random.default_rng(63)
+    opt = AdamW(flat, lr=1e-2, weight_decay=0.05)
+    for _ in range(2):
+        for p in flat:
+            p.grad = rng.normal(size=p.shape).astype(p.dtype)
+        opt.step()
+    weights = [p.data.copy() for p in flat]
+    m, v = opt.m.copy(), opt.v.copy()
+    flat[40].grad = None
+    with pytest.raises(ValueError, match="trained tensor 40 has no gradient"):
+        opt.step()
+    assert opt.t == 2
+    for p, before in zip(flat, weights):
+        np.testing.assert_array_equal(p.data, before)
+    np.testing.assert_array_equal(opt.m, m)
+    np.testing.assert_array_equal(opt.v, v)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_every_trained_tensor_has_a_gradient_at_the_step(monkeypatch, phase):
+    """In one batch of every phase, each tensor ``AdamW.step`` trains holds
+    a gradient when it runs; the pruning phases train a shrunk model with
+    a scan that has no live unit."""
+    seen, step = [], AdamW.step
+
+    def spy(opt):
+        seen.append([p.grad is not None for p in opt.params])
+        step(opt)
+
+    monkeypatch.setattr(AdamW, "step", spy)
+    teacher = TeacherModel(desk_config(), seed=64)
+    far = replace_attention(teacher, seed=64)
+    model, extra = far, None
+    if phase == "teacher":
+        model = teacher
+    elif phase.startswith("prune"):
+        blk, p = far.blocks[0], far.blocks[0].scans[1]
+        rows, cols, out_rows = coupled(blk, 1, np.arange(p.hidden))
+        for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+            t.data[rows] = 0.0
+        p.w_hh.data[:, cols] = 0.0
+        blk.out_w.data[out_rows] = 0.0
+        prune_by_threshold(far, 0.9, mode="relative")
+        far.blocks = shrink_model(far).blocks
+        assert far.blocks[0].scans[1].hidden == 1
+        if phase == "prune-regularize":
+            def extra():
+                return hoyer_penalty_total(far) * 1e-4
+    ds = synth_dataset(64, 20, 10, 32)
+    run_phase(model, teacher, ds, TrainConfig(
+        phase=phase, epochs=1, batch_size=len(ds.train_idx),
+        warmup_epochs=0), extra_loss=extra)
+    trained = (far.far_parameters() if phase == "distill"
+               else model.named_parameters())
+    assert seen == [[True] * len(trained)]
 
 
 def test_flat_adamw_reads_a_rebound_tensor_afresh():

@@ -93,7 +93,7 @@ def test_one_batch_of_every_phase_computes_at_model_dtype(spy, precision,
     assert all(p.grad is not None and p.grad.dtype == dtype
                for p in trained.values())
     opt = spy["opts"][0]
-    assert all(a.dtype == dtype for a in opt.m + opt.v)
+    assert opt.m.dtype == opt.v.dtype == dtype
     assert all(p.data.dtype == dtype
                for p in model.named_parameters().values())
 

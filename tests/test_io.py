@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import checkpoint as ckpt, cli, distill, far_block
+from far import checkpoint as ckpt, cli, distill, far_block, pruner
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
@@ -841,6 +841,35 @@ def test_cli_bench_times_the_live_model_of_a_file_with_pruned_units(
                                  for layer in far.masks]
 
 
+def test_cli_bench_counts_the_params_of_the_model_it_times(
+        tmp_path, capsys, monkeypatch):
+    """A scan with no live unit is saved with one all-zero unit, and the
+    cost rows count that unit: ``params`` is the timed model's size."""
+    far = replace_attention(TeacherModel(desk_config(), seed=53), seed=53)
+    blk, p = far.blocks[0], far.blocks[0].scans[1]
+    rows, cols, out_rows = far_block.coupled(blk, 1, np.arange(p.hidden))
+    for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
+        t.data[rows] = 0.0
+    p.w_hh.data[:, cols] = 0.0
+    blk.out_w.data[out_rows] = 0.0
+    path, cfgfile = tmp_path / "dead.farc", tmp_path / "run.cfg"
+    save_model(far, path)
+    cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
+    timed, forward = [], far_block.FarModel.forward
+
+    def spy(model, image):
+        timed.append(model)
+        return forward(model, image)
+
+    monkeypatch.setattr(far_block.FarModel, "forward", spy)
+    assert main(["bench", "--config", str(cfgfile),
+                 "--checkpoint", str(path)]) == 0
+    report = dict(l.split(",") for l in capsys.readouterr().out.splitlines())
+    assert _widths(timed[0])[0][1] == 1
+    assert int(report["params"]) == sum(
+        t.data.size for t in timed[0].named_parameters().values())
+
+
 @pytest.mark.parametrize("command,kind,key", [
     ("train-teacher", None, "teacher_epochs"),
     ("distill", "teacher", "epochs"),
@@ -864,6 +893,78 @@ def test_cli_zero_epochs_saves_the_model(tmp_path, capsys, command, kind,
     assert ckpt.model_kind(load_model(out)) == (
         "teacher" if command == "train-teacher" else "far")
     assert log.read_text() == "acc,epoch,loss,phase,sim_mean\n"
+
+
+NAN = float("nan")
+EPOCH_ROWS = [
+    {"epoch": 0, "phase": "finetune", "loss": 2.5, "sim_mean": NAN,
+     "acc": 0.1, "sim_block_0": NAN, "sim_block_1": 0.125},
+    {"epoch": 1, "phase": "finetune", "loss": 1 / 3, "sim_mean": NAN,
+     "acc": 0.25},  # no sim_block_* keys
+]
+EPOCH_LOG = ("acc,epoch,loss,phase,sim_mean,sim_block_0,sim_block_1\n"
+             "0.1,0,2.5,finetune,nan,nan,0.125\n"
+             "0.25,1,0.3333333333333333,finetune,nan,,\n")
+
+
+def _far_file(tmp_path, seed):
+    path, cfgfile = tmp_path / "far.farc", tmp_path / "run.cfg"
+    save_model(replace_attention(TeacherModel(desk_config(), seed=seed),
+                                 seed=seed), path)
+    cfgfile.write_text("[data]\nn = 20\n")
+    return path, cfgfile
+
+
+@pytest.mark.parametrize("rows,expected", [
+    (EPOCH_ROWS, EPOCH_LOG), ([], "acc,epoch,loss,phase,sim_mean\n")],
+    ids=["two-epochs", "no-epoch"])
+def test_cli_epoch_log_bytes(tmp_path, capsys, monkeypatch, rows, expected):
+    """The --log file of a phase's epoch rows: the base columns, then the
+    rest by name; floats as ``repr`` writes them, a key a row lacks as an
+    empty field, the header alone when no epoch ran."""
+    monkeypatch.setattr(cli, "run_phase",
+                        lambda *args, **kwargs: [dict(r) for r in rows])
+    path, cfgfile = _far_file(tmp_path, 51)
+    log = tmp_path / "log.csv"
+    assert main(["finetune", "--config", str(cfgfile), "--checkpoint",
+                 str(path), "--out", str(tmp_path / "out.farc"),
+                 "--log", str(log)]) == 0
+    assert log.read_bytes() == expected.encode()
+
+
+def test_cli_prune_report_and_log_bytes(tmp_path, capsys, monkeypatch):
+    """``far prune`` writes the rows of both its phases to --log and the
+    retention rows to --report, each ratio to 6 places."""
+    report = [
+        {"layer": 0, "head": 0, "direction": "fwd", "retained": 1,
+         "total": 3, "ratio": 1 / 3},
+        {"layer": 0, "head": 1, "direction": "rev", "retained": 2,
+         "total": 3, "ratio": 2 / 3},
+        {"layer": 1, "head": 0, "direction": "fwd", "retained": 3,
+         "total": 3, "ratio": 1.0},
+    ]
+
+    def pipeline(*args, log_rows, **kwargs):
+        log_rows += [dict(EPOCH_ROWS[0], phase="prune-regularize"),
+                     dict(EPOCH_ROWS[1], phase="prune-finetune")]
+        return report
+
+    monkeypatch.setattr(pruner, "three_stage_pipeline", pipeline)
+    path, cfgfile = _far_file(tmp_path, 52)
+    log, retention = tmp_path / "log.csv", tmp_path / "retention.csv"
+    assert main(["prune", "--config", str(cfgfile), "--checkpoint",
+                 str(path), "--out", str(tmp_path / "out.farc"),
+                 "--log", str(log), "--report", str(retention)]) == 0
+    assert "mean retention 0.667" in capsys.readouterr().out
+    assert log.read_bytes() == EPOCH_LOG.replace(
+        "0.1,0,2.5,finetune", "0.1,0,2.5,prune-regularize").replace(
+        "0.25,1,0.3333333333333333,finetune",
+        "0.25,1,0.3333333333333333,prune-finetune").encode()
+    assert retention.read_bytes() == (
+        b"layer,head,direction,retained,total,ratio\n"
+        b"0,0,fwd,1,3,0.333333\n"
+        b"0,1,rev,2,3,0.666667\n"
+        b"1,0,fwd,3,3,1.000000\n")
 
 
 @pytest.mark.parametrize("epochs", [0, 2])

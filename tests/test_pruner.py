@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import distill
+from far import cli, distill
+from far.checkpoint import load_model, save_model
 from far import tensor as T
 from far.tensor import Tensor
 from far.vit import TeacherModel
@@ -13,11 +15,16 @@ from far.far_block import coupled, replace_attention, scan_of
 from far.data import synth_dataset
 from far.distill import TrainConfig, accuracy
 from far.pruner import (group_hs, hoyer_penalty, hoyer_penalty_total,
-                        prune_by_threshold, report_to_csv, retention_report,
-                        shrink_model, three_stage_pipeline, unit_importance,
-                        unit_sq_norms)
+                        prune_by_threshold, retention_report, shrink_model,
+                        three_stage_pipeline, unit_sq_norms)
 
 from conftest import desk_config
+
+
+def _importance(blk, k):
+    """L2 norm of every weight coupled to each unit of scan k, the
+    importance ``prune_by_threshold`` ranks by."""
+    return np.sqrt(unit_sq_norms(blk, k, extension=True).data)
 
 
 def _groups(n_groups, per_group):
@@ -180,7 +187,7 @@ def test_norms_and_penalty_match_the_old_composite(widths_f64, extension):
             unit_sq_norms(blk, k, extension=extension).data,
             (comp * comp).sum(axis=1), rtol=1e-12)
         if extension:
-            np.testing.assert_allclose(unit_importance(blk, k),
+            np.testing.assert_allclose(_importance(blk, k),
                                        np.linalg.norm(comp, axis=1),
                                        rtol=1e-12)
     hs = [group_hs(comp, [np.arange(r * comp.shape[1], (r + 1) * comp.shape[1])
@@ -412,7 +419,7 @@ def test_relative_mode_uses_max_norm():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=14), seed=14)
     blk = far.blocks[0]
-    norms = unit_importance(blk, 0)
+    norms = _importance(blk, 0)
     tau = 0.5
     expect = norms > tau * norms.max()
     prune_by_threshold(far, tau, mode="relative")
@@ -461,7 +468,7 @@ def test_prune_zeroes_exactly_the_coupled_set():
     for l, blk in enumerate(far.blocks):
         for k in range(2 * cfg.heads):
             h, d = scan_of(k)
-            norms = unit_importance(blk, k)
+            norms = _importance(blk, k)
             drop = np.flatnonzero(norms <= 0.9 * norms.max())
             dropped += len(drop)
             rows, cols, out_rows = coupled(blk, k, drop)
@@ -499,8 +506,8 @@ def test_shrunk_importance_and_penalty_match_zeroed_live_units():
                for p in blk.scans)
     for blk, small, live in zip(far.blocks, shrunk.blocks, far.masks):
         for k in range(2 * cfg.heads):
-            np.testing.assert_allclose(unit_importance(small, k),
-                                       unit_importance(blk, k)[live[k]],
+            np.testing.assert_allclose(_importance(small, k),
+                                       _importance(blk, k)[live[k]],
                                        rtol=1e-12)
     np.testing.assert_allclose(
         hoyer_penalty_total(shrunk, extension=True).item(),
@@ -512,8 +519,8 @@ def test_weight_zero_masks_cover_pruned_entries():
     and every weight coupled to a masked unit is zero."""
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
-    drops = [[np.flatnonzero(unit_importance(blk, k)
-                             <= 0.9 * unit_importance(blk, k).max())
+    drops = [[np.flatnonzero(_importance(blk, k)
+                             <= 0.9 * _importance(blk, k).max())
               for k in range(2 * cfg.heads)] for blk in far.blocks]
     prune_by_threshold(far, 0.9, mode="relative")
     assert any(len(units) for layer in drops for units in layer)
@@ -572,13 +579,23 @@ def test_retention_rows_name_each_scan_by_layer_head_direction(far_f64):
 
 
 def test_report_csv_round_trip(tmp_path, far_f64):
-    prune_by_threshold(far_f64, 0.5, mode="relative")
-    rows = retention_report(far_f64)
-    path = tmp_path / "retention.csv"
-    report_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "layer,head,direction,retained,total,ratio"
-    assert len(lines) == 1 + len(rows)
+    """``far prune --report`` holds the retention report of the model it
+    saves, one line per scan."""
+    path, out, report = (tmp_path / n for n in
+                         ("far.farc", "pruned.farc", "retention.csv"))
+    save_model(far_f64, path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[prune]\nthreshold = 0.9\nthreshold_mode = relative\n"
+                       "reg_epochs = 0\nfinetune_epochs = 0\n[data]\nn = 20\n")
+    assert cli.main(["prune", "--config", str(cfgfile), "--checkpoint",
+                     str(path), "--out", str(out), "--report",
+                     str(report)]) == 0
+    rows = retention_report(load_model(out))
+    assert any(r["retained"] < r["total"] for r in rows)
+    with open(report, newline="") as fh:
+        assert list(csv.DictReader(fh)) == [
+            {**{k: str(v) for k, v in r.items()}, "ratio": f"{r['ratio']:.6f}"}
+            for r in rows]
 
 
 def test_pipeline_noop_when_alpha_and_tau_zero():

@@ -42,3 +42,27 @@ def test_a_src_without_the_package_fails_naming_it(tmp_path, monkeypatch,
         capture_output=True, text=True)
     assert run.returncode != 0 and run.stdout == ""
     assert str(tmp_path) in run.stderr
+
+
+def _run(*args, cwd=None):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "settables.py"), *args],
+        capture_output=True, text=True, cwd=cwd)
+
+
+def test_help_prints_the_usage_and_exits_0():
+    run = _run("--help")
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("usage: settables [-h] [SRC]")
+
+
+def test_an_unknown_option_is_a_usage_error():
+    run = _run("--bogus")
+    assert run.returncode == 2 and run.stdout == ""
+    assert "unrecognized arguments: --bogus" in run.stderr
+
+
+def test_src_defaults_to_src_of_the_working_directory():
+    default, given = _run(cwd=ROOT), _run(str(ROOT / "src"))
+    assert default.returncode == given.returncode == 0
+    assert default.stdout == given.stdout != ""

@@ -13,8 +13,9 @@ Run from the repository root: ``python tools/settables.py [SRC]``, where
 SRC (default ``src``) holds the ``far`` package. Prints one ``name,count``
 row per kind, their total, and the line count of ``SRC/far/*.py``. A SRC
 with no ``far/*.py``, or from which ``far`` is not the package imported,
-is an error that names SRC (exit 1). The script needs only the standard
-library and the package it counts.
+is an error that names SRC (exit 1); an unknown option is a usage error
+(exit 2), and ``--help`` prints the usage. The script needs only the
+standard library and the package it counts.
 """
 
 import argparse
@@ -60,7 +61,14 @@ def cli_options(parser):
 
 
 def main():
-    src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "src")
+    ap = argparse.ArgumentParser(
+        prog="settables",
+        description="Count the settable values of the far package and the "
+                    "lines of its source.")
+    ap.add_argument("src", nargs="?", default="src", metavar="SRC",
+                    help="the directory that holds the far package "
+                         "(default: src)")
+    src = pathlib.Path(ap.parse_args().src)
     files = sorted((src / "far").glob("*.py"))
     if not files:
         sys.exit(f"settables: no far/*.py under SRC {src}")
