@@ -142,8 +142,8 @@ def band_mass(dep, width):
 
 
 def uniform_band_mass(t, width):
-    mask = np.abs(np.subtract.outer(np.arange(t), np.arange(t))) <= width
-    return float(mask.sum() / (t * t))
+    """``band_mass`` of a uniform (t x t) dependency map."""
+    return band_mass(np.ones((t, t)), width)
 
 
 def _write(path, mode, write):

@@ -87,7 +87,8 @@ def _parse_config_blob(path, blob: bytes):
 
 
 def save_checkpoint(path, cfg, tensors, kind="teacher"):
-    """Write named arrays atomically. ``tensors`` maps name -> array/Tensor."""
+    """Write named arrays atomically. ``tensors`` maps name -> array/Tensor.
+    An OSError names ``path``, and no temporary file is left behind."""
     body = bytearray()
     body += MAGIC
     body += struct.pack("<I", FORMAT_VERSION)
@@ -108,15 +109,19 @@ def save_checkpoint(path, cfg, tensors, kind="teacher"):
         body += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
 
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(body)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror or str(exc),
+                          str(path)) from None
         raise
 
 

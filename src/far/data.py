@@ -23,9 +23,6 @@ class Dataset:
         idx = self.train_idx if which == "train" else self.val_idx
         return self.images[idx], self.labels[idx]
 
-    def __len__(self):
-        return len(self.labels)
-
 
 def synth_dataset(seed, n, classes, image_size, channels=3, noise=0.25):
     """Stratified oriented-grating dataset with a fixed 80/20 split."""

@@ -3,10 +3,12 @@
 Two-phase schedule: a distillation phase where only the substitute
 blocks are trainable, followed by a finetuning phase with every
 parameter unfrozen and pure classification loss. The teacher and the
-pruning stages train through the same loop, ``run_phase``. Its optimizer
-step, ``AdamW.step``, is one pass over all trained tensors at once: one
-gather of the gradients (every trained tensor must have one), one
-finiteness check, one update.
+pruning stages train through the same loop, ``run_phase``. Its optimizer,
+``AdamW``, trains the name -> Tensor table that ``freeze_plan`` returns,
+and its step is one pass over all of them at once: one gather of the
+gradients (every trained tensor must have one), one finiteness check, one
+update. A missing or non-finite gradient names its tensor, and
+``run_phase`` adds the phase and epoch.
 
 Parameters are created frozen; ``freeze_plan`` is the only code that
 marks a parameter trainable, per phase, and ``run_phase`` keeps them
@@ -55,21 +57,13 @@ class TrainConfig:
                 f"batch_size must be at least 1, got {self.batch_size}")
 
 
-class NonFiniteGradient(FloatingPointError):
-    """A gradient holds a nan or inf; ``AdamW.step`` moved nothing.
-    ``index`` is the position of the first such tensor in ``params``."""
-
-    def __init__(self, index):
-        super().__init__(f"the gradient of tensor {index} is not finite")
-        self.index = index
-
-
 class AdamW:
     """Adaptive moments with decoupled weight decay, in one pass over every
-    trained tensor.
+    tensor of ``named``, the name -> Tensor table it trains (as
+    ``freeze_plan`` returns it).
 
     The tensors share one dtype, and ``m`` and ``v`` are one flat buffer
-    each, in the order of ``params``. ``step`` gathers every gradient and
+    each, in the order of ``named``. ``step`` gathers every gradient and
     weight into one flat array each, runs the update over them,
     elementwise the per-tensor rule bit for bit, and rebinds each tensor to
     its view of the new flat weights. The weights are gathered afresh on
@@ -79,40 +73,43 @@ class AdamW:
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr, weight_decay):
-        self.params = list(params)
+    def __init__(self, named, lr, weight_decay):
+        self.named = dict(named)
         self.lr = lr
         self.wd = weight_decay
         self.t = 0
-        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        params = self.named.values()
+        dtypes = sorted({str(p.data.dtype) for p in params})
         if len(dtypes) > 1:
             raise TypeError(f"AdamW trains tensors of one dtype, got {dtypes}")
-        self._shapes = [p.data.shape for p in self.params]
-        self._ends = np.cumsum(
-            [0] + [p.data.size for p in self.params]).tolist()
+        self._shapes = [p.data.shape for p in params]
+        self._ends = np.cumsum([0] + [p.data.size for p in params]).tolist()
         # m, v, then the gathered gradient and a scratch buffer of each
         # step; the moments are only ever written in place
         self.m, self.v, self._g, self._tmp = np.zeros(
             (4, self._ends[-1]), dtypes[0] if dtypes else np.float64)
 
     def zero_grad(self):
-        for p in self.params:
+        for p in self.named.values():
             p.grad = None
 
     def step(self):
         """Update every tensor. A tensor whose ``grad`` is None raises
-        ValueError, and a nan or inf in any gradient ``NonFiniteGradient``,
-        both naming its position in ``params`` before anything moves."""
-        grads = [p.grad for p in self.params]
-        for i, gi in enumerate(grads):
+        ValueError, and a nan or inf in any gradient FloatingPointError,
+        both naming the first such tensor before anything moves."""
+        grads = [p.grad for p in self.named.values()]
+        for name, gi in zip(self.named, grads):
             if gi is None:
-                raise ValueError(f"trained tensor {i} has no gradient")
+                raise ValueError(f"trained tensor {name} has no gradient")
         g = np.concatenate(grads, axis=None, out=self._g)
         if not np.isfinite(g).all():
-            raise NonFiniteGradient(next(
-                i for i, gi in enumerate(grads) if not np.isfinite(gi).all()))
+            bad = next(name for name, gi in zip(self.named, grads)
+                       if not np.isfinite(gi).all())
+            raise FloatingPointError(
+                f"trained tensor {bad} is the first with a non-finite "
+                f"gradient")
         self.t += 1
-        w = np.concatenate([p.data for p in self.params], axis=None)
+        w = np.concatenate([p.data for p in self.named.values()], axis=None)
         m, v, tmp = self.m, self.v, self._tmp
         # m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2 and
         # w -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd w), each product
@@ -133,8 +130,8 @@ class AdamW:
         step += tmp
         step *= self.lr
         w -= step
-        for p, a, b, shape in zip(self.params, self._ends, self._ends[1:],
-                                  self._shapes):
+        for p, a, b, shape in zip(self.named.values(), self._ends,
+                                  self._ends[1:], self._shapes):
             p.data = w[a:b].reshape(shape)
 
 
@@ -260,7 +257,7 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
     """
     rng = np.random.default_rng(cfg.seed)
     trainable = freeze_plan(far_model, cfg.phase)
-    opt = AdamW(trainable.values(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     images, labels = dataset.split("train")
     n_layers = far_model.cfg.layers
     # the pruning stages train with classification + Hoyer terms only
@@ -297,12 +294,9 @@ def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
                 loss.backward()
                 try:
                     opt.step()
-                except NonFiniteGradient as err:
-                    bad = list(trainable)[err.index]
+                except FloatingPointError as err:
                     raise RuntimeError(
-                        f"non-finite gradient in phase {cfg.phase} epoch "
-                        f"{epoch}: {bad} is the first trained tensor with one"
-                    ) from None
+                        f"phase {cfg.phase} epoch {epoch}: {err}") from None
                 epoch_loss.append(loss.item())
                 if sims:
                     epoch_sims.append([s.item() for s in sims])

@@ -22,8 +22,7 @@ import numpy as np
 from . import distill
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import (FarBlockParams, FarModel, coupled, live_tensors,
-                        scan_of)
+from .far_block import FarModel, coupled, live_tensors, scan_of
 
 log = logging.getLogger(__name__)
 
@@ -42,23 +41,17 @@ def group_hs(w, groups):
     return hoyer_penalty(np.array(sq)).item()
 
 
-def unit_sq_norms(block: FarBlockParams, k, extension):
-    """(hidden,) Tensor: per hidden unit of scan k, the sum of squares of
-    its coupled weights, wired into the autodiff graph.
+def unit_sq_norms(scans, extension):
+    """(len(scans), hidden) Tensor, one graph: row i holds, per hidden unit
+    of scan k of block blk, where (blk, k) is ``scans[i]``, the sum of
+    squares of its coupled weights. The scans share one hidden width.
 
     The mandatory set is the unit's four gate rows of w_ih and w_hh. With
     ``extension`` it adds the unit's w_hh column, both bias entries and its
     out_w row; the w_hh diagonal entry then counts in the row and the column.
+    The scans' tensors are stacked, so every sum runs over rows of the
+    length it has for one scan and equals that scan's bit for bit.
     """
-    sq = _sq_norms([(block, k)], extension)
-    return T.reshape(sq, (block.scans[k].hidden,))
-
-
-def _sq_norms(scans, extension):
-    """(len(scans), hidden) Tensor: ``unit_sq_norms`` of every (block, k) of
-    ``scans``, which share one hidden width, as one graph. The scans'
-    tensors are stacked, so every sum runs over rows of the length it has
-    for one scan and equals that scan's bit for bit."""
     ps = [blk.scans[k] for blk, k in scans]
     n, hid = len(ps), ps[0].hidden
     idx = [coupled(blk, k, np.arange(hid)) for blk, k in scans]
@@ -137,7 +130,7 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     """Sum (or mean) of the Hoyer penalties of every scan of every layer,
     as one graph whatever the number of scans.
 
-    The scans of one hidden width are stacked into one ``_sq_norms`` and
+    The scans of one hidden width are stacked into one ``unit_sq_norms`` and
     one row-wise ``hoyer_penalty``; the terms are summed in scan order. The
     value is the sum of the per-scan penalties bit for bit, and so is its
     gradient.
@@ -145,7 +138,8 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
     groups, order = _by_width(far_model)
-    terms = [hoyer_penalty(_sq_norms(scans, extension)) for scans in groups]
+    terms = [hoyer_penalty(unit_sq_norms(scans, extension))
+             for scans in groups]
     if len(terms) > 1:  # back to scan order
         terms = [T.concat(terms, axis=0)[np.argsort(order)]]
     total = _sum_in_order(terms[0])
@@ -169,7 +163,7 @@ def prune_by_threshold(far_model: FarModel, tau, mode):
     if mode not in MODES:
         raise ValueError(f"pruning mode must be one of {MODES}, got {mode!r}")
     for scans in _by_width(far_model)[0]:
-        importance = np.sqrt(_sq_norms(scans, extension=True).data)
+        importance = np.sqrt(unit_sq_norms(scans, extension=True).data)
         for (blk, k), norms in zip(scans, importance):
             p = blk.scans[k]
             cut = tau * norms.max() if mode == "relative" else tau

@@ -145,34 +145,19 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         if not isinstance(other, Tensor) and np.ndim(other) == 0:
             return add(self, -other)  # a constant, so it takes self's dtype
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, other)
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)

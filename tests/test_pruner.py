@@ -24,7 +24,7 @@ from conftest import desk_config
 def _importance(blk, k):
     """L2 norm of every weight coupled to each unit of scan k, the
     importance ``prune_by_threshold`` ranks by."""
-    return np.sqrt(unit_sq_norms(blk, k, extension=True).data)
+    return np.sqrt(unit_sq_norms([(blk, k)], extension=True)[0].data)
 
 
 def _groups(n_groups, per_group):
@@ -141,7 +141,7 @@ def widths_f64(request):
 @pytest.mark.parametrize("extension", [False, True])
 def test_unit_sq_norms_sum_the_coupled_set(widths_f64, extension):
     for blk, k in _scans(widths_f64):
-        sq = unit_sq_norms(blk, k, extension=extension)
+        sq = unit_sq_norms([(blk, k)], extension=extension)[0]
         assert sq.shape == (blk.scans[k].hidden,)
         np.testing.assert_allclose(
             sq.data, _hand_sq_norms(blk, k, extension), rtol=1e-12)
@@ -157,9 +157,10 @@ def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
     j, dh = 2, p.hidden
     p.w_hh.data[2 * dh + j, j] = 3.0  # cell-gate row of unit j, column j
     np.testing.assert_array_equal(
-        unit_sq_norms(blk, 3, extension=False).data, np.eye(dh)[j] * 9.0)
+        unit_sq_norms([(blk, 3)], extension=False)[0].data,
+        np.eye(dh)[j] * 9.0)
     np.testing.assert_array_equal(
-        unit_sq_norms(blk, 3, extension=True).data,
+        unit_sq_norms([(blk, 3)], extension=True)[0].data,
         np.eye(dh)[j] * 18.0)
 
 
@@ -173,7 +174,7 @@ def test_unit_sq_norms_zero_unit_is_zero(extension):
         t.data[rows] = 0.0
     p.w_hh.data[:, cols] = 0.0
     blk.out_w.data[out_rows] = 0.0
-    sq = unit_sq_norms(blk, 1, extension=extension).data
+    sq = unit_sq_norms([(blk, 1)], extension=extension)[0].data
     assert sq[j] == 0.0
     assert np.all(np.delete(sq, j) > 0.0)
 
@@ -184,7 +185,7 @@ def test_norms_and_penalty_match_the_old_composite(widths_f64, extension):
              for blk, k in _scans(widths_f64)]
     for (blk, k), comp in zip(_scans(widths_f64), comps):
         np.testing.assert_allclose(
-            unit_sq_norms(blk, k, extension=extension).data,
+            unit_sq_norms([(blk, k)], extension=extension)[0].data,
             (comp * comp).sum(axis=1), rtol=1e-12)
         if extension:
             np.testing.assert_allclose(_importance(blk, k),
@@ -544,19 +545,20 @@ def test_regularization_drives_group_sparsity():
     # make unit 0 dominant
     rows = coupled(blk, 0, [0])[0]
     p.w_ih.data[rows] *= 10.0
-    before = np.sqrt(unit_sq_norms(blk, 0, extension=False).data)
+    before = np.sqrt(unit_sq_norms([(blk, 0)], extension=False)[0].data)
     start = hoyer_penalty(before * before).item()
     for _ in range(200):
-        loss = hoyer_penalty(unit_sq_norms(blk, 0, extension=False))
+        loss = hoyer_penalty(unit_sq_norms([(blk, 0)], extension=False)[0])
         for t in (p.w_ih, p.w_hh):
             t.grad = None
         loss.backward()
         for t in (p.w_ih, p.w_hh):
             t.data -= 0.05 * t.grad
-    after = np.sqrt(unit_sq_norms(blk, 0, extension=False).data)
+    after = np.sqrt(unit_sq_norms([(blk, 0)], extension=False)[0].data)
     # dominant unit survives, tail shrinks relative to it
     assert after[0] / after[1:].max() > before[0] / before[1:].max()
-    assert hoyer_penalty(unit_sq_norms(blk, 0, extension=False)).item() < start
+    final = hoyer_penalty(unit_sq_norms([(blk, 0)], extension=False)[0])
+    assert final.item() < start
 
 
 def test_retention_report_row_count(far_f64):
