@@ -7,6 +7,7 @@ error.
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -67,6 +68,20 @@ def _write_log(path, rows):
     _write_table(path, keys, rows)
 
 
+def _check_writable(*paths):
+    """An OSError naming the first of ``paths`` (None skipped) whose
+    directory does not exist or is not writable: a training command checks
+    the files it will write before it trains, not after."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(parent)
+                and os.access(parent, os.W_OK | os.X_OK)):
+            raise OSError(f"cannot write {path}: {parent} is not a writable "
+                          f"directory")
+
+
 def _load_kind(path, kind):
     """The model in checkpoint ``path``; a CheckpointError naming the file
     unless it holds a ``kind`` model."""
@@ -85,6 +100,7 @@ def _final_acc(rows, model, ds):
 
 
 def cmd_train_teacher(args, cfg):
+    _check_writable(args.out, args.log)
     tr = cfg["train"]
     teacher = TeacherModel(model_config(cfg), seed=tr["seed"])
     ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
@@ -107,6 +123,7 @@ def _train_cfg(cfg, phase, lr, epochs):
 
 
 def cmd_distill(args, cfg):
+    _check_writable(args.out, args.log)
     teacher = _load_kind(args.checkpoint, "teacher")
     ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
     far = replace_attention(teacher, seed=cfg["train"]["seed"])
@@ -121,6 +138,7 @@ def cmd_distill(args, cfg):
 
 
 def cmd_finetune(args, cfg):
+    _check_writable(args.out, args.log)
     far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
     di = cfg["distill"]
@@ -135,6 +153,7 @@ def cmd_finetune(args, cfg):
 
 
 def cmd_prune(args, cfg):
+    _check_writable(args.out, args.log, args.report)
     pr = cfg["prune"]
     for key in ("threshold", "reg_coeff"):  # a flag overrides its key
         value = getattr(args, key)

@@ -31,13 +31,16 @@ tanh and hidden states are time-major (T, S, B, hid) too. A step is then
 one ``h @ w_hh`` over the S scans, one add, one tanh over the four
 gates, two in-place ops on the contiguous i/f/o block, and ufuncs that
 write c, tanh(c) and h in place; the gate buffer ends up holding the
-activations. These buffers, with each step's views of them built once,
-are a workspace (``_Workspace``). A call where nothing requires grad (a
-frozen forward: inference, attribution's layer prefix, accuracy) takes
-its workspace from a cache per (plan, B, T) kept per thread, so two
-threads never share one, and holding at most WORKSPACE_BYTES (32 MiB) of
-the most recently used shapes; a larger one is made afresh. A grad call
-makes its own, which its backward keeps. The output is always a fresh
+activations. These buffers and the backward's, with each step's views of
+them built once, are a workspace (``_Workspace``). Every call takes one
+from its thread's pool by (plan, B, T), so two threads never share one.
+A call where nothing requires grad (a frozen forward: inference,
+attribution's layer prefix, accuracy) gives it back before it returns; a
+grad call's graph keeps it, and it comes back when the graph is freed,
+so no live graph's workspace is ever handed out. The pool keeps at most
+WORKSPACE_BYTES (32 MiB) of idle workspaces, several of a shape when
+several graphs of it were alive, the most recently given first; a larger
+workspace is made afresh by every call. The output is always a fresh
 array. The node's backward is a hand-written BPTT. Before its
 reverse loop (``_bptt``) it computes, for all steps at once, every
 factor that does not depend on the recurrence: o(1-tc^2), and into one
@@ -59,8 +62,10 @@ zero. No separate mask is kept.
 
 import functools
 import itertools
+import operator
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +101,6 @@ class LstmDirParams:
     @property
     def hidden(self):
         return self.w_hh.shape[1]
-
-    @property
-    def input_size(self):
-        return self.w_ih.shape[1]
 
 
 def init_lstm_dir(rng, input_size, hidden, precision):
@@ -240,30 +241,29 @@ def _gather_indices(hidden, d_in):
 
 
 class _Plan:
-    """Everything a ``scan_heads`` call derives from its scans' (hidden,
-    input) ``sizes``, in ``coupled`` order, and ``dtype``: the output pieces
-    and the gather indices of the weight layouts. It holds no weight values,
-    so a weight zeroed in place or rebound is read afresh on the next call.
-    A plan is shared by every thread; the buffers a call computes in are a
-    ``_Workspace``, which a frozen call (nothing requires grad) takes from
-    its thread's ``_Workspaces``, keyed by (plan, B, T) and capped at
-    WORKSPACE_BYTES, and a grad call makes afresh."""
+    """Everything a ``scan_heads`` call derives from the ``shapes`` (4 *
+    hidden, input) of its scans' w_ih, in ``coupled`` order, and ``dtype``:
+    the output pieces and the gather indices of the weight layouts. It
+    holds no weight values, so a weight zeroed in place or rebound is read
+    afresh on the next call. A plan is shared by every thread; the buffers
+    a call computes in are a ``_Workspace``, which every call takes from
+    its thread's pool (``_Workspaces``) by (plan, B, T)."""
 
-    def __init__(self, sizes, dtype):
-        d_in = sizes[0][1]
+    def __init__(self, shapes, dtype):
+        d_in = shapes[0][1]
         # one input size for all scans, 2 a head; scan_heads names a mismatch
-        fits = len(sizes) % 2 == 0 and all(size[1] == d_in for size in sizes)
+        fits = len(shapes) % 2 == 0 and all(sh[1] == d_in for sh in shapes)
         self.d_in = d_in if fits else None
+        hidden = [rows // 4 for rows, _ in shapes]
         # (column offset, width, reversed) of each scan's output
         self.pieces, off = [], 0
-        for k, (w, _) in enumerate(sizes):
+        for k, w in enumerate(hidden):
             self.pieces.append((off, w, scan_of(k)[1] == "rev"))
             off += w
         self.width = off
         if self.d_in is None:
             return
-        hidden = [size[0] for size in sizes]
-        s, hid = len(sizes), max(hidden)
+        s, hid = len(shapes), max(hidden)
         self.s, self.hid = s, hid
         ih, hh, bi, bh = _gather_indices(hidden, d_in)
         self.zero = np.zeros(1, dtype)
@@ -286,22 +286,43 @@ class _Plan:
 
 _plan = functools.lru_cache(maxsize=64)(_Plan)
 
-# Bytes of frozen-scan workspaces one thread keeps; a workspace larger than
-# this is made afresh on every call, as a grad call's are.
+# Bytes of idle workspaces one thread keeps; a workspace larger than this is
+# never kept, so every call of its shape makes one afresh.
 WORKSPACE_BYTES = 32 << 20
+
+# a scan's tensors in ``SCAN`` order, and a tensor's data and an array's
+# shape, read by C getters rather than per-scan Python code
+_scan_tensors = operator.attrgetter(*SCAN)
+_data = operator.attrgetter("data")
+_shape = operator.attrgetter("shape")
+
+
+def _held_bytes(arrays, steps):
+    """The data bytes of ``arrays`` plus the ``sys.getsizeof`` of the list
+    ``steps`` and of its tuples of views, which are alike at every step."""
+    each = sys.getsizeof(steps[0]) + sum(map(sys.getsizeof, steps[0]))
+    return (sum(a.nbytes for a in arrays) + sys.getsizeof(steps)
+            + len(steps) * each)
 
 
 class _Workspace:
     """The buffers of one ``scan_heads`` call of ``plan`` over B images of T
-    tokens: the gates (T, 4, S, B, hid), which end up holding the
+    tokens and of its backward, with each step's views of them built once.
+    The forward's: the gates (T, 4, S, B, hid), which end up holding the
     activations, the hidden and cell states (T+1, S, B, hid), of which
-    index 0 is the zero initial state and is never written, tanh(c)
-    (T, S, B, hid) and two per-step temporaries; and ``steps``, each step's
-    views of them, built once. ``nbytes`` is the ``sys.getsizeof`` of all
-    it holds, the arrays' data included.
+    index 0 is the zero initial state and is never written, tanh(c) (T, S,
+    B, hid), two per-step temporaries and ``steps``. The BPTT's, which the
+    first backward makes (``for_backward``): the hidden-state gradients
+    ``dhs`` (T, S, B, hid), whose padding columns are never written and
+    stay zero, the step factors ``fac``, laid out like the gates, and
+    ``dc_dh`` (T, S, B, hid), the gate gradients ``dz`` (S, B, T, 4, hid),
+    the (dh, ddc, dh_next, dc) ``carry`` and ``back_steps``, the reverse
+    loop's views. ``key`` is (plan, B, T); ``nbytes`` counts the arrays'
+    data and the step views.
     """
 
     def __init__(self, plan, b, t):
+        self.key = (plan, b, t)
         s, hid, dtype = plan.s, plan.hid, plan.zero.dtype
         self.gates = gates = np.empty((t, 4, s, b, hid), dtype)
         # the input GEMM's output: per gate, scan and image, (T, hid)
@@ -311,36 +332,82 @@ class _Workspace:
         self.tcs = tcs = np.empty((t, s, b, hid), dtype)
         self.rec = np.empty((4, s, b, hid), dtype)
         self.ig = np.empty((s, b, hid), dtype)
-        i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+        self.ifog = gates.transpose(1, 0, 2, 3, 4)
+        i, f, o, g = self.ifog
         self.steps = list(zip(gates, gates[:, :3], i, f, o, g, hs, hs[1:],
                               cs, cs[1:], tcs))
-        held = [gates, self.gates_in, hs, cs, tcs, self.rec, self.ig,
-                self.steps, *self.steps, *itertools.chain(*self.steps)]
-        self.nbytes = sum(map(sys.getsizeof, held))
+        self.nbytes = _held_bytes(
+            [gates, hs, cs, tcs, self.rec, self.ig], self.steps)
+        self.dz = None
+
+    def for_backward(self):
+        """Make the BPTT's buffers, unless an earlier backward made them."""
+        if self.dz is not None:
+            return
+        t, _, s, b, hid = self.gates.shape
+        dtype = self.gates.dtype
+        self.dhs = np.zeros((t, s, b, hid), dtype)
+        self.fac = np.empty_like(self.gates)
+        self.dc_dh = np.empty((t, s, b, hid), dtype)
+        self.dz = dz = np.empty((s, b, t, 4, hid), dtype)
+        self.carry = np.empty((4, s, b, hid), dtype)
+        self.back_steps = list(zip(
+            self.dhs, self.dc_dh, self.fac, dz.transpose(2, 3, 0, 1, 4),
+            dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3),
+            self.ifog[1]))[::-1]
+        self.nbytes += _held_bytes(
+            [self.dhs, self.fac, self.dc_dh, dz, self.carry], self.back_steps)
 
 
 class _Workspaces(threading.local):
-    """One thread's workspaces of frozen ``scan_heads`` calls by (plan, B,
-    T), least recently used first, holding ``nbytes`` <= WORKSPACE_BYTES
-    in all."""
+    """One thread's pool of idle workspaces, at most WORKSPACE_BYTES of
+    ``nbytes`` in all: ``idle`` maps (plan, B, T) to its idle workspaces,
+    the most recently given last, and its keys come least recently given
+    first. A workspace is idle only while no call and no live graph holds
+    it. A graph's workspace comes back when the graph is freed, which a
+    garbage collection can do in the middle of pool code, so that release
+    only appends to ``released``; ``take`` and ``give`` file it.
+    """
 
     def __init__(self):
-        self.by_shape = {}
+        self.idle = {}
         self.nbytes = 0
+        self.released = []
 
-    def get(self, plan, b, t):
-        key = (plan, b, t)
-        ws = self.by_shape.pop(key, None)
-        if ws is None:
-            ws = _Workspace(plan, b, t)
+    def take(self, plan, b, t):
+        """An idle workspace of (plan, b, t), else a new one."""
+        self._file_released()
+        kept = self.idle.get((plan, b, t))
+        if not kept:
+            return _Workspace(plan, b, t)
+        ws = kept.pop()
+        self.nbytes -= ws.nbytes
+        if not kept:
+            del self.idle[ws.key]
+        return ws
+
+    def give(self, ws):
+        """Keep ``ws``, which no call or graph holds any more, as idle."""
+        self.released.append(ws)
+        self._file_released()
+
+    def _file_released(self):
+        """File every released workspace that fits the cap as the most
+        recently given, evicting the least recently given."""
+        idle, released = self.idle, self.released
+        while released:
+            ws = released.pop()
             if ws.nbytes > WORKSPACE_BYTES:
-                return ws
+                continue
+            kept = idle.pop(ws.key, [])
+            kept.append(ws)
+            idle[ws.key] = kept
             self.nbytes += ws.nbytes
             while self.nbytes > WORKSPACE_BYTES:
-                old = self.by_shape.pop(next(iter(self.by_shape)))
-                self.nbytes -= old.nbytes
-        self.by_shape[key] = ws
-        return ws
+                key = next(iter(idle))
+                self.nbytes -= idle[key].pop(0).nbytes
+                if not idle[key]:
+                    del idle[key]
 
 
 _workspaces = _Workspaces()
@@ -359,8 +426,11 @@ def scan_heads(u, scans):
     x = u.data if batched else u.data[None]
     b, t, width = x.shape
     n_heads = len(scans) // 2
-    dtype = np.result_type(x, *(p.w_ih.data for p in scans))
-    plan = _plan(tuple((p.hidden, p.input_size) for p in scans), dtype)
+    params = list(itertools.chain.from_iterable(map(_scan_tensors, scans)))
+    arrays = list(map(_data, params))
+    w_ih = arrays[::4]
+    dtype = np.result_type(x, *w_ih)
+    plan = _plan(tuple(map(_shape, w_ih)), dtype)
     d_in, pieces = plan.d_in, plan.pieces
     if d_in is None or d_in * n_heads != width:
         raise ShapeError(f"input width {width} does not split into heads "
@@ -371,15 +441,9 @@ def scan_heads(u, scans):
     heads_x = x.reshape(b, t, n_heads, d_in).transpose(2, 0, 1, 3)
     xs = np.concatenate([heads_x[:, None], heads_x[:, None, :, ::-1]], axis=1,
                         dtype=dtype).reshape(s, b, t, d_in)
-    params = [tn for p in scans for tn in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
-    needs_grad = u.requires_grad
-    for tn in params:
-        needs_grad = needs_grad or tn.requires_grad
-    # a grad call's backward keeps its buffers; a frozen call reuses them
-    ws = _Workspace(plan, b, t) if needs_grad else _workspaces.get(plan, b, t)
+    ws = _workspaces.take(plan, b, t)
     # every weight, read now; the backward gathers its layouts from it too
-    cat = np.concatenate([tn.data for tn in params] + [plan.zero], axis=None,
-                         dtype=dtype)
+    cat = np.concatenate(arrays + [plan.zero], axis=None, dtype=dtype)
     packed = cat.take(plan.forward)
     e_ih, e_hh, e_b = plan.ends
     bias = packed[e_hh:e_b]
@@ -387,7 +451,7 @@ def scan_heads(u, scans):
     np.multiply(packed[:e_b], plan.scale, out=packed[:e_b])
     wih_f = packed[:e_ih].reshape(4, s, 1, d_in, hid)
     whh_f = packed[e_ih:e_hh].reshape(4, s, hid, hid)
-    gates, hs, cs, tcs = ws.gates, ws.hs, ws.cs, ws.tcs
+    gates, hs = ws.gates, ws.hs
     np.matmul(xs, wih_f, out=ws.gates_in)
     # the bias repeated over B: broadcast, it would make numpy loop over hid
     np.add(gates, bias.reshape(4, s, 1, hid).repeat(b, axis=2), out=gates)
@@ -412,11 +476,12 @@ def scan_heads(u, scans):
 
     def backward(grad):
         gy = grad if batched else grad[None]
-        dhs = np.zeros((t, s, b, hid), dtype)
+        ws.for_backward()
+        dhs = ws.dhs
         for k, (off, w, r) in enumerate(pieces):
             piece = gy[..., off:off + w].transpose(1, 0, 2)
             dhs[:, k, :, :w] = piece[::-1] if r else piece
-        dz = _bptt(dhs, gates, cs, tcs, cat.take(plan.hh_back))
+        dz = _bptt(ws, cat.take(plan.hh_back))
         flat = dz.reshape(s, b * t, 4 * hid)
         if u.requires_grad:
             # (N, 2, B, T, D_h): each head's fwd and rev input gradients
@@ -440,22 +505,30 @@ def scan_heads(u, scans):
                 if tn.requires_grad:
                     tn._accumulate(gk.reshape(tn.data.shape))
 
-    return T._make(out if batched else out[0], (u, *params), backward)
+    node = T._make(out if batched else out[0], (u, *params), backward)
+    if node._backward_fn is None:
+        _workspaces.give(ws)
+    else:
+        # the graph's until its backward is freed; nothing runs at exit
+        weakref.finalize(backward, _workspaces.released.append,
+                         ws).atexit = False
+    return node
 
 
-def _bptt(dhs, gates, cs, tcs, whh):
+def _bptt(ws, whh):
     """The gate gradients dz (S, B, T, 4, hid), image-major so that
-    (S, B*T, 4*hid) feeds the weight GEMMs, of ``scan_heads``'s scans given
-    the gradients ``dhs`` (T, S, B, hid) of their hidden states, the
-    forward's activations ``gates`` (T, 4, S, B, hid), cell states ``cs``
-    (T+1, S, B, hid) and their tanh ``tcs`` (T, S, B, hid), and the
-    unscaled recurrent weights ``whh`` (S, 4*hid, hid)."""
-    t, s, b, hid = dhs.shape
-    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
+    (S, B*T, 4*hid) feeds the weight GEMMs, of the scans of workspace
+    ``ws``'s call, given the gradients ``ws.dhs`` (T, S, B, hid) of their
+    hidden states and the unscaled recurrent weights ``whh`` (S, 4*hid,
+    hid). It reads the forward's activations ``ws.gates`` (T, 4, S, B,
+    hid), cell states ``ws.cs`` (T+1, S, B, hid) and their tanh ``ws.tcs``
+    (T, S, B, hid), and computes in ``ws``'s BPTT buffers: the dz it
+    returns is ``ws.dz``."""
+    gates, cs, tcs, fac, dc_dh = ws.gates, ws.cs, ws.tcs, ws.fac, ws.dc_dh
+    i, _, o, g = ws.ifog
     # every factor that does not depend on the recurrence, for all steps
     # at once and in the gates' layout: dz = dc * fac for i, f and g, and
     # dz = dh * fac for o; a step broadcasts dc over the gate axis
-    fac = np.empty_like(gates)
     np.subtract(1.0, gates[:, :3], out=fac[:, :3])
     np.multiply(fac[:, :3], gates[:, :3], out=fac[:, :3])
     np.multiply(fac[:, 0], g, out=fac[:, 0])
@@ -464,14 +537,16 @@ def _bptt(dhs, gates, cs, tcs, whh):
     np.multiply(g, g, out=fac[:, 3])
     np.subtract(1.0, fac[:, 3], out=fac[:, 3])
     np.multiply(fac[:, 3], i, out=fac[:, 3])
-    dc_dh = o * (1.0 - tcs * tcs)
+    # dc_dh = o * (1 - tc^2)
+    np.multiply(tcs, tcs, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    np.multiply(o, dc_dh, out=dc_dh)
 
-    # the loop writes step j's (4, S, B, hid) into dz
-    dz = np.empty((s, b, t, 4, hid), gates.dtype)
-    dh, ddc, dh_next, dc = np.zeros((4, s, b, hid), gates.dtype)
-    steps = zip(dhs, dc_dh, fac, dz.transpose(2, 3, 0, 1, 4),
-                dz.reshape(s, b, t, 4 * hid).transpose(2, 0, 1, 3), f)
-    for dh_out, a, fz, dzj, dzf, fj in reversed(list(steps)):
+    # the loop writes step j's (4, S, B, hid) into dz; dh_next and dc
+    # start at zero
+    ws.carry.fill(0)
+    dh, ddc, dh_next, dc = ws.carry
+    for dh_out, a, fz, dzj, dzf, fj in ws.back_steps:
         np.add(dh_out, dh_next, out=dh)
         np.multiply(dh, a, out=ddc)
         np.add(dc, ddc, out=dc)
@@ -479,7 +554,7 @@ def _bptt(dhs, gates, cs, tcs, whh):
         np.multiply(dh, fz[2], out=dzj[2])
         np.matmul(dzf, whh, out=dh_next)
         np.multiply(dc, fj, out=dc)
-    return dz
+    return ws.dz
 
 
 def bilstm_head(x, head):

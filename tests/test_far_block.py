@@ -1,3 +1,5 @@
+import gc
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +14,7 @@ from far.far_block import (DIRECTIONS, FarBlockParams, LstmDirParams,
                            bilstm_head, far_block_forward, init_far_block,
                            init_lstm_dir, lstm_step, replace_attention,
                            scan_heads, scan_of, shrink_block)
+from far.attribution import cls_saliency, token_dependency
 from far.data import synth_dataset
 from far.distill import TrainConfig, run_phase
 from far.pruner import prune_by_threshold, three_stage_pipeline
@@ -288,10 +291,11 @@ def test_frozen_and_training_scans_give_identical_outputs(precision, widths,
     np.testing.assert_array_equal(frozen.data, trained)
 
 
-def _bptt_factors_per_gate(dhs, gates, cs, tcs, whh):
+def _bptt_factors_per_gate(ws, whh):
     """The BPTT of ``far_block._bptt`` with its step factors written as
     four strided views of a (T, S, B, 4, hid) buffer and ``dc`` broadcast
     over a gate axis inside it: the oracle of the gate-layout factors."""
+    dhs, gates, cs, tcs = ws.dhs, ws.gates, ws.cs, ws.tcs
     t, s, b, hid = dhs.shape
     dtype = gates.dtype
     i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
@@ -450,10 +454,11 @@ def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
     assert not out.requires_grad
 
 
-# -- frozen-scan workspaces ---------------------------------------------------
+# -- the scan workspace pool --------------------------------------------------
 
 def _grad_call(u, scans):
-    """``scan_heads`` on fresh buffers: ``u`` requires grad."""
+    """``scan_heads`` with ``u`` requiring grad; its graph is freed on
+    return."""
     return scan_heads(Tensor(u, requires_grad=True), scans).data
 
 
@@ -504,7 +509,8 @@ def test_workspaces_of_a_shape_sweep_stay_within_the_byte_cap():
 
     def call(b, t):
         scan_heads(Tensor(np.ones((b, t, 32))), blk.scans)
-        return list(far_block._workspaces.by_shape.items())
+        return [(key, ws) for key, kept in far_block._workspaces.idle.items()
+                for ws in kept]
 
     def sweep():
         made = {}
@@ -532,7 +538,7 @@ def test_a_scan_larger_than_the_byte_cap_runs_on_fresh_buffers(monkeypatch):
 
     def call():
         out = scan_heads(Tensor(u), blk.scans).data
-        return out, far_block._workspaces.by_shape
+        return out, far_block._workspaces.idle
 
     out, kept = _in_new_thread(call)
     assert kept == {}
@@ -565,6 +571,228 @@ def test_frozen_forwards_on_two_threads_equal_sequential_ones():
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
+
+
+def _counting_workspaces(monkeypatch, collect=False):
+    """The (B, T) of every ``_Workspace`` made from now on; with
+    ``collect``, making one first runs a garbage collection."""
+    made = []
+
+    class Counted(far_block._Workspace):
+        def __init__(self, plan, b, t):
+            made.append((b, t))
+            if collect:
+                gc.collect()
+            super().__init__(plan, b, t)
+
+    monkeypatch.setattr(far_block, "_Workspace", Counted)
+    return made
+
+
+def test_two_live_graphs_of_one_shape_never_share_a_workspace():
+    """Two grad calls of one shape, with a frozen call of that shape between
+    them, then both backwards: each graph kept its own workspace, so its
+    output and gradients equal bit for bit those of the call made alone."""
+    rng = np.random.default_rng(61)
+    blk = _scan_block("f32", "unequal", rng)
+    us = [rng.normal(size=(3, 7, 32)).astype(np.float32) for _ in range(3)]
+    alone = [_scan_grads(scan_heads, blk.scans, u) for u in us[:2]]
+    params = [t for p in blk.scans for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh)]
+    leaves, outs = [], []
+    try:
+        for u in us[:2]:
+            for t in params:
+                t.requires_grad = True
+            leaves.append(Tensor(u, requires_grad=True))
+            outs.append(scan_heads(leaves[-1], blk.scans))
+            for t in params:
+                t.requires_grad = False
+            scan_heads(Tensor(us[2]), blk.scans)
+        for leaf, out, (want, want_du, want_grads) in reversed(
+                list(zip(leaves, outs, alone))):
+            for t in params:
+                t.requires_grad, t.grad = True, None
+            weight = np.random.default_rng(35).normal(size=out.shape)
+            T.tsum(out * Tensor(weight.astype(out.dtype))).backward()
+            assert out.data.tobytes() == want.tobytes()
+            assert leaf.grad.tobytes() == want_du.tobytes()
+            for t, g in zip(params, want_grads):
+                assert t.grad.tobytes() == g.tobytes()
+    finally:
+        for t in params:
+            t.requires_grad, t.grad = False, None
+
+
+def test_a_freed_graph_s_workspace_serves_the_next_call_of_its_shape(
+        monkeypatch):
+    """Grad and frozen calls of one shape, each after the last graph was
+    freed, run on the first call's workspace and give its results bit for
+    bit; only a call made while a graph of the shape is alive makes a
+    second workspace."""
+    blk = _scan_block("f32", "full", np.random.default_rng(62))
+    u = np.random.default_rng(62).normal(size=(2, 7, 32)).astype(np.float32)
+    made = _counting_workspaces(monkeypatch)
+
+    def calls():
+        first = _scan_grads(scan_heads, blk.scans, u)
+        again = [_scan_grads(scan_heads, blk.scans, u) for _ in range(3)]
+        frozen = scan_heads(Tensor(u), blk.scans).data
+        reused = list(made)
+        live = scan_heads(Tensor(u, requires_grad=True), blk.scans)
+        scan_heads(Tensor(u), blk.scans)
+        del live
+        scan_heads(Tensor(u), blk.scans)
+        return first, again, frozen, reused
+
+    first, again, frozen, reused = _in_new_thread(calls)
+    assert reused == [(2, 7)] and made == [(2, 7)] * 2
+    for result in again:
+        for got, want in zip(result[:2] + tuple(result[2]),
+                             first[:2] + tuple(first[2])):
+            assert got.tobytes() == want.tobytes()
+    assert frozen.tobytes() == first[0].tobytes()
+
+
+def test_a_graph_freed_by_a_collection_inside_the_pool_comes_back(
+        monkeypatch):
+    """A graph in a reference cycle, freed by the garbage collection that
+    runs while the pool makes a workspace of another shape: its release
+    waits in ``released`` until the pool files it, the pool's byte count
+    stays its idle workspaces' total, and the next call of the graph's
+    shape makes no workspace."""
+    blk = _scan_block("f32", "full", np.random.default_rng(63))
+    u = np.random.default_rng(63).normal(size=(2, 7, 32)).astype(np.float32)
+    made = _counting_workspaces(monkeypatch, collect=True)
+
+    def calls():
+        pool = far_block._workspaces
+        cycle = [scan_heads(Tensor(u, requires_grad=True), blk.scans)]
+        cycle.append(cycle)
+        del cycle
+        assert pool.released == [] and pool.idle == {}
+        scan_heads(Tensor(np.ones((3, 7, 32), np.float32)), blk.scans)
+        idle = [ws for kept in pool.idle.values() for ws in kept]
+        state = (sorted(ws.key[1:] for ws in idle), len(pool.released),
+                 pool.nbytes == sum(ws.nbytes for ws in idle))
+        scan_heads(Tensor(u), blk.scans)
+        return state
+
+    assert _in_new_thread(calls) == ([(2, 7), (3, 7)], 0, True)
+    assert made == [(2, 7), (3, 7)]
+
+
+def test_explain_maps_on_three_threads_equal_sequential_ones(desk_cfg):
+    """Three threads (more than the two cores of the test host) run
+    ``cls_saliency`` and ``token_dependency`` calls of two layers,
+    interleaved, so each thread's grad and frozen scans run while the
+    others' do; every map equals the sequential one bit for bit."""
+    rng = np.random.default_rng(64)
+    far = replace_attention(TeacherModel(desk_cfg, seed=64), seed=64)
+    images = random_image(desk_cfg, rng, 2)
+    calls = [(cls_saliency, (far, img, layer, head)) for img in images
+             for layer in (1, 3) for head in (0, 1)]
+    calls += [(token_dependency, (far, img, layer)) for img in images
+              for layer in (1, 3)]
+    calls *= 2
+    rng.shuffle(calls)
+    want = [fn(*args) for fn, args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in calls]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_graphs_freed_on_other_threads_come_back_to_their_owner_s_pool(
+        monkeypatch):
+    """One thread makes grad scans of one shape and hands each graph to
+    two others, which run its backward and free it: each workspace comes
+    back to the maker's pool while the maker takes more, so it makes no
+    more workspaces than graphs can be alive at once, and every input
+    gradient equals the sequential one bit for bit."""
+    blk = _scan_block("f32", "full", np.random.default_rng(66))
+    rng = np.random.default_rng(66)
+    us = [rng.normal(size=(2, 7, 32)).astype(np.float32) for _ in range(6)]
+    weight = Tensor(rng.normal(size=(2, 7, 64)).astype(np.float32))
+
+    def input_grad(leaf, out):
+        T.tsum(out * weight).backward()
+        return leaf.grad.tobytes()
+
+    def graph(u):
+        leaf = Tensor(u, requires_grad=True)
+        return leaf, scan_heads(leaf, blk.scans)
+
+    want = [input_grad(*graph(u)) for u in us]
+    made = _counting_workspaces(monkeypatch)
+    handed = queue.Queue(maxsize=2)
+    calls = list(enumerate(us)) * 8
+
+    def maker():
+        for k, u in calls:
+            handed.put((k, *graph(u)), timeout=60)
+        for _ in range(2):
+            handed.put(None, timeout=60)
+
+    def user():
+        got = []
+        while (item := handed.get(timeout=60)) is not None:
+            k, leaf, out = item
+            got.append((k, input_grad(leaf, out)))
+            del item, leaf, out
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            users = [pool.submit(user) for _ in range(2)]
+            pool.submit(maker).result(timeout=120)
+            got = [g for f in users for g in f.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(k for k, _ in got) == sorted(k for k, _ in calls)
+    for k, grad in got:
+        assert grad == want[k]
+    # at most 2 queued, 2 in a backward and 1 being made
+    assert len(made) <= 5
+
+
+def test_idle_workspaces_of_freed_graphs_stay_within_the_byte_cap():
+    """Three graphs per shape of a sweep, alive together and then freed
+    after their backwards, leave three idle workspaces of their shape: the
+    pool keeps them, and the most recently given ones of other shapes, at
+    most WORKSPACE_BYTES in all, with ``nbytes`` their total, no
+    workspace twice, and evicts the rest."""
+    blk = _scan_block("f64", "full", np.random.default_rng(65))
+    shapes = [(b, t) for t in (17, 65) for b in (1, 8, 16)]
+
+    def sweep():
+        pool, seen, evicted = far_block._workspaces, set(), False
+        for b, t in shapes + shapes[::-1]:
+            graphs = [scan_heads(Tensor(np.ones((b, t, 32)),
+                                        requires_grad=True), blk.scans)
+                      for _ in range(3)]
+            for g in graphs:
+                T.tsum(g).backward()
+            del graphs, g
+            scan_heads(Tensor(np.ones((b, t, 32))), blk.scans)  # files them
+            idle = [ws for kept in pool.idle.values() for ws in kept]
+            assert pool.released == []
+            assert len({id(ws) for ws in idle}) == len(idle)
+            assert [ws.key[1:] for ws in idle[-3:]] == [(b, t)] * 3
+            assert pool.nbytes == sum(ws.nbytes for ws in idle)
+            assert pool.nbytes <= far_block.WORKSPACE_BYTES
+            seen.add((b, t))
+            evicted = evicted or len(idle) < 3 * len(seen)
+        return evicted
+
+    assert _in_new_thread(sweep)
 
 def test_scan_k_is_named_and_grouped_by_scan_of(desk_cfg):
     """Scan k of a block holds the tensors named ``<prefix>.<head>.<dir>.*``

@@ -85,6 +85,32 @@ def test_cli_that_cannot_write_its_checkpoint_names_it(tmp_path, capsys):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "finetune",
+                                     "prune"])
+def test_cli_checks_its_out_directory_before_training(tmp_path, capsys,
+                                                      monkeypatch, command):
+    """With epochs to run (the defaults) and --out in a missing directory,
+    a training command exits 1 naming --out before any epoch runs."""
+    teacher = TeacherModel(desk_config(), seed=34)
+    checkpoints = {"distill": teacher,
+                   "finetune": replace_attention(teacher, seed=34)}
+    checkpoints["prune"] = checkpoints["finetune"]
+    argv = [command]
+    if command in checkpoints:
+        path = tmp_path / "in.farc"
+        save_model(checkpoints[command], path)
+        argv += ["--checkpoint", str(path)]
+    entered = []
+    for module in (cli, distill):  # cli imports it; the rest call distill's
+        monkeypatch.setattr(module, "run_phase",
+                            lambda *args, **kwargs: entered.append(args))
+    out = tmp_path / "missing" / "out.farc"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert entered == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_checkpoint_single_byte_corruption_detected(tmp_path):
     cfg = desk_config()
     path = tmp_path / "c.farc"

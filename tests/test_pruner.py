@@ -110,7 +110,7 @@ def _old_composite(blk, k, extension):
     once were: gate-major reshapes and transposes, then one concatenation.
     The out_w offset is counted here, independently of ``coupled``."""
     p = blk.scans[k]
-    hid, din = p.hidden, p.input_size
+    hid, din = p.hidden, p.w_ih.data.shape[1]
     w_hh = p.w_hh.data.reshape(4, hid, hid)
     parts = [p.w_ih.data.reshape(4, hid, din).transpose(1, 0, 2),
              w_hh.transpose(1, 0, 2)]
