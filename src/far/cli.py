@@ -70,8 +70,8 @@ def _write_log(path, rows):
 
 def _check_writable(*paths):
     """An OSError naming the first of ``paths`` (None skipped) whose
-    directory does not exist or is not writable: a training command checks
-    the files it will write before it trains, not after."""
+    directory does not exist or is not writable: a training or attribute
+    command checks the files it will write before its work, not after."""
     for path in paths:
         if path is None:
             continue
@@ -244,6 +244,7 @@ def cmd_attribute(args, cfg):
     image 0 of the run config's dataset. Only that image is drawn: it takes
     the seeded generator's first draws and is of class 0, whatever the
     dataset's size and class count."""
+    _check_writable(f"{args.out_prefix}dependency_l{args.layer}.pgm")
     model = ckpt.load_model(args.checkpoint)
     m = model.cfg
     image = synth_dataset(_seed(cfg, args.seed), 1, 1, m.image_size,

@@ -139,7 +139,7 @@ class Backbone:
         ps, g = cfg.patch_size, cfg.grid
         patches = img.reshape(b, c, g, ps, g, ps).transpose(0, 2, 4, 1, 3, 5)
         patches = patches.reshape(b, g * g, c * ps * ps)
-        patches = patches.astype(self.patch_w.data.dtype)
+        patches = patches.astype(self.patch_w.data.dtype, copy=False)
         tok = T.linear(Tensor(patches), self.patch_w, self.patch_b)
         cls = T.reshape(self.cls, (1, 1, cfg.dim)) + T.zeros(
             (b, 1, cfg.dim), cfg.precision)

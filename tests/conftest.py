@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,10 @@ def far_f64(teacher_f64):
 def random_image(cfg, rng, batch=1):
     return rng.normal(size=(batch, cfg.channels, cfg.image_size,
                             cfg.image_size)).astype(np.float32)
+
+
+def in_new_thread(fn, *args):
+    """``fn(*args)`` on a thread of its own, whose per-thread state (scan
+    workspaces, the kept layer input of a map) starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)

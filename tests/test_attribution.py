@@ -1,19 +1,21 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from far import attribution, far_block
+from far import attribution, far_block, pruner
 from far import tensor as T
 from far.checkpoint import load_model, save_model
 from far.tensor import Tensor
-from far.vit import TeacherModel
+from far.vit import Backbone, TeacherModel
 from far.far_block import (DIRECTIONS, SCAN, FarBlockParams,
                            replace_attention, scan_of, shrink_block)
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
                              token_dependency, uniform_band_mass)
 
-from conftest import desk_config
+from conftest import desk_config, in_new_thread
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +336,11 @@ def test_export_error_names_the_file_it_failed_to_write(tmp_path, blocked):
 
 
 def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
-    cfg, _, far, img = models
+    """A map of an image no other test maps starts from a miss: the layer
+    prefix runs once (``layer`` block forwards), then the layer. A second
+    map of that image takes the kept layer input: 1 block forward."""
+    cfg, _, far, _ = models
+    img = np.random.default_rng(336).normal(size=(3, 32, 32))
     calls = []
     block_forward = attribution.far_block_forward
 
@@ -348,6 +354,148 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
     layer = cfg.layers - 1
     token_dependency(far, img, layer)
     assert len(calls) == layer + 1
+    calls.clear()
+    token_dependency(far, img, layer)
+    assert len(calls) == 1
+
+
+def _prefix_runs(monkeypatch):
+    """The ``stop`` of every ``Backbone.tokens`` call from now on."""
+    runs, tokens = [], Backbone.tokens
+
+    def counting(self, image, stop=None):
+        runs.append(stop)
+        return tokens(self, image, stop)
+
+    monkeypatch.setattr(Backbone, "tokens", counting)
+    return runs
+
+
+def _memo_models(precision, seed):
+    cfg = desk_config(precision)
+    teacher = TeacherModel(cfg, seed=seed)
+    far = replace_attention(teacher, seed=seed)
+    img = np.random.default_rng(seed).normal(size=(3, 32, 32))
+    return cfg, teacher, far, img
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_kept_layer_input_gives_the_maps_of_a_recomputed_prefix(
+        monkeypatch, precision, kind):
+    cfg, teacher, far, img = _memo_models(precision, 401)
+    model = {"teacher": teacher, "far": far}[kind]
+    layer = cfg.layers - 1
+    calls = [(cls_saliency, (model, img, layer, h))
+             for h in range(cfg.heads)]
+    calls.append((token_dependency, (model, img, layer)))
+    runs = _prefix_runs(monkeypatch)
+    got = [fn(*args) for fn, args in calls]
+    assert runs == [layer]
+    x = attribution._layer_input(model, img, layer)
+    assert runs == [layer]
+    assert not x.data.flags.writeable
+    assert not x.requires_grad and x._parents == ()
+    for g, (fn, args) in zip(got, calls):
+        assert np.array_equal(g, in_new_thread(fn, *args))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_layer_input_is_recomputed_when_a_prefix_weight_is_rebound(
+        monkeypatch, precision, kind):
+    """Each parameter the prefix of the last layer reads (the embedding,
+    then every lower layer's) is rebound in turn to new values, zeros
+    included (``t.data = t.data * 2 + 1``): the next call recomputes. A
+    rebound parameter of the last layer or the head leaves the kept input
+    in use."""
+    cfg, teacher, far, img = _memo_models(precision, 402)
+    model = {"teacher": teacher, "far": far}[kind]
+    layer = cfg.layers - 1
+    runs = _prefix_runs(monkeypatch)
+    attribution._layer_input(model, img, layer)
+    for name, t in model.named_parameters().items():
+        parts = name.split(".")
+        in_prefix = parts[0] == "embed" or (parts[0] in ("layer", "far")
+                                            and int(parts[1]) < layer)
+        runs.clear()
+        t.data = t.data * 2 + 1
+        x = attribution._layer_input(model, img, layer)
+        assert len(runs) == in_prefix, name
+    want = in_new_thread(attribution._layer_input, model, img, layer)
+    assert np.array_equal(x.data, want.data)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_layer_input_is_recomputed_after_pruning_and_shrinking(
+        monkeypatch, precision):
+    cfg, _, far, img = _memo_models(precision, 403)
+    layer = cfg.layers - 1
+    runs = _prefix_runs(monkeypatch)
+    token_dependency(far, img, layer)
+    pruner.prune_by_threshold(far, 0.97, mode="relative")  # zeroes in place
+    token_dependency(far, img, layer)
+    assert len(runs) == 2
+    far.blocks = pruner.shrink_model(far).blocks
+    assert all(p.hidden < cfg.head_dim for blk in far.blocks[:layer]
+               for p in blk.scans)
+    got = token_dependency(far, img, layer)
+    assert len(runs) == 3
+    assert np.array_equal(got, in_new_thread(token_dependency, far, img,
+                                             layer))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_layer_input_is_recomputed_for_another_image_layer_or_model(
+        monkeypatch, precision):
+    """Only a call equal in image, layer, model type, config and prefix
+    weights reuses the kept input; an equal copy of the model does."""
+    cfg, teacher, far, img = _memo_models(precision, 404)
+    other_far = replace_attention(teacher, seed=405)
+    other_img = img + 1.0
+    runs = _prefix_runs(monkeypatch)
+    calls = [(far, img, 3), (far, other_img, 3), (far, other_img, 2),
+             (other_far, other_img, 2), (teacher, other_img, 2)]
+    for model, image, layer in calls:
+        attribution._layer_input(model, image, layer)
+    assert runs == [3, 3, 2, 2, 2]
+    copy = TeacherModel.from_tensors(cfg, teacher.named_parameters())
+    attribution._layer_input(copy, other_img.copy(), 2)
+    assert len(runs) == 5
+    attribution._layer_input(copy, other_img.astype(np.float32), 2)
+    attribution._layer_input(teacher, other_img, 2)
+    assert len(runs) == 7
+    # an object array's bytes are pointers: it is never looked up
+    for _ in range(2):
+        x = attribution._layer_input(teacher, other_img.astype(object), 2)
+    assert len(runs) == 9
+    assert np.array_equal(
+        x.data, attribution._layer_input(teacher, other_img, 2).data)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_third_image_evicts_the_kept_layer_input(monkeypatch, precision):
+    """One entry per thread: after images a, b and c, a runs its prefix
+    again."""
+    cfg, _, far, a = _memo_models(precision, 406)
+    runs = _prefix_runs(monkeypatch)
+    for img in (a, a + 1.0, a + 2.0, a):
+        cls_saliency(far, img, cfg.layers - 1, 0)
+    assert len(runs) == 4
+
+
+def test_kept_layer_input_holds_no_model_and_range_checks_run_first():
+    cfg, _, far, img = _memo_models("f32", 407)
+    layer = cfg.layers - 1
+    token_dependency(far, img, layer)
+    with pytest.raises(IndexError, match="head"):
+        cls_saliency(far, img, layer, cfg.heads)
+    with pytest.raises(IndexError, match="layer"):
+        token_dependency(far, img, cfg.layers)
+    ref = weakref.ref(far)
+    del far
+    gc.collect()
+    assert ref() is None
 
 
 def test_attribution_of_loaded_model_leaves_no_parameter_grads(tmp_path):

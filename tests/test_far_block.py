@@ -20,7 +20,7 @@ from far.distill import TrainConfig, run_phase
 from far.pruner import prune_by_threshold, three_stage_pipeline
 from far.profiler import count_params
 
-from conftest import desk_config, random_image
+from conftest import desk_config, in_new_thread, random_image
 
 
 def _zero_dir(dh, din=None):
@@ -494,12 +494,6 @@ def test_weight_zeroed_in_place_between_frozen_calls_is_read():
     assert after.tobytes() == _grad_call(u, blk.scans).tobytes()
 
 
-def _in_new_thread(fn, *args):
-    """``fn(*args)`` on a thread of its own, so with no workspace yet."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn, *args).result(timeout=60)
-
-
 def test_workspaces_of_a_shape_sweep_stay_within_the_byte_cap():
     """Frozen calls of many (B, T) shapes, whose workspaces hold more than
     WORKSPACE_BYTES in all, keep at most that many bytes, of the most
@@ -524,7 +518,7 @@ def test_workspaces_of_a_shape_sweep_stay_within_the_byte_cap():
             assert total <= far_block.WORKSPACE_BYTES
         return made, kept, call(*shapes[0])
 
-    made, kept, again = _in_new_thread(sweep)
+    made, kept, again = in_new_thread(sweep)
     assert sum(made.values()) > 2 * far_block.WORKSPACE_BYTES
     assert len(kept) < len(shapes)
     assert [key[1:] for key, _ in kept[-2:]] == shapes[1::-1]
@@ -540,7 +534,7 @@ def test_a_scan_larger_than_the_byte_cap_runs_on_fresh_buffers(monkeypatch):
         out = scan_heads(Tensor(u), blk.scans).data
         return out, far_block._workspaces.idle
 
-    out, kept = _in_new_thread(call)
+    out, kept = in_new_thread(call)
     assert kept == {}
     assert out.tobytes() == _grad_call(u, blk.scans).tobytes()
 
@@ -644,7 +638,7 @@ def test_a_freed_graph_s_workspace_serves_the_next_call_of_its_shape(
         scan_heads(Tensor(u), blk.scans)
         return first, again, frozen, reused
 
-    first, again, frozen, reused = _in_new_thread(calls)
+    first, again, frozen, reused = in_new_thread(calls)
     assert reused == [(2, 7)] and made == [(2, 7)] * 2
     for result in again:
         for got, want in zip(result[:2] + tuple(result[2]),
@@ -677,7 +671,7 @@ def test_a_graph_freed_by_a_collection_inside_the_pool_comes_back(
         scan_heads(Tensor(u), blk.scans)
         return state
 
-    assert _in_new_thread(calls) == ([(2, 7), (3, 7)], 0, True)
+    assert in_new_thread(calls) == ([(2, 7), (3, 7)], 0, True)
     assert made == [(2, 7), (3, 7)]
 
 
@@ -792,7 +786,7 @@ def test_idle_workspaces_of_freed_graphs_stay_within_the_byte_cap():
             evicted = evicted or len(idle) < 3 * len(seen)
         return evicted
 
-    assert _in_new_thread(sweep)
+    assert in_new_thread(sweep)
 
 def test_scan_k_is_named_and_grouped_by_scan_of(desk_cfg):
     """Scan k of a block holds the tensors named ``<prefix>.<head>.<dir>.*``

@@ -86,15 +86,16 @@ def test_cli_that_cannot_write_its_checkpoint_names_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train-teacher", "distill", "finetune",
-                                     "prune"])
+                                     "prune", "attribute"])
 def test_cli_checks_its_out_directory_before_training(tmp_path, capsys,
                                                       monkeypatch, command):
     """With epochs to run (the defaults) and --out in a missing directory,
-    a training command exits 1 naming --out before any epoch runs."""
+    a training command exits 1 naming --out before any epoch runs; with
+    --out-prefix there, `attribute` exits 1 naming it before any map."""
     teacher = TeacherModel(desk_config(), seed=34)
     checkpoints = {"distill": teacher,
                    "finetune": replace_attention(teacher, seed=34)}
-    checkpoints["prune"] = checkpoints["finetune"]
+    checkpoints["prune"] = checkpoints["attribute"] = checkpoints["finetune"]
     argv = [command]
     if command in checkpoints:
         path = tmp_path / "in.farc"
@@ -104,8 +105,12 @@ def test_cli_checks_its_out_directory_before_training(tmp_path, capsys,
     for module in (cli, distill):  # cli imports it; the rest call distill's
         monkeypatch.setattr(module, "run_phase",
                             lambda *args, **kwargs: entered.append(args))
+    for name in ("cls_saliency", "token_dependency"):
+        monkeypatch.setattr(cli, name,
+                            lambda *args, **kwargs: entered.append(args))
     out = tmp_path / "missing" / "out.farc"
-    assert main(argv + ["--out", str(out)]) == 1
+    flag = "--out-prefix" if command == "attribute" else "--out"
+    assert main(argv + [flag, str(out)]) == 1
     assert entered == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
