@@ -9,13 +9,14 @@ start from the layer's input, the prefix of the model's one layer loop
 
 Each thread keeps its last layer input (``_layer_input``), so the maps of
 one request (a saliency per head, then the dependency map) run that
-prefix once. The entry holds a copy of the image, the layer input and a
-copy of every parameter the prefix reads (up to about the model's size:
-354 KB for the f32 desk FAR model, 23 MB for the f32 DeiT-Ti teacher),
-and no reference to the model. It is used again only while the next
-call's model type, config, layer, image and those parameters are
-byte-equal to it; any other call recomputes the prefix and replaces it,
-so a weight changed in place, rebound or shrunk is never read stale.
+prefix once. The entry holds a copy of the image at the model's dtype,
+the layer input and a copy of every parameter the prefix reads (up to
+about the model's size: 354 KB for the f32 desk FAR model, 23 MB for the
+f32 DeiT-Ti teacher), and no reference to the model. It is used again
+only while the next call's model type, config, layer, image and those
+parameters are byte-equal to it; any other call recomputes the prefix
+and replaces it, so a weight changed in place, rebound or shrunk is never
+read stale.
 """
 
 import csv
@@ -28,7 +29,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .far_block import (BLOCK, DIRECTIONS, SCAN, bilstm_head, coupled,
                         far_block_forward, scan_of)
-from .vit import ATTENTION, TeacherModel
+from .vit import TeacherModel
 
 # Batch x token rows per batched pass of ``token_dependency``: a pass takes
 # at most ROWS // T queries (at least 1). 65 * 65 runs every desk map
@@ -55,7 +56,7 @@ def _prefix_arrays(model, layer):
     for i, mlp in enumerate(model.mlps[:layer]):
         arrays += [t.data for t in vars(mlp).values()]
         if teacher:
-            arrays += [getattr(model.layers[i], k).data for k in ATTENTION]
+            arrays += [t.data for t in vars(model.layers[i]).values()]
         else:
             blk = model.blocks[i]
             arrays += [getattr(blk, k).data for k in BLOCK]
@@ -68,35 +69,33 @@ def _layer_input(model, image, layer, head=None):
     graph and a read-only array. A layer or head outside the model is an
     IndexError; a batch of more than one image is a ShapeError.
 
-    The thread's last result is returned again when the model type, config,
-    layer, image (shape, dtype, bytes) and the prefix's parameters (shapes,
-    dtypes, bytes) all equal its call's; otherwise the prefix runs and its
-    result replaces it. An object-dtype image, whose bytes are pointers,
-    always runs the prefix."""
+    The image is taken at the model's dtype, the dtype ``patch_embed``
+    converts it to before any arithmetic. The thread's last result is
+    returned again when the model type, config, layer, that image (shape,
+    bytes) and the prefix's parameters (shapes, dtypes, bytes) all equal its
+    call's; otherwise the prefix runs and its result replaces it."""
     if not 0 <= layer < model.cfg.layers:
         raise IndexError(f"layer {layer} out of range [0, {model.cfg.layers})")
     if head is not None and not 0 <= head < model.cfg.heads:
         raise IndexError(f"head {head} out of range [0, {model.cfg.heads})")
-    img = np.asarray(image.data if isinstance(image, Tensor) else image)
-    key = data = None
-    if not img.dtype.hasobject:
-        arrays = [np.ascontiguousarray(a)
-                  for a in [img] + _prefix_arrays(model, layer)]
-        key = (type(model), tuple(vars(model.cfg).values()), layer,
-               tuple((a.shape, a.dtype) for a in arrays))
-        data = b"".join(arrays)
-        entry = getattr(_memo, "entry", None)
-        if entry is not None and entry[0] == key and entry[1] == data:
-            return entry[2]
-    x = model.tokens(image, stop=layer)[-1].data
+    img = np.asarray(image.data if isinstance(image, Tensor) else image,
+                     T.DTYPES[model.cfg.precision])
+    arrays = [np.ascontiguousarray(a)
+              for a in [img] + _prefix_arrays(model, layer)]
+    key = (type(model), tuple(vars(model.cfg).values()), layer,
+           tuple((a.shape, a.dtype) for a in arrays))
+    data = b"".join(arrays)
+    entry = getattr(_memo, "entry", None)
+    if entry is not None and entry[0] == key and entry[1] == data:
+        return entry[2]
+    x = model.tokens(img, stop=layer)[-1].data
     if x.shape[0] != 1:
         raise T.ShapeError(
             f"a map is of one image; got a batch of {x.shape[0]}")
     x = x.copy()
     x.flags.writeable = False
     x = Tensor(x)
-    if key is not None:
-        _memo.entry = (key, data, x)
+    _memo.entry = (key, data, x)
     return x
 
 

@@ -16,15 +16,15 @@ of ``matmul`` followed by ``add``, bit for bit.
 
 The node contract: a node's ``data`` is always a float32 or float64
 ndarray, 0-d for a full reduction. ``Tensor(...)`` coerces what a caller
-passes; an op's node is built by ``_make`` from a numpy result, which
-needs no coercion, so a B=1 request pays for its numpy calls rather than
-for bookkeeping. Every reduction inside an op calls the ufunc
-``np.add.reduce`` or ``np.maximum.reduce``, the calls that
-``ndarray.sum``/``max``/``mean`` make after a Python wrapper, and a mean
-divides that sum by the element count, a Python int. That is
-bit-identical to ``ndarray.mean``, which divides by an ``intp`` count: for
-float32 that quotient is computed in float64 and rounded once, which
-equals the correctly rounded float32 quotient of ``/ d``.
+passes, an array of any other dtype to float64; an op's node is built by
+``_make`` from a numpy result, which needs no coercion, so a B=1 request
+pays for its numpy calls rather than for bookkeeping. Every reduction
+inside an op calls the ufunc ``np.add.reduce`` or ``np.maximum.reduce``,
+the calls that ``ndarray.sum``/``max``/``mean`` make after a Python
+wrapper, and a mean divides that sum by the element count, a Python int.
+That is bit-identical to ``ndarray.mean``, which divides by an ``intp``
+count: for float32 that quotient is computed in float64 and rounded
+once, which equals the correctly rounded float32 quotient of ``/ d``.
 """
 
 import math
@@ -32,6 +32,9 @@ import math
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+
+# layer_norm's variance offset: torch.nn.LayerNorm's default
+LN_EPS = 1e-5
 
 # the ufunc reductions behind ndarray.sum/max, without their Python wrapper
 _sum = np.add.reduce
@@ -56,13 +59,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
                  "_backward_done")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(DTYPES.get(dtype, dtype), copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -441,12 +440,11 @@ def tsum(a, axis=None):
     return _make(out_data, (a,), backward)
 
 
-def mean(a, axis=None):
-    """Mean over ``axis``, or of every element when None: ``tsum`` times
-    the reciprocal of the element count."""
+def mean(a):
+    """Mean of every element: ``tsum`` times the reciprocal of the element
+    count."""
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -567,10 +565,9 @@ def softmax(a, axis):
     return _make(out_data, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-position normalization over the last axis, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+def layer_norm(x, gamma, beta):
+    """Per-position normalization over the last axis, then affine; the
+    variance is offset by ``LN_EPS``."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
@@ -580,7 +577,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = _sum(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = _sum(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
 

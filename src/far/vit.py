@@ -83,14 +83,15 @@ def tensor_shapes(cfg, attention=True):
     return shapes
 
 
-def take(tensors, name, shape, dtype):
+def take(tensors, name, shape, precision):
     """A copy of ``tensors[name]`` (an array or a Tensor's data) as a Tensor
-    of ``shape`` at ``dtype``. A missing tensor or one of another shape is a
-    ShapeError naming it."""
+    of ``shape`` at ``precision`` (``f32`` or ``f64``). A missing tensor or
+    one of another shape is a ShapeError naming it."""
     if name not in tensors:
         raise ShapeError(f"missing tensor {name}")
     t = tensors[name]
-    t = Tensor(np.array(t.data if isinstance(t, Tensor) else t), dtype=dtype)
+    t = Tensor(np.array(t.data if isinstance(t, Tensor) else t,
+                        dtype=T.DTYPES[precision]))
     if t.shape != tuple(shape):
         raise ShapeError(
             f"tensor {name} has shape {t.shape}, expected {tuple(shape)}")
@@ -173,7 +174,8 @@ class Backbone:
 
 class TeacherModel(Backbone):
     """The backbone with multi-head self-attention as every token mixer;
-    ``layers[i]`` holds layer i's tensors by short name (``qkv_w``, ...)."""
+    ``layers[i]`` holds layer i's ``ATTENTION`` tensors by short name
+    (``qkv_w``, ...), as ``mlps[i]`` holds its ``MLP`` ones."""
 
     def __init__(self, cfg: ModelConfig, seed):
         rng = np.random.default_rng(seed)
@@ -189,15 +191,16 @@ class TeacherModel(Backbone):
 
     def _build(self, cfg, tensors):
         super().__init__(cfg, tensors)
-        self.attention = {n: take(tensors, n, s, cfg.precision)
-                          for n, s in tensor_shapes(cfg).items()
-                          if n not in self.backbone}
-        self.layers = [SimpleNamespace(**vars(mlp), **{
-            k: self.attention[f"layer.{i}.{k}"] for k in ATTENTION})
-            for i, mlp in enumerate(self.mlps)]
+        shapes = tensor_shapes(cfg)
+        self.layers = [SimpleNamespace(**{
+            k: take(tensors, f"layer.{i}.{k}", shapes[f"layer.{i}.{k}"],
+                    cfg.precision) for k in ATTENTION})
+            for i in range(cfg.layers)]
 
     def named_parameters(self):
-        return {**self.backbone, **self.attention}
+        return {**self.backbone, **{
+            f"layer.{i}.{k}": getattr(layer, k)
+            for i, layer in enumerate(self.layers) for k in ATTENTION}}
 
     def attention_block(self, x, layer):
         """Residual multi-head self-attention; also returns attn weights."""

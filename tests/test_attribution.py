@@ -41,9 +41,9 @@ def _full_forward_attention(teacher, image):
     whose logits must equal the model's own forward bit for bit."""
     x = teacher.patch_embed(image)
     attns = []
-    for layer in teacher.layers:
+    for layer, mlp in zip(teacher.layers, teacher.mlps):
         y, attn = teacher.attention_block(x, layer)
-        x = teacher.mlp_block(y, layer)
+        x = teacher.mlp_block(y, mlp)
         attns.append(attn.data[0])
     np.testing.assert_array_equal(teacher.classify(x).data,
                                   teacher.forward(image)[0].data)
@@ -154,7 +154,7 @@ def _per_query_dependency(model, image, layer, directions):
                 tensors[f"blk.{n}.{d}.{name}"] = np.zeros_like(
                     tensors[f"blk.{n}.{d}.{name}"])
     blk = FarBlockParams.from_tensors(tensors, "blk", len(blk.scans) // 2,
-                                      model.cfg.head_dim, blk.in_w.dtype)
+                                      model.cfg.head_dim, model.cfg.precision)
     x = model.tokens(image, stop=layer)[-1].data
     dep = np.zeros((model.cfg.tokens, model.cfg.tokens))
     for q in range(model.cfg.tokens):
@@ -462,15 +462,37 @@ def test_layer_input_is_recomputed_for_another_image_layer_or_model(
     copy = TeacherModel.from_tensors(cfg, teacher.named_parameters())
     attribution._layer_input(copy, other_img.copy(), 2)
     assert len(runs) == 5
+    # the image is taken at the model's dtype: its f32 cast is the same
+    # image to an f32 model and another one to an f64 model
     attribution._layer_input(copy, other_img.astype(np.float32), 2)
     attribution._layer_input(teacher, other_img, 2)
-    assert len(runs) == 7
-    # an object array's bytes are pointers: it is never looked up
-    for _ in range(2):
-        x = attribution._layer_input(teacher, other_img.astype(object), 2)
-    assert len(runs) == 9
-    assert np.array_equal(
-        x.data, attribution._layer_input(teacher, other_img, 2).data)
+    assert len(runs) == {"f32": 5, "f64": 7}[precision]
+    # so is an object array equal in value
+    runs.clear()
+    x = attribution._layer_input(teacher, other_img.astype(object), 2)
+    assert runs == []
+    assert np.array_equal(x.data, in_new_thread(
+        attribution._layer_input, teacher, other_img, 2).data)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_an_f64_image_reuses_the_layer_input_of_its_f32_cast(monkeypatch,
+                                                            kind):
+    """An f32 model computes on its image at f32 (``patch_embed`` casts it
+    before any arithmetic), so an f64 image hits the entry of its f32 cast,
+    and the maps of that hit equal those of a fresh prefix."""
+    cfg, teacher, far, img = _memo_models("f32", 408)
+    model = {"teacher": teacher, "far": far}[kind]
+    layer = cfg.layers - 1
+    runs = _prefix_runs(monkeypatch)
+    attribution._layer_input(model, img.astype(np.float32), layer)
+    calls = [(cls_saliency, (model, img, layer, h))
+             for h in range(cfg.heads)]
+    calls.append((token_dependency, (model, img, layer)))
+    got = [fn(*args) for fn, args in calls]
+    assert runs == [layer]
+    for g, (fn, args) in zip(got, calls):
+        assert np.array_equal(g, in_new_thread(fn, *args))
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

@@ -123,7 +123,7 @@ def test_freeze_plan_distill_only_far_trainable(desk_cfg):
     img = rng.normal(size=(1, 3, 32, 32)).astype(np.float32)
     logits, _ = far.forward(img)
     T.cross_entropy(logits, [0]).backward()
-    assert teacher.layers[0].fc1_w.grad is None
+    assert teacher.mlps[0].fc1_w.grad is None
     assert far.blocks[0].in_w.grad is not None
 
 

@@ -928,7 +928,7 @@ def test_replaced_model_with_zero_out_proj_matches_ablated_teacher():
     img = rng.normal(size=(3, 32, 32))
     logits, _ = far.forward(img)
     x = teacher.patch_embed(img)
-    for layer in teacher.layers:
-        x = teacher.mlp_block(x, layer)
+    for mlp in teacher.mlps:
+        x = teacher.mlp_block(x, mlp)
     expect = teacher.classify(x)
     np.testing.assert_array_equal(logits.data, expect.data)

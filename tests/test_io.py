@@ -267,6 +267,17 @@ def _same_logits(a, b, seed):
     return np.array_equal(a.forward(img)[0].data, b.forward(img)[0].data)
 
 
+def test_a_teacher_tensor_rebound_in_its_layer_is_the_one_saved(tmp_path):
+    """The forward and ``named_parameters`` (so ``save_model``) read one
+    holder: a tensor rebound in ``layers[i]`` is used and saved."""
+    teacher = TeacherModel(desk_config(), seed=41)
+    layer = teacher.layers[0]
+    layer.qkv_w = Tensor(layer.qkv_w.data * 2)
+    assert not _same_logits(teacher, TeacherModel(desk_config(), seed=41), 41)
+    save_model(teacher, tmp_path / "rebound.farc")
+    assert _same_logits(teacher, load_model(tmp_path / "rebound.farc"), 41)
+
+
 def test_shrunk_model_round_trip(tmp_path):
     far = _pruned_far(34)
     shrunk = shrink_model(far)

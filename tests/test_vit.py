@@ -4,7 +4,8 @@ import pytest
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
 from far.far_block import replace_attention
-from far.vit import ModelConfig, TeacherModel
+from far.vit import (ATTENTION, MLP, ModelConfig, TeacherModel, take,
+                     tensor_shapes)
 
 from conftest import desk_config, random_image
 
@@ -36,6 +37,32 @@ def test_zero_image_zero_projection_gives_positional():
     model.cls.data[:] = 0.0
     x = model.patch_embed(np.zeros((cfg.channels, 32, 32)))
     np.testing.assert_array_equal(x.data[0], model.pos.data)
+
+
+def test_a_teacher_holds_each_tensor_once():
+    """``layers[i]`` holds exactly layer i's attention tensors, ``mlps[i]``
+    its MLP ones, and ``named_parameters`` names those very Tensors."""
+    cfg = desk_config()
+    model = TeacherModel(cfg, seed=8)
+    assert not hasattr(model, "attention")
+    named = model.named_parameters()
+    assert named.keys() == tensor_shapes(cfg).keys()
+    assert len({id(t) for t in named.values()}) == len(named)
+    for i, (layer, mlp) in enumerate(zip(model.layers, model.mlps)):
+        assert tuple(vars(layer)) == ATTENTION and tuple(vars(mlp)) == MLP
+        for k, t in {**vars(layer), **vars(mlp)}.items():
+            assert named[f"layer.{i}.{k}"] is t
+
+
+def test_take_is_a_copy_cast_bit_for_bit():
+    x = np.random.default_rng(9).normal(size=(3, 4))
+    t32 = take({"x": x}, "x", (3, 4), "f32").data
+    assert t32.dtype == np.float32
+    assert np.array_equal(t32.view(np.uint32),
+                          x.astype(np.float32).view(np.uint32))
+    assert not np.shares_memory(t32, x)
+    t64 = take({"x": Tensor(x)}, "x", (3, 4), "f64").data
+    assert np.array_equal(t64, x) and not np.shares_memory(t64, x)
 
 
 def test_patch_embed_rejects_wrong_size():
@@ -80,33 +107,33 @@ def test_single_token_attention_degenerates():
 def test_mlp_zero_weights_is_identity():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=1)
-    layer = model.layers[0]
-    layer.fc1_w.data[:] = 0.0
-    layer.fc1_b.data[:] = 0.0
-    layer.fc2_w.data[:] = 0.0
-    layer.fc2_b.data[:] = 0.0
+    mlp = model.mlps[0]
+    mlp.fc1_w.data[:] = 0.0
+    mlp.fc1_b.data[:] = 0.0
+    mlp.fc2_w.data[:] = 0.0
+    mlp.fc2_b.data[:] = 0.0
     x = Tensor(np.random.default_rng(3).normal(size=(1, cfg.tokens, cfg.dim)))
-    out = model.mlp_block(x, layer)
+    out = model.mlp_block(x, mlp)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_mlp_matches_straight_line_oracle():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=4)
-    layer = model.layers[0]
+    mlp = model.mlps[0]
     rng = np.random.default_rng(4)
     x = rng.normal(size=(cfg.tokens, cfg.dim))
-    out = model.mlp_block(Tensor(x[None]), layer).data[0]
+    out = model.mlp_block(Tensor(x[None]), mlp).data[0]
 
     # independent straight-line reimplementation
     from scipy.special import erf
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     h = (x - mu) / np.sqrt(var + 1e-5)
-    h = h * layer.ln2_g.data + layer.ln2_b.data
-    h = h @ layer.fc1_w.data + layer.fc1_b.data
+    h = h * mlp.ln2_g.data + mlp.ln2_b.data
+    h = h @ mlp.fc1_w.data + mlp.fc1_b.data
     h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-    expect = x + h @ layer.fc2_w.data + layer.fc2_b.data
+    expect = x + h @ mlp.fc2_w.data + mlp.fc2_b.data
     assert np.abs(out - expect).max() <= 1e-12
 
 
@@ -129,7 +156,7 @@ def test_block_outputs_match_prefix_replay():
         x = model.patch_embed(img)
         for j in range(i + 1):
             y, _ = model.attention_block(x, model.layers[j])
-            x = model.mlp_block(y, model.layers[j])
+            x = model.mlp_block(y, model.mlps[j])
         np.testing.assert_array_equal(blocks[i].data, x.data)
 
 
@@ -145,9 +172,9 @@ def test_token_permutation_equivariance_with_zero_pos():
 
     def run(tok):
         cur = tok
-        for layer in model.layers:
+        for layer, mlp in zip(model.layers, model.mlps):
             y, _ = model.attention_block(cur, layer)
-            cur = model.mlp_block(y, layer)
+            cur = model.mlp_block(y, mlp)
         return model.classify(cur).data
 
     np.testing.assert_allclose(run(x), run(xp), atol=1e-10)
