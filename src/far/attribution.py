@@ -50,8 +50,7 @@ _memo = threading.local()
 def _prefix_arrays(model, layer):
     """The array of every parameter ``model.tokens(image, stop=layer)``
     reads: the embedding's, then each layer's MLP and token mixer's."""
-    arrays = [t.data for t in (model.patch_w, model.patch_b, model.cls,
-                               model.pos)]
+    arrays = [t.data for t in vars(model.embed).values()]
     teacher = isinstance(model, TeacherModel)
     for i, mlp in enumerate(model.mlps[:layer]):
         arrays += [t.data for t in vars(mlp).values()]

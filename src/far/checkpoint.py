@@ -209,5 +209,6 @@ def load_model(path):
         # and pins that loss, so a FAR model still gets a seed-0 random
         # teacher with a copy of its backbone. Nothing in the package reads it.
         model.teacher = TeacherModel.from_tensors(cfg, {
-            **TeacherModel(cfg, seed=0).named_parameters(), **model.backbone})
+            **TeacherModel(cfg, seed=0).named_parameters(),
+            **model.named_parameters()})
     return model

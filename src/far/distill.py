@@ -195,7 +195,7 @@ def freeze_plan(far_model, phase):
     if phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}")
     named = far_model.named_parameters()
-    trainable = far_model.far_parameters() if phase == "distill" else named
+    trainable = far_model.mixer_parameters() if phase == "distill" else named
     for p in named.values():
         p.requires_grad = False
     for p in trainable.values():

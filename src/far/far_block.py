@@ -1,6 +1,7 @@
 """Multi-head bidirectional LSTM attention substitute. ``FarModel`` is a
-``vit.Backbone`` with one such block per layer as its token mixer, built,
-like every block, by copying a tensor table (``FarBlockParams.from_tensors``).
+``vit.Backbone`` with one such block per layer, ``blocks[i]``, as its token
+mixer. Every block is built by copying a tensor table
+(``FarBlockParams.from_tensors``), and ``mixer_parameters()`` names them.
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
@@ -626,21 +627,21 @@ def shrink_block(blk: FarBlockParams, keep, prefix):
 
 def live_tensors(model):
     """The tensor table of FarModel ``model`` at its live widths: its
-    backbone and each block re-packed by ``shrink_block``, which keeps every
-    unit of a model with none pruned. A scan with no live unit keeps one
-    all-zero unit, which is exact (its h and c stay 0) and keeps every
-    width in the 1..head_dim that ``from_tensors`` accepts."""
+    ``named_parameters()``, each block's re-packed by ``shrink_block``,
+    which keeps every unit of a model with none pruned. A scan with no live
+    unit keeps one all-zero unit, which is exact (its h and c stay 0) and
+    keeps every width in the 1..head_dim that ``from_tensors`` accepts."""
     keeps = [[m if m.any() else np.arange(m.size) == 0 for m in layer]
              for layer in model.masks]
-    tensors = dict(model.backbone)
+    tensors = model.named_parameters()
     for i, (blk, keep) in enumerate(zip(model.blocks, keeps)):
         tensors.update(shrink_block(blk, keep, f"far.{i}"))
     return tensors
 
 
 class FarModel(Backbone):
-    """A backbone with a FAR block (tensors ``far.<layer>.*``) as every token
-    mixer; ``replace_attention`` copies the teacher's backbone."""
+    """A backbone with a FAR block (``blocks[i]``, tensors ``far.<i>.*``) as
+    every token mixer; ``replace_attention`` copies the teacher's backbone."""
 
     def __init__(self, cfg, tensors):
         super().__init__(cfg, tensors)
@@ -648,10 +649,7 @@ class FarModel(Backbone):
             tensors, f"far.{i}", cfg.heads, cfg.head_dim, cfg.precision)
             for i in range(cfg.layers)]
 
-    def named_parameters(self):
-        return {**self.backbone, **self.far_parameters()}
-
-    def far_parameters(self):
+    def mixer_parameters(self):
         return {n: t for i, blk in enumerate(self.blocks)
                 for n, t in blk.named(f"far.{i}").items()}
 
@@ -671,7 +669,7 @@ def replace_attention(teacher, seed):
     drawn from ``seed`` in place of every attention sublayer. Each block's
     LN starts as a copy of the attention sublayer's LN."""
     rng = np.random.default_rng(seed + 1)
-    tensors = dict(teacher.backbone)
+    tensors = teacher.named_parameters()  # FarModel reads no attention name
     for i, layer in enumerate(teacher.layers):
         tensors.update(init_far_block(teacher.cfg, rng).named(f"far.{i}"))
         tensors[f"far.{i}.ln_g"] = layer.ln1_g

@@ -4,11 +4,14 @@ copies.
 A model is a backbone (patch embedding, CLS token and positions, the
 per-layer MLP sublayers, the final norm and the head) plus a token mixer
 per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). ``Backbone`` runs
-that layer loop for every model, which supplies only ``mix``; the forward
-pass records every block output so substitute blocks can be supervised
-against the teacher's. The teacher's mixer is pre-norm self-attention.
-Every model is built from a table mapping tensor names to arrays or
-Tensors, and owns a copy of each (``take``): no two models hold one Tensor.
+that layer loop for every model, which supplies only ``mix`` and
+``mixer_parameters``; the forward pass records every block output so
+substitute blocks can be supervised against the teacher's. The teacher's
+mixer is pre-norm self-attention. Every model is built from a table
+mapping tensor names to arrays or Tensors, and owns a copy of each
+(``take``): no two models hold one Tensor. In a model each Tensor has one
+holder, which the forward reads; ``named_parameters()`` builds the table
+from the holders on every call, so a rebound tensor is the one saved.
 """
 
 from dataclasses import dataclass, fields
@@ -21,6 +24,8 @@ from .tensor import Tensor, ShapeError
 
 ATTENTION = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b")
 MLP = ("ln2_g", "ln2_b", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
+EMBED = ("patch_w", "patch_b", "cls", "pos")
+FINAL = ("ln_g", "ln_b", "head_w", "head_b")
 
 
 @dataclass
@@ -98,6 +103,15 @@ def take(tensors, name, shape, precision):
     return t
 
 
+def hold(tensors, cfg, layout):
+    """One namespace per (prefix, keys) of ``layout``, in order, holding
+    under each short name k a copy (``take``) of tensors["<prefix>.<k>"]."""
+    shapes = tensor_shapes(cfg)
+    return [SimpleNamespace(**{k: take(tensors, f"{prefix}.{k}",
+                                       shapes[f"{prefix}.{k}"], cfg.precision)
+                               for k in keys}) for prefix, keys in layout]
+
+
 def _draw(rng, name, shape, precision):
     """Truncated-normal weights, CLS and positions; unit gains; zero biases."""
     if name.endswith(("_w", ".cls", ".pos")):
@@ -106,21 +120,26 @@ def _draw(rng, name, shape, precision):
 
 
 class Backbone:
-    """A model less its token mixers; ``backbone`` maps its tensor names to
-    its own copies of the table's. A subclass supplies ``mix(x, i)``: layer
-    i's token mixer with its residual, x + Mixer_i(x)."""
+    """A model less its token mixers, held as ``embed`` (``EMBED``),
+    ``mlps[i]`` (``MLP``) and ``final`` (``FINAL``). A subclass supplies
+    ``mix(x, i)``: layer i's token mixer with its residual, x + Mixer_i(x);
+    and ``mixer_parameters()``: its mixers' tensors by table name."""
 
     def __init__(self, cfg: ModelConfig, tensors):
         self.cfg = cfg
-        self.backbone = b = {
-            n: take(tensors, n, s, cfg.precision)
-            for n, s in tensor_shapes(cfg, attention=False).items()}
-        self.patch_w, self.patch_b, self.cls, self.pos = (
-            b[f"embed.{k}"] for k in ("patch_w", "patch_b", "cls", "pos"))
-        self.ln_f_g, self.ln_f_b, self.head_w, self.head_b = (
-            b[f"final.{k}"] for k in ("ln_g", "ln_b", "head_w", "head_b"))
-        self.mlps = [SimpleNamespace(**{k: b[f"layer.{i}.{k}"] for k in MLP})
-                     for i in range(cfg.layers)]
+        self.embed, *self.mlps, self.final = hold(tensors, cfg, [
+            ("embed", EMBED),
+            *((f"layer.{i}", MLP) for i in range(cfg.layers)),
+            ("final", FINAL)])
+
+    def named_parameters(self):
+        """Table name -> the Tensor its holder has: the backbone's, in
+        ``tensor_shapes`` order, then ``mixer_parameters()``."""
+        holders = [("embed", self.embed), *(
+            (f"layer.{i}", mlp) for i, mlp in enumerate(self.mlps)),
+            ("final", self.final)]
+        return {**{f"{prefix}.{k}": t for prefix, h in holders
+                   for k, t in vars(h).items()}, **self.mixer_parameters()}
 
     def patch_embed(self, image):
         """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings; an
@@ -140,12 +159,13 @@ class Backbone:
         ps, g = cfg.patch_size, cfg.grid
         patches = img.reshape(b, c, g, ps, g, ps).transpose(0, 2, 4, 1, 3, 5)
         patches = patches.reshape(b, g * g, c * ps * ps)
-        patches = patches.astype(self.patch_w.data.dtype, copy=False)
-        tok = T.linear(Tensor(patches), self.patch_w, self.patch_b)
-        cls = T.reshape(self.cls, (1, 1, cfg.dim)) + T.zeros(
+        e = self.embed
+        patches = patches.astype(e.patch_w.data.dtype, copy=False)
+        tok = T.linear(Tensor(patches), e.patch_w, e.patch_b)
+        cls = T.reshape(e.cls, (1, 1, cfg.dim)) + T.zeros(
             (b, 1, cfg.dim), cfg.precision)
         x = T.concat([cls, tok], axis=1)
-        return x + self.pos
+        return x + e.pos
 
     def mlp_block(self, y, layer):
         h = T.layer_norm(y, layer.ln2_g, layer.ln2_b)
@@ -155,8 +175,9 @@ class Backbone:
     def classify(self, x):
         """Logits from the final LN of the CLS token alone: LN is per
         position, so the other tokens' would be discarded."""
-        cls = T.layer_norm(x[:, 0, :], self.ln_f_g, self.ln_f_b)
-        return T.linear(cls, self.head_w, self.head_b)
+        f = self.final
+        cls = T.layer_norm(x[:, 0, :], f.ln_g, f.ln_b)
+        return T.linear(cls, f.head_w, f.head_b)
 
     def tokens(self, image, stop=None):
         """Patch embedding of ``image``, then the output of each layer below
@@ -191,16 +212,12 @@ class TeacherModel(Backbone):
 
     def _build(self, cfg, tensors):
         super().__init__(cfg, tensors)
-        shapes = tensor_shapes(cfg)
-        self.layers = [SimpleNamespace(**{
-            k: take(tensors, f"layer.{i}.{k}", shapes[f"layer.{i}.{k}"],
-                    cfg.precision) for k in ATTENTION})
-            for i in range(cfg.layers)]
+        self.layers = hold(tensors, cfg, [(f"layer.{i}", ATTENTION)
+                                          for i in range(cfg.layers)])
 
-    def named_parameters(self):
-        return {**self.backbone, **{
-            f"layer.{i}.{k}": getattr(layer, k)
-            for i, layer in enumerate(self.layers) for k in ATTENTION}}
+    def mixer_parameters(self):
+        return {f"layer.{i}.{k}": t for i, layer in enumerate(self.layers)
+                for k, t in vars(layer).items()}
 
     def attention_block(self, x, layer):
         """Residual multi-head self-attention; also returns attn weights."""

@@ -87,7 +87,7 @@ def test_saliency_shape_and_range(models):
 def test_constant_image_zero_pos_uniform_teacher_saliency():
     cfg = desk_config("f64")
     teacher = TeacherModel(cfg, seed=22)
-    teacher.pos.data[:] = 0.0
+    teacher.embed.pos.data[:] = 0.0
     img = np.full((3, 32, 32), 0.37)
     sal = cls_saliency(teacher, img, layer=0, head=0)
     # identical keys -> uniform attention row -> constant map collapses

@@ -480,7 +480,7 @@ def test_every_trained_tensor_has_a_gradient_at_the_step(monkeypatch, phase):
     run_phase(model, teacher, ds, TrainConfig(
         phase=phase, epochs=1, batch_size=len(ds.train_idx),
         warmup_epochs=0), extra_loss=extra)
-    trained = (far.far_parameters() if phase == "distill"
+    trained = (far.mixer_parameters() if phase == "distill"
                else model.named_parameters())
     assert seen == [[True] * len(trained)]
 

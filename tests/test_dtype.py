@@ -88,7 +88,7 @@ def test_one_batch_of_every_phase_computes_at_model_dtype(spy, precision,
 
     assert len(spy["losses"]) == len(spy["opts"]) == 1
     _check_graphs(spy["losses"], dtype)
-    trained = (far.far_parameters() if phase == "distill"
+    trained = (far.mixer_parameters() if phase == "distill"
                else model.named_parameters())
     assert all(p.grad is not None and p.grad.dtype == dtype
                for p in trained.values())

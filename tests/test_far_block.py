@@ -8,7 +8,7 @@ import pytest
 
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
-from far.vit import ATTENTION, ModelConfig, TeacherModel
+from far.vit import ATTENTION, ModelConfig, TeacherModel, tensor_shapes
 from far import far_block
 from far.far_block import (DIRECTIONS, FarBlockParams, LstmDirParams,
                            bilstm_head, far_block_forward, init_far_block,
@@ -870,8 +870,10 @@ def test_replace_attention_copies_and_freezes_structure(desk_cfg):
     named = far.named_parameters()
     assert not any(".qkv_" in n or ".proj_" in n for n in named)
     # the backbone and each substitute LN start as copies of the teacher's
-    for n, t in teacher.backbone.items():
-        np.testing.assert_array_equal(named[n].data, t.data)
+    backbone = tensor_shapes(desk_cfg, attention=False)
+    source = teacher.named_parameters()
+    for n in backbone:
+        np.testing.assert_array_equal(named[n].data, source[n].data)
     np.testing.assert_array_equal(far.blocks[0].ln_g.data,
                                   teacher.layers[0].ln1_g.data)
     # training every FAR tensor leaves each teacher tensor byte-identical
@@ -882,7 +884,7 @@ def test_replace_attention_copies_and_freezes_structure(desk_cfg):
         warmup_epochs=0))
     assert _bytes(teacher) == before
     trained = _bytes(far)
-    assert all(trained[n] != before[n] for n in teacher.backbone)
+    assert all(trained[n] != before[n] for n in backbone)
     reg = TrainConfig(phase="prune-regularize", lr=1e-3, epochs=1,
                       batch_size=20, seed=10, warmup_epochs=0)
     tune = TrainConfig(phase="prune-finetune", lr=1e-3, epochs=1,

@@ -278,6 +278,27 @@ def test_a_teacher_tensor_rebound_in_its_layer_is_the_one_saved(tmp_path):
     assert _same_logits(teacher, load_model(tmp_path / "rebound.farc"), 41)
 
 
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_a_backbone_tensor_rebound_in_its_holder_is_the_one_saved(tmp_path,
+                                                                   kind):
+    """A backbone tensor has one holder, which the forward reads and
+    ``named_parameters`` (so ``save_model``) names: rebinding each kind of
+    tensor in turn changes the logits, and the saved file gives them back."""
+    teacher = TeacherModel(desk_config(), seed=42)
+    model = teacher if kind == "teacher" else replace_attention(teacher,
+                                                                seed=42)
+    save_model(model, tmp_path / "start.farc")
+    saved = load_model(tmp_path / "start.farc")
+    for holder, k in ((model.embed, "patch_w"), (model.embed, "cls"),
+                      (model.embed, "pos"), (model.mlps[1], "fc1_w"),
+                      (model.final, "ln_g"), (model.final, "head_w")):
+        setattr(holder, k, Tensor(getattr(holder, k).data * 2 + 0.5))
+        assert not _same_logits(model, saved, 42), k
+        save_model(model, tmp_path / f"{k}.farc")
+        saved = load_model(tmp_path / f"{k}.farc")
+        assert _same_logits(model, saved, 42), k
+
+
 def test_shrunk_model_round_trip(tmp_path):
     far = _pruned_far(34)
     shrunk = shrink_model(far)

@@ -1,6 +1,8 @@
 """``perfbench/run.py`` run end to end, briefly: a run whose last standard
 output line is not its result, or whose result is not correct, fails here
-rather than only in a full benchmark run.
+rather than only in a full benchmark run. The result line must be strict
+JSON (no ``NaN`` or ``Infinity``, which strict readers reject), and every
+metric value a finite number.
 
 Three short runs (``--seconds 0.3``) start together, each in a directory
 of its own, so the module takes about as long as the slowest of them:
@@ -10,6 +12,7 @@ change to the scans or the graph reaches first.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -39,6 +42,10 @@ def runs(tmp_path_factory):
             proc.wait()
 
 
+def _reject(constant):
+    raise ValueError(f"result line holds {constant}, which is not JSON")
+
+
 @pytest.mark.parametrize("workload,trace", RUNS)
 def test_a_short_run_ends_with_a_correct_result_line(runs, workload, trace):
     proc, cwd = runs[workload, trace]
@@ -46,8 +53,12 @@ def test_a_short_run_ends_with_a_correct_result_line(runs, workload, trace):
     err = (cwd / "stderr").read_text()
     assert code == 0, err
     last = (cwd / "stdout").read_text().splitlines()[-1]
-    result = json.loads(last)
+    result = json.loads(last, parse_constant=_reject)
     assert result["correct"] is True and result["failed"] == 0, err
     assert result["attempted"] > 0 and result["metrics"]
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert type(value) in (int, float) and math.isfinite(value), (
+            name, value)
     # the run removed its work directory
     assert sorted(p.name for p in cwd.iterdir()) == ["stderr", "stdout"]

@@ -4,8 +4,8 @@ import pytest
 from far import tensor as T
 from far.tensor import ShapeError, Tensor
 from far.far_block import replace_attention
-from far.vit import (ATTENTION, MLP, ModelConfig, TeacherModel, take,
-                     tensor_shapes)
+from far.vit import (ATTENTION, EMBED, FINAL, MLP, ModelConfig,
+                     TeacherModel, take, tensor_shapes)
 
 from conftest import desk_config, random_image
 
@@ -32,26 +32,45 @@ def test_teacher_requires_head_factorization():
 def test_zero_image_zero_projection_gives_positional():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=0)
-    model.patch_w.data[:] = 0.0
-    model.patch_b.data[:] = 0.0
-    model.cls.data[:] = 0.0
+    model.embed.patch_w.data[:] = 0.0
+    model.embed.patch_b.data[:] = 0.0
+    model.embed.cls.data[:] = 0.0
     x = model.patch_embed(np.zeros((cfg.channels, 32, 32)))
-    np.testing.assert_array_equal(x.data[0], model.pos.data)
+    np.testing.assert_array_equal(x.data[0], model.embed.pos.data)
 
 
-def test_a_teacher_holds_each_tensor_once():
-    """``layers[i]`` holds exactly layer i's attention tensors, ``mlps[i]``
-    its MLP ones, and ``named_parameters`` names those very Tensors."""
+@pytest.mark.parametrize("kind", ["teacher", "far"])
+def test_every_tensor_has_one_holder_and_one_name(kind):
+    """``named_parameters`` names the very Tensor each holder has, in order:
+    ``embed``, each ``mlps[i]`` and ``final``, then each ``layers[i]`` (the
+    attention tensors) or ``blocks[i]``. No Tensor is named twice, and the
+    model keeps no second table."""
     cfg = desk_config()
     model = TeacherModel(cfg, seed=8)
-    assert not hasattr(model, "attention")
+    if kind == "far":
+        model = replace_attention(model, seed=8)
+    assert tuple(vars(model.embed)) == EMBED
+    assert tuple(vars(model.final)) == FINAL
+    assert all(tuple(vars(mlp)) == MLP for mlp in model.mlps)
+    held = {f"embed.{k}": t for k, t in vars(model.embed).items()}
+    held.update((f"layer.{i}.{k}", t) for i, mlp in enumerate(model.mlps)
+                for k, t in vars(mlp).items())
+    held.update((f"final.{k}", t) for k, t in vars(model.final).items())
+    assert list(held) == list(tensor_shapes(cfg, attention=False))
+    if kind == "teacher":
+        assert all(tuple(vars(layer)) == ATTENTION for layer in model.layers)
+        held.update((f"layer.{i}.{k}", t) for i, layer in
+                    enumerate(model.layers) for k, t in vars(layer).items())
+        assert held.keys() == tensor_shapes(cfg).keys()
+    else:
+        for i, blk in enumerate(model.blocks):
+            held.update(blk.named(f"far.{i}"))
     named = model.named_parameters()
-    assert named.keys() == tensor_shapes(cfg).keys()
+    assert list(named) == list(held)
+    assert all(named[n] is t for n, t in held.items())
     assert len({id(t) for t in named.values()}) == len(named)
-    for i, (layer, mlp) in enumerate(zip(model.layers, model.mlps)):
-        assert tuple(vars(layer)) == ATTENTION and tuple(vars(mlp)) == MLP
-        for k, t in {**vars(layer), **vars(mlp)}.items():
-            assert named[f"layer.{i}.{k}"] is t
+    assert not any(hasattr(model, a) for a in (
+        "backbone", "attention", "patch_w", "cls", "pos", "ln_f_g", "head_w"))
 
 
 def test_take_is_a_copy_cast_bit_for_bit():
@@ -163,7 +182,7 @@ def test_block_outputs_match_prefix_replay():
 def test_token_permutation_equivariance_with_zero_pos():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=7)
-    model.pos.data[:] = 0.0
+    model.embed.pos.data[:] = 0.0
     rng = np.random.default_rng(7)
     img = rng.normal(size=(3, 32, 32))
     x = model.patch_embed(img)
@@ -195,22 +214,23 @@ def test_classify_of_the_cls_row_equals_the_full_layer_norm(variant, batch,
     model = TeacherModel(cfg, seed=8)
     if variant == "far":
         model = replace_attention(model, seed=8)
-    model.ln_f_g.data[:] = rng.normal(size=cfg.dim)
-    model.ln_f_b.data[:] = rng.normal(size=cfg.dim)
+    f = model.final
+    f.ln_g.data[:] = rng.normal(size=cfg.dim)
+    f.ln_b.data[:] = rng.normal(size=cfg.dim)
     x0 = model.tokens(random_image(cfg, rng, batch))[-1].data
     weights = rng.normal(size=(batch, cfg.num_classes)).astype(np.float32)
 
     def run(classify):
         x = Tensor(x0, requires_grad=True)
-        for t in (model.ln_f_g, model.ln_f_b):
+        for t in (f.ln_g, f.ln_b):
             t.requires_grad, t.grad = True, None
         logits = classify(x)
         T.tsum(logits * weights).backward()
-        return logits.data, x.grad + 0.0, model.ln_f_g.grad, model.ln_f_b.grad
+        return logits.data, x.grad + 0.0, f.ln_g.grad, f.ln_b.grad
 
     def full_ln(x):
-        h = T.layer_norm(x, model.ln_f_g, model.ln_f_b)
-        return T.linear(h[:, 0, :], model.head_w, model.head_b)
+        h = T.layer_norm(x, f.ln_g, f.ln_b)
+        return T.linear(h[:, 0, :], f.head_w, f.head_b)
 
     for got, want in zip(run(model.classify), run(full_ln)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -10,8 +10,9 @@ a line tracer (``sys.settrace``):
 
 - every CLI command in f32 and in f64 with a tiny config (a comment line,
   every epoch count above ``warmup_epochs`` so that the cosine decay runs):
-  train-teacher (with ``--seed``) -> distill -> finetune -> prune ->
-  attribute of the pruned and the teacher file, params (without
+  train-teacher (with ``--seed``) -> distill -> finetune -> prune -> a
+  second prune of the pruned (shrunk) file, whose scans have unequal
+  widths -> attribute of the pruned and the teacher file, params (without
   ``--config``), flops of both variants, and bench of both variants and
   of both files;
 - every perfbench workload at ``--seconds 0.3``, untraced and with
@@ -158,8 +159,8 @@ def runs(work):
         cfgfile = d / "run.cfg"
         cfgfile.write_text(CONFIG.format(precision=precision))
         cfg = ["--config", str(cfgfile)]
-        t, f, ft, p = (str(d / n) for n in ("t.farc", "f.farc", "ft.farc",
-                                            "p.farc"))
+        t, f, ft, p, pp = (str(d / n) for n in (
+            "t.farc", "f.farc", "ft.farc", "p.farc", "pp.farc"))
         for argv in (
                 ["train-teacher", *cfg, "--seed", "3", "--out", t,
                  "--log", str(d / "t.csv")],
@@ -168,6 +169,8 @@ def runs(work):
                 ["finetune", *cfg, "--checkpoint", f, "--out", ft],
                 ["prune", *cfg, "--checkpoint", ft, "--out", p,
                  "--log", str(d / "p.csv"), "--report", str(d / "r.csv")],
+                ["prune", *cfg, "--checkpoint", p, "--out", pp,
+                 "--log", str(d / "pp.csv"), "--report", str(d / "rr.csv")],
                 ["attribute", *cfg, "--checkpoint", p, "--layer", "3",
                  "--out-prefix", str(d / "a_")],
                 ["attribute", *cfg, "--checkpoint", t, "--out-prefix",
