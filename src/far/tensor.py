@@ -305,20 +305,26 @@ def _matmul_operands(a, b):
     return a, b
 
 
+def _matmul_grad_a(g, b):
+    """Array gradient of ``a @ b`` for ``a``, before unbroadcasting."""
+    if b.ndim == 1:
+        return np.multiply.outer(g, b)
+    return g @ np.swapaxes(b, -1, -2)
+
+
+def _matmul_grad_b(a, g):
+    """Array gradient of ``a @ b`` for ``b``, before unbroadcasting."""
+    if a.ndim == 1:
+        return np.multiply.outer(a, g)
+    return np.swapaxes(a, -1, -2) @ g
+
+
 def _matmul_backward(a, b, g):
     """Accumulate the gradients of ``a @ b`` given its gradient ``g``."""
     if a.requires_grad:
-        if b.data.ndim == 1:
-            ga = np.multiply.outer(g, b.data)
-        else:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-        a._accumulate(_unbroadcast(ga, a.data.shape))
+        a._accumulate(_unbroadcast(_matmul_grad_a(g, b.data), a.data.shape))
     if b.requires_grad:
-        if a.data.ndim == 1:
-            gb = np.multiply.outer(a.data, g)
-        else:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+        b._accumulate(_unbroadcast(_matmul_grad_b(a.data, g), b.data.shape))
 
 
 def matmul(a, b):
@@ -551,18 +557,74 @@ def gelu(a):
     return _make(x * cdf, (a,), backward)
 
 
+def _softmax(x, axis):
+    """Softmax of array ``x`` along ``axis``, shifted by its maximum."""
+    e = x - _max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= _sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(p, g, axis):
+    """Array gradient through a softmax of output ``p`` along ``axis``."""
+    return p * (g - _sum(g * p, axis=axis, keepdims=True))
+
+
 def softmax(a, axis):
     """Numerically stabilized softmax along ``axis``."""
     a = as_tensor(a)
-    shifted = a.data - _max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / _sum(e, axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def backward(g):
-        dot = _sum(g * out_data, axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        a._accumulate(_softmax_grad(out_data, g, axis))
 
     return _make(out_data, (a,), backward)
+
+
+def attention(qkv, heads, head_dim):
+    """Multi-head self-attention as one node. ``qkv`` (B, T, 3D), D =
+    heads * head_dim, holds queries, keys and values side by side. Returns
+    ``(out, attn)``: ``out`` (B, T, D) is each head's
+    softmax(q kᵀ / √head_dim) v, heads merged in order; ``attn`` (B, heads,
+    T, T) is the weights as data only, with no backward, since no caller
+    differentiates through them (attribution reads ``.data``, ``mix`` drops
+    them). Output and gradient equal those of split, reshape, transpose,
+    matmul, scale and ``softmax`` nodes bit for bit: the backward runs their
+    arithmetic in their order on operands of their memory layout, since
+    numpy's matmul may take another route for another layout. A ``qkv`` of
+    another shape is a ShapeError naming it."""
+    qkv = as_tensor(qkv)
+    x = qkv.data
+    d = heads * head_dim
+    if x.ndim != 3 or x.shape[-1] != 3 * d:
+        raise ShapeError(
+            f"attention of {heads} heads of {head_dim} needs qkv of shape "
+            f"(B, T, {3 * d}), got {x.shape}")
+    b, t, _ = x.shape
+    # (B, heads, T, head_dim) views of the queries, keys and values
+    q, k, v = x.reshape(b, t, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
+    kt = k.transpose(0, 1, 3, 2)
+    scale = np.asarray(1 / math.sqrt(head_dim), x.dtype)
+    scores = q @ kt
+    scores *= scale
+    attn = _softmax(scores, -1)
+    out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    def backward(g):
+        # laid out as the copy of the head merge's transposed gradient
+        go = np.array(g.reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3))
+        gs = _softmax_grad(attn, _matmul_grad_a(go, v), -1)
+        gs *= scale
+        # q, k and v each add into zeros, as split's three slices would
+        gx = np.zeros_like(x)
+        gq, gk, gv = gx.reshape(b, t, 3, heads, head_dim).transpose(
+            2, 0, 3, 1, 4)
+        gq += _matmul_grad_a(gs, kt)
+        gk += _matmul_grad_b(q, gs).transpose(0, 1, 3, 2)
+        gv += _matmul_grad_b(attn, go)
+        qkv._accumulate(gx)
+
+    return _make(out, (qkv,), backward), _make(attn, (), None)
 
 
 def layer_norm(x, gamma, beta):

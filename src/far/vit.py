@@ -221,21 +221,10 @@ class TeacherModel(Backbone):
 
     def attention_block(self, x, layer):
         """Residual multi-head self-attention; also returns attn weights."""
-        cfg = self.cfg
-        b, t, d = x.shape
-        n, dh = cfg.heads, cfg.head_dim
         h = T.layer_norm(x, layer.ln1_g, layer.ln1_b)
         qkv = T.linear(h, layer.qkv_w, layer.qkv_b)
-        q, k, v = T.split(qkv, 3, axis=-1)
-        q = T.transpose(T.reshape(q, (b, t, n, dh)), (0, 2, 1, 3))
-        k = T.transpose(T.reshape(k, (b, t, n, dh)), (0, 2, 1, 3))
-        v = T.transpose(T.reshape(v, (b, t, n, dh)), (0, 2, 1, 3))
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        attn = T.softmax(scores, axis=-1)
-        out = T.matmul(attn, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-        y = x + T.linear(out, layer.proj_w, layer.proj_b)
-        return y, attn
+        out, attn = T.attention(qkv, self.cfg.heads, self.cfg.head_dim)
+        return x + T.linear(out, layer.proj_w, layer.proj_b), attn
 
     def mix(self, x, i):
         return self.attention_block(x, self.layers[i])[0]

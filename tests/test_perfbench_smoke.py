@@ -2,7 +2,10 @@
 output line is not its result, or whose result is not correct, fails here
 rather than only in a full benchmark run. The result line must be strict
 JSON (no ``NaN`` or ``Infinity``, which strict readers reject), and every
-metric value a finite number.
+metric value a finite number. Its metric names must be exactly those that
+``BENCHMARK.json`` declares: the ``end_to_end`` ones for an untraced run,
+the ``per_layer`` ones for a traced run, which leaves out the metrics of
+any traced function the run never called.
 
 Three short runs (``--seconds 0.3``) start together, each in a directory
 of its own, so the module takes about as long as the slowest of them:
@@ -19,8 +22,13 @@ import sys
 
 import pytest
 
-RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RUN = ROOT / "perfbench" / "run.py"
 RUNS = [("explain-desk", 0), ("explain-desk", 1), ("infer-b1", 1)]
+# trace -> the metric names a run's result carries
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+NAMES = {trace: {m["name"] for m in DECLARED[key]}
+         for trace, key in ((0, "end_to_end"), (1, "per_layer"))}
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +63,8 @@ def test_a_short_run_ends_with_a_correct_result_line(runs, workload, trace):
     last = (cwd / "stdout").read_text().splitlines()[-1]
     result = json.loads(last, parse_constant=_reject)
     assert result["correct"] is True and result["failed"] == 0, err
-    assert result["attempted"] > 0 and result["metrics"]
+    assert result["attempted"] > 0
+    assert set(result["metrics"]) == NAMES[trace]
     for name, metric in result["metrics"].items():
         value = metric["value"]
         assert type(value) in (int, float) and math.isfinite(value), (

@@ -1,6 +1,7 @@
 import cProfile
 import math
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,30 @@ def test_softmax_probability_vector(vals):
     out = T.softmax(Tensor(np.array(vals)), axis=-1).data
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) <= 1e-6
+
+
+# -- attention ----------------------------------------------------------------
+
+def test_attention_backward_fd():
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(2, 5, 6))
+    fd_check(lambda x: T.tsum(T.attention(x, 2, 3)[0] * Tensor(g)),
+             rng.normal(size=(2, 5, 18)))
+
+
+def test_attention_weights_are_data_only():
+    qkv = Tensor(np.random.default_rng(13).normal(size=(1, 4, 6)),
+                 requires_grad=True)
+    out, attn = T.attention(qkv, 1, 2)
+    assert out.requires_grad and out._parents == (qkv,)
+    assert not attn.requires_grad and attn._backward_fn is None
+    assert attn.shape == (1, 1, 4, 4)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 10), (5, 12), (1, 1, 5, 12)])
+def test_attention_of_a_wrongly_shaped_qkv_names_the_shape(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got {shape}")):
+        T.attention(Tensor(np.zeros(shape)), 2, 2)
 
 
 # -- pointwise suite ----------------------------------------------------------

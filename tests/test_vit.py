@@ -123,6 +123,85 @@ def test_single_token_attention_degenerates():
     np.testing.assert_allclose(attn.data, np.ones((1, cfg.heads, 1, 1)))
 
 
+def _composed_attention(qkv, n, dh):
+    """The oracle of ``T.attention``: the graph of split, reshape,
+    transpose, matmul, scale and softmax nodes that the teacher ran before
+    it had that one node."""
+    b, t, _ = qkv.shape
+    d = n * dh
+    q, k, v = T.split(qkv, 3, axis=-1)
+    q = T.transpose(T.reshape(q, (b, t, n, dh)), (0, 2, 1, 3))
+    k = T.transpose(T.reshape(k, (b, t, n, dh)), (0, 2, 1, 3))
+    v = T.transpose(T.reshape(v, (b, t, n, dh)), (0, 2, 1, 3))
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    attn = T.softmax(scores, axis=-1)
+    out = T.matmul(attn, v)
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d)), attn
+
+
+def _composed_attention_block(model, x, layer):
+    h = T.layer_norm(x, layer.ln1_g, layer.ln1_b)
+    qkv = T.linear(h, layer.qkv_w, layer.qkv_b)
+    out, attn = _composed_attention(qkv, model.cfg.heads, model.cfg.head_dim)
+    return x + T.linear(out, layer.proj_w, layer.proj_b), attn
+
+
+@pytest.mark.parametrize("heads,head_dim", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_attention_block_equals_the_composed_graph_bit_for_bit(
+        precision, batch, heads, head_dim):
+    """Output, weights, input gradient and the six ``ATTENTION`` gradients
+    of the one-node attention equal the composed graph's byte for byte; at
+    head_dim 8, scaling by 1/√head_dim rounds, so where the backward scales
+    matters."""
+    cfg = desk_config(precision)
+    cfg.heads, cfg.head_dim, cfg.dim = heads, head_dim, heads * head_dim
+    model = TeacherModel(cfg, seed=9)
+    layer = model.layers[1]
+    rng = np.random.default_rng(batch)
+    x0 = model.tokens(random_image(cfg, rng, batch), stop=1)[-1].data
+    g = rng.normal(size=x0.shape).astype(x0.dtype)
+
+    def run(block):
+        x = Tensor(x0, requires_grad=True)
+        for t in vars(layer).values():
+            t.requires_grad, t.grad = True, None
+        y, attn = block(x, layer)
+        T.tsum(y * Tensor(g)).backward()
+        return [y.data, attn.data, x.grad] + [getattr(layer, k).grad
+                                              for k in ATTENTION]
+
+    want = run(lambda x, lay: _composed_attention_block(model, x, lay))
+    got = run(model.attention_block)
+    for name, a, b in zip(["y", "attn", "x"] + list(ATTENTION), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# graph nodes of a desk B=1 forward; the teacher's was 108 when its
+# attention core was 16 nodes of its own
+FORWARD_NODES = {"teacher": 52, "far": 48}
+
+
+def test_forward_graph_nodes(monkeypatch):
+    cfg = desk_config()
+    teacher = TeacherModel(cfg, seed=5)
+    models = {"teacher": teacher, "far": replace_attention(teacher, seed=5)}
+    image = random_image(cfg, np.random.default_rng(5))
+    count, make = [0], T._make
+
+    def counting_make(*args):
+        count[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    for name, model in models.items():
+        count[0] = 0
+        model.forward(image)
+        assert count[0] <= FORWARD_NODES[name], (name, count[0])
+
+
 def test_mlp_zero_weights_is_identity():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=1)
