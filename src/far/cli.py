@@ -15,7 +15,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pruner, profiler
 from .attribution import cls_saliency, export_heatmaps, token_dependency
-from .config import ConfigError, coerce, load_config, model_config
+from .config import ConfigError, load_config, model_config
 from .data import synth_dataset
 from .distill import TrainConfig, accuracy, run_phase, train_teacher
 from .far_block import FarModel, replace_attention
@@ -155,11 +155,6 @@ def cmd_finetune(args, cfg):
 def cmd_prune(args, cfg):
     _check_writable(args.out, args.log, args.report)
     pr = cfg["prune"]
-    for key in ("threshold", "reg_coeff"):  # a flag overrides its key
-        value = getattr(args, key)
-        if value is not None:
-            pr[key] = coerce(f"--{key.replace('_', '-')}", "prune", key,
-                             str(value))
     far = _load_kind(args.checkpoint, "far")
     ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
     reg_cfg = _train_cfg(cfg, "prune-regularize", pr["reg_lr"], pr["reg_epochs"])
@@ -189,9 +184,7 @@ def cmd_params(args, cfg):
 
 
 def cmd_flops(args, cfg):
-    mcfg = model_config(cfg)
-    _print_rows(profiler.cost_rows(mcfg, args.variant,
-                                   image_size=args.image_size))
+    _print_rows(profiler.cost_rows(model_config(cfg), args.variant))
     return 0
 
 
@@ -296,15 +289,12 @@ def build_parser():
     training("distill", "replace attention and distill")
     training("finetune", "unfreeze everything, task loss only")
     p = training("prune", "three-stage Group-HS pruning")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--reg-coeff", type=float, default=None)
     p.add_argument("--report", default="retention.csv")
 
     command("params", "analytic parameter counts", seed=False)
 
     p = command("flops", "analytic MAC counts", seed=False)
     p.add_argument("--variant", choices=profiler.VARIANTS, default="far")
-    p.add_argument("--image-size", type=int, default=None)
 
     p = command("bench", "wall-clock latency harness")
     model = p.add_mutually_exclusive_group()

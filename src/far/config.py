@@ -6,19 +6,15 @@ listed there, and a key listed in ``MINIMUM`` no smaller value.
 """
 
 import math
+from dataclasses import fields
 
 from .pruner import MODES
 from .tensor import DTYPES
 from .vit import ModelConfig
 
-# section -> key -> (type, default)
+# section -> key -> (type, default); ``[model]`` is ``ModelConfig``'s fields
 SCHEMA = {
-    "model": {
-        "layers": (int, 4), "dim": (int, 32), "heads": (int, 2),
-        "head_dim": (int, 16), "mlp_ratio": (int, 4), "patch_size": (int, 8),
-        "image_size": (int, 32), "num_classes": (int, 10),
-        "channels": (int, 3), "precision": (str, "f32"),
-    },
+    "model": {f.name: (f.type, f.default) for f in fields(ModelConfig)},
     "train": {
         "seed": (int, 0), "batch_size": (int, 32),
         "teacher_epochs": (int, 60), "teacher_lr": (float, 1e-3),
@@ -66,10 +62,11 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-def coerce(label, section, key, raw):
+def coerce(section, key, raw):
     """Text ``raw`` as the value of ``[section] key``: of its type, a listed
     choice, finite and no less than its minimum, else a ConfigError that
-    names ``label``."""
+    names the key."""
+    label = f"[{section}] {key}"
     typ, _ = SCHEMA[section][key]
     choices = CHOICES.get((section, key))
     if choices is not None and raw not in choices:
@@ -116,8 +113,7 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: key {key!r} in [{section}] "
                               f"is already set")
         seen.add((section, key))
-        cfg[section][key] = coerce(f"[{section}] {key}", section, key,
-                                   raw)
+        cfg[section][key] = coerce(section, key, raw)
     return cfg
 
 

@@ -45,16 +45,21 @@ class TrainConfig:
     phase: str = "distill"
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(
-                f"similarity weight must be non-negative, got {self.lam}")
+        """A ValueError naming the field unless ``batch_size`` is at least
+        1, every other number at least 0 (the least values the run config
+        allows) and every float finite."""
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be at least 1, got {self.batch_size}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative, "
+                                 f"got {value}")
+            if f.type is int and value < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
 
 
 class AdamW:

@@ -571,12 +571,7 @@ def far_block_forward(x, p: FarBlockParams):
     """y = x + out_proj(BiLSTM scans of the N heads of in_proj(LN(x)))."""
     h = T.layer_norm(x, p.ln_g, p.ln_b)
     u = T.linear(h, p.in_w, p.in_b)
-    cat = scan_heads(u, p.scans)
-    if cat.shape[-1] != p.out_w.shape[0]:
-        raise ShapeError(
-            f"head outputs ({cat.shape[-1]}) do not match out_proj rows "
-            f"({p.out_w.shape[0]})")
-    return x + T.linear(cat, p.out_w, p.out_b)
+    return x + T.linear(scan_heads(u, p.scans), p.out_w, p.out_b)
 
 
 def coupled(blk: FarBlockParams, k, units):

@@ -108,12 +108,10 @@ def bench_latency(run_fn, warmups, runs):
     }
 
 
-def cost_rows(cfg, variant, image_size=None, masks=None):
-    """(metric, value) rows of the ``variant`` model of ``cfg`` built for
-    ``image_size`` (the config's by default), whose position table grows
-    with it: the variant, its parameters, its MACs and each layer's MACs."""
-    if image_size is not None:
-        cfg = replace(cfg, image_size=image_size)
+def cost_rows(cfg, variant, masks=None):
+    """(metric, value) rows of the ``variant`` model of ``cfg``, whose
+    position table grows with ``cfg.image_size``: the variant, its
+    parameters, its MACs and each layer's MACs."""
     total, per_layer = count_flops(cfg, variant, masks=masks, breakdown=True)
     return [("variant", variant),
             ("params", count_params(cfg, variant, masks=masks)),

@@ -30,15 +30,17 @@ FINAL = ("ln_g", "ln_b", "head_w", "head_b")
 
 @dataclass
 class ModelConfig:
-    """Architectural hyperparameters shared by teacher and FAR variants."""
-    layers: int = 12
-    dim: int = 192
-    heads: int = 3
-    head_dim: int = 64
+    """Architectural hyperparameters shared by teacher and FAR variants.
+    The fields are the run config's ``[model]`` keys and their defaults
+    its defaults: the desk model (``config.SCHEMA`` reads them here)."""
+    layers: int = 4
+    dim: int = 32
+    heads: int = 2
+    head_dim: int = 16
     mlp_ratio: int = 4
-    patch_size: int = 16
-    image_size: int = 224
-    num_classes: int = 1000
+    patch_size: int = 8
+    image_size: int = 32
+    num_classes: int = 10
     channels: int = 3
     precision: str = "f32"
 

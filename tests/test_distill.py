@@ -207,10 +207,19 @@ def test_train_config_validation():
     ("seed", -1, "non-negative"),
     ("batch_size", 0, "at least 1"),
     ("batch_size", -4, "at least 1"),
+    ("epochs", -1, "non-negative"),
+    ("warmup_epochs", -2, "non-negative"),
+    ("lr", float("nan"), "finite and non-negative"),
+    ("lr", -1.0, "finite and non-negative"),
+    ("weight_decay", -0.1, "finite and non-negative"),
+    ("warmup_lr", float("inf"), "finite and non-negative"),
+    ("lam", float("inf"), "finite and non-negative"),
 ])
 def test_train_config_rejects_bad_seed_and_batch_size(field, value, rule):
-    """A bad seed or batch size fails on construction, naming the field,
-    not inside numpy or range() once a phase runs."""
+    """A bad seed, batch size, epoch count, rate or weight fails on
+    construction, naming the field, with the least values the run config
+    allows: not inside numpy or range() once a phase runs, nor as a
+    non-finite loss."""
     with pytest.raises(ValueError, match=f"{field} must be {rule}, got {value}"):
         TrainConfig(**{field: value})
 

@@ -835,6 +835,18 @@ def test_far_block_output_shape(t):
     assert far_block_forward(x, blk).shape == (2, t, cfg.dim)
 
 
+def test_far_block_with_too_few_out_proj_rows_is_a_shape_error():
+    """A hand-built block whose out_w has fewer rows than the scans have
+    units fails in out_proj's matmul, naming both shapes."""
+    cfg = desk_config("f64")
+    blk = init_far_block(cfg, np.random.default_rng(8))
+    blk.out_w = Tensor(blk.out_w.data[:-1])
+    x = Tensor(np.random.default_rng(8).normal(size=(2, 5, cfg.dim)))
+    with pytest.raises(ShapeError, match=r"inner dimensions disagree: "
+                                         r"\(2, 5, 64\) @ \(63, 32\)"):
+        far_block_forward(x, blk)
+
+
 def test_head_isolation():
     """Perturbing head n's params only changes its own columns of H."""
     cfg = desk_config("f64")
@@ -912,7 +924,8 @@ def test_param_count_matches_enumeration(desk_cfg):
 
 
 def test_replacement_param_delta_deit_tiny():
-    cfg = ModelConfig(dim=192, heads=3, head_dim=64)
+    cfg = ModelConfig(layers=12, dim=192, heads=3, head_dim=64,
+                      patch_size=16, image_size=224, num_classes=1000)
     total_added = count_params(cfg, "far") - count_params(cfg, "attention")
     assert abs(total_added - 2.0e6) / 2.0e6 < 0.03  # ~2.0M params added
     # and lands at ~7.7M from the 5.7M teacher

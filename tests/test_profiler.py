@@ -301,21 +301,20 @@ dim = 192
 heads = 3
 head_dim = 64
 patch_size = 16
-image_size = 224
+image_size = 384
 num_classes = 1000
 """
 
 
 @pytest.mark.parametrize("ini, variant, params", [
-    ("[model]\n", "far", 161_642),             # desk, 32 px in its config
+    ("[model]\nimage_size = 384\n", "far", 161_642),  # desk at 384 px
     (DEIT_TINY_INI, "attention", 5_790_376),  # 577 positions, not 197
 ], ids=["desk", "deit-tiny"])
 def test_cli_flops_counts_params_at_its_image_size(tmp_path, capsys, ini,
                                                    variant, params):
     path = tmp_path / "run.ini"
     path.write_text(ini)
-    assert main(["flops", "--config", str(path), "--variant", variant,
-                 "--image-size", "384"]) == 0
+    assert main(["flops", "--config", str(path), "--variant", variant]) == 0
     assert f"params,{params}" in capsys.readouterr().out.splitlines()
 
 
@@ -327,11 +326,13 @@ def test_cli_flops_counts_params_at_its_image_size(tmp_path, capsys, ini,
     (225, "patch size 8 does not divide image size 225"),
     (7, "patch size 8 does not divide image size 7"),
 ], ids=["0", "-32", "225", "7"])
-def test_flops_rejects_bad_image_size(size, match, capsys):
+def test_flops_rejects_bad_image_size(size, match, tmp_path, capsys):
     cfg = desk_config()
     with pytest.raises(ShapeError, match=match):
         count_flops(cfg, "far", image_size=size)
-    assert main(["flops", "--image-size", str(size)]) == 1
+    path = tmp_path / "run.ini"
+    path.write_text(f"[model]\nimage_size = {size}\n")
+    assert main(["flops", "--config", str(path)]) == 1
     assert match in capsys.readouterr().err
 
 

@@ -12,9 +12,10 @@ a line tracer (``sys.settrace``):
   every epoch count above ``warmup_epochs`` so that the cosine decay runs):
   train-teacher (with ``--seed``) -> distill -> finetune -> prune -> a
   second prune of the pruned (shrunk) file, whose scans have unequal
-  widths -> attribute of the pruned and the teacher file, params (without
-  ``--config``), flops of both variants, and bench of both variants and
-  of both files;
+  widths -> attribute of the pruned and the teacher file (both at their
+  last layer), params (without ``--config``), flops of both variants (the
+  attention one under a config of image size 64), and bench of both
+  variants and of both files;
 - every perfbench workload at ``--seconds 0.3``, untraced and with
   ``--trace 1``;
 - ``tests/test_acceptance.py``.
@@ -44,6 +45,7 @@ CONFIG = """\
 # tiny run: every epoch count exceeds warmup_epochs
 [model]
 precision = {precision}
+image_size = {image_size}
 [train]
 teacher_epochs = 2
 warmup_epochs = 1
@@ -156,9 +158,11 @@ def runs(work):
     for precision in ("f32", "f64"):
         d = work / precision
         d.mkdir()
-        cfgfile = d / "run.cfg"
-        cfgfile.write_text(CONFIG.format(precision=precision))
-        cfg = ["--config", str(cfgfile)]
+        for size in (32, 64):
+            (d / f"run{size}.cfg").write_text(
+                CONFIG.format(precision=precision, image_size=size))
+        cfg, cfg64 = (["--config", str(d / f"run{size}.cfg")]
+                      for size in (32, 64))
         t, f, ft, p, pp = (str(d / n) for n in (
             "t.farc", "f.farc", "ft.farc", "p.farc", "pp.farc"))
         for argv in (
@@ -173,12 +177,11 @@ def runs(work):
                  "--log", str(d / "pp.csv"), "--report", str(d / "rr.csv")],
                 ["attribute", *cfg, "--checkpoint", p, "--layer", "3",
                  "--out-prefix", str(d / "a_")],
-                ["attribute", *cfg, "--checkpoint", t, "--out-prefix",
-                 str(d / "ta_")],
+                ["attribute", *cfg, "--checkpoint", t, "--layer", "3",
+                 "--out-prefix", str(d / "ta_")],
                 ["params"],
                 ["flops", *cfg],
-                ["flops", *cfg, "--variant", "attention",
-                 "--image-size", "64"],
+                ["flops", *cfg64, "--variant", "attention"],
                 ["bench", *cfg],
                 ["bench", *cfg, "--variant", "attention"],
                 ["bench", *cfg, "--checkpoint", p],
