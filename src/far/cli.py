@@ -1,8 +1,7 @@
 """Subcommand CLI driving the full pipeline.
 
-Subcommands: train-teacher, distill, finetune, prune, params, flops,
-bench, attribute. Exit codes: 0 success, 1 pipeline failure, 2 usage
-error.
+Subcommands: train-teacher, distill, finetune, prune, flops, bench,
+attribute. Exit codes: 0 success, 1 pipeline failure, 2 usage error.
 """
 
 import argparse
@@ -69,12 +68,15 @@ def _write_log(path, rows):
 
 
 def _check_writable(*paths):
-    """An OSError naming the first of ``paths`` (None skipped) whose
-    directory does not exist or is not writable: a training or attribute
-    command checks the files it will write before its work, not after."""
+    """An OSError naming the first of ``paths`` (None skipped) that is a
+    directory, or whose directory does not exist or is not writable: a
+    training or attribute command checks the files it will write before
+    its work, not after."""
     for path in paths:
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
         parent = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(parent)
                 and os.access(parent, os.W_OK | os.X_OK)):
@@ -176,15 +178,14 @@ def cmd_prune(args, cfg):
     return 0
 
 
-def cmd_params(args, cfg):
-    mcfg = model_config(cfg)
-    for variant in profiler.VARIANTS:
-        print(f"{variant},{profiler.count_params(mcfg, variant)}")
-    return 0
-
-
 def cmd_flops(args, cfg):
-    _print_rows(profiler.cost_rows(model_config(cfg), args.variant))
+    """The cost rows of the run config's attention model and of its FAR
+    substitute side by side, under a ``metric,attention,far`` header."""
+    mcfg = model_config(cfg)
+    columns = [dict(profiler.cost_rows(mcfg, v)) for v in profiler.VARIANTS]
+    _write_csv(sys.stdout, ("metric", *profiler.VARIANTS),
+               ([k, *(c[k] for c in columns)] for k in columns[0]
+                if k != "variant"))
     return 0
 
 
@@ -291,10 +292,8 @@ def build_parser():
     p = training("prune", "three-stage Group-HS pruning")
     p.add_argument("--report", default="retention.csv")
 
-    command("params", "analytic parameter counts", seed=False)
-
-    p = command("flops", "analytic MAC counts", seed=False)
-    p.add_argument("--variant", choices=profiler.VARIANTS, default="far")
+    command("flops", "analytic parameter and MAC counts of both variants",
+            seed=False)
 
     p = command("bench", "wall-clock latency harness")
     model = p.add_mutually_exclusive_group()
@@ -314,7 +313,6 @@ COMMANDS = {
     "distill": cmd_distill,
     "finetune": cmd_finetune,
     "prune": cmd_prune,
-    "params": cmd_params,
     "flops": cmd_flops,
     "bench": cmd_bench,
     "attribute": cmd_attribute,

@@ -441,7 +441,7 @@ def tsum(a, axis=None):
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(out_data, (a,), backward)
 

@@ -2,7 +2,7 @@
 
 The pipeline runs in process through ``cli.main``, once in f32 and once in
 f64: train-teacher -> distill -> finetune -> prune -> attribute (layer 3)
--> params -> flops, then ``far bench`` of the teacher and the pruned file.
+-> flops, then ``far bench`` of the teacher and the pruned file.
 Each file it writes (checkpoints, ``--log`` and ``--report`` CSVs,
 heatmaps), its standard output with the temporary directory replaced by
 ``<tmp>``, and each bench report less its latency and thread-variable
@@ -93,7 +93,6 @@ def pipeline_digests(work, precision):
              "--report", path("retention.csv")],
             ["attribute", "--checkpoint", path("far-pruned.farc"),
              "--layer", "3", "--out-prefix", path("attr_")],
-            ["params"],
             ["flops"]):
         stdout += _run(main, argv[:1] + cfg + argv[1:])
     digests = {"stdout": stdout.replace(str(work), "<tmp>")}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import checkpoint as ckpt, cli, distill, far_block, pruner
+from far import checkpoint as ckpt, cli, distill, far_block, profiler, pruner
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
@@ -85,13 +85,21 @@ def test_cli_that_cannot_write_its_checkpoint_names_it(tmp_path, capsys):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("command", ["train-teacher", "distill", "finetune",
-                                     "prune", "attribute"])
+TRAINING = ("train-teacher", "distill", "finetune", "prune")
+
+
+@pytest.mark.parametrize("command,target", [
+    *(pytest.param(c, "missing/out.farc", id=c)
+      for c in (*TRAINING, "attribute")),
+    *(pytest.param(c, ".", id=f"{c}-directory") for c in TRAINING),
+])
 def test_cli_checks_its_out_directory_before_training(tmp_path, capsys,
-                                                      monkeypatch, command):
+                                                      monkeypatch, command,
+                                                      target):
     """With epochs to run (the defaults) and --out in a missing directory,
-    a training command exits 1 naming --out before any epoch runs; with
-    --out-prefix there, `attribute` exits 1 naming it before any map."""
+    or an --out that is a directory, a training command exits 1 naming
+    --out before any epoch runs; with --out-prefix in a missing directory,
+    `attribute` exits 1 naming it before any map."""
     teacher = TeacherModel(desk_config(), seed=34)
     checkpoints = {"distill": teacher,
                    "finetune": replace_attention(teacher, seed=34)}
@@ -108,7 +116,7 @@ def test_cli_checks_its_out_directory_before_training(tmp_path, capsys,
     for name in ("cls_saliency", "token_dependency"):
         monkeypatch.setattr(cli, name,
                             lambda *args, **kwargs: entered.append(args))
-    out = tmp_path / "missing" / "out.farc"
+    out = tmp_path / target
     flag = "--out-prefix" if command == "attribute" else "--out"
     assert main(argv + [flag, str(out)]) == 1
     assert entered == []
@@ -537,7 +545,7 @@ def test_config_rejects_value_outside_choices(tmp_path, capsys, section, key,
         parse_config(text)
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    assert main(["params", "--config", str(path)]) == 1
+    assert main(["flops", "--config", str(path)]) == 1
     assert key in capsys.readouterr().err
 
 
@@ -605,15 +613,18 @@ def test_config_rejects_repeated_key(tmp_path, capsys, text, line):
     assert (cfg["distill"]["finetune_epochs"], cfg["prune"]["finetune_epochs"]) == (3, 4)
 
 
-@pytest.mark.parametrize("command", [["params"], ["flops"], ["bench"]])
+@pytest.mark.parametrize("command", [["flops"], ["bench"],
+                                     ["train-teacher", "--out", "t.farc"]])
 def test_config_with_dim_not_heads_times_head_dim_fails(tmp_path, capsys,
-                                                         command):
+                                                         monkeypatch, command):
     """dim != heads * head_dim is a ShapeError naming the rule, from every
     command that builds a model config from the run config (exit 1)."""
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "run.cfg"
     path.write_text("[model]\ndim = 32\nheads = 2\nhead_dim = 8\n")
     assert main(command + ["--config", str(path)]) == 1
     assert "dim == heads * head_dim, got 32 != 2 * 8" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 FLOAT_KEYS = [(sec, key) for sec, keys in SCHEMA.items()
@@ -715,19 +726,23 @@ def test_cli_no_args_usage_error(capsys):
 
 
 def test_cli_flops_csv(capsys):
-    assert main(["flops", "--variant", "attention"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "metric,value"
-    assert any(l.startswith("params,") for l in lines)
-    assert any(l.startswith("flops,") for l in lines)
+    """One row per cost metric after ``variant``, with the attention
+    model's value and the FAR model's."""
+    assert main(["flops"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["metric", "attention", "far"]
+    attention, far = (profiler.cost_rows(ModelConfig(), v)[1:]
+                      for v in ("attention", "far"))
+    assert rows[1:] == [[k, str(a), str(f)]
+                        for (k, a), (_, f) in zip(attention, far)]
 
 
 def test_cli_params_lists_both_variants(capsys):
-    assert main(["params"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("attention,")
-    assert "far," in out
+    assert main(["flops"]) == 0
+    rows = {r[0]: r[1:] for r in csv.reader(io.StringIO(
+        capsys.readouterr().out))}
+    assert rows["params"] == [str(profiler.count_params(ModelConfig(), v))
+                              for v in ("attention", "far")]
 
 
 def test_cli_missing_checkpoint_is_pipeline_error(capsys):
@@ -824,7 +839,7 @@ def test_cli_attribute_layer_out_of_range_is_named_error(tmp_path, capsys):
 def test_cli_bad_config_is_pipeline_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[nope]\nx = 1\n")
-    assert main(["params", "--config", str(bad)]) == 1
+    assert main(["flops", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -896,8 +911,9 @@ def test_cli_bench_describes_pruned_checkpoint(tmp_path, capsys):
                  "--out", str(pruned),
                  "--report", str(tmp_path / "retention.csv")]) == 0
     capsys.readouterr()
-    assert main(["params", *cfg]) == 0
-    far_params = int(capsys.readouterr().out.split("far,")[1])
+    assert main(["flops", *cfg]) == 0
+    far_params = int({r[0]: r[2] for r in csv.reader(io.StringIO(
+        capsys.readouterr().out))}["params"])
     assert main(["bench", *cfg, "--checkpoint", str(pruned)]) == 0
     report = dict(l.split(",") for l in capsys.readouterr().out.splitlines())
     assert report["variant"] == "far"
@@ -1122,8 +1138,7 @@ CLI_OPTIONS = {
     "finetune": {"--config", "--seed", "--checkpoint", "--out", "--log"},
     "prune": {"--config", "--seed", "--checkpoint", "--out", "--log",
               "--report"},
-    "params": {"--config"},
-    "flops": {"--config", "--variant"},
+    "flops": {"--config"},
     "bench": {"--config", "--seed", "--variant", "--checkpoint"},
     "attribute": {"--config", "--seed", "--checkpoint", "--layer",
                   "--out-prefix"},
@@ -1147,18 +1162,21 @@ def test_cli_bench_variant_and_checkpoint_exclude_each_other(capsys, argv):
     assert "not allowed with" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["prune", "--checkpoint", "m.farc", "--out", "p.farc",
-     "--threshold", "0.8"],
-    ["prune", "--checkpoint", "m.farc", "--out", "p.farc",
-     "--reg-coeff", "1e-3"],
-    ["flops", "--image-size", "384"],
-], ids=["threshold", "reg-coeff", "image-size"])
-def test_cli_hyperparameter_flags_are_usage_errors(capsys, argv):
+@pytest.mark.parametrize("argv,error", [
+    (["prune", "--checkpoint", "m.farc", "--out", "p.farc",
+      "--threshold", "0.8"], "unrecognized arguments"),
+    (["prune", "--checkpoint", "m.farc", "--out", "p.farc",
+      "--reg-coeff", "1e-3"], "unrecognized arguments"),
+    (["flops", "--image-size", "384"], "unrecognized arguments"),
+    (["params"], "invalid choice: 'params'"),
+    (["flops", "--variant", "far"], "unrecognized arguments: --variant far"),
+], ids=["threshold", "reg-coeff", "image-size", "params", "flops-variant"])
+def test_cli_hyperparameter_flags_are_usage_errors(capsys, argv, error):
     """The run config is the only way to set a hyperparameter: its old
-    flags are unknown options."""
+    flags are unknown options. ``far flops`` prints both variants, so
+    ``far params`` and ``flops --variant`` are gone too."""
     assert main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 def test_full_pipeline_determinism(tmp_path):
@@ -1276,5 +1294,5 @@ def test_nonpositive_model_size_is_named_error(small_far_file, field, value):
     run_cfg.write_text(f"[model]\n{field} = {value}\n")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        assert main(["params", "--config", str(run_cfg)]) == 1
+        assert main(["flops", "--config", str(run_cfg)]) == 1
     assert err.getvalue() == f"error: {field} must be positive, got {value}\n"

@@ -306,16 +306,16 @@ num_classes = 1000
 """
 
 
-@pytest.mark.parametrize("ini, variant, params", [
-    ("[model]\nimage_size = 384\n", "far", 161_642),  # desk at 384 px
-    (DEIT_TINY_INI, "attention", 5_790_376),  # 577 positions, not 197
+@pytest.mark.parametrize("ini, attention, far", [
+    ("[model]\nimage_size = 384\n", 131_178, 161_642),  # desk at 384 px
+    (DEIT_TINY_INI, 5_790_376, 7_739_560),  # 577 positions, not 197
 ], ids=["desk", "deit-tiny"])
 def test_cli_flops_counts_params_at_its_image_size(tmp_path, capsys, ini,
-                                                   variant, params):
+                                                   attention, far):
     path = tmp_path / "run.ini"
     path.write_text(ini)
-    assert main(["flops", "--config", str(path), "--variant", variant]) == 0
-    assert f"params,{params}" in capsys.readouterr().out.splitlines()
+    assert main(["flops", "--config", str(path)]) == 0
+    assert f"params,{attention},{far}" in capsys.readouterr().out.splitlines()
 
 
 # -- bad sizes fail by name ---------------------------------------------------

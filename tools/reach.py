@@ -13,9 +13,8 @@ a line tracer (``sys.settrace``):
   train-teacher (with ``--seed``) -> distill -> finetune -> prune -> a
   second prune of the pruned (shrunk) file, whose scans have unequal
   widths -> attribute of the pruned and the teacher file (both at their
-  last layer), params (without ``--config``), flops of both variants (the
-  attention one under a config of image size 64), and bench of both
-  variants and of both files;
+  last layer), flops without ``--config`` and under a config of image
+  size 64, and bench of both variants and of both files;
 - every perfbench workload at ``--seconds 0.3``, untraced and with
   ``--trace 1``;
 - ``tests/test_acceptance.py``.
@@ -179,9 +178,8 @@ def runs(work):
                  "--out-prefix", str(d / "a_")],
                 ["attribute", *cfg, "--checkpoint", t, "--layer", "3",
                  "--out-prefix", str(d / "ta_")],
-                ["params"],
-                ["flops", *cfg],
-                ["flops", *cfg64, "--variant", "attention"],
+                ["flops"],
+                ["flops", *cfg64],
                 ["bench", *cfg],
                 ["bench", *cfg, "--variant", "attention"],
                 ["bench", *cfg, "--checkpoint", p],
