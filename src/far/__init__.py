@@ -6,10 +6,10 @@ with gate-coordinated group Hoyer-square structured pruning.
 """
 
 from .tensor import Tensor
-from .vit import ModelConfig, TeacherModel
-from .far_block import FarModel, replace_attention
+from .vit import Model, ModelConfig, TeacherModel
+from .far_block import replace_attention
 
-__all__ = ["Tensor", "ModelConfig", "TeacherModel", "FarModel",
+__all__ = ["Tensor", "ModelConfig", "Model", "TeacherModel",
            "replace_attention"]
 
 __version__ = "0.1.0"

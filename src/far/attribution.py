@@ -1,11 +1,11 @@
 """Gradient-based interpretability: CLS-to-patch saliency and full
 token-to-token dependency matrices.
 
-Teacher maps come straight from the layer's softmax attention weights;
-FAR maps are gradient attributions obtained by backpropagating a scalar
-readout of a block's output tokens to the block's input tokens. Both
-start from the layer's input, the prefix of the model's one layer loop
-(``Backbone.tokens``).
+The map of an attention layer (``model.mixers[layer]``) comes straight
+from its softmax attention weights; that of a FAR layer is a gradient
+attribution obtained by backpropagating a scalar readout of the block's
+output tokens to its input tokens. Both start from the layer's input, the
+prefix of the model's one layer loop (``Model.tokens``).
 
 Each thread keeps its last layer input (``_layer_input``), so the maps of
 one request (a saliency per head, then the dependency map) run that
@@ -13,10 +13,10 @@ prefix once. The entry holds a copy of the image at the model's dtype,
 the layer input and a copy of every parameter the prefix reads (up to
 about the model's size: 354 KB for the f32 desk FAR model, 23 MB for the
 f32 DeiT-Ti teacher), and no reference to the model. It is used again
-only while the next call's model type, config, layer, image and those
-parameters are byte-equal to it; any other call recomputes the prefix
-and replaces it, so a weight changed in place, rebound or shrunk is never
-read stale.
+only while the next call's prefix mixer kinds, config, layer, image and
+those parameters are byte-equal to it; any other call recomputes the
+prefix and replaces it, so a weight changed in place, rebound or shrunk
+is never read stale.
 """
 
 import csv
@@ -27,9 +27,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import (BLOCK, DIRECTIONS, SCAN, bilstm_head, coupled,
+from .far_block import (DIRECTIONS, FarBlockParams, bilstm_head, coupled,
                         far_block_forward, scan_of)
-from .vit import TeacherModel
 
 # Batch x token rows per batched pass of ``token_dependency``: a pass takes
 # at most ROWS // T queries (at least 1). 65 * 65 runs every desk map
@@ -49,18 +48,12 @@ _memo = threading.local()
 
 def _prefix_arrays(model, layer):
     """The array of every parameter ``model.tokens(image, stop=layer)``
-    reads: the embedding's, then each layer's MLP and token mixer's."""
-    arrays = [t.data for t in vars(model.embed).values()]
-    teacher = isinstance(model, TeacherModel)
-    for i, mlp in enumerate(model.mlps[:layer]):
-        arrays += [t.data for t in vars(mlp).values()]
-        if teacher:
-            arrays += [t.data for t in vars(model.layers[i]).values()]
-        else:
-            blk = model.blocks[i]
-            arrays += [getattr(blk, k).data for k in BLOCK]
-            arrays += [getattr(p, k).data for p in blk.scans for k in SCAN]
-    return arrays
+    reads, the scans' of its FAR blocks included."""
+    mixers = model.mixers[:layer]
+    holders = [model.embed, *model.mlps[:layer], *mixers, *(
+        p for m in mixers for p in getattr(m, "scans", ()))]
+    return [t.data for h in holders for t in vars(h).values()
+            if isinstance(t, Tensor)]
 
 
 def _layer_input(model, image, layer, head=None):
@@ -70,9 +63,10 @@ def _layer_input(model, image, layer, head=None):
 
     The image is taken at the model's dtype, the dtype ``patch_embed``
     converts it to before any arithmetic. The thread's last result is
-    returned again when the model type, config, layer, that image (shape,
-    bytes) and the prefix's parameters (shapes, dtypes, bytes) all equal its
-    call's; otherwise the prefix runs and its result replaces it."""
+    returned again when the prefix's mixer kinds, the config, layer, that
+    image (shape, bytes) and the prefix's parameters (shapes, dtypes,
+    bytes) all equal its call's; otherwise the prefix runs and its result
+    replaces it."""
     if not 0 <= layer < model.cfg.layers:
         raise IndexError(f"layer {layer} out of range [0, {model.cfg.layers})")
     if head is not None and not 0 <= head < model.cfg.heads:
@@ -81,7 +75,8 @@ def _layer_input(model, image, layer, head=None):
                      T.DTYPES[model.cfg.precision])
     arrays = [np.ascontiguousarray(a)
               for a in [img] + _prefix_arrays(model, layer)]
-    key = (type(model), tuple(vars(model.cfg).values()), layer,
+    key = (tuple(map(type, model.mixers[:layer])),
+           tuple(vars(model.cfg).values()), layer,
            tuple((a.shape, a.dtype) for a in arrays))
     data = b"".join(arrays)
     entry = getattr(_memo, "entry", None)
@@ -108,7 +103,7 @@ def _minmax(arr):
 def cls_saliency(model, image, layer, head):
     """(grid x grid) min-max normalized importance of patches to the CLS.
 
-    Teacher: the CLS row of the layer/head softmax attention. FAR: the
+    Attention layer: the CLS row of the head's softmax attention. FAR: the
     magnitude of the gradient of the L2 norm of the head's CLS hidden
     state with respect to the layer's input tokens. Either takes the
     layer's input (``_layer_input``, the thread's kept one when it
@@ -116,13 +111,13 @@ def cls_saliency(model, image, layer, head):
     """
     g = model.cfg.grid
     x = _layer_input(model, image, layer, head)
-    if isinstance(model, TeacherModel):
-        attn = model.attention_block(x, model.layers[layer])[1]
+    blk = model.mixers[layer]
+    if not isinstance(blk, FarBlockParams):
+        attn = model.attention_block(x, blk)[1]
         return _minmax(attn.data[0, head, 0, 1:].reshape(g, g))
 
     # the layer's input as a leaf: on a frozen model, the only grad tensor
     leaf = Tensor(x.data, requires_grad=True)
-    blk = model.blocks[layer]
     h = T.layer_norm(leaf, blk.ln_g, blk.ln_b)
     u = T.linear(h, blk.in_w, blk.in_b)
     dh = model.cfg.head_dim
@@ -137,7 +132,7 @@ def cls_saliency(model, image, layer, head):
 def token_dependency(model, image, layer, directions=DIRECTIONS):
     """Row-normalized (T x T) dependency of output tokens on input tokens.
 
-    Teacher: the layer's head-averaged softmax attention, whose rows sum
+    Attention layer: its head-averaged softmax attention, whose rows sum
     to 1. FAR: row q holds the per-token L2 norms of the gradient of
     output token q's L2 norm with respect to the layer's input tokens.
     Either takes the layer's input as ``cls_saliency`` does. For FAR the
@@ -151,23 +146,23 @@ def token_dependency(model, image, layer, directions=DIRECTIONS):
     else ValueError) runs every scan, in a copy of the block whose out_w
     rows coupled to the other scans' units (``far_block.coupled``) are
     zero: a zero row passes neither output nor gradient, so the map sees
-    only the kept scans. A teacher has no scan direction: its map takes
-    only all of ``DIRECTIONS``.
+    only the kept scans. An attention layer has no scan direction: its map
+    takes only all of ``DIRECTIONS``.
     """
-    directions, teacher = tuple(directions), isinstance(model, TeacherModel)
-    if teacher and set(directions) != set(DIRECTIONS):
-        raise ValueError(f"a teacher map has no scan direction; directions "
-                         f"must be {DIRECTIONS}, got {directions}")
+    directions, x = tuple(directions), _layer_input(model, image, layer)
+    blk = model.mixers[layer]
+    far = isinstance(blk, FarBlockParams)
+    if not far and set(directions) != set(DIRECTIONS):
+        raise ValueError(f"layer {layer} is attention, whose map has no "
+                         f"scan direction; directions must be {DIRECTIONS}, "
+                         f"got {directions}")
     if not directions or any(d not in DIRECTIONS for d in directions):
         raise ValueError(f"directions must be a non-empty subset of "
                          f"{DIRECTIONS}; got {directions}")
-    x = _layer_input(model, image, layer)
-    if teacher:
-        attn = model.attention_block(x, model.layers[layer])[1]
-        return attn.data[0].mean(axis=0)
+    if not far:
+        return model.attention_block(x, blk)[1].data[0].mean(axis=0)
 
     t = model.cfg.tokens
-    blk = model.blocks[layer]
     out_w = blk.out_w.data.copy()
     for k, p in enumerate(blk.scans):
         if scan_of(k)[1] not in directions:

@@ -17,7 +17,9 @@ Loading verifies magic, rejects versions outside 1..FORMAT_VERSION, and
 fails with a CheckpointError naming the file on CRC mismatch, on any read
 past the end and on a tensor name that is not UTF-8 or comes twice.
 ``load_model`` builds the model straight from the file's tensor table: a
-missing, unexpected or misshapen tensor is a CheckpointError naming it.
+missing, unexpected or misshapen tensor is a CheckpointError naming it,
+and so is a stored ``kind`` (``model_kind``) other than the table's. Kind
+``mixed`` needed no version bump: an older reader rejects it by name.
 
 Version 2 lets each LSTM scan of a FAR model be narrower than head_dim,
 and ``load_model`` builds each scan at the hidden size of its ``w_hh``
@@ -38,13 +40,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from .far_block import FarModel, live_tensors
+from .far_block import FarBlockParams, live_tensors
 from .tensor import ShapeError, Tensor
-from .vit import ModelConfig, TeacherModel
+from .vit import Model, ModelConfig, TeacherModel
 
 MAGIC = b"FARC"
 FORMAT_VERSION = 2
-KINDS = ("teacher", "far")
+KINDS = ("teacher", "far", "mixed")
 DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
            np.dtype(np.uint8): 2}
@@ -178,29 +180,32 @@ def load_checkpoint(path):
 
 
 def model_kind(model):
-    """The checkpoint kind of a TeacherModel or FarModel."""
-    return "far" if isinstance(model, FarModel) else "teacher"
+    """``teacher``, ``far`` or ``mixed``: the kinds of ``model``'s mixers."""
+    far = [isinstance(m, FarBlockParams) for m in model.mixers]
+    return "far" if all(far) else "mixed" if any(far) else "teacher"
 
 
 def save_model(model, path):
-    """Serialize a TeacherModel, or a FarModel at its live widths
-    (``far_block.live_tensors``): a FarModel with no pruned unit is written
-    as it is, one with pruned units without them. ``model`` is not changed.
-    """
-    kind = model_kind(model)
-    tensors = live_tensors(model) if kind == "far" else model.named_parameters()
-    save_checkpoint(path, model.cfg, tensors, kind=kind)
+    """Serialize ``model``, unchanged, at its live widths: without the
+    pruned units of its FAR blocks (``far_block.live_tensors``)."""
+    save_checkpoint(path, model.cfg, live_tensors(model),
+                    kind=model_kind(model))
 
 
 def load_model(path):
-    """The model a checkpoint describes, built from its tensor table."""
+    """The model a checkpoint describes, built from its tensor table (a
+    TeacherModel for a ``teacher`` file) and of its stored kind."""
     cfg, kind, tensors = load_checkpoint(path)
     tensors = {n: a for n, a in tensors.items() if not n.startswith("mask.")}
-    build = FarModel if kind == "far" else TeacherModel.from_tensors
+    build = TeacherModel.from_tensors if kind == "teacher" else Model
     try:
         model = build(cfg, tensors)
     except ShapeError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    found = model_kind(model)
+    if found != kind:
+        raise CheckpointError(f"{path}: stored kind {kind} but its tensors "
+                              f"make a {found} model")
     unexpected = sorted(tensors.keys() - model.named_parameters().keys())
     if unexpected:
         raise CheckpointError(f"{path}: unexpected tensor {unexpected[0]}")
@@ -209,6 +214,6 @@ def load_model(path):
         # and pins that loss, so a FAR model still gets a seed-0 random
         # teacher with a copy of its backbone. Nothing in the package reads it.
         model.teacher = TeacherModel.from_tensors(cfg, {
-            **TeacherModel(cfg, seed=0).named_parameters(),
-            **model.named_parameters()})
+            n: tensors.get(n, t)
+            for n, t in TeacherModel(cfg, seed=0).named_parameters().items()})
     return model

@@ -17,7 +17,7 @@ from .attribution import cls_saliency, export_heatmaps, token_dependency
 from .config import ConfigError, load_config, model_config
 from .data import synth_dataset
 from .distill import TrainConfig, accuracy, run_phase, train_teacher
-from .far_block import FarModel, replace_attention
+from .far_block import replace_attention
 from .vit import TeacherModel
 
 
@@ -200,14 +200,17 @@ def cmd_bench(args, cfg):
     measured forward produced and the thread variables set while it
     ran."""
     if args.checkpoint:
-        model = ckpt.load_model(args.checkpoint)
-        if isinstance(model, FarModel):
-            model = pruner.shrink_model(model)
+        model = pruner.shrink_model(ckpt.load_model(args.checkpoint))
     else:
         teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
         model = (teacher if args.variant == "attention"
                  else replace_attention(teacher, seed=cfg["train"]["seed"]))
     mcfg = model.cfg
+    kind = ckpt.model_kind(model)
+    rows = profiler.cost_rows(
+        mcfg, "attention" if kind == "teacher" else kind,
+        masks=[[np.ones(p.hidden, bool) for p in blk.scans]
+               for blk in model.mixers] if kind == "far" else None)
     rng = np.random.default_rng(_seed(cfg, args.seed))
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)
@@ -218,11 +221,6 @@ def cmd_bench(args, cfg):
 
     stats = profiler.bench_latency(forward, warmups=cfg["bench"]["warmups"],
                                    runs=cfg["bench"]["runs"])
-    far = isinstance(model, FarModel)
-    widths = ([[np.ones(p.hidden, bool) for p in blk.scans]
-               for blk in model.blocks] if far else None)
-    rows = profiler.cost_rows(mcfg, "far" if far else "attention",
-                              masks=widths)
     rows += [(f"latency_{k}_ms", f"{stats[k]:.6f}")
              for k in ("median", "mean", "p10", "p90")]
     rows += [("runs", cfg["bench"]["runs"]),
@@ -237,19 +235,19 @@ def cmd_attribute(args, cfg):
     """Maps of the checkpoint's model, on an image of its own geometry:
     image 0 of the run config's dataset. Only that image is drawn: it takes
     the seeded generator's first draws and is of class 0, whatever the
-    dataset's size and class count."""
-    _check_writable(f"{args.out_prefix}dependency_l{args.layer}.pgm")
+    dataset's size and class count. Every map file is checked first."""
     model = ckpt.load_model(args.checkpoint)
     m = model.cfg
+    names = [f"saliency_l{args.layer}_h{h}" for h in range(m.heads)]
+    names.append(f"dependency_l{args.layer}")
+    _check_writable(*(f"{args.out_prefix}{n}.{ext}" for n in names
+                      for ext in ("pgm", "csv")))
     image = synth_dataset(_seed(cfg, args.seed), 1, 1, m.image_size,
                           channels=m.channels,
                           noise=cfg["data"]["noise"]).images[0]
-    mats = {}
-    for head in range(m.heads):
-        mats[f"saliency_l{args.layer}_h{head}"] = cls_saliency(
-            model, image, args.layer, head)
-    mats[f"dependency_l{args.layer}"] = token_dependency(
-        model, image, args.layer)
+    mats = {n: cls_saliency(model, image, args.layer, h)
+            for h, n in enumerate(names[:-1])}
+    mats[names[-1]] = token_dependency(model, image, args.layer)
     files = export_heatmaps(mats, args.out_prefix)
     print("\n".join(files))
     return 0

@@ -248,8 +248,8 @@ def train_teacher(teacher, dataset, cfg: TrainConfig):
 
 def run_phase(far_model, teacher, dataset, cfg: TrainConfig,
               extra_loss=None):
-    """One training phase of ``far_model`` (a TeacherModel for the teacher
-    phase) over the desk dataset.
+    """One training phase of ``far_model``, any ``vit.Model`` (the
+    all-attention teacher in the teacher phase), over the desk dataset.
 
     Every batch runs one student forward. In the distill phase with
     ``cfg.lam`` > 0, ``teacher``'s block outputs are the similarity

@@ -1,7 +1,7 @@
-"""Multi-head bidirectional LSTM attention substitute. ``FarModel`` is a
-``vit.Backbone`` with one such block per layer, ``blocks[i]``, as its token
-mixer. Every block is built by copying a tensor table
-(``FarBlockParams.from_tensors``), and ``mixer_parameters()`` names them.
+"""Multi-head bidirectional LSTM attention substitute: the token mixer of
+each ``vit.Model`` layer whose tensors are named ``far.<i>.*``, built by
+copying the table (``FarBlockParams.from_tensors``). ``replace_attention``
+puts one in every layer of a teacher.
 
 Block structure: LN -> input projection (D->D) -> N heads of width D_h,
 each scanned forward and in reverse -> the 2N hidden sequences side by
@@ -73,7 +73,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ShapeError
-from .vit import Backbone, take
+from . import vit
 
 DIRECTIONS = ("fwd", "rev")
 # the tensors of a scan and a block's own, in the order ``named`` lists them
@@ -165,7 +165,7 @@ class FarBlockParams:
 
         names = [_scan_name(prefix, k) for k in range(2 * n_heads)]
         widths = [width(q + "w_hh") for q in names]
-        t = {name: take(tensors, name, shape, dtype)
+        t = {name: vit.take(tensors, name, shape, dtype)
              for name, shape in block_shapes(prefix, widths, head_dim).items()}
         return cls(scans=[LstmDirParams(**{k: t[q + k] for k in SCAN})
                           for q in names],
@@ -605,7 +605,7 @@ def shrink_block(blk: FarBlockParams, keep, prefix):
     """The tensor table of ``blk`` holding only the units of scan k where
     ``keep[k]`` is True, under the names ``blk.named(prefix)`` uses; every
     coupled matrix is re-packed. The tensors it does not re-pack are
-    ``blk``'s own arrays: ``FarBlockParams.from_tensors`` or ``FarModel``,
+    ``blk``'s own arrays: ``FarBlockParams.from_tensors`` or ``vit.Model``,
     which build the block from the table, copy them."""
     tensors = {n: t.data for n, t in blk.named(prefix).items()}
     out_rows = []
@@ -621,52 +621,28 @@ def shrink_block(blk: FarBlockParams, keep, prefix):
 
 
 def live_tensors(model):
-    """The tensor table of FarModel ``model`` at its live widths: its
-    ``named_parameters()``, each block's re-packed by ``shrink_block``,
-    which keeps every unit of a model with none pruned. A scan with no live
-    unit keeps one all-zero unit, which is exact (its h and c stay 0) and
-    keeps every width in the 1..head_dim that ``from_tensors`` accepts."""
-    keeps = [[m if m.any() else np.arange(m.size) == 0 for m in layer]
-             for layer in model.masks]
+    """``model.named_parameters()`` with each FAR block's re-packed by
+    ``shrink_block``, which keeps every unit of a block with none pruned. A
+    scan with no live unit keeps one all-zero unit, which is exact (its h
+    and c stay 0) and keeps every width in the 1..head_dim that
+    ``from_tensors`` accepts."""
     tensors = model.named_parameters()
-    for i, (blk, keep) in enumerate(zip(model.blocks, keeps)):
-        tensors.update(shrink_block(blk, keep, f"far.{i}"))
+    for i, (blk, masks) in enumerate(zip(model.mixers, model.masks)):
+        if masks:
+            keep = [m if m.any() else np.arange(m.size) == 0 for m in masks]
+            tensors.update(shrink_block(blk, keep, f"far.{i}"))
     return tensors
 
 
-class FarModel(Backbone):
-    """A backbone with a FAR block (``blocks[i]``, tensors ``far.<i>.*``) as
-    every token mixer; ``replace_attention`` copies the teacher's backbone."""
-
-    def __init__(self, cfg, tensors):
-        super().__init__(cfg, tensors)
-        self.blocks = [FarBlockParams.from_tensors(
-            tensors, f"far.{i}", cfg.heads, cfg.head_dim, cfg.precision)
-            for i in range(cfg.layers)]
-
-    def mixer_parameters(self):
-        return {n: t for i, blk in enumerate(self.blocks)
-                for n, t in blk.named(f"far.{i}").items()}
-
-    @property
-    def masks(self):
-        """masks[layer][k]: per unit of scan k, False where it is pruned.
-        Derived from the weights on every call, never stored."""
-        return [[live_units(blk, k) for k in range(len(blk.scans))]
-                for blk in self.blocks]
-
-    def mix(self, x, i):
-        return far_block_forward(x, self.blocks[i])
-
-
 def replace_attention(teacher, seed):
-    """A FarModel holding a copy of ``teacher``'s backbone, with a FAR block
-    drawn from ``seed`` in place of every attention sublayer. Each block's
-    LN starts as a copy of the attention sublayer's LN."""
+    """A ``vit.Model`` holding a copy of ``teacher``'s backbone, with a FAR
+    block drawn from ``seed`` in place of every attention sublayer. Each
+    block's LN starts as a copy of the attention sublayer's LN."""
     rng = np.random.default_rng(seed + 1)
-    tensors = teacher.named_parameters()  # FarModel reads no attention name
-    for i, layer in enumerate(teacher.layers):
+    tensors = teacher.named_parameters()
+    for i in range(teacher.cfg.layers):
+        attention = {k: tensors.pop(f"layer.{i}.{k}") for k in vit.ATTENTION}
         tensors.update(init_far_block(teacher.cfg, rng).named(f"far.{i}"))
-        tensors[f"far.{i}.ln_g"] = layer.ln1_g
-        tensors[f"far.{i}.ln_b"] = layer.ln1_b
-    return FarModel(teacher.cfg, tensors)
+        tensors[f"far.{i}.ln_g"] = attention["ln1_g"]
+        tensors[f"far.{i}.ln_b"] = attention["ln1_b"]
+    return vit.Model(teacher.cfg, tensors)

@@ -22,7 +22,8 @@ import numpy as np
 from . import distill
 from . import tensor as T
 from .tensor import Tensor
-from .far_block import FarModel, coupled, live_tensors, scan_of
+from .far_block import FarBlockParams, coupled, live_tensors, scan_of
+from .vit import Model
 
 log = logging.getLogger(__name__)
 
@@ -113,12 +114,12 @@ def _sum_in_order(terms):
     return T._make(np.add.accumulate(terms.data)[-1], (terms,), backward)
 
 
-def _by_width(far_model: FarModel):
-    """The (block, k) of every scan of ``far_model`` in lists of one hidden
-    width (one list, before shrinking), and each one's position in scan
-    order, in the same sequence."""
-    scans = [(blk, k) for blk in far_model.blocks
-             for k in range(len(blk.scans))]
+def _by_width(far_model: Model):
+    """The (block, k) of every scan of ``far_model``'s FAR layers in lists
+    of one hidden width (one list, before shrinking), and each one's
+    position in scan order, in the same sequence."""
+    scans = [(blk, k) for blk in far_model.mixers
+             if isinstance(blk, FarBlockParams) for k in range(len(blk.scans))]
     groups = {}
     for i, (blk, k) in enumerate(scans):
         groups.setdefault(blk.scans[k].hidden, []).append(i)
@@ -126,7 +127,7 @@ def _by_width(far_model: FarModel):
             np.concatenate(list(groups.values())))
 
 
-def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
+def hoyer_penalty_total(far_model: Model, extension=False, reduce="sum"):
     """Sum (or mean) of the Hoyer penalties of every scan of every layer,
     as one graph whatever the number of scans.
 
@@ -148,7 +149,7 @@ def hoyer_penalty_total(far_model: FarModel, extension=False, reduce="sum"):
     return total
 
 
-def prune_by_threshold(far_model: FarModel, tau, mode):
+def prune_by_threshold(far_model: Model, tau, mode):
     """Zero, in place, every unit whose importance, the L2 norm of all its
     coupled weights (``unit_sq_norms`` with ``extension``), is at most tau.
 
@@ -176,17 +177,17 @@ def prune_by_threshold(far_model: FarModel, tau, mode):
             blk.out_w.data[out_rows] = 0.0
 
 
-def shrink_model(far_model: FarModel):
+def shrink_model(far_model: Model):
     """Physically remove pruned units, re-packing every coupled matrix.
 
-    Returns a new FarModel built from ``live_tensors(far_model)``: it holds
-    a copy of the backbone, and each scan keeps only its live units, so its
-    hidden size equals the retained count (1 for a scan with none).
+    Returns a new ``Model`` built from ``live_tensors(far_model)``: a copy
+    in which each scan keeps only its live units, so its hidden size
+    equals the retained count (1 for a scan with none).
     """
-    return FarModel(far_model.cfg, live_tensors(far_model))
+    return Model(far_model.cfg, live_tensors(far_model))
 
 
-def retention_report(far_model: FarModel):
+def retention_report(far_model: Model):
     """Rows of (layer, head, direction, retained, total, ratio): live units
     against ``cfg.head_dim``, for zeroed and shrunk models alike."""
     total = far_model.cfg.head_dim
@@ -204,7 +205,7 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                          tau, mode, reg_coeff, log_rows=None):
     """Regularize -> threshold-prune and shrink -> finetune the shrunk model.
 
-    ``far_model`` is shrunk in place: its blocks are replaced, and each
+    ``far_model`` is shrunk in place: its mixers are replaced, and each
     phase's epoch rows are appended to ``log_rows`` when given. A negative
     or nan ``tau`` or ``reg_coeff``, or a bad mode, fails before training.
     """
@@ -224,7 +225,7 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
                               extra_loss=extra)
 
     prune_by_threshold(far_model, tau, mode=mode)
-    far_model.blocks = shrink_model(far_model).blocks
+    far_model.mixers = shrink_model(far_model).mixers
 
     tune_cfg = dataclasses.replace(tune_cfg, phase="prune-finetune")
     rows += distill.run_phase(far_model, teacher, dataset, tune_cfg)

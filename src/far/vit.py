@@ -1,13 +1,11 @@
-"""DeiT-style vision transformer teacher and the backbone its FAR substitute
-copies.
+"""DeiT-style vision transformer: the one model class and the teacher.
 
-A model is a backbone (patch embedding, CLS token and positions, the
-per-layer MLP sublayers, the final norm and the head) plus a token mixer
-per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). ``Backbone`` runs
-that layer loop for every model, which supplies only ``mix`` and
-``mixer_parameters``; the forward pass records every block output so
-substitute blocks can be supervised against the teacher's. The teacher's
-mixer is pre-norm self-attention. Every model is built from a table
+A model (``Model``) is a backbone (patch embedding, CLS token and
+positions, the per-layer MLP sublayers, the final norm and the head) plus
+a token mixer per layer: y = x + Mixer(x); x_next = y + MLP(LN2(y)). A
+layer's mixer is pre-norm self-attention or a FAR block (``far_block``).
+The forward pass records every block output so substitute blocks can be
+supervised against the teacher's. Every model is built from a table
 mapping tensor names to arrays or Tensors, and owns a copy of each
 (``take``): no two models hold one Tensor. In a model each Tensor has one
 holder, which the forward reads; ``named_parameters()`` builds the table
@@ -19,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import far_block
 from . import tensor as T
 from .tensor import Tensor, ShapeError
 
@@ -30,7 +29,7 @@ FINAL = ("ln_g", "ln_b", "head_w", "head_b")
 
 @dataclass
 class ModelConfig:
-    """Architectural hyperparameters shared by teacher and FAR variants.
+    """Architectural hyperparameters shared by every model.
     The fields are the run config's ``[model]`` keys and their defaults
     its defaults: the desk model (``config.SCHEMA`` reads them here)."""
     layers: int = 4
@@ -121,11 +120,12 @@ def _draw(rng, name, shape, precision):
     return (T.ones if name.endswith("_g") else T.zeros)(shape, precision)
 
 
-class Backbone:
-    """A model less its token mixers, held as ``embed`` (``EMBED``),
-    ``mlps[i]`` (``MLP``) and ``final`` (``FINAL``). A subclass supplies
-    ``mix(x, i)``: layer i's token mixer with its residual, x + Mixer_i(x);
-    and ``mixer_parameters()``: its mixers' tensors by table name."""
+class Model:
+    """A backbone, held as ``embed`` (``EMBED``), ``mlps[i]`` (``MLP``) and
+    ``final`` (``FINAL``), plus layer i's token mixer ``mixers[i]``: an
+    ``ATTENTION`` namespace or a ``far_block.FarBlockParams``, as its
+    tensor names (``layer.<i>.qkv_w``, ``far.<i>.*``) say. The kind is read
+    here only; both kinds or neither is a ShapeError naming the layer."""
 
     def __init__(self, cfg: ModelConfig, tensors):
         self.cfg = cfg
@@ -133,6 +133,17 @@ class Backbone:
             ("embed", EMBED),
             *((f"layer.{i}", MLP) for i in range(cfg.layers)),
             ("final", FINAL)])
+        self.mixers = []
+        for i in range(cfg.layers):
+            attention = any(f"layer.{i}.{k}" in tensors for k in ATTENTION)
+            if attention == any(n.startswith(f"far.{i}.") for n in tensors):
+                raise ShapeError(f"layer {i} names " + (
+                    "both mixer kinds" if attention else "no token mixer"))
+            self.mixers.append(
+                hold(tensors, cfg, [(f"layer.{i}", ATTENTION)])[0] if attention
+                else far_block.FarBlockParams.from_tensors(
+                    tensors, f"far.{i}", cfg.heads, cfg.head_dim,
+                    cfg.precision))
 
     def named_parameters(self):
         """Table name -> the Tensor its holder has: the backbone's, in
@@ -142,6 +153,24 @@ class Backbone:
             ("final", self.final)]
         return {**{f"{prefix}.{k}": t for prefix, h in holders
                    for k, t in vars(h).items()}, **self.mixer_parameters()}
+
+    def mixer_parameters(self):
+        """Table name -> Tensor of each layer's mixer, layer by layer."""
+        named = {}
+        for i, m in enumerate(self.mixers):
+            if isinstance(m, far_block.FarBlockParams):
+                named.update(m.named(f"far.{i}"))
+            else:
+                named.update((f"layer.{i}.{k}", t) for k, t in vars(m).items())
+        return named
+
+    @property
+    def masks(self):
+        """masks[layer][k]: per unit of a FAR layer's scan k, False where it
+        is pruned (none for attention), derived from the weights."""
+        return [[far_block.live_units(m, k) for k in range(len(m.scans))]
+                if isinstance(m, far_block.FarBlockParams) else []
+                for m in self.mixers]
 
     def patch_embed(self, image):
         """(B,C,H,W) or (C,H,W) images -> (B,T,D) token embeddings; an
@@ -194,33 +223,6 @@ class Backbone:
         xs = self.tokens(image)
         return self.classify(xs[-1]), xs[1:]
 
-
-class TeacherModel(Backbone):
-    """The backbone with multi-head self-attention as every token mixer;
-    ``layers[i]`` holds layer i's ``ATTENTION`` tensors by short name
-    (``qkv_w``, ...), as ``mlps[i]`` holds its ``MLP`` ones."""
-
-    def __init__(self, cfg: ModelConfig, seed):
-        rng = np.random.default_rng(seed)
-        self._build(cfg, {n: _draw(rng, n, s, cfg.precision)
-                          for n, s in tensor_shapes(cfg).items()})
-
-    @classmethod
-    def from_tensors(cls, cfg, tensors):
-        """The teacher holding ``tensors`` (name -> array or Tensor)."""
-        model = cls.__new__(cls)
-        model._build(cfg, tensors)
-        return model
-
-    def _build(self, cfg, tensors):
-        super().__init__(cfg, tensors)
-        self.layers = hold(tensors, cfg, [(f"layer.{i}", ATTENTION)
-                                          for i in range(cfg.layers)])
-
-    def mixer_parameters(self):
-        return {f"layer.{i}.{k}": t for i, layer in enumerate(self.layers)
-                for k, t in vars(layer).items()}
-
     def attention_block(self, x, layer):
         """Residual multi-head self-attention; also returns attn weights."""
         h = T.layer_norm(x, layer.ln1_g, layer.ln1_b)
@@ -229,4 +231,25 @@ class TeacherModel(Backbone):
         return x + T.linear(out, layer.proj_w, layer.proj_b), attn
 
     def mix(self, x, i):
-        return self.attention_block(x, self.layers[i])[0]
+        """Layer i's token mixer with its residual, x + Mixer_i(x)."""
+        m = self.mixers[i]
+        if isinstance(m, far_block.FarBlockParams):
+            return far_block.far_block_forward(x, m)
+        return self.attention_block(x, m)[0]
+
+
+class TeacherModel(Model):
+    """The all-attention model drawn from a seed, or from a teacher table
+    (``from_tensors``): its own class so a tracer can wrap its methods."""
+
+    def __init__(self, cfg: ModelConfig, seed):
+        rng = np.random.default_rng(seed)
+        super().__init__(cfg, {n: _draw(rng, n, s, cfg.precision)
+                               for n, s in tensor_shapes(cfg).items()})
+
+    @classmethod
+    def from_tensors(cls, cfg, tensors):
+        """The teacher holding ``tensors`` (name -> array or Tensor)."""
+        model = cls.__new__(cls)
+        Model.__init__(model, cfg, tensors)
+        return model

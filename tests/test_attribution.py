@@ -9,7 +9,7 @@ from far import attribution, far_block, pruner
 from far import tensor as T
 from far.checkpoint import load_model, save_model
 from far.tensor import Tensor
-from far.vit import Backbone, TeacherModel
+from far.vit import Model, TeacherModel
 from far.far_block import (DIRECTIONS, SCAN, FarBlockParams,
                            replace_attention, scan_of, shrink_block)
 from far.attribution import (band_mass, cls_saliency, export_heatmaps,
@@ -41,7 +41,7 @@ def _full_forward_attention(teacher, image):
     whose logits must equal the model's own forward bit for bit."""
     x = teacher.patch_embed(image)
     attns = []
-    for layer, mlp in zip(teacher.layers, teacher.mlps):
+    for layer, mlp in zip(teacher.mixers, teacher.mlps):
         y, attn = teacher.attention_block(x, layer)
         x = teacher.mlp_block(y, mlp)
         attns.append(attn.data[0])
@@ -106,7 +106,7 @@ def test_far_saliency_tracks_true_sensitivity(models):
     from far.far_block import bilstm_head
 
     def readout(x_tokens):
-        blk = far.blocks[layer]
+        blk = far.mixers[layer]
         h = T.layer_norm(x_tokens, blk.ln_g, blk.ln_b)
         u = T.matmul(h, blk.in_w) + blk.in_b
         sub = T.split(u, cfg.heads, axis=-1)[head]
@@ -145,7 +145,7 @@ def _per_query_dependency(model, image, layer, directions):
     """Reference map: one block forward and backward per query token,
     through a rebuilt block whose scans outside ``directions`` have all
     their weights zero, so they output zero and pass no gradient."""
-    blk = model.blocks[layer]
+    blk = model.mixers[layer]
     tensors = {n: t.data for n, t in blk.named("blk").items()}
     for k in range(len(blk.scans)):
         n, d = scan_of(k)
@@ -175,9 +175,9 @@ def test_batched_dependency_matches_per_query_reference(directions, widths):
         first = np.arange(cfg.head_dim) == 0  # every scan keeps a unit
         keep = [first | (rng.random(cfg.head_dim) < 0.5)
                 for _ in range(2 * cfg.heads)]
-        far.blocks = [FarBlockParams.from_tensors(
+        far.mixers = [FarBlockParams.from_tensors(
             shrink_block(blk, keep, "blk"), "blk", cfg.heads, cfg.head_dim,
-            cfg.precision) for blk in far.blocks]
+            cfg.precision) for blk in far.mixers]
     img = np.random.default_rng(26).normal(size=(3, 32, 32))
     for layer in (0, cfg.layers - 1):
         np.testing.assert_allclose(
@@ -253,7 +253,7 @@ def test_teacher_maps_take_only_every_direction(models, directions):
     """A teacher has no scan direction: any ``directions`` but all of
     DIRECTIONS is named, not answered with the full attention map."""
     _, teacher, _, img = models
-    with pytest.raises(ValueError, match=r"teacher map has no scan "
+    with pytest.raises(ValueError, match=r"map has no scan "
                                          r"direction.*" +
                                          re.escape(str(directions))):
         token_dependency(teacher, img, 0, directions)
@@ -348,7 +348,7 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
         calls.append(1)
         return block_forward(*args, **kwargs)
 
-    # the layer prefix runs in far_block (FarModel.mix), the maps here
+    # the layer prefix runs in far_block (Model.mix), the maps here
     monkeypatch.setattr(attribution, "far_block_forward", counting)
     monkeypatch.setattr(far_block, "far_block_forward", counting)
     layer = cfg.layers - 1
@@ -360,14 +360,14 @@ def test_token_dependency_runs_layer_prefix_once(models, monkeypatch):
 
 
 def _prefix_runs(monkeypatch):
-    """The ``stop`` of every ``Backbone.tokens`` call from now on."""
-    runs, tokens = [], Backbone.tokens
+    """The ``stop`` of every ``Model.tokens`` call from now on."""
+    runs, tokens = [], Model.tokens
 
     def counting(self, image, stop=None):
         runs.append(stop)
         return tokens(self, image, stop)
 
-    monkeypatch.setattr(Backbone, "tokens", counting)
+    monkeypatch.setattr(Model, "tokens", counting)
     return runs
 
 
@@ -436,8 +436,8 @@ def test_layer_input_is_recomputed_after_pruning_and_shrinking(
     pruner.prune_by_threshold(far, 0.97, mode="relative")  # zeroes in place
     token_dependency(far, img, layer)
     assert len(runs) == 2
-    far.blocks = pruner.shrink_model(far).blocks
-    assert all(p.hidden < cfg.head_dim for blk in far.blocks[:layer]
+    far.mixers = pruner.shrink_model(far).mixers
+    assert all(p.hidden < cfg.head_dim for blk in far.mixers[:layer]
                for p in blk.scans)
     got = token_dependency(far, img, layer)
     assert len(runs) == 3

@@ -124,7 +124,7 @@ def test_freeze_plan_distill_only_far_trainable(desk_cfg):
     logits, _ = far.forward(img)
     T.cross_entropy(logits, [0]).backward()
     assert teacher.mlps[0].fc1_w.grad is None
-    assert far.blocks[0].in_w.grad is not None
+    assert far.mixers[0].in_w.grad is not None
 
 
 def test_freeze_plan_finetune_everything_trainable(desk_cfg):
@@ -179,7 +179,7 @@ def test_teacher_detached_in_similarity(desk_cfg):
     loss.backward()
     # gradient reached the substitute but not via the teacher branch:
     # teacher-only params (qkv) are not even in the graph
-    assert teacher.layers[0].qkv_w.grad is None
+    assert teacher.mixers[0].qkv_w.grad is None
 
 
 def test_oracle_injection_gives_zero_similarity(desk_cfg):
@@ -320,13 +320,13 @@ def test_non_finite_loss_names_the_first_non_finite_block(desk_cfg, phase):
     ds = synth_dataset(11, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=11)
     far = replace_attention(teacher, seed=11)
-    far.blocks[2].in_w.data[0, 0] = np.nan
+    far.mixers[2].in_w.data[0, 0] = np.nan
     cfg = TrainConfig(phase=phase, lr=1e-4, epochs=1, batch_size=20, seed=11,
                       warmup_epochs=0)
     with pytest.raises(RuntimeError, match=r"epoch 0: block 2 is the first "
                        r"with a non-finite output"):
         run_phase(far, teacher, ds, cfg)
-    far.blocks[2].in_w.data[0, 0] = 0.0
+    far.mixers[2].in_w.data[0, 0] = 0.0
     with pytest.raises(RuntimeError, match="every block output is finite"):
         run_phase(far, teacher, ds, cfg, extra_loss=lambda: T.Tensor(np.nan))
 
@@ -337,7 +337,7 @@ def test_non_finite_gradient_names_the_tensor_before_the_step(desk_cfg,
     ds = synth_dataset(12, 40, 10, 32)
     teacher = TeacherModel(desk_cfg, seed=12)
     far = replace_attention(teacher, seed=12)
-    in_b = far.blocks[1].in_b
+    in_b = far.mixers[1].in_b
     assert not in_b.data.any()
     before = {n: p.data.copy() for n, p in far.named_parameters().items()}
 
@@ -473,15 +473,15 @@ def test_every_trained_tensor_has_a_gradient_at_the_step(monkeypatch, phase):
     if phase == "teacher":
         model = teacher
     elif phase.startswith("prune"):
-        blk, p = far.blocks[0], far.blocks[0].scans[1]
+        blk, p = far.mixers[0], far.mixers[0].scans[1]
         rows, cols, out_rows = coupled(blk, 1, np.arange(p.hidden))
         for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
             t.data[rows] = 0.0
         p.w_hh.data[:, cols] = 0.0
         blk.out_w.data[out_rows] = 0.0
         prune_by_threshold(far, 0.9, mode="relative")
-        far.blocks = shrink_model(far).blocks
-        assert far.blocks[0].scans[1].hidden == 1
+        far.mixers = shrink_model(far).mixers
+        assert far.mixers[0].scans[1].hidden == 1
         if phase == "prune-regularize":
             def extra():
                 return hoyer_penalty_total(far) * 1e-4

@@ -81,7 +81,7 @@ def test_one_batch_of_every_phase_computes_at_model_dtype(spy, precision,
             return pruner.hoyer_penalty_total(far, extension=False) * 1e-4
     if phase == "prune-finetune":
         pruner.prune_by_threshold(far, 0.9, mode="relative")
-        far.blocks = pruner.shrink_model(far).blocks
+        far.mixers = pruner.shrink_model(far).mixers
     run_phase(model, teacher, ds, TrainConfig(
         phase=phase, epochs=1, batch_size=len(ds.train_idx),
         warmup_epochs=0), extra_loss=extra)

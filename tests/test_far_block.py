@@ -385,7 +385,7 @@ def test_f32_scan_matches_f64_per_step_reference(widths):
 
 def test_scan_reads_weights_zeroed_in_place_after_a_forward():
     far = replace_attention(TeacherModel(desk_config("f64"), seed=50), seed=50)
-    blk = far.blocks[1]
+    blk = far.mixers[1]
     x = np.random.default_rng(50).normal(size=(2, 17, 32))
     before = _assert_block_matches_reference(blk, x)
     prune_by_threshold(far, 0.97, mode="relative")
@@ -445,7 +445,7 @@ def test_second_frozen_forward_of_the_same_shapes_plans_nothing(desk_cfg):
 
 def test_fused_scan_on_frozen_model_keeps_no_graph(desk_cfg):
     far = replace_attention(TeacherModel(desk_cfg, seed=33), seed=33)
-    blk = far.blocks[0]
+    blk = far.mixers[0]
     u = Tensor(np.random.default_rng(33).normal(
         size=(2, desk_cfg.tokens, desk_cfg.dim)).astype(np.float32))
     out = scan_heads(u, blk.scans)
@@ -792,7 +792,7 @@ def test_scan_k_is_named_and_grouped_by_scan_of(desk_cfg):
     """Scan k of a block holds the tensors named ``<prefix>.<head>.<dir>.*``
     for (head, dir) = scan_of(k), in coupled order, and ``head(n)`` holds
     head n's fwd and rev scans."""
-    blk = replace_attention(TeacherModel(desk_cfg, seed=55), seed=55).blocks[0]
+    blk = replace_attention(TeacherModel(desk_cfg, seed=55), seed=55).mixers[0]
     named = blk.named("far.0")
     assert len(blk.scans) == 2 * desk_cfg.heads
     assert [scan_of(k) for k in range(4)] == [
@@ -886,8 +886,8 @@ def test_replace_attention_copies_and_freezes_structure(desk_cfg):
     source = teacher.named_parameters()
     for n in backbone:
         np.testing.assert_array_equal(named[n].data, source[n].data)
-    np.testing.assert_array_equal(far.blocks[0].ln_g.data,
-                                  teacher.layers[0].ln1_g.data)
+    np.testing.assert_array_equal(far.mixers[0].ln_g.data,
+                                  teacher.mixers[0].ln1_g.data)
     # training every FAR tensor leaves each teacher tensor byte-identical
     before = _bytes(teacher)
     ds = synth_dataset(10, 40, 10, 32)
@@ -915,8 +915,8 @@ def test_replace_attention_rejects_bad_heads():
 def test_param_count_matches_enumeration(desk_cfg):
     teacher = TeacherModel(desk_cfg, seed=11)
     far = replace_attention(teacher, seed=11)
-    block = sum(t.data.size for t in far.blocks[0].named("b").values())
-    attention = sum(getattr(teacher.layers[0], k).data.size
+    block = sum(t.data.size for t in far.mixers[0].named("b").values())
+    attention = sum(getattr(teacher.mixers[0], k).data.size
                     for k in ATTENTION)
     assert (count_params(desk_cfg, "far")
             - count_params(desk_cfg, "attention")
@@ -936,7 +936,7 @@ def test_replaced_model_with_zero_out_proj_matches_ablated_teacher():
     cfg = desk_config("f64")
     teacher = TeacherModel(cfg, seed=12)
     far = replace_attention(teacher, seed=12)
-    for blk in far.blocks:
+    for blk in far.mixers:
         blk.out_w.data[:] = 0.0
         blk.out_b.data[:] = 0.0
     rng = np.random.default_rng(12)

@@ -3,7 +3,11 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -11,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from far import checkpoint as ckpt, cli, distill, far_block, profiler, pruner
+from far import (checkpoint as ckpt, cli, distill, far_block, profiler,
+                 pruner, vit)
 from far import tensor as T
 from far.checkpoint import (CheckpointError, load_checkpoint, load_model,
                             save_checkpoint, save_model)
@@ -277,9 +282,9 @@ def _same_logits(a, b, seed):
 
 def test_a_teacher_tensor_rebound_in_its_layer_is_the_one_saved(tmp_path):
     """The forward and ``named_parameters`` (so ``save_model``) read one
-    holder: a tensor rebound in ``layers[i]`` is used and saved."""
+    holder: a tensor rebound in ``mixers[i]`` is used and saved."""
     teacher = TeacherModel(desk_config(), seed=41)
-    layer = teacher.layers[0]
+    layer = teacher.mixers[0]
     layer.qkv_w = Tensor(layer.qkv_w.data * 2)
     assert not _same_logits(teacher, TeacherModel(desk_config(), seed=41), 41)
     save_model(teacher, tmp_path / "rebound.farc")
@@ -321,7 +326,7 @@ def test_shrunk_model_round_trip(tmp_path):
 
 
 def _widths(model):
-    return [[p.hidden for p in blk.scans] for blk in model.blocks]
+    return [[p.hidden for p in blk.scans] for blk in model.mixers]
 
 
 def _logit_gap(a, b, seed):
@@ -358,7 +363,7 @@ def test_save_model_of_an_unpruned_far_model_writes_its_parameters(tmp_path):
 def test_a_scan_with_no_live_unit_keeps_one_zero_unit(tmp_path):
     far = replace_attention(TeacherModel(desk_config("f64"), seed=32),
                             seed=32)
-    blk = far.blocks[0]
+    blk = far.mixers[0]
     rows, cols, out_rows = far_block.coupled(blk, 1, np.arange(16))
     p = blk.scans[1]
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
@@ -439,7 +444,7 @@ def _share_memory(a, b):
 
 def test_far_model_holds_its_parameters_and_no_attention_tensor(tmp_path):
     teacher = TeacherModel(desk_config(), seed=39)
-    attention = {id(getattr(layer, k)) for layer in teacher.layers
+    attention = {id(getattr(layer, k)) for layer in teacher.mixers
                  for k in ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w",
                            "proj_b")}
     far = replace_attention(teacher, seed=39)
@@ -503,6 +508,86 @@ def test_load_model_rejects_unexpected_tensor(tmp_path):
     save_checkpoint(path, cfg, tensors, kind="teacher")
     with pytest.raises(CheckpointError, match="unexpected"):
         load_model(path)
+
+
+@pytest.mark.parametrize("fault,named", [
+    ("far table stored as teacher",
+     "stored kind teacher but its tensors make a far model"),
+    ("teacher table stored as far",
+     "stored kind far but its tensors make a teacher model"),
+    ("both mixers at layer 1", "layer 1 names both mixer kinds"),
+    ("no mixer at layer 2", "layer 2 names no token mixer"),
+])
+def test_load_model_rejects_a_table_whose_mixers_disagree(tmp_path, capsys,
+                                                          fault, named):
+    """The stored kind must be the kind the table's mixers make, and every
+    layer's names must give one mixer kind."""
+    far = _far_tensors()
+    teacher = {n: t.data for n, t in
+               TeacherModel(desk_config(), seed=37).named_parameters().items()}
+    tensors, kind = {
+        "far table stored as teacher": (far, "teacher"),
+        "teacher table stored as far": (teacher, "far"),
+        "both mixers at layer 1": ({**far, **{
+            n: a for n, a in teacher.items() if n.startswith("layer.1.")}},
+            "far"),
+        "no mixer at layer 2": ({n: a for n, a in far.items()
+                                 if not n.startswith("far.2.")}, "far"),
+    }[fault]
+    path = tmp_path / "x.farc"
+    save_checkpoint(path, desk_config(), tensors, kind=kind)
+    with pytest.raises(CheckpointError, match=f"x.farc: {named}"):
+        load_model(path)
+    assert main(["bench", "--checkpoint", str(path)]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_teacher_and_far_forwards_run_apart_by_class(tmp_path, monkeypatch):
+    """A tracer tells a teacher's spans from a FAR model's by class: a
+    loaded teacher file is a TeacherModel and a FAR file is not; a teacher
+    forward runs ``TeacherModel.attention_block`` once a layer and a FAR
+    forward ``far_block.far_block_forward`` once a layer, and neither runs
+    the other's."""
+    cfg = desk_config()
+    teacher = TeacherModel(cfg, seed=58)
+    save_model(teacher, tmp_path / "teacher.farc")
+    save_model(replace_attention(teacher, seed=58), tmp_path / "far.farc")
+    teacher = load_model(tmp_path / "teacher.farc")
+    far = load_model(tmp_path / "far.farc")
+    assert isinstance(teacher, TeacherModel)
+    assert not isinstance(far, TeacherModel)
+    calls = []
+    attention_block = TeacherModel.attention_block
+    block_forward = far_block.far_block_forward
+
+    def attention_spy(self, x, layer):
+        calls.append("attention")
+        return attention_block(self, x, layer)
+
+    def far_spy(x, p):
+        calls.append("far")
+        return block_forward(x, p)
+
+    monkeypatch.setattr(TeacherModel, "attention_block", attention_spy)
+    monkeypatch.setattr(far_block, "far_block_forward", far_spy)
+    img = np.random.default_rng(58).normal(size=(2, 3, 32, 32))
+    teacher.forward(img)
+    assert calls == ["attention"] * cfg.layers
+    calls.clear()
+    far.forward(img)
+    assert calls == ["far"] * cfg.layers
+
+
+@pytest.mark.parametrize("module", ["far.far_block", "far.vit",
+                                    "far.checkpoint"])
+def test_each_model_module_imports_first(module):
+    """``vit`` and ``far_block`` refer to each other; each module imports
+    as the first import of a fresh interpreter."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- run configuration --------------------------------------------------------
@@ -836,6 +921,22 @@ def test_cli_attribute_layer_out_of_range_is_named_error(tmp_path, capsys):
     assert not list(tmp_path.glob("attr_*"))
 
 
+def test_cli_attribute_checks_every_file_before_the_first_map(tmp_path,
+                                                              capsys):
+    """A map file that cannot be written, here the second head's saliency
+    image, fails the command before any map is computed or written."""
+    cfg = desk_config()
+    cfg.layers = 1
+    path = tmp_path / "far.farc"
+    save_model(replace_attention(TeacherModel(cfg, seed=44), seed=44), path)
+    att = tmp_path / "att"
+    (att / "a_saliency_l0_h1.pgm").mkdir(parents=True)
+    assert main(["attribute", "--checkpoint", str(path),
+                 "--out-prefix", str(att / "a_")]) == 1
+    assert str(att / "a_saliency_l0_h1.pgm") in capsys.readouterr().err
+    assert [p for p in att.iterdir() if p.is_file()] == []
+
+
 def test_cli_bad_config_is_pipeline_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[nope]\nx = 1\n")
@@ -929,13 +1030,13 @@ def test_cli_bench_times_the_live_model_of_a_file_with_pruned_units(
     path, cfgfile = tmp_path / "zeroed.farc", tmp_path / "run.cfg"
     save_checkpoint(path, far.cfg, far.named_parameters(), kind="far")
     cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
-    timed, forward = [], far_block.FarModel.forward
+    timed, forward = [], vit.Model.forward
 
     def spy(model, image):
         timed.append(model)
         return forward(model, image)
 
-    monkeypatch.setattr(far_block.FarModel, "forward", spy)
+    monkeypatch.setattr(vit.Model, "forward", spy)
     assert main(["bench", "--config", str(cfgfile),
                  "--checkpoint", str(path)]) == 0
     capsys.readouterr()
@@ -949,7 +1050,7 @@ def test_cli_bench_counts_the_params_of_the_model_it_times(
     """A scan with no live unit is saved with one all-zero unit, and the
     cost rows count that unit: ``params`` is the timed model's size."""
     far = replace_attention(TeacherModel(desk_config(), seed=53), seed=53)
-    blk, p = far.blocks[0], far.blocks[0].scans[1]
+    blk, p = far.mixers[0], far.mixers[0].scans[1]
     rows, cols, out_rows = far_block.coupled(blk, 1, np.arange(p.hidden))
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[rows] = 0.0
@@ -958,13 +1059,13 @@ def test_cli_bench_counts_the_params_of_the_model_it_times(
     path, cfgfile = tmp_path / "dead.farc", tmp_path / "run.cfg"
     save_model(far, path)
     cfgfile.write_text("[bench]\nruns = 1\nwarmups = 0\n")
-    timed, forward = [], far_block.FarModel.forward
+    timed, forward = [], vit.Model.forward
 
     def spy(model, image):
         timed.append(model)
         return forward(model, image)
 
-    monkeypatch.setattr(far_block.FarModel, "forward", spy)
+    monkeypatch.setattr(vit.Model, "forward", spy)
     assert main(["bench", "--config", str(cfgfile),
                  "--checkpoint", str(path)]) == 0
     report = dict(l.split(",") for l in capsys.readouterr().out.splitlines())

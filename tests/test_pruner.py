@@ -123,7 +123,7 @@ def _old_composite(blk, k, extension):
 
 
 def _scans(model):
-    return [(blk, k) for blk in model.blocks for k in range(len(blk.scans))]
+    return [(blk, k) for blk in model.mixers for k in range(len(blk.scans))]
 
 
 @pytest.fixture(params=["full", "shrunk"])
@@ -133,7 +133,7 @@ def widths_f64(request):
         return far
     prune_by_threshold(far, 0.9, mode="relative")
     shrunk = shrink_model(far)
-    assert any(p.hidden < far.cfg.head_dim for blk in shrunk.blocks
+    assert any(p.hidden < far.cfg.head_dim for blk in shrunk.mixers
                for p in blk.scans)
     return shrunk
 
@@ -149,7 +149,7 @@ def test_unit_sq_norms_sum_the_coupled_set(widths_f64, extension):
 
 def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
     far = replace_attention(TeacherModel(desk_config("f64"), seed=5), seed=5)
-    blk = far.blocks[0]
+    blk = far.mixers[0]
     p = blk.scans[3]  # head 1 rev
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[:] = 0.0
@@ -167,7 +167,7 @@ def test_unit_sq_norms_count_the_recurrent_diagonal_twice():
 @pytest.mark.parametrize("extension", [False, True])
 def test_unit_sq_norms_zero_unit_is_zero(extension):
     far = replace_attention(TeacherModel(desk_config("f64"), seed=7), seed=7)
-    blk, j = far.blocks[1], 2
+    blk, j = far.mixers[1], 2
     p = blk.scans[1]  # head 0 rev
     rows, cols, out_rows = coupled(blk, 1, [j])
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
@@ -312,7 +312,7 @@ def test_one_graph_penalty_is_the_per_scan_sum_bit_for_bit(
     if widths == "shrunk":
         prune_by_threshold(far, 0.97, mode="relative")
         far = shrink_model(far)
-        assert len({p.hidden for blk in far.blocks for p in blk.scans}) > 1
+        assert len({p.hidden for blk in far.mixers for p in blk.scans}) > 1
     value, grads = _penalty_and_grads(
         far, lambda m: hoyer_penalty_total(m, extension, reduce))
     ref, ref_grads = _penalty_and_grads(
@@ -334,7 +334,7 @@ def test_one_graph_penalty_gradient_fd(extension):
     _, grads = _penalty_and_grads(
         far, lambda m: hoyer_penalty_total(m, extension))
     named = far.named_parameters()
-    blk = far.blocks[2]
+    blk = far.mixers[2]
     rows, cols, out_rows = coupled(blk, 1, [0, 5])
     picks = [("far.2.0.rev.w_ih", (rows[1], 3)),
              ("far.2.0.rev.w_hh", (rows[6], cols[1])),
@@ -395,14 +395,14 @@ def test_threshold_keeps_clearly_large_units():
     far = replace_attention(teacher, seed=13)
     dh = cfg.head_dim
     # craft layer 0's scan 0 (head 0 fwd): unit 0 large, all others tiny
-    p = far.blocks[0].scans[0]
+    p = far.mixers[0].scans[0]
     for t in (p.w_ih, p.w_hh, p.b_ih, p.b_hh):
         t.data[:] = 1e-6
     for g in range(4):
         p.w_ih.data[g * dh, :] = 1.0
         p.w_hh.data[g * dh, 0] = 1.0  # keep off-diagonal columns tiny
-    far.blocks[0].out_w.data[:dh] = 1e-6
-    far.blocks[0].out_w.data[0] = 1.0
+    far.mixers[0].out_w.data[:dh] = 1e-6
+    far.mixers[0].out_w.data[0] = 1.0
     prune_by_threshold(far, 1e-4, mode="absolute")
     keep = far.masks[0][0]
     assert keep[0]
@@ -419,7 +419,7 @@ def test_floor_rule_keeps_max_norm_unit(far_f64):
 def test_relative_mode_uses_max_norm():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=14), seed=14)
-    blk = far.blocks[0]
+    blk = far.mixers[0]
     norms = _importance(blk, 0)
     tau = 0.5
     expect = norms > tau * norms.max()
@@ -459,14 +459,14 @@ def test_prune_zeroes_exactly_the_coupled_set():
     cfg = desk_config("f64")
     far = replace_attention(TeacherModel(cfg, seed=15), seed=15)
     dh = cfg.head_dim
-    rows, cols, out_rows = coupled(far.blocks[0], 3, [3])  # head 1 rev
+    rows, cols, out_rows = coupled(far.mixers[0], 3, [3])  # head 1 rev
     assert rows.tolist() == [g * dh + 3 for g in range(4)]
     assert cols.tolist() == [3]
     assert out_rows.tolist() == [3 * dh + 3]
 
     expect = {n: t.data.copy() for n, t in far.named_parameters().items()}
     dropped = 0
-    for l, blk in enumerate(far.blocks):
+    for l, blk in enumerate(far.mixers):
         for k in range(2 * cfg.heads):
             h, d = scan_of(k)
             norms = _importance(blk, k)
@@ -503,9 +503,9 @@ def test_shrunk_importance_and_penalty_match_zeroed_live_units():
     far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
     prune_by_threshold(far, 0.9, mode="relative")
     shrunk = shrink_model(far)
-    assert any(p.hidden < cfg.head_dim for blk in shrunk.blocks
+    assert any(p.hidden < cfg.head_dim for blk in shrunk.mixers
                for p in blk.scans)
-    for blk, small, live in zip(far.blocks, shrunk.blocks, far.masks):
+    for blk, small, live in zip(far.mixers, shrunk.mixers, far.masks):
         for k in range(2 * cfg.heads):
             np.testing.assert_allclose(_importance(small, k),
                                        _importance(blk, k)[live[k]],
@@ -522,10 +522,10 @@ def test_weight_zero_masks_cover_pruned_entries():
     far = replace_attention(TeacherModel(cfg, seed=17), seed=17)
     drops = [[np.flatnonzero(_importance(blk, k)
                              <= 0.9 * _importance(blk, k).max())
-              for k in range(2 * cfg.heads)] for blk in far.blocks]
+              for k in range(2 * cfg.heads)] for blk in far.mixers]
     prune_by_threshold(far, 0.9, mode="relative")
     assert any(len(units) for layer in drops for units in layer)
-    for blk, keep, drop in zip(far.blocks, far.masks, drops):
+    for blk, keep, drop in zip(far.mixers, far.masks, drops):
         for k, p in enumerate(blk.scans):
             assert keep[k].shape == (p.hidden,)
             assert np.flatnonzero(~keep[k]).tolist() == drop[k].tolist()
@@ -539,7 +539,7 @@ def test_weight_zero_masks_cover_pruned_entries():
 def test_regularization_drives_group_sparsity():
     """Hoyer gradient steps shrink small units faster than large ones."""
     far = replace_attention(TeacherModel(desk_config("f64"), seed=18), seed=18)
-    blk = far.blocks[0]
+    blk = far.mixers[0]
     p = blk.scans[0]
     p.w_ih.requires_grad = p.w_hh.requires_grad = True  # born frozen
     # make unit 0 dominant
@@ -634,7 +634,7 @@ def test_pipeline_smoke_prunes_and_keeps_accuracy_finite():
                                 tau=0.9, mode="relative", reg_coeff=1e-3)
     assert any(r["ratio"] < 1.0 for r in rows)
     # the finetuned model is shrunk: no all-zero unit, widths = retained
-    widths = [p.hidden for blk in far.blocks for p in blk.scans]
+    widths = [p.hidden for blk in far.mixers for p in blk.scans]
     assert widths == [r["retained"] for r in rows]
     assert all(keep.all() for layer in far.masks for keep in layer)
     assert 0.0 <= accuracy(far, ds, "val") <= 1.0

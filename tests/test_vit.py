@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from far import tensor as T
+from far.attribution import cls_saliency
+from far.checkpoint import load_checkpoint, load_model, save_model
+from far.cli import main
 from far.tensor import ShapeError, Tensor
 from far.far_block import replace_attention
-from far.vit import (ATTENTION, EMBED, FINAL, MLP, ModelConfig,
+from far.vit import (ATTENTION, EMBED, FINAL, MLP, Model, ModelConfig,
                      TeacherModel, take, tensor_shapes)
 
 from conftest import desk_config, random_image
@@ -42,8 +45,8 @@ def test_zero_image_zero_projection_gives_positional():
 @pytest.mark.parametrize("kind", ["teacher", "far"])
 def test_every_tensor_has_one_holder_and_one_name(kind):
     """``named_parameters`` names the very Tensor each holder has, in order:
-    ``embed``, each ``mlps[i]`` and ``final``, then each ``layers[i]`` (the
-    attention tensors) or ``blocks[i]``. No Tensor is named twice, and the
+    ``embed``, each ``mlps[i]`` and ``final``, then each ``mixers[i]`` (the
+    attention tensors or a FAR block). No Tensor is named twice, and the
     model keeps no second table."""
     cfg = desk_config()
     model = TeacherModel(cfg, seed=8)
@@ -58,12 +61,12 @@ def test_every_tensor_has_one_holder_and_one_name(kind):
     held.update((f"final.{k}", t) for k, t in vars(model.final).items())
     assert list(held) == list(tensor_shapes(cfg, attention=False))
     if kind == "teacher":
-        assert all(tuple(vars(layer)) == ATTENTION for layer in model.layers)
+        assert all(tuple(vars(layer)) == ATTENTION for layer in model.mixers)
         held.update((f"layer.{i}.{k}", t) for i, layer in
-                    enumerate(model.layers) for k, t in vars(layer).items())
+                    enumerate(model.mixers) for k, t in vars(layer).items())
         assert held.keys() == tensor_shapes(cfg).keys()
     else:
-        for i, blk in enumerate(model.blocks):
+        for i, blk in enumerate(model.mixers):
             held.update(blk.named(f"far.{i}"))
     named = model.named_parameters()
     assert list(named) == list(held)
@@ -93,7 +96,7 @@ def test_patch_embed_rejects_wrong_size():
 def test_attention_zero_weights_is_identity():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=1)
-    layer = model.layers[0]
+    layer = model.mixers[0]
     layer.qkv_w.data[:] = 0.0
     layer.qkv_b.data[:] = 0.0
     layer.proj_w.data[:] = 0.0
@@ -109,7 +112,7 @@ def test_attention_rows_are_probabilities():
     model = TeacherModel(cfg, seed=1)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(2, cfg.tokens, cfg.dim)))
-    _, attn = model.attention_block(x, model.layers[0])
+    _, attn = model.attention_block(x, model.mixers[0])
     sums = attn.data.sum(axis=-1)
     assert np.abs(sums - 1.0).max() <= 1e-6
     assert (attn.data >= 0).all()
@@ -119,7 +122,7 @@ def test_single_token_attention_degenerates():
     cfg = desk_config("f64")
     model = TeacherModel(cfg, seed=1)
     x = Tensor(np.random.default_rng(2).normal(size=(1, 1, cfg.dim)))
-    _, attn = model.attention_block(x, model.layers[0])
+    _, attn = model.attention_block(x, model.mixers[0])
     np.testing.assert_allclose(attn.data, np.ones((1, cfg.heads, 1, 1)))
 
 
@@ -158,7 +161,7 @@ def test_attention_block_equals_the_composed_graph_bit_for_bit(
     cfg = desk_config(precision)
     cfg.heads, cfg.head_dim, cfg.dim = heads, head_dim, heads * head_dim
     model = TeacherModel(cfg, seed=9)
-    layer = model.layers[1]
+    layer = model.mixers[1]
     rng = np.random.default_rng(batch)
     x0 = model.tokens(random_image(cfg, rng, batch), stop=1)[-1].data
     g = rng.normal(size=x0.shape).astype(x0.dtype)
@@ -253,7 +256,7 @@ def test_block_outputs_match_prefix_replay():
     for i in range(cfg.layers):
         x = model.patch_embed(img)
         for j in range(i + 1):
-            y, _ = model.attention_block(x, model.layers[j])
+            y, _ = model.attention_block(x, model.mixers[j])
             x = model.mlp_block(y, model.mlps[j])
         np.testing.assert_array_equal(blocks[i].data, x.data)
 
@@ -270,7 +273,7 @@ def test_token_permutation_equivariance_with_zero_pos():
 
     def run(tok):
         cur = tok
-        for layer, mlp in zip(model.layers, model.mlps):
+        for layer, mlp in zip(model.mixers, model.mlps):
             y, _ = model.attention_block(cur, layer)
             cur = model.mlp_block(y, mlp)
         return model.classify(cur).data
@@ -313,3 +316,57 @@ def test_classify_of_the_cls_row_equals_the_full_layer_norm(variant, batch,
 
     for got, want in zip(run(model.classify), run(full_ln)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _swapped(model, source, layers):
+    """The table of ``model`` with the mixers of ``layers`` taken from
+    ``source``, whose backbone is ``model``'s."""
+    def mixers(m):
+        return {n: t for n, t in m.mixer_parameters().items()
+                if int(n.split(".")[1]) in layers}
+
+    drop = mixers(model)
+    return {**{n: t for n, t in model.named_parameters().items()
+               if n not in drop}, **mixers(source)}
+
+
+def test_a_model_mixes_attention_and_far_layers(teacher_f64, far_f64,
+                                                tmp_path, capsys):
+    """Attention at layers 0 and 2 from the teacher, FAR blocks at 1 and 3
+    from ``replace_attention``, in one f64 model of one table."""
+    cfg = teacher_f64.cfg
+    mixed = Model(cfg, _swapped(teacher_f64, far_f64, (1, 3)))
+    assert [type(m).__name__ for m in mixed.mixers] == [
+        "SimpleNamespace", "FarBlockParams"] * 2
+    assert not isinstance(mixed, TeacherModel)
+    img = random_image(cfg, np.random.default_rng(61), batch=2)
+    logits, blocks = mixed.forward(img)
+    t_logits, t_blocks = teacher_f64.forward(img)
+    f_logits = far_f64.forward(img)[0]
+    assert np.array_equal(blocks[0].data, t_blocks[0].data)
+    assert not np.array_equal(blocks[1].data, t_blocks[1].data)
+    assert not np.array_equal(logits.data, t_logits.data)
+    assert not np.array_equal(logits.data, f_logits.data)
+
+    back = Model(cfg, _swapped(mixed, teacher_f64, (1, 3)))
+    assert np.array_equal(back.forward(img)[0].data, t_logits.data)
+    every = Model(cfg, _swapped(mixed, far_f64, (0, 2)))
+    assert np.array_equal(every.forward(img)[0].data, f_logits.data)
+
+    path, out = tmp_path / "mixed.farc", tmp_path / "out.farc"
+    save_model(mixed, path)
+    assert load_checkpoint(path)[1] == "mixed"
+    loaded = load_model(path)
+    assert type(loaded) is Model
+    assert np.array_equal(loaded.forward(img)[0].data, logits.data)
+    assert main(["finetune", "--checkpoint", str(path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "expected a far checkpoint" in err
+    assert not out.exists()
+    assert main(["bench", "--checkpoint", str(path)]) == 1  # no cost rows
+    assert "unknown variant 'mixed'" in capsys.readouterr().err
+
+    for head in range(cfg.heads):
+        assert np.array_equal(cls_saliency(mixed, img[0], 0, head),
+                              cls_saliency(teacher_f64, img[0], 0, head))
