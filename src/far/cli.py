@@ -182,10 +182,10 @@ def cmd_flops(args, cfg):
     """The cost rows of the run config's attention model and of its FAR
     substitute side by side, under a ``metric,attention,far`` header."""
     mcfg = model_config(cfg)
-    columns = [dict(profiler.cost_rows(mcfg, v)) for v in profiler.VARIANTS]
+    columns = [dict(profiler.cost_rows(mcfg, profiler.variant_shapes(
+        mcfg, v, None))) for v in profiler.VARIANTS]
     _write_csv(sys.stdout, ("metric", *profiler.VARIANTS),
-               ([k, *(c[k] for c in columns)] for k in columns[0]
-                if k != "variant"))
+               ([k, *(c[k] for c in columns)] for k in columns[0]))
     return 0
 
 
@@ -194,8 +194,9 @@ def cmd_bench(args, cfg):
     (--variant), or with --checkpoint the checkpoint's, whose own config,
     kind and live scan widths describe what is measured. A FAR file that
     still holds pruned units (written before ``save_model`` dropped them,
-    or by ``save_checkpoint``) is timed shrunk. The cost rows count the
-    widths of the model timed, one unit for a scan with none live. The
+    or by ``save_checkpoint``) is timed shrunk. The ``variant`` row reads
+    ``attention``, ``far`` or ``mixed``; the cost rows count the tensor
+    table of the model timed, one unit for a scan with none live. The
     report gives the config's precision, the dtype of the logits the
     measured forward produced and the thread variables set while it
     ran."""
@@ -207,10 +208,9 @@ def cmd_bench(args, cfg):
                  else replace_attention(teacher, seed=cfg["train"]["seed"]))
     mcfg = model.cfg
     kind = ckpt.model_kind(model)
-    rows = profiler.cost_rows(
-        mcfg, "attention" if kind == "teacher" else kind,
-        masks=[[np.ones(p.hidden, bool) for p in blk.scans]
-               for blk in model.mixers] if kind == "far" else None)
+    rows = [("variant", "attention" if kind == "teacher" else kind),
+            *profiler.cost_rows(mcfg, {n: t.shape for n, t in
+                                       model.named_parameters().items()})]
     rng = np.random.default_rng(_seed(cfg, args.seed))
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)

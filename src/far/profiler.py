@@ -1,15 +1,15 @@
 """Analytic cost model and wall-clock latency harness.
 
-Parameter and MAC counts are read from the tensor table a model is built
-from: ``vit.tensor_shapes`` for the teacher and backbone, and
-``far_block.block_shapes`` for each FAR layer at its scans' widths. A
-parameter count is the sum of the tensor sizes. MACs follow the
-MAC-dominant convention used for the DeiT family (one multiply-accumulate
-counted once; normalization, softmax, activation and bias costs are not
-counted) at T tokens: every 2-D weight of a layer is one matrix product
-per token; attention adds 2 * heads * T^2 * head_dim for its scores and
-weighted values; ``embed.patch_w`` runs once per patch (T - 1) and
-``final.head_w`` once per image. The T of an image size is the
+Parameter and MAC counts are read from a model's tensor table (name ->
+shape; ``variant_shapes`` lays one out from ``vit.tensor_shapes`` and
+``far_block.block_shapes``), each layer's mixer kind from its names
+(``vit.mixer_kinds``). A parameter count is the sum of the tensor sizes.
+MACs follow the MAC-dominant convention used for the DeiT family (one
+multiply-accumulate counted once; normalization, softmax, activation and
+bias costs are not counted) at T tokens: every 2-D weight of a layer is
+one matrix product per token; attention adds 2 * heads * T^2 * head_dim
+for its scores and weighted values; ``embed.patch_w`` runs once per patch
+(T - 1) and ``final.head_w`` once per image. The T of an image size is the
 ``ModelConfig.tokens`` of the config at that size, so ``ModelConfig``
 alone checks the size. Latency follows the warmup-then-median protocol.
 The harness sets no thread count: numpy's BLAS runs with whatever its
@@ -32,7 +32,7 @@ VARIANTS = ("attention", "far")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _shapes(cfg, variant, masks):
+def variant_shapes(cfg, variant, masks):
     """name -> shape of every tensor of the ``variant`` model of ``cfg``:
     the teacher's table, or the backbone's with a FAR block per layer whose
     scan k has ``masks[layer][k].sum()`` units (``head_dim`` without)."""
@@ -47,9 +47,31 @@ def _shapes(cfg, variant, masks):
     return shapes
 
 
-def count_params(cfg, variant, masks=None):
+def _count(cfg, shapes, t):
+    """(parameters, MACs, per-layer MACs) at ``t`` tokens of the model of
+    ``cfg`` whose table has ``shapes``, by the rule the module states."""
+    if t < 1:
+        raise ValueError(f"token count must be at least 1, got {t}")
+    runs = {"embed.patch_w": t - 1, "final.head_w": 1}  # embed.pos: no MAC
+    attend = 2 * cfg.heads * t * t * cfg.head_dim
+    per_layer = [attend if kind == "attention" else 0
+                 for kind in vit.mixer_kinds(cfg, shapes)]
+    total = 0
+    for name, shape in shapes.items():
+        if len(shape) != 2:
+            continue
+        group, layer = name.split(".")[:2]
+        if group in ("layer", "far"):
+            per_layer[int(layer)] += t * shape[0] * shape[1]
+        else:
+            total += runs.get(name, 0) * shape[0] * shape[1]
+    return (sum(math.prod(s) for s in shapes.values()),
+            total + sum(per_layer), per_layer)
+
+
+def count_params(cfg, variant):
     """Parameter total of a model variant: its tensor table's sizes."""
-    return sum(math.prod(s) for s in _shapes(cfg, variant, masks).values())
+    return _count(cfg, variant_shapes(cfg, variant, None), cfg.tokens)[0]
 
 
 def count_flops(cfg, variant, t=None, image_size=None, masks=None,
@@ -59,26 +81,9 @@ def count_flops(cfg, variant, t=None, image_size=None, masks=None,
     per-layer counts too when ``breakdown``; by the rule the module states."""
     if image_size is not None:
         cfg = replace(cfg, image_size=image_size)
-    if t is None:
-        t = cfg.tokens
-    if t < 1:
-        raise ValueError(f"token count must be at least 1, got {t}")
-    runs = {"embed.patch_w": t - 1, "final.head_w": 1}  # embed.pos: no MAC
-    attend = 2 * cfg.heads * t * t * cfg.head_dim
-    per_layer = [attend if variant == "attention" else 0] * cfg.layers
-    total = 0
-    for name, shape in _shapes(cfg, variant, masks).items():
-        if len(shape) != 2:
-            continue
-        group, layer = name.split(".")[:2]
-        if group in ("layer", "far"):
-            per_layer[int(layer)] += t * shape[0] * shape[1]
-        else:
-            total += runs.get(name, 0) * shape[0] * shape[1]
-    total += sum(per_layer)
-    if breakdown:
-        return total, per_layer
-    return total
+    _, total, per_layer = _count(cfg, variant_shapes(cfg, variant, masks),
+                                 cfg.tokens if t is None else t)
+    return (total, per_layer) if breakdown else total
 
 
 def bench_latency(run_fn, warmups, runs):
@@ -108,12 +113,10 @@ def bench_latency(run_fn, warmups, runs):
     }
 
 
-def cost_rows(cfg, variant, masks=None):
-    """(metric, value) rows of the ``variant`` model of ``cfg``, whose
-    position table grows with ``cfg.image_size``: the variant, its
-    parameters, its MACs and each layer's MACs."""
-    total, per_layer = count_flops(cfg, variant, masks=masks, breakdown=True)
-    return [("variant", variant),
-            ("params", count_params(cfg, variant, masks=masks)),
-            ("flops", total),
+def cost_rows(cfg, shapes):
+    """(metric, value) rows of the model of ``cfg`` whose tensor table has
+    ``shapes`` (name -> shape), whatever its layers' mixer kinds: its
+    parameters, its MACs at ``cfg.tokens`` and each layer's MACs."""
+    params, total, per_layer = _count(cfg, shapes, cfg.tokens)
+    return [("params", params), ("flops", total),
             *((f"flops_layer_{i}", fl) for i, fl in enumerate(per_layer))]

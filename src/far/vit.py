@@ -113,6 +113,21 @@ def hold(tensors, cfg, layout):
                                for k in keys}) for prefix, keys in layout]
 
 
+def mixer_kinds(cfg, names):
+    """Layer i's token mixer kind from the tensor ``names`` of a table:
+    ``attention`` for ``layer.<i>.qkv_w`` (or any ``ATTENTION`` key), ``far``
+    for ``far.<i>.*``; both or neither is a ShapeError naming the layer."""
+    far = {n.split(".")[1] for n in names if n.startswith("far.")}
+    kinds = []
+    for i in range(cfg.layers):
+        attention = any(f"layer.{i}.{k}" in names for k in ATTENTION)
+        if attention == (str(i) in far):
+            raise ShapeError(f"layer {i} names " + (
+                "both mixer kinds" if attention else "no token mixer"))
+        kinds.append("attention" if attention else "far")
+    return kinds
+
+
 def _draw(rng, name, shape, precision):
     """Truncated-normal weights, CLS and positions; unit gains; zero biases."""
     if name.endswith(("_w", ".cls", ".pos")):
@@ -123,9 +138,8 @@ def _draw(rng, name, shape, precision):
 class Model:
     """A backbone, held as ``embed`` (``EMBED``), ``mlps[i]`` (``MLP``) and
     ``final`` (``FINAL``), plus layer i's token mixer ``mixers[i]``: an
-    ``ATTENTION`` namespace or a ``far_block.FarBlockParams``, as its
-    tensor names (``layer.<i>.qkv_w``, ``far.<i>.*``) say. The kind is read
-    here only; both kinds or neither is a ShapeError naming the layer."""
+    ``ATTENTION`` namespace or a ``far_block.FarBlockParams``, as
+    ``mixer_kinds`` reads the table's names."""
 
     def __init__(self, cfg: ModelConfig, tensors):
         self.cfg = cfg
@@ -133,17 +147,11 @@ class Model:
             ("embed", EMBED),
             *((f"layer.{i}", MLP) for i in range(cfg.layers)),
             ("final", FINAL)])
-        self.mixers = []
-        for i in range(cfg.layers):
-            attention = any(f"layer.{i}.{k}" in tensors for k in ATTENTION)
-            if attention == any(n.startswith(f"far.{i}.") for n in tensors):
-                raise ShapeError(f"layer {i} names " + (
-                    "both mixer kinds" if attention else "no token mixer"))
-            self.mixers.append(
-                hold(tensors, cfg, [(f"layer.{i}", ATTENTION)])[0] if attention
-                else far_block.FarBlockParams.from_tensors(
-                    tensors, f"far.{i}", cfg.heads, cfg.head_dim,
-                    cfg.precision))
+        self.mixers = [
+            hold(tensors, cfg, [(f"layer.{i}", ATTENTION)])[0]
+            if kind == "attention" else far_block.FarBlockParams.from_tensors(
+                tensors, f"far.{i}", cfg.heads, cfg.head_dim, cfg.precision)
+            for i, kind in enumerate(mixer_kinds(cfg, tensors))]
 
     def named_parameters(self):
         """Table name -> the Tensor its holder has: the backbone's, in

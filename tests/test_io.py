@@ -811,13 +811,15 @@ def test_cli_no_args_usage_error(capsys):
 
 
 def test_cli_flops_csv(capsys):
-    """One row per cost metric after ``variant``, with the attention
-    model's value and the FAR model's."""
+    """One row per cost metric, with the attention model's value and the
+    FAR model's."""
     assert main(["flops"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == ["metric", "attention", "far"]
-    attention, far = (profiler.cost_rows(ModelConfig(), v)[1:]
-                      for v in ("attention", "far"))
+    cfg = ModelConfig()
+    attention, far = (
+        profiler.cost_rows(cfg, profiler.variant_shapes(cfg, v, None))
+        for v in ("attention", "far"))
     assert rows[1:] == [[k, str(a), str(f)]
                         for (k, a), (_, f) in zip(attention, far)]
 

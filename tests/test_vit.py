@@ -7,6 +7,7 @@ from far.checkpoint import load_checkpoint, load_model, save_model
 from far.cli import main
 from far.tensor import ShapeError, Tensor
 from far.far_block import replace_attention
+from far.profiler import count_flops
 from far.vit import (ATTENTION, EMBED, FINAL, MLP, Model, ModelConfig,
                      TeacherModel, take, tensor_shapes)
 
@@ -364,8 +365,17 @@ def test_a_model_mixes_attention_and_far_layers(teacher_f64, far_f64,
     err = capsys.readouterr().err
     assert str(path) in err and "expected a far checkpoint" in err
     assert not out.exists()
-    assert main(["bench", "--checkpoint", str(path)]) == 1  # no cost rows
-    assert "unknown variant 'mixed'" in capsys.readouterr().err
+    assert main(["bench", "--checkpoint", str(path)]) == 0
+    rows = dict(line.split(",", 1)
+                for line in capsys.readouterr().out.splitlines())
+    assert rows["variant"] == "mixed"
+    assert int(rows["params"]) == sum(
+        a.size for a in load_checkpoint(path)[2].values())
+    kinds = {v: count_flops(cfg, v, breakdown=True)[1]
+             for v in ("attention", "far")}
+    assert [int(rows[f"flops_layer_{i}"]) for i in range(cfg.layers)] == [
+        kinds["attention"][0], kinds["far"][1],
+        kinds["attention"][2], kinds["far"][3]]
 
     for head in range(cfg.heads):
         assert np.array_equal(cls_saliency(mixed, img[0], 0, head),
