@@ -21,16 +21,11 @@ from .far_block import replace_attention
 from .vit import TeacherModel
 
 
-def _seed(cfg, seed):
-    """``seed`` (a ``--seed``), or ``[train] seed`` when it is None."""
-    return seed if seed is not None else cfg["train"]["seed"]
-
-
-def _dataset_from_cfg(cfg, seed, mcfg):
-    """The run config's dataset, drawn with ``_seed(cfg, seed)``, at the
+def _dataset_from_cfg(cfg, mcfg):
+    """The run config's dataset, drawn with its ``[train] seed``, at the
     geometry of model config ``mcfg``."""
     d = cfg["data"]
-    return synth_dataset(_seed(cfg, seed), d["n"], mcfg.num_classes,
+    return synth_dataset(cfg["train"]["seed"], d["n"], mcfg.num_classes,
                          mcfg.image_size, channels=mcfg.channels,
                          noise=d["noise"])
 
@@ -105,7 +100,7 @@ def cmd_train_teacher(args, cfg):
     _check_writable(args.out, args.log)
     tr = cfg["train"]
     teacher = TeacherModel(model_config(cfg), seed=tr["seed"])
-    ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
+    ds = _dataset_from_cfg(cfg, teacher.cfg)
     tcfg = _train_cfg(cfg, "teacher", tr["teacher_lr"], tr["teacher_epochs"])
     rows = train_teacher(teacher, ds, tcfg)
     ckpt.save_model(teacher, args.out)
@@ -127,7 +122,7 @@ def _train_cfg(cfg, phase, lr, epochs):
 def cmd_distill(args, cfg):
     _check_writable(args.out, args.log)
     teacher = _load_kind(args.checkpoint, "teacher")
-    ds = _dataset_from_cfg(cfg, args.seed, teacher.cfg)
+    ds = _dataset_from_cfg(cfg, teacher.cfg)
     far = replace_attention(teacher, seed=cfg["train"]["seed"])
     di = cfg["distill"]
     rows = run_phase(far, teacher, ds,
@@ -142,7 +137,7 @@ def cmd_distill(args, cfg):
 def cmd_finetune(args, cfg):
     _check_writable(args.out, args.log)
     far = _load_kind(args.checkpoint, "far")
-    ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
+    ds = _dataset_from_cfg(cfg, far.cfg)
     di = cfg["distill"]
     rows = run_phase(far, None, ds,
                      _train_cfg(cfg, "finetune", di["finetune_lr"],
@@ -158,7 +153,7 @@ def cmd_prune(args, cfg):
     _check_writable(args.out, args.log, args.report)
     pr = cfg["prune"]
     far = _load_kind(args.checkpoint, "far")
-    ds = _dataset_from_cfg(cfg, args.seed, far.cfg)
+    ds = _dataset_from_cfg(cfg, far.cfg)
     reg_cfg = _train_cfg(cfg, "prune-regularize", pr["reg_lr"], pr["reg_epochs"])
     reg_cfg.weight_decay = pr["reg_weight_decay"]
     tune_cfg = _train_cfg(cfg, "prune-finetune", pr["finetune_lr"],
@@ -199,19 +194,21 @@ def cmd_bench(args, cfg):
     table of the model timed, one unit for a scan with none live. The
     report gives the config's precision, the dtype of the logits the
     measured forward produced and the thread variables set while it
-    ran."""
+    ran. The run config's ``[train] seed`` draws the random model and the
+    input image."""
+    seed = cfg["train"]["seed"]
     if args.checkpoint:
         model = pruner.shrink_model(ckpt.load_model(args.checkpoint))
     else:
-        teacher = TeacherModel(model_config(cfg), seed=cfg["train"]["seed"])
+        teacher = TeacherModel(model_config(cfg), seed=seed)
         model = (teacher if args.variant == "attention"
-                 else replace_attention(teacher, seed=cfg["train"]["seed"]))
+                 else replace_attention(teacher, seed=seed))
     mcfg = model.cfg
     kind = ckpt.model_kind(model)
     rows = [("variant", "attention" if kind == "teacher" else kind),
             *profiler.cost_rows(mcfg, {n: t.shape for n, t in
                                        model.named_parameters().items()})]
-    rng = np.random.default_rng(_seed(cfg, args.seed))
+    rng = np.random.default_rng(seed)
     image = rng.normal(size=(1, mcfg.channels, mcfg.image_size,
                              mcfg.image_size)).astype(np.float32)
     logits = {}
@@ -233,16 +230,17 @@ def cmd_bench(args, cfg):
 
 def cmd_attribute(args, cfg):
     """Maps of the checkpoint's model, on an image of its own geometry:
-    image 0 of the run config's dataset. Only that image is drawn: it takes
-    the seeded generator's first draws and is of class 0, whatever the
-    dataset's size and class count. Every map file is checked first."""
+    image 0 of the run config's dataset, drawn with its ``[train] seed``.
+    Only that image is drawn: it takes the seeded generator's first draws
+    and is of class 0, whatever the dataset's size and class count. Every
+    map file is checked first."""
     model = ckpt.load_model(args.checkpoint)
     m = model.cfg
     names = [f"saliency_l{args.layer}_h{h}" for h in range(m.heads)]
     names.append(f"dependency_l{args.layer}")
     _check_writable(*(f"{args.out_prefix}{n}.{ext}" for n in names
                       for ext in ("pgm", "csv")))
-    image = synth_dataset(_seed(cfg, args.seed), 1, 1, m.image_size,
+    image = synth_dataset(cfg["train"]["seed"], 1, 1, m.image_size,
                           channels=m.channels,
                           noise=cfg["data"]["noise"]).images[0]
     mats = {n: cls_saliency(model, image, args.layer, h)
@@ -253,15 +251,6 @@ def cmd_attribute(args, cfg):
     return 0
 
 
-def non_negative_int(text):
-    """An integer option's value, at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="far",
@@ -269,11 +258,9 @@ def build_parser():
                     "prune, profile, attribute.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, about, seed=True):
+    def command(name, about):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", default=None, help="run config file")
-        if seed:
-            p.add_argument("--seed", type=non_negative_int, default=None)
         return p
 
     def training(name, about, checkpoint=True):
@@ -290,8 +277,7 @@ def build_parser():
     p = training("prune", "three-stage Group-HS pruning")
     p.add_argument("--report", default="retention.csv")
 
-    command("flops", "analytic parameter and MAC counts of both variants",
-            seed=False)
+    command("flops", "analytic parameter and MAC counts of both variants")
 
     p = command("bench", "wall-clock latency harness")
     model = p.add_mutually_exclusive_group()

@@ -118,10 +118,17 @@ def parse_config(text):
 
 
 def load_config(path):
+    """The config file ``path`` (the defaults when it is None), read as
+    UTF-8; a file that is not UTF-8 is a ConfigError naming it."""
     if path is None:
         return default_config()
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at "
+                              f"byte {exc.start}") from exc
+    return parse_config(text)
 
 
 def model_config(cfg):

@@ -668,16 +668,6 @@ def test_config_rejects_value_below_minimum(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-3"]])
-def test_cli_rejects_negative_seed(tmp_path, capsys, seed):
-    """A negative --seed is a usage error naming the option (exit 2)."""
-    out = tmp_path / "t.farc"
-    assert main(["train-teacher", *seed, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "argument --seed: expected a non-negative integer" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("text,line", [
     ("[train]\nseed = 1\nbatch_size = 8\nseed = 2\n", 4),
     ("[train]\nseed = 1\n[data]\nn = 20\n[train]\nseed = 2\n", 6),
@@ -871,8 +861,9 @@ def test_cli_attribute_uses_the_checkpoint_image_size(tmp_path, capsys):
 
 def test_cli_attribute_maps_image_0_of_the_run_dataset(tmp_path, capsys,
                                                        monkeypatch):
-    """The one image drawn is byte-identical to image 0 of the whole
-    ``[data]`` dataset, so the maps are those of that image."""
+    """The one image drawn, with ``[train] seed``, is byte-identical to
+    image 0 of the whole ``[data]`` dataset, so the maps are those of that
+    image."""
     cfg = desk_config()
     cfg.layers = 2
     model = replace_attention(TeacherModel(cfg, seed=41), seed=41)
@@ -885,8 +876,11 @@ def test_cli_attribute_maps_image_0_of_the_run_dataset(tmp_path, capsys,
         return drawn[-1]
 
     monkeypatch.setattr(cli, "synth_dataset", spy)
-    assert main(["attribute", "--checkpoint", str(path), "--layer", "1",
-                 "--seed", "5", "--out-prefix", str(tmp_path / "new_")]) == 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[train]\nseed = 5\n")
+    assert main(["attribute", "--config", str(cfgfile), "--checkpoint",
+                 str(path), "--layer", "1",
+                 "--out-prefix", str(tmp_path / "new_")]) == 0
     files = capsys.readouterr().out.split()
     assert [len(ds.labels) for ds in drawn] == [1]
     image = synth_dataset(5, 200, 10, 32, channels=3, noise=0.25).images[0]
@@ -939,11 +933,19 @@ def test_cli_attribute_checks_every_file_before_the_first_map(tmp_path,
     assert [p for p in att.iterdir() if p.is_file()] == []
 
 
-def test_cli_bad_config_is_pipeline_error(tmp_path, capsys):
+@pytest.mark.parametrize("content,named", [
+    (b"[nope]\nx = 1\n", "unknown section [nope]"),
+    (b"\xff[train]\nseed = 1\n", "{path}: not UTF-8 text"),
+], ids=["unknown-section", "not-utf8"])
+def test_cli_bad_config_is_pipeline_error(tmp_path, capsys, content, named):
+    """A fault in the config file, or a file that is not UTF-8 (named by
+    its path), is a pipeline error (exit 1)."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[nope]\nx = 1\n")
+    bad.write_bytes(content)
     assert main(["flops", "--config", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named.format(path=bad) in err
 
 
 def test_cli_bench(tmp_path, capsys):
@@ -1204,7 +1206,7 @@ def test_cli_prints_the_last_epoch_accuracy_without_measuring_it_again(
     assert len(calls) == max(epochs, 1)
     printed = capsys.readouterr().out.split("train acc ")[1].split(";")[0]
     model = load_model(out)
-    ds = cli._dataset_from_cfg(load_config(str(cfgfile)), None, model.cfg)
+    ds = cli._dataset_from_cfg(load_config(str(cfgfile)), model.cfg)
     assert printed == f"{real(model, ds):.3f}"
     if epochs:
         header, *rows = log.read_text().splitlines()
@@ -1236,15 +1238,13 @@ def test_cli_prune_rejects_negative_values_before_training(
 
 # subcommand -> every option it takes: a flag that nothing reads stays out
 CLI_OPTIONS = {
-    "train-teacher": {"--config", "--seed", "--out", "--log"},
-    "distill": {"--config", "--seed", "--checkpoint", "--out", "--log"},
-    "finetune": {"--config", "--seed", "--checkpoint", "--out", "--log"},
-    "prune": {"--config", "--seed", "--checkpoint", "--out", "--log",
-              "--report"},
+    "train-teacher": {"--config", "--out", "--log"},
+    "distill": {"--config", "--checkpoint", "--out", "--log"},
+    "finetune": {"--config", "--checkpoint", "--out", "--log"},
+    "prune": {"--config", "--checkpoint", "--out", "--log", "--report"},
     "flops": {"--config"},
-    "bench": {"--config", "--seed", "--variant", "--checkpoint"},
-    "attribute": {"--config", "--seed", "--checkpoint", "--layer",
-                  "--out-prefix"},
+    "bench": {"--config", "--variant", "--checkpoint"},
+    "attribute": {"--config", "--checkpoint", "--layer", "--out-prefix"},
 }
 
 
@@ -1273,10 +1273,17 @@ def test_cli_bench_variant_and_checkpoint_exclude_each_other(capsys, argv):
     (["flops", "--image-size", "384"], "unrecognized arguments"),
     (["params"], "invalid choice: 'params'"),
     (["flops", "--variant", "far"], "unrecognized arguments: --variant far"),
-], ids=["threshold", "reg-coeff", "image-size", "params", "flops-variant"])
+    (["train-teacher", "--seed", "3", "--out", "t.farc"],
+     "unrecognized arguments: --seed"),
+    (["bench", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["attribute", "--checkpoint", "m.farc", "--seed", "3"],
+     "unrecognized arguments: --seed"),
+], ids=["threshold", "reg-coeff", "image-size", "params", "flops-variant",
+        "train-teacher-seed", "bench-seed", "attribute-seed"])
 def test_cli_hyperparameter_flags_are_usage_errors(capsys, argv, error):
     """The run config is the only way to set a hyperparameter: its old
-    flags are unknown options. ``far flops`` prints both variants, so
+    flags are unknown options. ``[train] seed`` is the only seed, so
+    ``--seed`` is gone. ``far flops`` prints both variants, so
     ``far params`` and ``flops --variant`` are gone too."""
     assert main(argv) == 2
     assert error in capsys.readouterr().err

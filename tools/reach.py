@@ -9,8 +9,9 @@ suite). In a temporary directory it runs, each in its own subprocess under
 a line tracer (``sys.settrace``):
 
 - every CLI command in f32 and in f64 with a tiny config (a comment line,
-  every epoch count above ``warmup_epochs`` so that the cosine decay runs):
-  train-teacher (with ``--seed``) -> distill -> finetune -> prune -> a
+  a non-default ``[train] seed``, every epoch count above
+  ``warmup_epochs`` so that the cosine decay runs):
+  train-teacher -> distill -> finetune -> prune -> a
   second prune of the pruned (shrunk) file, whose scans have unequal
   widths -> attribute of the pruned and the teacher file (both at their
   last layer), flops without ``--config`` and under a config of image
@@ -46,6 +47,7 @@ CONFIG = """\
 precision = {precision}
 image_size = {image_size}
 [train]
+seed = 3
 teacher_epochs = 2
 warmup_epochs = 1
 [distill]
@@ -165,7 +167,7 @@ def runs(work):
         t, f, ft, p, pp = (str(d / n) for n in (
             "t.farc", "f.farc", "ft.farc", "p.farc", "pp.farc"))
         for argv in (
-                ["train-teacher", *cfg, "--seed", "3", "--out", t,
+                ["train-teacher", *cfg, "--out", t,
                  "--log", str(d / "t.csv")],
                 ["distill", *cfg, "--checkpoint", t, "--out", f,
                  "--log", str(d / "f.csv")],
