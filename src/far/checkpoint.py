@@ -19,18 +19,23 @@ past the end and on a tensor name that is not UTF-8 or comes twice.
 ``load_model`` builds the model straight from the file's tensor table: a
 missing, unexpected or misshapen tensor is a CheckpointError naming it,
 and so is a stored ``kind`` (``model_kind``) other than the table's. Kind
-``mixed`` needed no version bump: an older reader rejects it by name.
+``mixed`` needed no version bump: an older reader rejects it by name. A
+loaded FAR model builds its ``teacher`` (a seed-0 random teacher holding a
+copy of the file's backbone, read only by perfbench) on first read, so a
+load that never reads it draws no random numbers.
 
 Version 2 lets each LSTM scan of a FAR model be narrower than head_dim,
 and ``load_model`` builds each scan at the hidden size of its ``w_hh``
 tensor. ``save_model`` writes every FAR model at its live widths: a unit
 whose coupled weights are all zero is dropped from the file, so a model
 pruned in place loads back as small as ``pruner.shrink_model`` would make
-it. Version 1 files stay readable; their ``mask.*`` tensors are skipped,
-which is exact because a v1 pruned file already holds its pruned units as
-all-zero weight groups.
+it, and a block with no such unit is written without a re-pack. Version 1
+files stay readable; their ``mask.*`` tensors are skipped, which is exact
+because a v1 pruned file already holds its pruned units as all-zero weight
+groups.
 """
 
+import functools
 import math
 import os
 import struct
@@ -42,7 +47,7 @@ import numpy as np
 
 from .far_block import FarBlockParams, live_tensors
 from .tensor import ShapeError, Tensor
-from .vit import Model, ModelConfig, TeacherModel
+from .vit import Model, ModelConfig, TeacherModel, tensor_shapes
 
 MAGIC = b"FARC"
 FORMAT_VERSION = 2
@@ -192,12 +197,35 @@ def save_model(model, path):
                     kind=model_kind(model))
 
 
+class _FarFileModel(Model):
+    """A FAR file's model, with ``teacher`` as well (the "known wart":
+    perfbench distills against ``load_model(far).teacher`` and pins that
+    loss; nothing in the package reads it). Until that first read the model
+    keeps the file's backbone arrays, and only those."""
+
+    def __init__(self, cfg, tensors):
+        super().__init__(cfg, tensors)
+        self._backbone = {n: tensors[n]
+                          for n in tensor_shapes(cfg, attention=False)}
+
+    @functools.cached_property
+    def teacher(self):
+        """A seed-0 random teacher holding a copy of the file's backbone."""
+        backbone = self.__dict__.pop("_backbone")
+        return TeacherModel.from_tensors(self.cfg, {
+            n: backbone.get(n, t) for n, t in
+            TeacherModel(self.cfg, seed=0).named_parameters().items()})
+
+
 def load_model(path):
-    """The model a checkpoint describes, built from its tensor table (a
-    TeacherModel for a ``teacher`` file) and of its stored kind."""
+    """The model a checkpoint describes, built from its tensor table and of
+    its stored kind: a TeacherModel for a ``teacher`` file, a ``Model`` for
+    a ``mixed`` one, and for a ``far`` file a ``Model`` whose ``teacher``
+    is built on first read (``_FarFileModel``)."""
     cfg, kind, tensors = load_checkpoint(path)
     tensors = {n: a for n, a in tensors.items() if not n.startswith("mask.")}
-    build = TeacherModel.from_tensors if kind == "teacher" else Model
+    build = {"teacher": TeacherModel.from_tensors, "far": _FarFileModel,
+             "mixed": Model}[kind]
     try:
         model = build(cfg, tensors)
     except ShapeError as exc:
@@ -209,11 +237,4 @@ def load_model(path):
     unexpected = sorted(tensors.keys() - model.named_parameters().keys())
     if unexpected:
         raise CheckpointError(f"{path}: unexpected tensor {unexpected[0]}")
-    if kind == "far":
-        # Known wart: perfbench distills against ``load_model(far).teacher``
-        # and pins that loss, so a FAR model still gets a seed-0 random
-        # teacher with a copy of its backbone. Nothing in the package reads it.
-        model.teacher = TeacherModel.from_tensors(cfg, {
-            n: tensors.get(n, t)
-            for n, t in TeacherModel(cfg, seed=0).named_parameters().items()})
     return model

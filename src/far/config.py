@@ -119,7 +119,8 @@ def parse_config(text):
 
 def load_config(path):
     """The config file ``path`` (the defaults when it is None), read as
-    UTF-8; a file that is not UTF-8 is a ConfigError naming it."""
+    UTF-8; a file that is not UTF-8, or a fault ``parse_config`` finds, is
+    a ConfigError naming it."""
     if path is None:
         return default_config()
     with open(path, encoding="utf-8") as fh:
@@ -128,7 +129,10 @@ def load_config(path):
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at "
                               f"byte {exc.start}") from exc
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def model_config(cfg):

@@ -621,14 +621,14 @@ def shrink_block(blk: FarBlockParams, keep, prefix):
 
 
 def live_tensors(model):
-    """``model.named_parameters()`` with each FAR block's re-packed by
-    ``shrink_block``, which keeps every unit of a block with none pruned. A
-    scan with no live unit keeps one all-zero unit, which is exact (its h
-    and c stay 0) and keeps every width in the 1..head_dim that
+    """``model.named_parameters()`` with each FAR block that has a pruned
+    unit re-packed by ``shrink_block``; a block with none keeps its own
+    Tensors. A scan with no live unit keeps one all-zero unit, which is
+    exact (its h and c stay 0) and keeps every width in the 1..head_dim that
     ``from_tensors`` accepts."""
     tensors = model.named_parameters()
     for i, (blk, masks) in enumerate(zip(model.mixers, model.masks)):
-        if masks:
+        if not all(m.all() for m in masks):
             keep = [m if m.any() else np.arange(m.size) == 0 for m in masks]
             tensors.update(shrink_block(blk, keep, f"far.{i}"))
     return tensors

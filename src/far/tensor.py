@@ -688,11 +688,12 @@ def ones(shape, dtype):
 
 
 def trunc_normal(rng, shape, dtype):
-    """Truncated normal at 2 sigma via resampling."""
+    """Truncated normal at 2 sigma via resampling: each round redraws, in
+    index order, only the values the last round left outside."""
     std = 0.02
-    vals = rng.normal(0.0, std, size=shape)
-    bad = np.abs(vals) > 2 * std
-    while bad.any():
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * std
-    return Tensor(vals.astype(DTYPES[dtype]))
+    vals = rng.normal(0.0, std, size=math.prod(shape))
+    bad = np.flatnonzero(np.abs(vals) > 2 * std)
+    while bad.size:
+        vals[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(vals[bad]) > 2 * std]
+    return Tensor(vals.reshape(shape).astype(DTYPES[dtype]))

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -403,16 +404,103 @@ def test_load_model_builds_from_the_table_and_resaves_same_bytes(
              "shrunk": shrink_model(_pruned_far(38))}[kind]
     path, again = tmp_path / "a.farc", tmp_path / "b.farc"
     save_model(model, path)
-    # a FAR file still gets a seed-0 random teacher (see load_model)
-    forbidden = ([(T, "trunc_normal")] if kind == "teacher" else
+    # a FAR file's seed-0 random teacher is drawn on first read, not here
+    forbidden = [(T, "trunc_normal")] + ([] if kind == "teacher" else
                  [(m, n) for m in (far_block, ckpt)
                   for n in ("init_far_block", "shrink_block")])
     for module, name in forbidden:
         monkeypatch.setattr(module, name, _forbidden, raising=False)
     loaded = load_model(path)
-    monkeypatch.undo()  # saving re-packs every FAR block (live_tensors)
+    monkeypatch.undo()  # saving re-packs a FAR block with a pruned unit
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_an_unpruned_far_model_is_saved_without_a_repack(tmp_path,
+                                                         precision):
+    """``live_tensors`` of a FAR model with no pruned unit is its own
+    Tensors, and ``save_model`` writes the bytes of the re-packed table."""
+    cfg = desk_config(precision)
+    far = replace_attention(TeacherModel(cfg, seed=46), seed=46)
+    named = far.named_parameters()
+    live = far_block.live_tensors(far)
+    assert live.keys() == named.keys()
+    assert all(live[n] is t for n, t in named.items())
+    repacked = far.named_parameters()
+    for i, (blk, masks) in enumerate(zip(far.mixers, far.masks)):
+        assert all(m.all() for m in masks)
+        repacked.update(far_block.shrink_block(blk, masks, f"far.{i}"))
+    assert any(repacked[n] is not t for n, t in named.items())
+    save_model(far, tmp_path / "a.farc")
+    save_checkpoint(tmp_path / "b.farc", cfg, repacked, kind="far")
+    assert (tmp_path / "a.farc").read_bytes() \
+        == (tmp_path / "b.farc").read_bytes()
+
+
+def _eager_teacher(cfg, tensors):
+    """The seed-0 random teacher with a copy of a FAR table's backbone that
+    ``load_model`` built on every FAR load before ``teacher`` was lazy."""
+    return TeacherModel.from_tensors(cfg, {
+        n: tensors.get(n, t)
+        for n, t in TeacherModel(cfg, seed=0).named_parameters().items()})
+
+
+def _count_teachers(monkeypatch):
+    """A list that grows by one for each TeacherModel constructed, drawn
+    or built ``from_tensors``: both run ``vit.Model.__init__``."""
+    built, init = [], vit.Model.__init__
+
+    def counted(self, *args):
+        if isinstance(self, TeacherModel):
+            built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(vit.Model, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("pruned", [False, True], ids=["unpruned", "pruned"])
+def test_a_far_load_builds_its_teacher_on_first_read(tmp_path, monkeypatch,
+                                                     precision, pruned):
+    cfg = desk_config(precision)
+    far = replace_attention(TeacherModel(cfg, seed=47), seed=47)
+    if pruned:
+        prune_by_threshold(far, 0.9, mode="relative")
+    path = tmp_path / "far.farc"
+    save_model(far, path)
+    want = _eager_teacher(cfg, load_checkpoint(path)[2])
+    built = _count_teachers(monkeypatch)
+    loaded = load_model(path)
+    assert built == [] and "teacher" not in vars(loaded)
+    assert isinstance(loaded, vit.Model)
+    assert not isinstance(loaded, TeacherModel)
+    # the teacher copies the file's backbone, not the model's current one
+    for t in loaded.named_parameters().values():
+        t.data = t.data + 1.0
+    teacher = loaded.teacher
+    assert built and isinstance(teacher, TeacherModel)
+    assert loaded.teacher is teacher
+    assert "_backbone" not in vars(loaded)
+    got, expect = teacher.named_parameters(), want.named_parameters()
+    assert list(got) == list(expect)
+    for n, t in expect.items():
+        assert got[n].data.dtype == t.data.dtype
+        assert got[n].data.tobytes() == t.data.tobytes(), n
+
+
+def test_a_mixed_load_has_no_teacher(tmp_path, monkeypatch):
+    teacher = TeacherModel(desk_config(), seed=48)
+    tensors = replace_attention(teacher, seed=48).named_parameters()
+    tensors = {n: t for n, t in tensors.items() if not n.startswith("far.0.")}
+    tensors.update({n: t for n, t in teacher.named_parameters().items()
+                    if n.startswith("layer.0.")})
+    path = tmp_path / "mixed.farc"
+    save_model(vit.Model(teacher.cfg, tensors), path)
+    built = _count_teachers(monkeypatch)
+    loaded = load_model(path)
+    assert type(loaded) is vit.Model and not hasattr(loaded, "teacher")
+    assert built == []
 
 
 def _held_tensors(obj):
@@ -752,6 +840,61 @@ def test_dataset_stratified_and_split():
     assert (val_counts == 4).all()
 
 
+@pytest.mark.parametrize("kwargs,named", [
+    ({"n": 9}, "need n >= classes, got n=9, classes=10"),
+    ({"image_size": 3}, "image_size too small"),
+    ({"channels": 0}, "channels must be at least 1, got 0"),
+    ({"channels": -1}, "channels must be at least 1, got -1"),
+], ids=["n", "image_size", "channels=0", "channels=-1"])
+def test_dataset_rejects_bad_inputs_by_name(kwargs, named):
+    args = {"seed": 0, "n": 20, "classes": 10, "image_size": 8, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        synth_dataset(**args)
+
+
+def _stacked_synth_dataset(seed, n, classes, image_size, channels, noise):
+    """``synth_dataset`` as it was built: a grating grid per image, an
+    ``np.stack`` of channel copies, then one stack of every image."""
+    rng = np.random.default_rng(seed)
+    counts = [n // classes + (1 if i < n % classes else 0)
+              for i in range(classes)]
+    yy, xx = np.mgrid[0:image_size, 0:image_size] / image_size
+    images, labels, train_idx, val_idx = [], [], [], []
+    pos = 0
+    for c, count in enumerate(counts):
+        theta = np.pi * c / classes
+        for j in range(count):
+            freq = 3.0 + rng.uniform(-0.3, 0.3)
+            phase = rng.uniform(0, 2 * np.pi)
+            wave = np.sin(2 * np.pi * freq *
+                          (xx * np.cos(theta) + yy * np.sin(theta)) + phase)
+            img = np.stack([wave] * channels) + rng.normal(
+                0, noise, size=(channels, image_size, image_size))
+            images.append(img.astype(np.float32))
+            labels.append(c)
+        n_train = max(1, int(round(count * 0.8)))
+        train_idx.extend(range(pos, pos + n_train))
+        val_idx.extend(range(pos + n_train, pos + count))
+        pos += count
+    return (np.stack(images), np.array(labels, dtype=np.int64),
+            np.array(train_idx, dtype=np.int64),
+            np.array(val_idx, dtype=np.int64))
+
+
+@pytest.mark.parametrize("noise", [0.25, 1.0])
+@pytest.mark.parametrize("image_size", [16, 32, 64])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_dataset_equals_the_per_image_stack_loop(channels, image_size,
+                                                 noise):
+    ds = synth_dataset(53, 23, 10, image_size, channels=channels,
+                       noise=noise)
+    want = _stacked_synth_dataset(53, 23, 10, image_size, channels, noise)
+    got = (ds.images, ds.labels, ds.train_idx, ds.val_idx)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_dataset_split_names_train_and_val():
     ds = synth_dataset(42, 50, 10, 8)
     for which, idx in (("train", ds.train_idx), ("val", ds.val_idx)):
@@ -934,12 +1077,12 @@ def test_cli_attribute_checks_every_file_before_the_first_map(tmp_path,
 
 
 @pytest.mark.parametrize("content,named", [
-    (b"[nope]\nx = 1\n", "unknown section [nope]"),
+    (b"[nope]\nx = 1\n", "{path}: line 1: unknown section [nope]"),
     (b"\xff[train]\nseed = 1\n", "{path}: not UTF-8 text"),
 ], ids=["unknown-section", "not-utf8"])
 def test_cli_bad_config_is_pipeline_error(tmp_path, capsys, content, named):
-    """A fault in the config file, or a file that is not UTF-8 (named by
-    its path), is a pipeline error (exit 1)."""
+    """A fault in the config file, or a file that is not UTF-8, is a
+    pipeline error (exit 1) named by the file's path."""
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(content)
     assert main(["flops", "--config", str(bad)]) == 1

@@ -705,3 +705,32 @@ def test_warm_frozen_b1_far_forward_makes_no_more_python_calls_than_measured():
     profile.disable()
     calls = pstats.Stats(profile).total_calls
     assert calls <= FAR_B1_FORWARD_CALLS, calls
+
+
+def _whole_array_trunc_normal(rng, shape, dtype):
+    """``trunc_normal`` as it was built, re-testing the whole array each
+    round; also returns its number of resampling rounds."""
+    std, rounds = 0.02, 0
+    vals = rng.normal(0.0, std, size=shape)
+    bad = np.abs(vals) > 2 * std
+    while bad.any():
+        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(vals) > 2 * std
+        rounds += 1
+    return vals.astype(T.DTYPES[dtype]), rounds
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_trunc_normal_equals_the_whole_array_loop(dtype):
+    """The same numbers in the same order: equal bytes, and the generator
+    left in the same state."""
+    shape = (256, 400)
+    a, b = np.random.default_rng(54), np.random.default_rng(54)
+    want, rounds = _whole_array_trunc_normal(a, shape, dtype)
+    got = T.trunc_normal(b, shape, dtype)
+    assert rounds >= 3
+    assert got.data.dtype == want.dtype and got.shape == shape
+    assert got.data.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+    assert np.abs(got.data).max() <= 0.04
+
