@@ -56,9 +56,9 @@ def _prefix_arrays(model, layer):
             if isinstance(t, Tensor)]
 
 
-def _layer_input(model, image, layer, head=None):
+def _layer_input(model, image, layer):
     """The input of ``layer`` for one image, (1, T, D), as a Tensor with no
-    graph and a read-only array. A layer or head outside the model is an
+    graph and a read-only array. A layer outside the model is an
     IndexError; a batch of more than one image is a ShapeError.
 
     The image is taken at the model's dtype, the dtype ``patch_embed``
@@ -69,8 +69,6 @@ def _layer_input(model, image, layer, head=None):
     replaces it."""
     if not 0 <= layer < model.cfg.layers:
         raise IndexError(f"layer {layer} out of range [0, {model.cfg.layers})")
-    if head is not None and not 0 <= head < model.cfg.heads:
-        raise IndexError(f"head {head} out of range [0, {model.cfg.heads})")
     img = np.asarray(image.data if isinstance(image, Tensor) else image,
                      T.DTYPES[model.cfg.precision])
     arrays = [np.ascontiguousarray(a)
@@ -107,10 +105,13 @@ def cls_saliency(model, image, layer, head):
     magnitude of the gradient of the L2 norm of the head's CLS hidden
     state with respect to the layer's input tokens. Either takes the
     layer's input (``_layer_input``, the thread's kept one when it
-    matches), then runs the one layer.
+    matches), then runs the one layer. A head or layer outside the model
+    is an IndexError, raised before the prefix runs.
     """
+    if not 0 <= head < model.cfg.heads:
+        raise IndexError(f"head {head} out of range [0, {model.cfg.heads})")
     g = model.cfg.grid
-    x = _layer_input(model, image, layer, head)
+    x = _layer_input(model, image, layer)
     blk = model.mixers[layer]
     if not isinstance(blk, FarBlockParams):
         attn = model.attention_block(x, blk)[1]

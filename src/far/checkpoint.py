@@ -74,10 +74,14 @@ def _parse_config_blob(path, blob: bytes):
         lines = [line for line in blob.decode().splitlines() if line]
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: config block is not UTF-8") from exc
+    kv = {}
     for line in lines:
         if "=" not in line:
             raise CheckpointError(f"{path}: config line {line!r} has no '='")
-    kv = dict(line.split("=", 1) for line in lines)
+        key, value = line.split("=", 1)
+        if key in kv:
+            raise CheckpointError(f"{path}: config key {key!r} is set twice")
+        kv[key] = value
     keys = {"kind"} | {f.name for f in fields(ModelConfig)}
     if kv.keys() != keys:
         raise CheckpointError(

@@ -1,8 +1,8 @@
 """Line-oriented run configuration: ``key = value`` pairs under
 ``[section]`` headers. Unknown sections or keys, and a key set twice in
-one section, are errors; every key has a documented default, a float key
-only finite values, a string key listed in ``CHOICES`` only the values
-listed there, and a key listed in ``MINIMUM`` no smaller value.
+one section, are errors. Each key's ``SCHEMA`` row says all that it
+accepts: its type, its default and its least value or the only values it
+may take; a float key takes only finite values.
 """
 
 import math
@@ -12,50 +12,35 @@ from .pruner import MODES
 from .tensor import DTYPES
 from .vit import ModelConfig
 
-# section -> key -> (type, default); ``[model]`` is ``ModelConfig``'s fields
+# section -> key -> (type, default, accepted); ``accepted`` is the least
+# value of a number key (0 epochs train nothing), the tuple of values a
+# string key may take, or None where another owner checks the value:
+# ``ModelConfig`` the ``[model]`` sizes, ``data.synth_dataset`` ``[data] n``.
 SCHEMA = {
-    "model": {f.name: (f.type, f.default) for f in fields(ModelConfig)},
+    "model": {f.name: (f.type, f.default,
+                       tuple(DTYPES) if f.name == "precision" else None)
+              for f in fields(ModelConfig)},
     "train": {
-        "seed": (int, 0), "batch_size": (int, 32),
-        "teacher_epochs": (int, 60), "teacher_lr": (float, 1e-3),
-        "weight_decay": (float, 0.05), "warmup_epochs": (int, 2),
-        "warmup_lr": (float, 1e-5),
+        "seed": (int, 0, 0), "batch_size": (int, 32, 1),
+        "teacher_epochs": (int, 60, 0), "teacher_lr": (float, 1e-3, 0.0),
+        "weight_decay": (float, 0.05, 0.0), "warmup_epochs": (int, 2, 0),
+        "warmup_lr": (float, 1e-5, 0.0),
     },
     "distill": {
-        "lam": (float, 1.0), "lr": (float, 5e-4), "epochs": (int, 50),
-        "finetune_lr": (float, 5e-5), "finetune_epochs": (int, 20),
+        "lam": (float, 1.0, 0.0), "lr": (float, 5e-4, 0.0),
+        "epochs": (int, 50, 0), "finetune_lr": (float, 5e-5, 0.0),
+        "finetune_epochs": (int, 20, 0),
     },
     "prune": {
-        "reg_coeff": (float, 1e-4), "threshold": (float, 1e-4),
-        "threshold_mode": (str, "absolute"),
-        "reg_epochs": (int, 20), "reg_lr": (float, 5e-5),
-        "reg_weight_decay": (float, 0.0),
-        "finetune_epochs": (int, 20), "finetune_lr": (float, 5e-5),
+        "reg_coeff": (float, 1e-4, 0.0), "threshold": (float, 1e-4, 0.0),
+        "threshold_mode": (str, "absolute", MODES),
+        "reg_epochs": (int, 20, 0), "reg_lr": (float, 5e-5, 0.0),
+        "reg_weight_decay": (float, 0.0, 0.0),
+        "finetune_epochs": (int, 20, 0), "finetune_lr": (float, 5e-5, 0.0),
     },
-    "bench": {
-        "runs": (int, 100), "warmups": (int, 30),
-    },
-    "data": {
-        "n": (int, 200), "noise": (float, 0.25),
-    },
+    "bench": {"runs": (int, 100, 1), "warmups": (int, 30, 0)},
+    "data": {"n": (int, 200, None), "noise": (float, 0.25, 0.0)},
 }
-
-
-# (section, key) -> the only values a string key may take
-CHOICES = {("model", "precision"): tuple(DTYPES),
-           ("prune", "threshold_mode"): MODES}
-
-# (section, key) -> the least value a numeric key may take, 0 for every
-# epoch count, learning rate and weight decay (0 epochs train nothing).
-# ``[model]`` sizes are checked by ``ModelConfig``.
-MINIMUM = {("train", "seed"): 0, ("train", "batch_size"): 1,
-           ("bench", "runs"): 1, ("bench", "warmups"): 0,
-           ("data", "noise"): 0.0,
-           ("prune", "threshold"): 0.0, ("prune", "reg_coeff"): 0.0,
-           ("distill", "lam"): 0.0,
-           **{(sec, key): typ(0) for sec, keys in SCHEMA.items()
-              for key, (typ, _) in keys.items()
-              if key.endswith(("epochs", "lr", "weight_decay"))}}
 
 
 class ConfigError(ValueError):
@@ -63,29 +48,30 @@ class ConfigError(ValueError):
 
 
 def coerce(section, key, raw):
-    """Text ``raw`` as the value of ``[section] key``: of its type, a listed
-    choice, finite and no less than its minimum, else a ConfigError that
-    names the key."""
+    """Text ``raw`` as the value of ``[section] key``, as its ``SCHEMA`` row
+    accepts it: one of its listed values, or of its type, finite and no
+    less than its least value; else a ConfigError that names the key."""
     label = f"[{section}] {key}"
-    typ, _ = SCHEMA[section][key]
-    choices = CHOICES.get((section, key))
-    if choices is not None and raw not in choices:
-        raise ConfigError(f"{label}: expected one of {', '.join(choices)}, "
-                          f"got {raw!r}")
+    typ, _, accepted = SCHEMA[section][key]
+    if isinstance(accepted, tuple):
+        if raw not in accepted:
+            raise ConfigError(f"{label}: expected one of "
+                              f"{', '.join(accepted)}, got {raw!r}")
+        return raw
     try:
         value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"{label}: expected a finite number, got {raw!r}")
-    least = MINIMUM.get((section, key))
-    if least is not None and value < least:
-        raise ConfigError(f"{label}: expected at least {least}, got {raw!r}")
+    if accepted is not None and value < accepted:
+        raise ConfigError(f"{label}: expected at least {accepted}, "
+                          f"got {raw!r}")
     return value
 
 
 def default_config():
-    return {sec: {k: dv for k, (_, dv) in keys.items()}
+    return {sec: {k: dv for k, (_, dv, _) in keys.items()}
             for sec, keys in SCHEMA.items()}
 
 

@@ -26,6 +26,8 @@ class Dataset:
 
 def synth_dataset(seed, n, classes, image_size, channels=3, noise=0.25):
     """Stratified oriented-grating dataset with a fixed 80/20 split."""
+    if classes < 1:
+        raise ValueError(f"classes must be at least 1, got {classes}")
     if n < classes:
         raise ValueError(f"need n >= classes, got n={n}, classes={classes}")
     if image_size < 4:

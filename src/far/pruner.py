@@ -117,9 +117,13 @@ def _sum_in_order(terms):
 def _by_width(far_model: Model):
     """The (block, k) of every scan of ``far_model``'s FAR layers in lists
     of one hidden width (one list, before shrinking), and each one's
-    position in scan order, in the same sequence."""
+    position in scan order, in the same sequence. A model with no FAR
+    layer is a ValueError."""
     scans = [(blk, k) for blk in far_model.mixers
              if isinstance(blk, FarBlockParams) for k in range(len(blk.scans))]
+    if not scans:
+        raise ValueError("the model has no FAR layer: no scan to prune or "
+                         "regularize")
     groups = {}
     for i, (blk, k) in enumerate(scans):
         groups.setdefault(blk.scans[k].hidden, []).append(i)
@@ -207,8 +211,10 @@ def three_stage_pipeline(far_model, teacher, dataset, reg_cfg, tune_cfg,
 
     ``far_model`` is shrunk in place: its mixers are replaced, and each
     phase's epoch rows are appended to ``log_rows`` when given. A negative
-    or nan ``tau`` or ``reg_coeff``, or a bad mode, fails before training.
+    or nan ``tau`` or ``reg_coeff``, a bad mode, or a model with no FAR
+    layer fails before training.
     """
+    _by_width(far_model)
     for name, value in (("tau", tau), ("reg_coeff", reg_coeff)):
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")

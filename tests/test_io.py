@@ -228,6 +228,20 @@ def test_bad_config_block_is_checkpoint_error(tmp_path, capsys, fault):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("again", ["4", "2"], ids=["same", "other"])
+def test_a_config_key_set_twice_in_a_checkpoint_is_named(tmp_path, capsys,
+                                                         again):
+    path = tmp_path / "bad.farc"
+    save_checkpoint(path, desk_config(), {}, kind="far")
+    blob = ckpt._config_blob(desk_config(), "far")
+    _with_config_blob(path, blob + f"\nlayers={again}".encode())
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: config key 'layers' is set twice")):
+        load_checkpoint(path)
+    assert main(["bench", "--checkpoint", str(path)]) == 1
+    assert "config key 'layers' is set twice" in capsys.readouterr().err
+
+
 def _patch_bytes(path, offset, data):
     """Overwrite the bytes at ``offset``; the CRC stays valid."""
     raw = bytearray(path.read_bytes())
@@ -791,7 +805,7 @@ def test_config_with_dim_not_heads_times_head_dim_fails(tmp_path, capsys,
 
 
 FLOAT_KEYS = [(sec, key) for sec, keys in SCHEMA.items()
-              for key, (typ, _) in keys.items() if typ is float]
+              for key, (typ, *_) in keys.items() if typ is float]
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf"])
@@ -842,10 +856,13 @@ def test_dataset_stratified_and_split():
 
 @pytest.mark.parametrize("kwargs,named", [
     ({"n": 9}, "need n >= classes, got n=9, classes=10"),
+    ({"classes": 0}, "classes must be at least 1, got 0"),
+    ({"n": -5, "classes": -3}, "classes must be at least 1, got -3"),
     ({"image_size": 3}, "image_size too small"),
     ({"channels": 0}, "channels must be at least 1, got 0"),
     ({"channels": -1}, "channels must be at least 1, got -1"),
-], ids=["n", "image_size", "channels=0", "channels=-1"])
+], ids=["n", "classes=0", "classes=-3", "image_size", "channels=0",
+        "channels=-1"])
 def test_dataset_rejects_bad_inputs_by_name(kwargs, named):
     args = {"seed": 0, "n": 20, "classes": 10, "image_size": 8, **kwargs}
     with pytest.raises(ValueError, match=re.escape(named)):

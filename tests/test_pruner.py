@@ -692,3 +692,27 @@ def test_pipeline_rejects_unknown_mode_before_training(monkeypatch):
         three_stage_pipeline(far, None, ds, reg, tune, tau=0.97,
                              mode="Relative", reg_coeff=1e-4)
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: prune_by_threshold(m, 0.5, "relative"),
+    lambda m: hoyer_penalty_total(m),
+], ids=["prune_by_threshold", "hoyer_penalty_total"])
+def test_a_model_with_no_far_layer_is_named(call):
+    with pytest.raises(ValueError, match="the model has no FAR layer"):
+        call(TeacherModel(desk_config(), seed=0))
+
+
+def test_pipeline_rejects_a_model_with_no_far_layer_before_training(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(distill, "run_phase",
+                        lambda *args, **kw: calls.append(args) or [])
+    teacher = TeacherModel(desk_config(), seed=21)
+    ds = synth_dataset(21, 20, 10, 32)
+    reg = TrainConfig(phase="prune-regularize", epochs=1, batch_size=20)
+    tune = TrainConfig(phase="prune-finetune", epochs=1, batch_size=20)
+    with pytest.raises(ValueError, match="the model has no FAR layer"):
+        three_stage_pipeline(teacher, None, ds, reg, tune, tau=0.97,
+                             mode="relative", reg_coeff=1e-4)
+    assert calls == []

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SETTABLE_BOUND = 113
+SETTABLE_BOUND = 112
 KINDS = ("keyword_defaults", "dataclass_fields", "config_keys", "cli_options")
 
 
